@@ -31,11 +31,7 @@ _KERNELS = tuple(k.value for k in KernelKind)
 _RUNGS = tuple(r.value for r in LadderRung)
 _STAGES = (
     STAGE_INITIAL,
-    "db-stage1",
-    "db-stage2",
-    "vectorize",
-    "form-virtual-threads",
-    "form-async-threads",
+    *dict.fromkeys(name for rung in LadderRung for name in pipeline_stage_names(rung)),
     "final",
 )
 

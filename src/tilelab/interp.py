@@ -1,152 +1,21 @@
 """Functional interpreter: the correctness oracle for every transformed module.
 
-Executes ops in program order with async regions run inline in creation
-order.  Expressions are evaluated in double precision and rounded to f32 per
-store.  Reading a region whose pending DMA has not been awaited is a hard
-error, as is overwriting the source or destination of an in-flight transfer,
-so incorrectly scheduled pipelines fail loudly instead of producing stale
-data.
+Executes the lowered schedule in program order with async regions run inline
+in creation order.  Expressions are evaluated in double precision and
+rounded to f32 per store.  Reading a region whose pending DMA has not been
+awaited is a hard error, as is overwriting the source or destination of an
+in-flight transfer, so incorrectly scheduled pipelines fail loudly instead of
+producing stale data.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf as _erf
 
-from .ir import (
-    AllocTcm,
-    Binary,
-    Compute,
-    Const,
-    Copy,
-    DeallocTcm,
-    DmaStart,
-    DmaWait,
-    Expr,
-    Input,
-    TileModule,
-    Unary,
-    ViewRef,
-    dynamic_schedule,
-    written_ddr_ids,
-)
+from .ir import TileModule
+from .lower import ArrayStore, HazardTracker, InterpError, lower, walk
 
-
-class InterpError(RuntimeError):
-    pass
-
-
-def eval_expr(expr: Expr, inputs: list[np.ndarray]) -> np.ndarray:
-    """Evaluates an expression tree over float64 operand arrays."""
-    if isinstance(expr, Input):
-        return inputs[expr.index]
-    if isinstance(expr, Const):
-        return np.float64(expr.value)
-    if isinstance(expr, Unary):
-        a = eval_expr(expr.a, inputs)
-        if expr.op == "tanh":
-            return np.tanh(a)
-        if expr.op == "erf":
-            return _erf(a)
-        raise InterpError(f"unknown unary op {expr.op!r}")
-    if isinstance(expr, Binary):
-        a = eval_expr(expr.a, inputs)
-        b = eval_expr(expr.b, inputs)
-        if expr.op == "add":
-            return np.add(a, b)
-        if expr.op == "sub":
-            return np.subtract(a, b)
-        if expr.op == "mul":
-            return np.multiply(a, b)
-        if expr.op == "div":
-            return np.divide(a, b)
-        if expr.op == "max":
-            return np.maximum(a, b)
-        raise InterpError(f"unknown binary op {expr.op!r}")
-    raise InterpError(f"not an expression node: {expr!r}")
-
-
-Region = tuple[str, int, int]  # buffer id, row lo, row hi
-
-
-def regions_overlap(a: Region, b: Region) -> bool:
-    return a[0] == b[0] and a[1] < b[2] and b[1] < a[2]
-
-
-class ArrayStore:
-    """Buffer state plus view resolution, shared by the functional
-    interpreter and the timed simulator.  Written buffers start as NaN so a
-    read of never-written data poisons the output visibly."""
-
-    def __init__(self, m: TileModule, inputs: dict[str, np.ndarray]):
-        self.module = m
-        written = set(written_ddr_ids(m))
-        expected = {d.id for d in m.buffers if d.id not in written}
-        provided = set(inputs)
-        if provided != expected:
-            raise InterpError(
-                f"input buffers mismatch: expected {sorted(expected)}, got {sorted(provided)}"
-            )
-        self.env: dict[str, np.ndarray] = {}
-        for d in m.buffers:
-            if d.id in written:
-                self.env[d.id] = np.full((d.rows, d.cols), np.nan, dtype=np.float32)
-            else:
-                arr = np.asarray(inputs[d.id], dtype=np.float32)
-                if arr.shape != (d.rows, d.cols):
-                    raise InterpError(
-                        f"input @{d.id} has shape {arr.shape}, declared {(d.rows, d.cols)}"
-                    )
-                self.env[d.id] = arr.copy()
-        self.written = written
-
-    @staticmethod
-    def _nearest_iv(ivs: tuple[tuple[str, int], ...]) -> int | None:
-        return ivs[-1][1] if ivs else None
-
-    def region(self, view: ViewRef, ivs) -> Region:
-        iv = self._nearest_iv(ivs)
-        if view.row_scale != 0 and iv is None:
-            raise InterpError(f"view of @{view.base} uses an induction variable outside any loop")
-        off = view.row_offset_at(iv or 0)
-        arr = self.env.get(view.base)
-        if arr is None:
-            raise InterpError(f"view references unknown or dead buffer @{view.base}")
-        if off < 0 or off + view.row_count > arr.shape[0] or view.col_count > arr.shape[1]:
-            raise InterpError(
-                f"view of @{view.base} out of bounds at runtime:"
-                f" rows [{off}, {off + view.row_count}) of {arr.shape[0]}"
-            )
-        return (view.base, off, off + view.row_count)
-
-    def read(self, view: ViewRef, ivs) -> np.ndarray:
-        base, lo, hi = self.region(view, ivs)
-        return self.env[base][lo:hi, : view.col_count].reshape(-1)
-
-    def write(self, view: ViewRef, ivs, flat: np.ndarray) -> None:
-        base, lo, hi = self.region(view, ivs)
-        self.env[base][lo:hi, : view.col_count] = flat.reshape(view.row_count, view.col_count)
-
-    def alloc(self, op: AllocTcm) -> None:
-        if op.decl.id in self.env:
-            raise InterpError(f"buffer @{op.decl.id} already live")
-        self.env[op.decl.id] = np.full(
-            (op.decl.rows, op.decl.cols), np.nan, dtype=np.float32
-        )
-
-    def dealloc(self, op: DeallocTcm) -> None:
-        if op.buffer_id not in self.env:
-            raise InterpError(f"dealloc of dead buffer @{op.buffer_id}")
-        del self.env[op.buffer_id]
-
-    def run_compute(self, op: Compute, ivs) -> None:
-        operands = [self.read(v, ivs).astype(np.float64) for v in op.inputs]
-        result = eval_expr(op.expr, operands)
-        result = np.broadcast_to(np.asarray(result, dtype=np.float64), op.output.elems)
-        self.write(op.output, ivs, result.astype(np.float32))
-
-    def outputs(self) -> dict[str, np.ndarray]:
-        return {name: self.env[name] for name in written_ddr_ids(self.module)}
+__all__ = ["InterpError", "interpret_functional"]
 
 
 def interpret_functional(
@@ -154,54 +23,21 @@ def interpret_functional(
 ) -> dict[str, np.ndarray]:
     """Runs the module on named input arrays and returns the written DDR
     buffers.  Data moves at transfer issue; waits only clear the hazard."""
-    store = ArrayStore(m, inputs)
-    pending: list[tuple[int, Region, Region]] = []  # tag id, src, dst
-
-    def check_read(region: Region, what: str) -> None:
-        for tag_id, _, dst in pending:
-            if regions_overlap(region, dst):
-                raise InterpError(
-                    f"read of @{region[0]} rows [{region[1]}, {region[2]}) before"
-                    f" dma.wait on tag {tag_id} ({what})"
-                )
-
-    def check_write(region: Region, what: str) -> None:
-        for tag_id, src, dst in pending:
-            if regions_overlap(region, dst):
-                raise InterpError(
-                    f"write to @{region[0]} overlaps in-flight dma destination"
-                    f" (tag {tag_id}) before its wait ({what})"
-                )
-            if regions_overlap(region, src):
-                raise InterpError(
-                    f"write to @{region[0]} overlaps the source of in-flight dma"
-                    f" tag {tag_id} before its wait ({what})"
-                )
-
-    for op, ivs in dynamic_schedule(m):
-        if isinstance(op, AllocTcm):
-            store.alloc(op)
-        elif isinstance(op, DeallocTcm):
-            store.dealloc(op)
-        elif isinstance(op, Copy):
-            src = store.region(op.src, ivs)
-            dst = store.region(op.dst, ivs)
-            check_read(src, "copy source")
-            check_write(dst, "copy destination")
-            store.write(op.dst, ivs, store.read(op.src, ivs))
-        elif isinstance(op, DmaStart):
-            src = store.region(op.src, ivs)
-            dst = store.region(op.dst, ivs)
-            check_read(src, "dma source")
-            check_write(dst, "dma destination")
-            store.write(op.dst, ivs, store.read(op.src, ivs))
-            pending.append((op.tag.id, src, dst))
-        elif isinstance(op, DmaWait):
-            pending = [p for p in pending if p[0] != op.tag.id]
-        elif isinstance(op, Compute):
-            for v in op.inputs:
-                check_read(store.region(v, ivs), "compute input")
-            check_write(store.region(op.output, ivs), "compute output")
-            store.run_compute(op, ivs)
-
+    sched = lower(m)
+    store = ArrayStore(sched, inputs)
+    hazards = HazardTracker(InterpError)
+    for step, ivs in walk(sched.body):
+        kind = step.kind
+        if kind == "compute":
+            store.compute(step, ivs, hazards)
+        elif kind == "transfer":
+            src, dst = store.transfer(step, ivs, hazards)
+            if step.tag is not None:
+                hazards.entries.append((step.tag, src, dst, None))
+        elif kind == "wait":
+            hazards.clear(step.op.tag.id)
+        elif kind == "alloc":
+            store.alloc(step.op)
+        elif kind == "dealloc":
+            store.dealloc(step.op)
     return store.outputs()

@@ -291,12 +291,6 @@ class TileModule:
     kernel: "KernelSpec | None" = None
     rung: str = "scalar"
 
-    def ddr_decl(self, buffer_id: str) -> BufferDecl | None:
-        for d in self.buffers:
-            if d.id == buffer_id:
-                return d
-        return None
-
 
 # --------------------------------------------------------------------------- #
 # Traversal
@@ -326,73 +320,12 @@ def walk_module(m: TileModule) -> Iterator[tuple[str, Op]]:
     yield from walk(m.body)
 
 
-def guard_allows(op: Op, iv: int | None) -> bool:
-    if not isinstance(op, GUARDED_OPS):
-        return True
-    lt = op.only_if_iv_lt
-    ge = op.only_if_iv_ge
-    if lt is None and ge is None:
-        return True
-    if iv is None:
-        # Guards outside any loop never fire; the verifier flags them.
-        return True
-    if lt is not None and not iv < lt:
-        return False
-    if ge is not None and not iv >= ge:
-        return False
-    return True
-
-
 def dynamic_schedule(m: TileModule) -> Iterator[tuple[Op, tuple[tuple[str, int], ...]]]:
-    """The module's single dynamic execution order.
+    """The module's single dynamic execution order: (op, iv_bindings) for
+    every op instance that executes, with loops iterated, toggle state
+    tracked, guards applied, and async regions inline in creation order.
+    A view over the walker of the lowered schedule that both executors run."""
+    from .lower import lower, walk  # lower builds on this module
 
-    Yields (op, iv_bindings) for every op instance that executes, with loops
-    unrolled, toggle state tracked, and guards applied.  Async regions are
-    walked inline in creation order.  This is the shared control-flow oracle
-    for the verifier, the functional interpreter, and structural tests.
-    """
-
-    def run(body: tuple[Op, ...], ivs: list[tuple[str, int]], toggles: list[list[bool]]):
-        nearest = ivs[-1][1] if ivs else None
-        for op in body:
-            if not guard_allows(op, nearest):
-                continue
-            yield op, tuple(ivs)
-            if isinstance(op, (ForTiles, Forall)):
-                if isinstance(op, ForTiles) and op.toggle_init is not None:
-                    toggles.append([op.toggle_init])
-                    for v in range(op.tile_count):
-                        ivs.append((op.iv, v))
-                        yield from run(op.body, ivs, toggles)
-                        ivs.pop()
-                    toggles.pop()
-                else:
-                    for v in range(op.tile_count):
-                        ivs.append((op.iv, v))
-                        yield from run(op.body, ivs, toggles)
-                        ivs.pop()
-            elif isinstance(op, AsyncExecute):
-                yield from run(op.body, ivs, toggles)
-            elif isinstance(op, IfToggle):
-                if not toggles:
-                    raise ValueError("if_toggle outside a toggled loop")
-                arm = op.then_body if toggles[-1][0] else op.else_body
-                yield from run(arm, ivs, toggles)
-            elif isinstance(op, FlipToggle):
-                if not toggles:
-                    raise ValueError("flip_toggle outside a toggled loop")
-                toggles[-1][0] = not toggles[-1][0]
-
-    yield from run(m.body, [], [])
-
-
-def written_ddr_ids(m: TileModule) -> tuple[str, ...]:
-    """DDR buffers that any op writes, in declaration order."""
-    ddr = {d.id for d in m.buffers}
-    written: set[str] = set()
-    for _, op in walk_module(m):
-        if isinstance(op, (Copy, DmaStart)) and op.dst.base in ddr:
-            written.add(op.dst.base)
-        elif isinstance(op, Compute) and op.output.base in ddr:
-            written.add(op.output.base)
-    return tuple(d.id for d in m.buffers if d.id in written)
+    for step, ivs in walk(lower(m).body):
+        yield step.op, ivs

@@ -18,17 +18,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-from .ir import (
-    Compute,
-    Copy,
-    DmaStart,
-    ForTiles,
-    TileModule,
-    dynamic_schedule,
-    expr_node_count,
-    walk_module,
-    written_ddr_ids,
-)
+from .ir import Compute, ForTiles, TileModule, expr_node_count, walk_module
+from .lower import lower, walk
 
 
 class LadderRung(str, Enum):
@@ -154,7 +145,8 @@ def collect_stats(m: TileModule) -> KernelStats:
     invariant across the rung pipelines (double buffering re-times transfers
     but does not change how many tiles move).
     """
-    written = set(written_ddr_ids(m))
+    sched = lower(m)
+    written = set(sched.written)
     bytes_out = sum(d.nbytes for d in m.buffers if d.id in written)
     bytes_in = sum(d.nbytes for d in m.buffers if d.id not in written)
     total_elements = sum(d.elems for d in m.buffers if d.id in written)
@@ -172,9 +164,7 @@ def collect_stats(m: TileModule) -> KernelStats:
         elif isinstance(op, Compute):
             tile_count += 1  # peeled tail tile
 
-    n_transfers = sum(
-        1 for op, _ in dynamic_schedule(m) if isinstance(op, (Copy, DmaStart))
-    )
+    n_transfers = sum(1 for step, _ in walk(sched.body) if step.kind == "transfer")
     return KernelStats(
         total_elements=total_elements,
         ops_per_element=ops_per_element,

@@ -315,25 +315,26 @@ def _form_virtual_threads_in_db(
 # --------------------------------------------------------------------------- #
 
 
-def form_async_threads(m: TileModule, threads: int) -> TileModule:
+def form_async_threads(m: TileModule) -> TileModule:
     """Lowers every forall to the canonical fork-join skeleton: one async
-    region per thread over its assigned tiles, tokens collected into a group,
-    and an await-all barrier."""
-    if threads < 1:
-        raise PassError(f"threads must be >= 1, got {threads}")
+    region per thread of the forall over its assigned tiles, tokens collected
+    into a group, and an await-all barrier."""
     if not any(isinstance(op, Forall) for _, op in walk_module(m)):
         raise PassError("no forall to lower to fork-join form")
     counter = itertools.count()
 
     def fn(op: Op):
         if isinstance(op, Forall):
-            return _lower_forall(op, threads, next(counter))
+            return _lower_forall(op, next(counter))
         return None
 
     return replace(m, body=_rewrite(m.body, fn))
 
 
-def _lower_forall(forall: Forall, threads: int, index: int) -> tuple[Op, ...]:
+def _lower_forall(forall: Forall, index: int) -> tuple[Op, ...]:
+    threads = forall.threads
+    if threads < 1:
+        raise PassError(f"forall threads must be >= 1, got {threads}")
     sets = partition_tiles(forall.tile_count, threads, forall.policy)
     step = threads if forall.policy is DistPolicy.BLOCK_CYCLIC else 1
     group = f"g{index}"
@@ -656,7 +657,7 @@ def run_pipeline_stages(
             # lowering then has nothing to do and the rung degenerates to
             # the previous one.
             if any(isinstance(op, Forall) for _, op in walk_module(current)):
-                current = form_async_threads(current, spec.mt.threads)
+                current = form_async_threads(current)
         elif name == "db-stage1":
             current = db_stage1(current)
         elif name == "db-stage2":

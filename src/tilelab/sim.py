@@ -2,8 +2,9 @@
 
 Architecture: one control context runs the module top level, `threads`
 worker contexts execute fork-join regions, and a single transfer channel
-serves synchronous copies and asynchronous DMA in FIFO order.  Contexts are
-Python generators yielding effects; the engine advances a single event heap
+serves synchronous copies and asynchronous DMA in FIFO order.  A context is
+a walk over a block of the lowered schedule; an async step spawns a new
+context over its sub-schedule.  The engine advances a single event heap
 keyed by (time, creation sequence), so identical inputs replay identically,
 bit for bit.
 
@@ -24,26 +25,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .interp import ArrayStore, Region, regions_overlap
-from .ir import (
-    AddToGroup,
-    AllocTcm,
-    AsyncExecute,
-    AwaitAll,
-    Compute,
-    Copy,
-    DeallocTcm,
-    DmaStart,
-    DmaWait,
-    FlipToggle,
-    Forall,
-    ForTiles,
-    IfToggle,
-    Op,
-    TileModule,
-    expr_node_count,
-    guard_allows,
-)
+from .ir import TileModule
+from .lower import ArrayStore, HazardTracker, Ivs, Step, lower, walk
 from .machine import MachineConfig, TimingReport, compute_cycles, cycles_to_us, transfer_cycles
 
 
@@ -55,35 +38,24 @@ class DeadlockError(SimulationError):
     pass
 
 
-Effect = tuple
-
-
 class _Ctx:
-    __slots__ = ("name", "gen", "worker", "block_start")
+    __slots__ = ("name", "gen", "toggles", "worker", "block_start")
 
-    def __init__(self, name: str, gen: Iterator[Effect]):
+    def __init__(self, name: str, body: tuple[Step, ...], ivs: Ivs, toggles: list[bool]):
         self.name = name
-        self.gen = gen
+        self.toggles = toggles  # the walk's live toggle stack, copied at each spawn
+        self.gen: Iterator[tuple[Step, Ivs]] = walk(body, ivs, toggles, inline=False)
         self.worker: "_Worker | None" = None
         self.block_start = 0
 
 
 class _Worker:
-    __slots__ = ("index", "idle", "region_start", "busy")
+    __slots__ = ("idle", "region_start", "busy")
 
-    def __init__(self, index: int):
-        self.index = index
+    def __init__(self):
         self.idle = True
         self.region_start = 0
         self.busy = 0
-
-
-@dataclass(eq=False)  # identity semantics: the registry removes by object
-class _Transfer:
-    tag_id: int | None
-    src: Region
-    dst: Region
-    done: int
 
 
 @dataclass
@@ -100,25 +72,25 @@ class _Group:
 
 class _Engine:
     def __init__(self, m: TileModule, inputs: dict[str, np.ndarray], cfg: MachineConfig):
-        self.module = m
+        sched = lower(m)
         self.cfg = cfg
-        self.store = ArrayStore(m, inputs)
+        self.store = ArrayStore(sched, inputs)
+        self.hazards = HazardTracker(SimulationError)
         self.heap: list[tuple[int, int, Callable[[int], None]]] = []
         self.seq = itertools.count()
         self.t_max = 0
         # One shared transfer channel, FIFO by request time.
         self.channel_free_at = 0
         self.dma_busy = 0
-        self.in_flight: list[_Transfer] = []
         self.tag_waiters: dict[int, list[_Ctx]] = {}
-        self.workers = [_Worker(i) for i in range(cfg.threads)]
+        self.workers = [_Worker() for _ in range(cfg.threads)]
         self.pending_regions: deque[_Ctx] = deque()
         self.tokens: dict[str, _Token] = {}
         self.groups: dict[str, _Group] = {}
         self.compute_busy = 0
         self.overhead = 0
         self.stall = 0
-        self.main = _Ctx("control", self._exec_body(m.body, [], []))
+        self.main = _Ctx("control", sched.body, (), [])
         self.main_done = False
 
     # -- event heap ------------------------------------------------------- #
@@ -126,8 +98,11 @@ class _Engine:
     def push(self, t: int, fn: Callable[[int], None]) -> None:
         heapq.heappush(self.heap, (t, next(self.seq), fn))
 
+    def wake(self, ctx: _Ctx, t: int) -> None:
+        self.push(t, lambda t2: self.resume(ctx, t2))
+
     def run(self) -> None:
-        self.push(0, lambda t: self.resume(self.main, t))
+        self.wake(self.main, 0)
         while self.heap:
             t, _, fn = heapq.heappop(self.heap)
             self.t_max = max(self.t_max, t)
@@ -149,102 +124,78 @@ class _Engine:
         self.dma_busy += cost
         return done
 
-    def _register_transfer(self, tr: _Transfer) -> None:
-        self.in_flight.append(tr)
-
-        def complete(t: int) -> None:
-            self.in_flight.remove(tr)
-            if tr.tag_id is not None and not any(
-                x.tag_id == tr.tag_id for x in self.in_flight
-            ):
-                for ctx in self.tag_waiters.pop(tr.tag_id, []):
-                    self.stall += t - ctx.block_start
-                    self.push(t, lambda t2, c=ctx: self.resume(c, t2))
-
-        self.push(tr.done, complete)
-
-    def _check_hazards(self, t: int, reads: list[Region], writes: list[Region]) -> None:
-        for tr in self.in_flight:
-            if tr.done <= t:
-                continue
-            for r in reads:
-                if regions_overlap(r, tr.dst):
-                    raise SimulationError(
-                        f"read of @{r[0]} rows [{r[1]}, {r[2]}) overlaps an"
-                        f" in-flight transfer (tag {tr.tag_id})"
-                    )
-            for w in writes:
-                if regions_overlap(w, tr.dst) or regions_overlap(w, tr.src):
-                    raise SimulationError(
-                        f"write to @{w[0]} rows [{w[1]}, {w[2]}) overlaps an"
-                        f" in-flight transfer (tag {tr.tag_id})"
-                    )
+    def _complete(self, entry: tuple, t: int, issuer: _Ctx | None = None) -> None:
+        """Ends a transfer; a synchronous copy's issuer resumes right away."""
+        self.hazards.entries.remove(entry)
+        tag = entry[0]
+        if issuer is not None:
+            self.resume(issuer, t)
+        elif not self.hazards.pending(tag):
+            for ctx in self.tag_waiters.pop(tag, []):
+                self.stall += t - ctx.block_start
+                self.wake(ctx, t)
 
     # -- context scheduling -------------------------------------------------- #
 
     def resume(self, ctx: _Ctx, t: int) -> None:
-        while True:
-            try:
-                eff = next(ctx.gen)
-            except StopIteration:
-                self._ctx_done(ctx, t)
+        cfg, store, hazards = self.cfg, self.store, self.hazards
+        for step, ivs in ctx.gen:
+            kind = step.kind
+            if kind == "compute":
+                store.compute(step, ivs, hazards, t)
+                cost = compute_cycles(cfg, step.elems, step.ops_per_element, step.vector_factor)
+                self.compute_busy += cost
+                self.wake(ctx, t + cost)
                 return
-            kind = eff[0]
-            if kind == "busy":
-                _, cycles, bucket = eff
-                if bucket == "compute":
-                    self.compute_busy += cycles
-                elif bucket == "overhead":
-                    self.overhead += cycles
-                self.push(t + cycles, lambda t2, c=ctx: self.resume(c, t2))
-                return
-            if kind == "copy":
-                _, src, dst, nbytes = eff
-                self._check_hazards(t, [src], [dst])
-                done = self._channel_request(t, nbytes)
-                self._register_transfer(_Transfer(None, src, dst, done))
-                self.stall += done - t
-                self.push(done, lambda t2, c=ctx: self.resume(c, t2))
-                return
-            if kind == "dma_start":
-                _, src, dst, nbytes, tag_id = eff
-                self._check_hazards(t, [src], [dst])
-                done = self._channel_request(t, nbytes)
-                self._register_transfer(_Transfer(tag_id, src, dst, done))
-                continue
-            if kind == "dma_wait":
-                _, tag_id = eff
-                if any(tr.tag_id == tag_id for tr in self.in_flight):
-                    ctx.block_start = t
-                    self.tag_waiters.setdefault(tag_id, []).append(ctx)
+            if kind == "transfer":
+                src, dst = store.transfer(step, ivs, hazards, t)
+                done = self._channel_request(t, step.nbytes)
+                entry = (step.tag, src, dst, done)
+                hazards.entries.append(entry)
+                if step.tag is None:  # a synchronous copy blocks its context
+                    self.stall += done - t
+                    self.push(done, lambda t2: self._complete(entry, t2, ctx))
                     return
-                continue
-            if kind == "compute_guard":
-                _, reads, writes = eff
-                self._check_hazards(t, reads, writes)
-                continue
-            if kind == "spawn":
-                _, token, gen = eff
-                self.tokens[token] = _Token()
-                self._dispatch(_Ctx(token, gen), t)
-                continue
-            if kind == "add_to_group":
-                _, token, group = eff
-                tok = self.tokens.get(token)
-                if tok is None:
-                    raise SimulationError(f"add_to_group of unknown token %{token}")
-                tok.group = group
-                g = self.groups.setdefault(group, _Group())
-                g.members.add(token)
-                continue
-            if kind == "await_group":
-                _, group = eff
-                g = self.groups.setdefault(group, _Group())
-                if self._group_done(g):
-                    continue
-                g.waiter = ctx
+                self.push(done, lambda t2, e=entry: self._complete(e, t2))
+            elif kind == "wait":
+                tag = step.op.tag.id
+                if hazards.pending(tag):
+                    ctx.block_start = t
+                    self.tag_waiters.setdefault(tag, []).append(ctx)
+                    return
+            elif kind == "alloc":
+                store.alloc(step.op)
+            elif kind == "dealloc":
+                store.dealloc(step.op)
+            elif kind == "async":
+                region = _Ctx(step.op.token, step.body, ivs, list(ctx.toggles))
+                self.overhead += cfg.fork_cost
+                self.push(t + cfg.fork_cost, lambda t2: self._spawn(ctx, region, t2))
                 return
-            raise SimulationError(f"unknown effect {kind!r}")
+            elif kind == "add_to_group":
+                op = step.op
+                tok = self.tokens.get(op.token)
+                if tok is None:
+                    raise SimulationError(f"add_to_group of unknown token %{op.token}")
+                tok.group = op.group
+                self.groups.setdefault(op.group, _Group()).members.add(op.token)
+            elif kind == "await":
+                g = self.groups.setdefault(step.op.group, _Group())
+                if self._group_done(g):
+                    self._join(ctx, t)
+                else:
+                    g.waiter = ctx
+                return
+        self._ctx_done(ctx, t)
+
+    def _spawn(self, parent: _Ctx, region: _Ctx, t: int) -> None:
+        self.tokens[region.name] = _Token()
+        self._dispatch(region, t)
+        self.resume(parent, t)
+
+    def _join(self, ctx: _Ctx, t: int) -> None:
+        self.overhead += self.cfg.join_cost
+        self.wake(ctx, t + self.cfg.join_cost)
 
     def _group_done(self, g: _Group) -> bool:
         return all(self.tokens[t].done for t in g.members)
@@ -260,7 +211,7 @@ class _Engine:
         w.idle = False
         w.region_start = t
         ctx.worker = w
-        self.push(t, lambda t2, c=ctx: self.resume(c, t2))
+        self.wake(ctx, t)
 
     def _ctx_done(self, ctx: _Ctx, t: int) -> None:
         if ctx is self.main:
@@ -274,87 +225,11 @@ class _Engine:
             g = self.groups[tok.group]
             if g.waiter is not None and self._group_done(g):
                 waiter, g.waiter = g.waiter, None
-                self.push(t, lambda t2, c=waiter: self.resume(c, t2))
+                self.push(t, lambda t2: self._join(waiter, t2))
         if self.pending_regions:
             self._start_region(w, self.pending_regions.popleft(), t)
         else:
             w.idle = True
-
-    # -- op execution --------------------------------------------------------- #
-
-    def _exec_body(
-        self,
-        body: tuple[Op, ...],
-        ivs: list[tuple[str, int]],
-        toggles: list[list[bool]],
-    ) -> Iterator[Effect]:
-        nearest = ivs[-1][1] if ivs else None
-        for op in body:
-            if not guard_allows(op, nearest):
-                continue
-            if isinstance(op, (ForTiles, Forall)):
-                is_toggled = isinstance(op, ForTiles) and op.toggle_init is not None
-                if is_toggled:
-                    toggles.append([op.toggle_init])
-                for v in range(op.tile_count):
-                    ivs.append((op.iv, v))
-                    yield from self._exec_body(op.body, ivs, toggles)
-                    ivs.pop()
-                if is_toggled:
-                    toggles.pop()
-            elif isinstance(op, IfToggle):
-                if not toggles:
-                    raise SimulationError("if_toggle outside a toggled loop")
-                arm = op.then_body if toggles[-1][0] else op.else_body
-                yield from self._exec_body(arm, ivs, toggles)
-            elif isinstance(op, FlipToggle):
-                if not toggles:
-                    raise SimulationError("flip_toggle outside a toggled loop")
-                toggles[-1][0] = not toggles[-1][0]
-            elif isinstance(op, AllocTcm):
-                self.store.alloc(op)
-            elif isinstance(op, DeallocTcm):
-                self.store.dealloc(op)
-            elif isinstance(op, Copy):
-                snapshot = tuple(ivs)
-                src = self.store.region(op.src, snapshot)
-                dst = self.store.region(op.dst, snapshot)
-                self.store.write(op.dst, snapshot, self.store.read(op.src, snapshot))
-                yield ("copy", src, dst, op.src.elems * 4)
-            elif isinstance(op, DmaStart):
-                snapshot = tuple(ivs)
-                src = self.store.region(op.src, snapshot)
-                dst = self.store.region(op.dst, snapshot)
-                self.store.write(op.dst, snapshot, self.store.read(op.src, snapshot))
-                yield ("dma_start", src, dst, op.src.elems * 4, op.tag.id)
-            elif isinstance(op, DmaWait):
-                yield ("dma_wait", op.tag.id)
-            elif isinstance(op, Compute):
-                snapshot = tuple(ivs)
-                reads = [self.store.region(v, snapshot) for v in op.inputs]
-                writes = [self.store.region(op.output, snapshot)]
-                yield ("compute_guard", reads, writes)
-                self.store.run_compute(op, snapshot)
-                cost = compute_cycles(
-                    self.cfg,
-                    op.output.elems,
-                    expr_node_count(op.expr) + 1,
-                    op.vector_factor,
-                )
-                yield ("busy", cost, "compute")
-            elif isinstance(op, AsyncExecute):
-                yield ("busy", self.cfg.fork_cost, "overhead")
-                region_gen = self._exec_body(
-                    op.body, list(ivs), [list(c) for c in toggles]
-                )
-                yield ("spawn", op.token, region_gen)
-            elif isinstance(op, AddToGroup):
-                yield ("add_to_group", op.token, op.group)
-            elif isinstance(op, AwaitAll):
-                yield ("await_group", op.group)
-                yield ("busy", self.cfg.join_cost, "overhead")
-            else:
-                raise SimulationError(f"unknown op {op!r}")
 
 
 def simulate_timed(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .ir import (
     ANCHORS,
+    GUARDED_OPS,
     AddToGroup,
     AllocTcm,
     AsyncExecute,
@@ -21,7 +22,6 @@ from .ir import (
     Copy,
     DeallocTcm,
     DmaStart,
-    DmaWait,
     FlipToggle,
     Forall,
     ForTiles,
@@ -30,9 +30,9 @@ from .ir import (
     Op,
     TileModule,
     ViewRef,
-    dynamic_schedule,
     expr_input_indices,
 )
+from .lower import lower, walk
 from .machine import MachineConfig
 
 
@@ -144,6 +144,10 @@ class _Checker:
             path = f"{prefix}[{i}]"
             if op.anchor is not None and op.anchor not in ANCHORS:
                 self.err(path, f"unknown anchor attribute {op.anchor!r}")
+            if loop is None and isinstance(op, GUARDED_OPS) and (
+                op.only_if_iv_lt is not None or op.only_if_iv_ge is not None
+            ):
+                self.err(path, "guard on an induction variable outside any loop")
 
             if isinstance(op, AllocTcm):
                 d = op.decl
@@ -313,11 +317,11 @@ class _Checker:
         starts: dict[int, int] = {}
         waits: dict[int, int] = {}
         try:
-            for op, _ in dynamic_schedule(self.m):
-                if isinstance(op, DmaStart):
-                    starts[op.tag.id] = starts.get(op.tag.id, 0) + 1
-                elif isinstance(op, DmaWait):
-                    waits[op.tag.id] = waits.get(op.tag.id, 0) + 1
+            for step, _ in walk(lower(self.m).body):
+                if step.kind == "transfer" and step.tag is not None:
+                    starts[step.tag] = starts.get(step.tag, 0) + 1
+                elif step.kind == "wait":
+                    waits[step.op.tag.id] = waits.get(step.op.tag.id, 0) + 1
         except ValueError as exc:
             self.err("body", str(exc))
             return

@@ -2,7 +2,9 @@
 
 import json
 
-from tilelab.cli import main
+import pytest
+
+from tilelab.cli import build_parser, main
 from tilelab.machine import MachineConfig
 
 
@@ -100,3 +102,22 @@ def test_repeat_flag_checks_identity(tmp_path):
     out = tmp_path / "r"
     code = main(["ladder", "--kernel", "vec-add-2d", "--out", str(out), "--repeat", "2"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        "initial",
+        "db-stage1",
+        "db-stage2",
+        "vectorize",
+        "form-virtual-threads",
+        "form-async-threads",
+        "final",
+    ],
+)
+def test_every_stage_choice_accepted(stage):
+    args = build_parser().parse_args(
+        ["dump-ir", "--kernel", "vec-add-2d", "--rung", "vec-mt-db", "--stage", stage]
+    )
+    assert args.stage == stage

@@ -127,38 +127,38 @@ def _thread_tile_sets(m):
 
 
 def test_block_lowering_tile_sets():
-    m = form_async_threads(form_virtual_threads(_build(8), POLICY4), 4)
+    m = form_async_threads(form_virtual_threads(_build(8), POLICY4))
     assert _thread_tile_sets(m) == [(0, 1), (2, 3), (4, 5), (6, 7)]
     assert sum(1 for _, op in walk_module(m) if isinstance(op, AwaitAll)) == 1
 
 
 def test_block_cyclic_lowering_tile_sets():
-    m = form_async_threads(form_virtual_threads(_build(10), POLICY4), 4)
+    m = form_async_threads(form_virtual_threads(_build(10), POLICY4))
     assert _thread_tile_sets(m) == [(0, 4, 8), (1, 5, 9), (2, 6), (3, 7)]
 
 
 def test_single_thread_degenerate_fork_join():
-    m = form_async_threads(form_virtual_threads(_build(8), MtPolicy(threads=1)), 1)
+    m = form_async_threads(form_virtual_threads(_build(8), MtPolicy(threads=1)))
     regions = [op for _, op in walk_module(m) if isinstance(op, AsyncExecute)]
     assert len(regions) == 1
     assert _thread_tile_sets(m) == [tuple(range(8))]
 
 
 def test_more_threads_than_tiles_skips_empty_regions():
-    m = form_async_threads(form_virtual_threads(_build(2), POLICY4), 4)
+    m = form_async_threads(form_virtual_threads(_build(2), POLICY4))
     assert _thread_tile_sets(m) == [(0,), (1,)]
 
 
 def test_no_forall_rejected():
     with pytest.raises(PassError, match="no forall"):
-        form_async_threads(_build(8), 4)
+        form_async_threads(_build(8))
 
 
 def test_lowered_module_preserves_semantics():
     for rows in (8, 10):
         spec = vec_add_2d(rows=rows, tile_rows=1)
         m = form_async_threads(
-            form_virtual_threads(vectorize(build_vec_add_2d(spec), 32), POLICY4), 4
+            form_virtual_threads(vectorize(build_vec_add_2d(spec), 32), POLICY4)
         )
         inputs = make_inputs(spec)
         out = interpret_functional(m, inputs)

@@ -120,6 +120,22 @@ def test_toggle_ops_require_carried_toggle():
     assert any("flip_toggle" in d for d in diags)
 
 
+def test_guard_outside_any_loop_flagged():
+    t = TCM("t", 1, 16)
+    m = TileModule(
+        "top-guard",
+        (DDR("X", 1, 16),),
+        (
+            AllocTcm(t),
+            Copy(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t), only_if_iv_lt=0),
+            DeallocTcm("t"),
+        ),
+    )
+    assert verify_module(m, CFG) == [
+        "body[1]: guard on an induction variable outside any loop"
+    ]
+
+
 def test_vector_factor_floor():
     t_in, t_out = TCM("a", 1, 8), TCM("b", 1, 8)
     m = TileModule(
