@@ -44,7 +44,6 @@ from .machine import (
 from .normal_form import NormalFormDescriptor, match_normal_form
 from .passes import (
     MtPolicy,
-    MtProfitability,
     PassError,
     PipelineSpec,
     db_stage1,
@@ -75,7 +74,6 @@ __all__ = [
     "LadderRung",
     "MachineConfig",
     "MtPolicy",
-    "MtProfitability",
     "NormalFormDescriptor",
     "PassError",
     "PipelineSpec",

@@ -26,7 +26,7 @@ from .machine import (
     collect_stats,
     latency_lower_bound,
 )
-from .passes import MtPolicy, MtProfitability, PipelineSpec, run_pipeline
+from .passes import MtPolicy, PipelineSpec, run_pipeline
 from .sim import simulate_timed
 from .verifier import verify_module
 
@@ -96,12 +96,7 @@ def round3(value: float) -> float:
 
 
 def pipeline_for(rung: LadderRung, cfg: MachineConfig) -> PipelineSpec:
-    return PipelineSpec(
-        rung=rung,
-        lanes=cfg.lanes,
-        mt=MtPolicy(threads=cfg.threads),
-        profitability=MtProfitability(),
-    )
+    return PipelineSpec(rung, cfg.lanes, MtPolicy(cfg.threads))
 
 
 def outputs_match(kind: KernelKind, got: dict, want: dict) -> bool:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import erf as _erf
 
 from .ir import (
+    F32,
     AllocTcm,
     Binary,
     BufferDecl,
@@ -209,7 +210,7 @@ def build_vec_add_2d(spec: KernelSpec, tcm_capacity: int | None = None) -> TileM
     tail_rows = rows % tile_rows
 
     if tcm_capacity is not None:
-        footprint = 3 * tile_rows * cols * 4
+        footprint = 3 * tile_rows * cols * F32.size_bytes
         if footprint > tcm_capacity:
             raise ValueError(
                 f"tile of {tile_rows} rows needs {footprint} tcm bytes"
@@ -261,7 +262,7 @@ def build_gelu(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:
     tiles, eff = ddr_shape(spec)
 
     if tcm_capacity is not None:
-        footprint = 2 * eff * 4
+        footprint = 2 * eff * F32.size_bytes
         if footprint > tcm_capacity:
             raise ValueError(
                 f"tile of {eff} elements needs {footprint} tcm bytes"
@@ -297,7 +298,7 @@ def max_tile_rows(
     capacity: int, cols: int, n_buffers: int = 3, double_buffered: bool = False
 ) -> int:
     """Largest whole-row tile height whose working set fits the scratchpad."""
-    per_row = cols * 4 * n_buffers * (2 if double_buffered else 1)
+    per_row = cols * F32.size_bytes * n_buffers * (2 if double_buffered else 1)
     return capacity // per_row
 
 

@@ -135,6 +135,7 @@ class KernelStats:
     bytes_in: int
     bytes_out: int
     tile_count: int
+    tile_rows: int  # rows of the first compute's output: what DB+MT forks over
     n_transfers: int
 
 
@@ -151,10 +152,11 @@ def collect_stats(m: TileModule) -> KernelStats:
     bytes_in = sum(d.nbytes for d in m.buffers if d.id not in written)
     total_elements = sum(d.elems for d in m.buffers if d.id in written)
 
-    ops_per_element = 0
+    ops_per_element = tile_rows = 0
     for _, op in walk_module(m):
         if isinstance(op, Compute):
             ops_per_element = expr_node_count(op.expr) + 1
+            tile_rows = op.output.row_count
             break
 
     tile_count = 0
@@ -171,20 +173,25 @@ def collect_stats(m: TileModule) -> KernelStats:
         bytes_in=bytes_in,
         bytes_out=bytes_out,
         tile_count=tile_count,
+        tile_rows=tile_rows,
         n_transfers=n_transfers,
     )
 
 
 def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung) -> int:
     """Certified floor on simulated latency: max of the transfer-channel time
-    and the per-context compute time at the rung's vector factor."""
+    and the per-context compute time at the rung's vector factor.  vec-mt
+    splits compute over tiles; vec-mt-db forks inside the resident tile, over
+    its rows."""
     t_dma = stats.n_transfers * cfg.dma_startup + math.ceil(
         (stats.bytes_in + stats.bytes_out) / cfg.dma_bandwidth
     )
     vector_factor = 1 if rung == LadderRung.SCALAR else cfg.lanes
     t_compute = compute_cycles(cfg, stats.total_elements, stats.ops_per_element, vector_factor)
-    if rung in (LadderRung.VEC_MT, LadderRung.VEC_MT_DB):
+    if rung == LadderRung.VEC_MT:
         t_compute = math.ceil(t_compute / min(cfg.threads, max(stats.tile_count, 1)))
+    elif rung == LadderRung.VEC_MT_DB:
+        t_compute = math.ceil(t_compute / min(cfg.threads, max(stats.tile_rows, 1)))
     return max(t_dma, t_compute)
 
 

@@ -28,14 +28,12 @@ from .ir import (
 class InputGroup:
     ddr_view: ViewRef
     alloc: AllocTcm
-    copy_in: Copy
 
 
 @dataclass(frozen=True, slots=True)
 class OutputGroup:
     alloc: AllocTcm
     ddr_view: ViewRef
-    copy_out: Copy
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +43,6 @@ class NormalFormDescriptor:
     inputs: tuple[InputGroup, ...]
     compute: Compute
     output: OutputGroup
-    deallocs: tuple[DeallocTcm, ...]
 
 
 def _is_full_tcm_view(view: ViewRef, alloc: AllocTcm) -> bool:
@@ -89,7 +86,7 @@ def match_normal_form_explain(m: TileModule) -> tuple[NormalFormDescriptor | Non
             return None, f"loop body op {pos + 1}: copy-in source @{copy_in.src.base} is not a ddr buffer"
         if not _is_full_tcm_view(copy_in.dst, alloc):
             return None, f"loop body op {pos + 1}: copy-in must fill the whole tcm buffer @{alloc.decl.id}"
-        inputs.append(InputGroup(copy_in.src, alloc, copy_in))
+        inputs.append(InputGroup(copy_in.src, alloc))
         pos += 2
     if not inputs:
         found = kind(body[pos]) if pos < len(body) else "end of body"
@@ -127,7 +124,6 @@ def match_normal_form_explain(m: TileModule) -> tuple[NormalFormDescriptor | Non
 
     # Deallocs in allocation order.
     alloc_order = [g.alloc.decl.id for g in inputs] + [out_alloc.decl.id]
-    deallocs: list[DeallocTcm] = []
     for buffer_id in alloc_order:
         if pos >= len(body) or not isinstance(body[pos], DeallocTcm):
             found = kind(body[pos]) if pos < len(body) else "end of body"
@@ -137,7 +133,6 @@ def match_normal_form_explain(m: TileModule) -> tuple[NormalFormDescriptor | Non
                 f"loop body op {pos}: deallocs out of allocation order"
                 f" (expected @{buffer_id}, found @{body[pos].buffer_id})"
             )
-        deallocs.append(body[pos])
         pos += 1
 
     if pos != len(body):
@@ -148,7 +143,6 @@ def match_normal_form_explain(m: TileModule) -> tuple[NormalFormDescriptor | Non
         loop_index=loop_index,
         inputs=tuple(inputs),
         compute=compute,
-        output=OutputGroup(out_alloc, copy_out.dst, copy_out),
-        deallocs=tuple(deallocs),
+        output=OutputGroup(out_alloc, copy_out.dst),
     )
     return desc, ""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .ir import (
     ANCHOR_COMPUTE,
@@ -49,26 +50,20 @@ class PassError(ValueError):
     """A pass precondition does not hold for the given module."""
 
 
-@dataclass(frozen=True, slots=True)
-class MtProfitability:
-    """Size floor below which multi-threading is declined."""
-
-    min_tiles: int = 2
-    min_total_elements: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.min_tiles < 1 or self.min_total_elements < 1:
-            raise ValueError("profitability thresholds must be >= 1")
+# Size floor below which multi-threading is declined: fewer parallel tiles
+# (or sub-tile rows) than MT_MIN_TILES, or fewer written elements in all of
+# them together than MT_MIN_ELEMENTS.
+MT_MIN_TILES = 2
+MT_MIN_ELEMENTS = 4096
 
 
 @dataclass(frozen=True, slots=True)
 class MtPolicy:
-    """Thread count plus an optional distribution override; with kind=None the
-    pass picks block for evenly dividing tile counts and block-cyclic
-    otherwise (balances uneven ranges)."""
+    """Thread count of the multi-threading passes.  The distribution is block
+    for evenly dividing tile counts and block-cyclic otherwise (balances
+    uneven ranges)."""
 
     threads: int = 4
-    kind: DistPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.threads < 1:
@@ -80,8 +75,6 @@ class PipelineSpec:
     rung: LadderRung
     lanes: int = 32
     mt: MtPolicy = MtPolicy()
-    profitability: MtProfitability = MtProfitability()
-    storeback_async: bool = True
 
     def __post_init__(self) -> None:
         if self.lanes < 1:
@@ -114,8 +107,22 @@ def _rewrite(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
     return tuple(out)
 
 
+def _map_views(op: Op, fn) -> Op | None:
+    """The op with fn applied to every view it reads or writes; None for an
+    op without views."""
+    if isinstance(op, (Copy, DmaStart)):
+        return replace(op, src=fn(op.src), dst=fn(op.dst))
+    if isinstance(op, Compute):
+        return replace(op, inputs=tuple(fn(v) for v in op.inputs), output=fn(op.output))
+    return None
+
+
 def _has_anchor(m: TileModule, anchor: str) -> bool:
     return any(op.anchor == anchor for _, op in walk_module(m))
+
+
+def _has_forall(m: TileModule) -> bool:
+    return any(isinstance(op, Forall) for _, op in walk_module(m))
 
 
 # --------------------------------------------------------------------------- #
@@ -167,19 +174,10 @@ def _vectorize_compute(op: Compute, lanes: int) -> tuple[Op, ...]:
         rows = main // view.col_count
         return replace(view, row_base=view.row_base + rows, row_count=view.row_count - rows)
 
-    vec = replace(
-        op,
-        inputs=tuple(head(v) for v in op.inputs),
-        output=head(op.output),
-        vector_factor=lanes,
+    return (
+        replace(_map_views(op, head), vector_factor=lanes),
+        replace(_map_views(op, tail), vector_factor=1),
     )
-    epilogue = replace(
-        op,
-        inputs=tuple(tail(v) for v in op.inputs),
-        output=tail(op.output),
-        vector_factor=1,
-    )
-    return (vec, epilogue)
 
 
 # --------------------------------------------------------------------------- #
@@ -202,21 +200,17 @@ def partition_tiles(
     return tuple(tuple(range(t, tile_count, threads)) for t in range(threads))
 
 
-def _pick_policy(tile_count: int, policy: MtPolicy) -> DistPolicy:
-    if policy.kind is not None:
-        return policy.kind
-    return DistPolicy.BLOCK if tile_count % policy.threads == 0 else DistPolicy.BLOCK_CYCLIC
+def _pick_policy(tile_count: int, threads: int) -> DistPolicy:
+    return DistPolicy.BLOCK if tile_count % threads == 0 else DistPolicy.BLOCK_CYCLIC
 
 
-def form_virtual_threads(
-    m: TileModule, policy: MtPolicy, prof: MtProfitability = MtProfitability()
-) -> TileModule:
-    """Rewrites the tiled loop into an explicitly parallel forall when the
-    size-based profitability heuristic accepts; otherwise returns the module
-    unchanged.  On double-buffered modules the rewrite targets the compute
-    region's sub-tiles instead of the outer ping/pong loop."""
+def form_virtual_threads(m: TileModule, policy: MtPolicy) -> TileModule:
+    """Rewrites the tiled loop into an explicitly parallel forall unless it is
+    below the MT_MIN_TILES / MT_MIN_ELEMENTS size floor, which returns the
+    module unchanged.  On double-buffered modules the rewrite targets the
+    compute region's sub-tiles instead of the outer ping/pong loop."""
     if _has_anchor(m, ANCHOR_COMPUTE):
-        return _form_virtual_threads_in_db(m, policy, prof)
+        return _form_virtual_threads_in_db(m, policy.threads)
 
     loops = [(i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles)]
     if not loops:
@@ -225,12 +219,20 @@ def form_virtual_threads(
     if loop.toggle_init is not None:
         raise PassError("cannot parallelize a loop with a carried toggle")
 
-    tile_elems = _written_ddr_elems_per_iteration(m, loop)
-    if loop.tile_count < prof.min_tiles or loop.tile_count * tile_elems < prof.min_total_elements:
+    views = _written_ddr_views(m, loop.body)
+    if (
+        loop.tile_count < MT_MIN_TILES
+        or loop.tile_count * sum(v.elems for v in views) < MT_MIN_ELEMENTS
+    ):
         return m
+    for view in views:
+        if abs(view.row_scale) < view.row_count:
+            raise PassError(
+                f"cross-thread dependence: output view of @{view.base} overlaps"
+                f" across iterations (stride {view.row_scale} < {view.row_count} rows)"
+            )
 
-    _check_output_disjointness(m, loop)
-    kind = _pick_policy(loop.tile_count, policy)
+    kind = _pick_policy(loop.tile_count, policy.threads)
     forall = Forall(loop.iv, loop.tile_count, kind, policy.threads, loop.body)
     body = m.body[:index] + (forall,) + m.body[index + 1 :]
     return replace(m, body=body)
@@ -241,37 +243,21 @@ def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
     a nested loop bind elsewhere and are skipped)."""
     ddr = {d.id for d in m.buffers}
     views: list[ViewRef] = []
-    for op in body:
+
+    def fn(op: Op):
         if isinstance(op, (ForTiles, Forall)):
-            continue
-        if isinstance(op, (AsyncExecute,)):
-            views.extend(_written_ddr_views(m, op.body))
-        elif isinstance(op, IfToggle):
-            views.extend(_written_ddr_views(m, op.then_body))
-            views.extend(_written_ddr_views(m, op.else_body))
-        elif isinstance(op, (Copy, DmaStart)) and op.dst.base in ddr:
+            return (op,)
+        if isinstance(op, (Copy, DmaStart)) and op.dst.base in ddr:
             views.append(op.dst)
         elif isinstance(op, Compute) and op.output.base in ddr:
             views.append(op.output)
+        return None
+
+    _rewrite(body, fn)
     return views
 
 
-def _written_ddr_elems_per_iteration(m: TileModule, loop: ForTiles) -> int:
-    return sum(v.elems for v in _written_ddr_views(m, loop.body))
-
-
-def _check_output_disjointness(m: TileModule, loop: ForTiles) -> None:
-    for view in _written_ddr_views(m, loop.body):
-        if abs(view.row_scale) < view.row_count:
-            raise PassError(
-                f"cross-thread dependence: output view of @{view.base} overlaps"
-                f" across iterations (stride {view.row_scale} < {view.row_count} rows)"
-            )
-
-
-def _form_virtual_threads_in_db(
-    m: TileModule, policy: MtPolicy, prof: MtProfitability
-) -> TileModule:
+def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
     decls = {
         op.decl.id: op.decl for _, op in walk_module(m) if isinstance(op, AllocTcm)
     }
@@ -291,18 +277,12 @@ def _form_virtual_threads_in_db(
         if len(shapes) != 1:
             return (op,)
         rows, cols = shapes.pop()
-        if rows < prof.min_tiles or op.output.elems < prof.min_total_elements:
+        if rows < MT_MIN_TILES or op.output.elems < MT_MIN_ELEMENTS:
             return (op,)
-        kind = _pick_policy(rows, policy)
-        row_of = lambda v: ViewRef(v.base, 1, 0, 1, cols)
-        sub = replace(
-            op,
-            inputs=tuple(row_of(v) for v in op.inputs),
-            output=row_of(op.output),
-            anchor=None,
-        )
+        kind = _pick_policy(rows, threads)
+        sub = replace(_map_views(op, lambda v: ViewRef(v.base, 1, 0, 1, cols)), anchor=None)
         changed = True
-        return (Forall("s", rows, kind, policy.threads, (sub,), anchor=ANCHOR_COMPUTE),)
+        return (Forall("s", rows, kind, threads, (sub,), anchor=ANCHOR_COMPUTE),)
 
     body = _rewrite(m.body, fn)
     if not changed:
@@ -319,7 +299,7 @@ def form_async_threads(m: TileModule) -> TileModule:
     """Lowers every forall to the canonical fork-join skeleton: one async
     region per thread of the forall over its assigned tiles, tokens collected
     into a group, and an await-all barrier."""
-    if not any(isinstance(op, Forall) for _, op in walk_module(m)):
+    if not _has_forall(m):
         raise PassError("no forall to lower to fork-join form")
     counter = itertools.count()
 
@@ -377,17 +357,8 @@ def _rename_tcm(body: tuple[Op, ...], suffix: str) -> tuple[Op, ...]:
             return (replace(op, decl=replace(op.decl, id=op.decl.id + suffix)),)
         if isinstance(op, DeallocTcm) and op.buffer_id in owned:
             return (replace(op, buffer_id=op.buffer_id + suffix),)
-        if isinstance(op, (Copy, DmaStart)):
-            return (replace(op, src=rename_view(op.src), dst=rename_view(op.dst)),)
-        if isinstance(op, Compute):
-            return (
-                replace(
-                    op,
-                    inputs=tuple(rename_view(v) for v in op.inputs),
-                    output=rename_view(op.output),
-                ),
-            )
-        return None
+        mapped = _map_views(op, rename_view)
+        return None if mapped is None else (mapped,)
 
     return _rewrite(body, fn)
 
@@ -404,36 +375,17 @@ def _remap_views(body: tuple[Op, ...], step: int, start: int) -> tuple[Op, ...]:
             row_base=view.row_scale * start + view.row_base,
         )
 
-    out: list[Op] = []
-    for op in body:
+    def fn(op: Op):
         if isinstance(op, (ForTiles, Forall)):
-            out.append(op)
-            continue
-        if isinstance(op, AsyncExecute):
-            out.append(replace(op, body=_remap_views(op.body, step, start)))
-            continue
-        if isinstance(op, IfToggle):
-            out.append(
-                replace(
-                    op,
-                    then_body=_remap_views(op.then_body, step, start),
-                    else_body=_remap_views(op.else_body, step, start),
-                )
-            )
-            continue
-        if isinstance(op, (Copy, DmaStart, DmaWait)):
-            if op.only_if_iv_lt is not None or op.only_if_iv_ge is not None:
-                raise PassError("cannot lower a guarded op inside a forall body")
-        if isinstance(op, Copy) or isinstance(op, DmaStart):
-            op = replace(op, src=remap(op.src), dst=remap(op.dst))
-        elif isinstance(op, Compute):
-            op = replace(
-                op,
-                inputs=tuple(remap(v) for v in op.inputs),
-                output=remap(op.output),
-            )
-        out.append(op)
-    return tuple(out)
+            return (op,)
+        if isinstance(op, (Copy, DmaStart, DmaWait)) and (
+            op.only_if_iv_lt is not None or op.only_if_iv_ge is not None
+        ):
+            raise PassError("cannot lower a guarded op inside a forall body")
+        mapped = _map_views(op, remap)
+        return None if mapped is None else (mapped,)
+
+    return _rewrite(body, fn)
 
 
 # --------------------------------------------------------------------------- #
@@ -524,7 +476,7 @@ def db_stage1(m: TileModule) -> TileModule:
 # --------------------------------------------------------------------------- #
 
 
-def db_stage2(m: TileModule, storeback_async: bool = True) -> TileModule:
+def db_stage2(m: TileModule) -> TileModule:
     """Replaces anchored synchronous copies with tagged DMA: prefetches get
     distinct ping/pong tags per destination buffer with waits inserted
     immediately before compute; storebacks get their own tags with waits
@@ -558,11 +510,7 @@ def db_stage2(m: TileModule, storeback_async: bool = True) -> TileModule:
         )
         for base in prefetch_dsts
     }
-    storeback_tag = (
-        {base: DmaTag(next(next_id), TagRole.STOREBACK) for base in storeback_srcs}
-        if storeback_async
-        else {}
-    )
+    storeback_tag = {base: DmaTag(next(next_id), TagRole.STOREBACK) for base in storeback_srcs}
 
     def fn(op: Op):
         if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH:
@@ -576,7 +524,7 @@ def db_stage2(m: TileModule, storeback_async: bool = True) -> TileModule:
                     only_if_iv_ge=op.only_if_iv_ge,
                 ),
             )
-        if isinstance(op, Copy) and op.anchor == ANCHOR_STOREBACK and storeback_async:
+        if isinstance(op, Copy) and op.anchor == ANCHOR_STOREBACK:
             return (
                 DmaStart(src=op.src, dst=op.dst, tag=storeback_tag[op.src.base], anchor=op.anchor),
             )
@@ -623,6 +571,18 @@ def db_stage2(m: TileModule, storeback_async: bool = True) -> TileModule:
 
 STAGE_INITIAL = "initial"
 
+# Stage name -> pass call.  The lambdas look the passes up in this module's
+# globals at call time, so a rebinding of a pass (for tracing) takes effect.
+_STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
+    "vectorize": lambda m, spec: vectorize(m, spec.lanes),
+    "form-virtual-threads": lambda m, spec: form_virtual_threads(m, spec.mt),
+    # The profitability floor may have declined; fork-join lowering then has
+    # nothing to do and the rung degenerates to the previous one.
+    "form-async-threads": lambda m, spec: form_async_threads(m) if _has_forall(m) else m,
+    "db-stage1": lambda m, spec: db_stage1(m),
+    "db-stage2": lambda m, spec: db_stage2(m),
+}
+
 _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.SCALAR: (),
     LadderRung.VEC: ("vectorize",),
@@ -648,20 +608,7 @@ def run_pipeline_stages(
     stages: list[tuple[str, TileModule]] = [(STAGE_INITIAL, m)]
     current = m
     for name in pipeline_stage_names(spec.rung):
-        if name == "vectorize":
-            current = vectorize(current, spec.lanes)
-        elif name == "form-virtual-threads":
-            current = form_virtual_threads(current, spec.mt, spec.profitability)
-        elif name == "form-async-threads":
-            # The profitability heuristic may have declined; fork-join
-            # lowering then has nothing to do and the rung degenerates to
-            # the previous one.
-            if any(isinstance(op, Forall) for _, op in walk_module(current)):
-                current = form_async_threads(current)
-        elif name == "db-stage1":
-            current = db_stage1(current)
-        elif name == "db-stage2":
-            current = db_stage2(current, spec.storeback_async)
+        current = _STAGES[name](current, spec)
         stages.append((name, current))
     return stages
 

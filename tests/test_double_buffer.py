@@ -149,20 +149,6 @@ def test_stage2_requires_anchors():
         db_stage2(_build(8))
 
 
-def test_synchronous_storeback_variant():
-    m = db_stage2(db_stage1(_build(8)), storeback_async=False)
-    storebacks = [
-        op for _, op in walk_module(m) if op.anchor == ANCHOR_STOREBACK
-    ]
-    assert storebacks and all(isinstance(op, Copy) for op in storebacks)
-    assert verify_module(m, CFG) == []
-    spec = vec_add_2d(rows=8, tile_rows=1)
-    inputs = make_inputs(spec)
-    assert np.array_equal(
-        interpret_functional(m, inputs)["C"], reference_output(spec, inputs)["C"]
-    )
-
-
 @pytest.mark.parametrize("tiles", [1, 3, 8])
 def test_stage2_preserves_semantics(tiles):
     spec = vec_add_2d(rows=tiles, tile_rows=1)

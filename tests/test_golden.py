@@ -1,10 +1,14 @@
 """Golden regression: every TimingReport field and interp == sim bit for bit,
-for all four rungs of three kernels on the default machine.
+for all four rungs of three kernels on the default machine, and the printed
+IR after every pipeline stage of every rung.
 
 The vec-add and GELU rows are the ROADMAP baseline ladders; the fine-tile
 GELU row exercises many small tiles (and the MT profitability decline at
-vec-mt-db).  Any change to these numbers is a behaviour change.
+vec-mt-db); the IR table adds a vec-add with a peeled tail tile.  Any change
+to these numbers or hashes is a behaviour change.
 """
+
+import hashlib
 
 import pytest
 
@@ -12,7 +16,8 @@ from tilelab.bench import pipeline_for
 from tilelab.interp import interpret_functional
 from tilelab.kernels import build_kernel, gelu, make_inputs, vec_add_2d
 from tilelab.machine import MachineConfig, RUNG_ORDER, TimingReport
-from tilelab.passes import run_pipeline
+from tilelab.passes import run_pipeline, run_pipeline_stages
+from tilelab.printer import print_module
 from tilelab.sim import simulate_timed
 
 CFG = MachineConfig()
@@ -53,3 +58,107 @@ def test_golden_ladder(kernel):
         assert set(sim_out) == set(interp_out)
         for name in interp_out:
             assert sim_out[name].tobytes() == interp_out[name].tobytes(), (rung, name)
+
+
+IR_KERNELS = {**KERNELS, "vec-add-tail": vec_add_2d(rows=10, tile_rows=4)}
+
+# (kernel, rung) -> (stage, first 16 hex digits of sha256(print_module)) per
+# stage of run_pipeline_stages.
+GOLDEN_IR = {
+    ("vec-add", "scalar"): (
+        ("initial", "1de75a2bc474d3ec"),
+    ),
+    ("vec-add", "vec"): (
+        ("initial", "1de75a2bc474d3ec"),
+        ("vectorize", "1f5bfcaea10d5eea"),
+    ),
+    ("vec-add", "vec-mt"): (
+        ("initial", "1de75a2bc474d3ec"),
+        ("vectorize", "1f5bfcaea10d5eea"),
+        ("form-virtual-threads", "bff43ed5d9dfaa76"),
+        ("form-async-threads", "071d430360ceeea1"),
+    ),
+    ("vec-add", "vec-mt-db"): (
+        ("initial", "1de75a2bc474d3ec"),
+        ("db-stage1", "d5bb9c1c9ccc5cd0"),
+        ("db-stage2", "fd6069c17ec48711"),
+        ("vectorize", "31cb0d45bbe149ef"),
+        ("form-virtual-threads", "7a08463af6df3a60"),
+        ("form-async-threads", "54ef7828222ce564"),
+    ),
+    ("gelu", "scalar"): (
+        ("initial", "24e1a6d2315ef087"),
+    ),
+    ("gelu", "vec"): (
+        ("initial", "24e1a6d2315ef087"),
+        ("vectorize", "c46d63f768cad64a"),
+    ),
+    ("gelu", "vec-mt"): (
+        ("initial", "24e1a6d2315ef087"),
+        ("vectorize", "c46d63f768cad64a"),
+        ("form-virtual-threads", "36b494f43b1a9e9b"),
+        ("form-async-threads", "dccd120c97cbe260"),
+    ),
+    ("gelu", "vec-mt-db"): (
+        ("initial", "24e1a6d2315ef087"),
+        ("db-stage1", "c59c5e3ac06711cf"),
+        ("db-stage2", "9bf6009e95c9cbd9"),
+        ("vectorize", "f933e46e009da3c1"),
+        ("form-virtual-threads", "d0e105e387f05131"),
+        ("form-async-threads", "21462fe35d2950b1"),
+    ),
+    ("gelu-fine", "scalar"): (
+        ("initial", "d8ec0175b740b0e9"),
+    ),
+    ("gelu-fine", "vec"): (
+        ("initial", "d8ec0175b740b0e9"),
+        ("vectorize", "31fd9ff5b5fbbe79"),
+    ),
+    ("gelu-fine", "vec-mt"): (
+        ("initial", "d8ec0175b740b0e9"),
+        ("vectorize", "31fd9ff5b5fbbe79"),
+        ("form-virtual-threads", "9518ba0d7c55321a"),
+        ("form-async-threads", "ae5131869d92b81c"),
+    ),
+    ("gelu-fine", "vec-mt-db"): (
+        ("initial", "d8ec0175b740b0e9"),
+        ("db-stage1", "f7877bf17c6114f3"),
+        ("db-stage2", "79a58800c20741d7"),
+        ("vectorize", "78bd21a272b0acee"),
+        ("form-virtual-threads", "78bd21a272b0acee"),
+        ("form-async-threads", "78bd21a272b0acee"),
+    ),
+    ("vec-add-tail", "scalar"): (
+        ("initial", "7f24fa145afb9f54"),
+    ),
+    ("vec-add-tail", "vec"): (
+        ("initial", "7f24fa145afb9f54"),
+        ("vectorize", "2d4ee5b21b84a0b5"),
+    ),
+    ("vec-add-tail", "vec-mt"): (
+        ("initial", "7f24fa145afb9f54"),
+        ("vectorize", "2d4ee5b21b84a0b5"),
+        ("form-virtual-threads", "9c4f17256c11b04d"),
+        ("form-async-threads", "32e1bdf31c3b2d69"),
+    ),
+    ("vec-add-tail", "vec-mt-db"): (
+        ("initial", "7f24fa145afb9f54"),
+        ("db-stage1", "deb824f7cd898bde"),
+        ("db-stage2", "fff85c2623aebc92"),
+        ("vectorize", "31cb13f06c5ee3c2"),
+        ("form-virtual-threads", "69014e5f11b76d55"),
+        ("form-async-threads", "37a6ed6d0a910d82"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", list(IR_KERNELS))
+def test_golden_ir(kernel):
+    base = build_kernel(IR_KERNELS[kernel], tcm_capacity=CFG.tcm_capacity)
+    for rung in RUNG_ORDER:
+        stages = run_pipeline_stages(base, pipeline_for(rung, CFG))
+        got = tuple(
+            (name, hashlib.sha256(print_module(m).encode()).hexdigest()[:16])
+            for name, m in stages
+        )
+        assert got == GOLDEN_IR[(kernel, rung.value)], rung

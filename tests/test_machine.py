@@ -63,6 +63,7 @@ def test_collect_stats_vec_add_defaults():
     assert stats.bytes_in == 2 * 4_194_304
     assert stats.bytes_out == 4_194_304
     assert stats.tile_count == 8
+    assert stats.tile_rows == 8
     assert stats.n_transfers == 24  # 3 per tile
 
 
@@ -72,6 +73,7 @@ def test_collect_stats_gelu():
     assert stats.ops_per_element == 19
     assert stats.n_transfers == 128
     assert stats.tile_count == 64
+    assert stats.tile_rows == 8  # resident tiles are shaped (8, 2048)
 
 
 def test_lower_bound_closed_forms():
@@ -83,6 +85,8 @@ def test_lower_bound_closed_forms():
     assert latency_lower_bound(stats, cfg, LadderRung.VEC) == max(t_dma, t_compute_vec) == 131072
     assert latency_lower_bound(stats, cfg, LadderRung.SCALAR) == 1_048_576 * 4
     assert latency_lower_bound(stats, cfg, LadderRung.VEC_MT) == max(t_dma, 131072 // 4)
+    # vec-mt-db forks over the 8 rows of a tile, and min(threads, 8) == 4.
+    assert latency_lower_bound(stats, cfg, LadderRung.VEC_MT_DB) == max(t_dma, 131072 // 4)
 
 
 def test_lower_bound_limit_regimes():
@@ -92,6 +96,7 @@ def test_lower_bound_limit_regimes():
         bytes_in=8_388_608,
         bytes_out=4_194_304,
         tile_count=8,
+        tile_rows=8,
         n_transfers=24,
     )
     memory_bound = MachineConfig(dma_bandwidth=1)

@@ -16,7 +16,6 @@ from tilelab.ir import (
 from tilelab.kernels import build_vec_add_2d, make_inputs, reference_output, vec_add_2d
 from tilelab.passes import (
     MtPolicy,
-    MtProfitability,
     PassError,
     form_async_threads,
     form_virtual_threads,
@@ -70,7 +69,7 @@ def test_overlapping_outputs_rejected():
     body[-4] = replace(copy_out, dst=ViewRef("C", 0, 0, 1, 16384))
     clash = replace(base, body=(replace(loop, body=tuple(body)),))
     with pytest.raises(PassError, match="cross-thread dependence"):
-        form_virtual_threads(clash, MtPolicy(threads=4), MtProfitability(min_total_elements=1))
+        form_virtual_threads(clash, POLICY4)
 
 
 # -- partitions --------------------------------------------------------------- #

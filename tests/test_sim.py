@@ -122,6 +122,21 @@ def test_simulator_equals_interpreter(kind, rung):
     assert report.total_cycles >= latency_lower_bound(stats, CFG, rung)
 
 
+@pytest.mark.parametrize(
+    "cfg, cycles, floor",
+    [(CFG, 1400, 608), (MachineConfig(lanes=8, threads=3), 4240, 3243)],
+)
+def test_db_mt_floor_uses_the_rows_it_forks_over(cfg, cycles, floor):
+    # One GELU tile: vec-mt-db forks over the tile's 8 resident rows, so the
+    # floor must divide compute by min(threads, 8), not by the tile count.
+    spec = gelu(n=4096, tile_elems=4096)
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    m = run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    _, report = simulate_timed(m, make_inputs(spec), cfg)
+    assert report.total_cycles == cycles
+    assert latency_lower_bound(collect_stats(base), cfg, LadderRung.VEC_MT_DB) == floor
+
+
 def test_mt_speedup_never_exceeds_thread_count():
     for rows in (8, 16, 64):
         spec = vec_add_2d(rows=rows, tile_rows=1)
