@@ -18,7 +18,6 @@ import numpy as np
 from .interp import interpret_functional
 from .kernels import KernelKind, KernelSpec, build_kernel, make_inputs, reference_output
 from .machine import (
-    KernelStats,
     LadderRung,
     MachineConfig,
     RUNG_ORDER,
@@ -117,7 +116,6 @@ class RungRun:
     rung: LadderRung
     outputs: dict
     timing: TimingReport
-    stats: KernelStats
     lower_bound: int
 
 
@@ -138,8 +136,7 @@ def run_rung(
     if inputs is None:
         inputs = make_inputs(kernel)
     outputs, timing = simulate_timed(module, inputs, cfg)
-    stats = collect_stats(base)
-    return RungRun(rung, outputs, timing, stats, latency_lower_bound(stats, cfg, rung))
+    return RungRun(rung, outputs, timing, latency_lower_bound(collect_stats(base), cfg, rung))
 
 
 def run_ladder(kernel: KernelSpec, cfg: MachineConfig) -> LadderReport:

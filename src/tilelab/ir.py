@@ -10,9 +10,12 @@ the induction variable, so every module has exactly one dynamic schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, TYPE_CHECKING, Union
+from typing import Callable, Iterator, TYPE_CHECKING, Union
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .kernels import KernelSpec
@@ -83,9 +86,6 @@ def full_view(decl: BufferDecl) -> ViewRef:
 # Elementwise expression trees
 # --------------------------------------------------------------------------- #
 
-UNARY_OPS = ("tanh", "erf")
-BINARY_OPS = ("add", "sub", "mul", "div", "max")
-
 
 @dataclass(frozen=True, slots=True)
 class Input:
@@ -112,25 +112,37 @@ class Binary:
 
 Expr = Union[Input, Const, Unary, Binary]
 
+_erf_objects = np.frompyfunc(math.erf, 1, 1)
 
-def expr_node_count(e: Expr) -> int:
-    if isinstance(e, (Input, Const)):
-        return 1
-    if isinstance(e, Unary):
-        return 1 + expr_node_count(e.a)
+
+def _erf(x):
+    """The error function element-wise, in float64, from the standard library."""
+    return np.asarray(_erf_objects(x), dtype=np.float64)
+
+
+# The expression language, read by lowering, the verifier and the GELU
+# reference: operator node type -> op name -> numpy function over float64.
+EXPR_OPS: dict[type, dict[str, Callable[..., np.ndarray]]] = {
+    Unary: {"tanh": np.tanh, "erf": _erf},
+    Binary: {
+        "add": np.add,
+        "sub": np.subtract,
+        "mul": np.multiply,
+        "div": np.divide,
+        "max": np.maximum,
+    },
+}
+UNARY_OPS = tuple(EXPR_OPS[Unary])
+BINARY_OPS = tuple(EXPR_OPS[Binary])
+
+
+def expr_nodes(e: Expr) -> Iterator[Expr]:
+    """Pre-order walk over an expression tree."""
+    yield e
+    if isinstance(e, (Unary, Binary)):
+        yield from expr_nodes(e.a)
     if isinstance(e, Binary):
-        return 1 + expr_node_count(e.a) + expr_node_count(e.b)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def expr_input_indices(e: Expr) -> set[int]:
-    if isinstance(e, Input):
-        return {e.index}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Unary):
-        return expr_input_indices(e.a)
-    return expr_input_indices(e.a) | expr_input_indices(e.b)
+        yield from expr_nodes(e.b)
 
 
 # --------------------------------------------------------------------------- #
@@ -289,7 +301,6 @@ class TileModule:
     buffers: tuple[BufferDecl, ...]
     body: tuple[Op, ...]
     kernel: "KernelSpec | None" = None
-    rung: str = "scalar"
 
 
 # --------------------------------------------------------------------------- #

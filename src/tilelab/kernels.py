@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .ir import (
+    EXPR_OPS,
     F32,
     AllocTcm,
     Binary,
@@ -248,7 +248,7 @@ def build_vec_add_2d(spec: KernelSpec, tcm_capacity: int | None = None) -> TileM
                 expr=vec_add_expr(),
             )
         )
-    return TileModule("vec-add-2d", buffers, tuple(body), kernel=spec, rung="scalar")
+    return TileModule("vec-add-2d", buffers, tuple(body), kernel=spec)
 
 
 def build_gelu(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:
@@ -285,21 +285,13 @@ def build_gelu(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:
             expr=gelu_expr(spec.gelu_variant),
         ),
     )
-    return TileModule("gelu", buffers, (loop,), kernel=spec, rung="scalar")
+    return TileModule("gelu", buffers, (loop,), kernel=spec)
 
 
 def build_kernel(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:
     if spec.kind is KernelKind.VEC_ADD_2D:
         return build_vec_add_2d(spec, tcm_capacity)
     return build_gelu(spec, tcm_capacity)
-
-
-def max_tile_rows(
-    capacity: int, cols: int, n_buffers: int = 3, double_buffered: bool = False
-) -> int:
-    """Largest whole-row tile height whose working set fits the scratchpad."""
-    per_row = cols * F32.size_bytes * n_buffers * (2 if double_buffered else 1)
-    return capacity // per_row
 
 
 # --------------------------------------------------------------------------- #
@@ -312,7 +304,7 @@ def gelu_reference(x64: np.ndarray, variant: GeluVariant) -> np.ndarray:
     if variant is GeluVariant.TANH:
         cubic = GELU_CUBIC_COEFF * (x64 * (x64 * x64))
         return 0.5 * (x64 * (1.0 + np.tanh(SQRT_2_OVER_PI * (x64 + cubic))))
-    return 0.5 * (x64 * (1.0 + _erf(x64 * INV_SQRT_2)))
+    return 0.5 * (x64 * (1.0 + EXPR_OPS[Unary]["erf"](x64 * INV_SQRT_2)))
 
 
 def reference_output(spec: KernelSpec, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

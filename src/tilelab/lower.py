@@ -3,7 +3,7 @@
 `lower` turns every static op into a step: views become (base, row_scale,
 row_base, rows, cols) tuples, transfers carry their byte count, guarded ops
 their iv bounds, async regions their sub-schedule, and a compute step its
-expression as a closure over the same ufuncs in the same order, compiled on
+expression as a closure over the functions of `ir.EXPR_OPS`, compiled on
 first execution.  Loops stay loops.  `walk` is the one control-flow walker
 (loops, toggles, guards); `ArrayStore` and `HazardTracker` are the buffer
 state and the in-flight transfer model both executors share.
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from . import ir
 
@@ -78,7 +77,7 @@ class Compute(Step):
     def compiled(self) -> Callable[[list[np.ndarray]], np.ndarray]:
         if self.fn is None:
             self.fn = compile_expr(self.op.expr)
-            self.ops_per_element = ir.expr_node_count(self.op.expr) + 1
+            self.ops_per_element = sum(1 for _ in ir.expr_nodes(self.op.expr)) + 1
         return self.fn
 
 
@@ -87,16 +86,6 @@ class Schedule:
     buffers: tuple[ir.BufferDecl, ...]
     written: tuple[str, ...]  # DDR buffers some op writes, in declaration order
     body: tuple[Step, ...]
-
-
-_UNARY = {"tanh": np.tanh, "erf": _erf}
-_BINARY = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-    "max": np.maximum,
-}
 
 
 def compile_expr(e: ir.Expr) -> Callable[[list[np.ndarray]], np.ndarray]:
@@ -108,11 +97,11 @@ def compile_expr(e: ir.Expr) -> Callable[[list[np.ndarray]], np.ndarray]:
     if isinstance(e, ir.Const):
         value = np.array(e.value, dtype=np.float64)  # 0-d: cheaper ufunc dispatch than a scalar
         return lambda xs: value
-    if isinstance(e, ir.Unary) and e.op in _UNARY:
-        fn, a = _UNARY[e.op], compile_expr(e.a)
+    if isinstance(e, ir.Unary) and e.op in ir.EXPR_OPS[ir.Unary]:
+        fn, a = ir.EXPR_OPS[ir.Unary][e.op], compile_expr(e.a)
         return lambda xs: fn(a(xs))
-    if isinstance(e, ir.Binary) and e.op in _BINARY:
-        fn, a, b = _BINARY[e.op], compile_expr(e.a), compile_expr(e.b)
+    if isinstance(e, ir.Binary) and e.op in ir.EXPR_OPS[ir.Binary]:
+        fn, a, b = ir.EXPR_OPS[ir.Binary][e.op], compile_expr(e.a), compile_expr(e.b)
         return lambda xs: fn(a(xs), b(xs))
 
     def fail(xs):

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-from .ir import Compute, ForTiles, TileModule, expr_node_count, walk_module
+from .ir import Compute, ForTiles, TileModule, expr_nodes, walk_module
 from .lower import lower, walk
 
 
@@ -155,7 +155,7 @@ def collect_stats(m: TileModule) -> KernelStats:
     ops_per_element = tile_rows = 0
     for _, op in walk_module(m):
         if isinstance(op, Compute):
-            ops_per_element = expr_node_count(op.expr) + 1
+            ops_per_element = sum(1 for _ in expr_nodes(op.expr)) + 1
             tile_rows = op.output.row_count
             break
 

@@ -615,7 +615,4 @@ def run_pipeline_stages(
 
 def run_pipeline(m: TileModule, spec: PipelineSpec) -> TileModule:
     """Applies the rung's pass pipeline; the scalar rung is the identity."""
-    if spec.rung is LadderRung.SCALAR:
-        return m
-    final = run_pipeline_stages(m, spec)[-1][1]
-    return replace(final, rung=spec.rung.value)
+    return run_pipeline_stages(m, spec)[-1][1]

@@ -12,13 +12,16 @@ from dataclasses import dataclass
 
 from .ir import (
     ANCHORS,
+    EXPR_OPS,
     GUARDED_OPS,
     AddToGroup,
     AllocTcm,
     AsyncExecute,
     AwaitAll,
+    Binary,
     BufferDecl,
     Compute,
+    Const,
     Copy,
     DeallocTcm,
     DmaStart,
@@ -26,11 +29,13 @@ from .ir import (
     Forall,
     ForTiles,
     IfToggle,
+    Input,
     MemSpace,
     Op,
     TileModule,
+    Unary,
     ViewRef,
-    expr_input_indices,
+    expr_nodes,
 )
 from .lower import lower, walk
 from .machine import MachineConfig
@@ -201,7 +206,15 @@ class _Checker:
                     if v.elems != op.output.elems:
                         self.err(path, f"compute input {k} has {v.elems} elems vs output {op.output.elems}")
                 self.check_view(f"{path}.out", op.output, op, loop)
-                used = expr_input_indices(op.expr)
+                used = set()
+                for node in expr_nodes(op.expr):
+                    if isinstance(node, Input):
+                        used.add(node.index)
+                    elif isinstance(node, (Unary, Binary)):
+                        if node.op not in EXPR_OPS[type(node)]:
+                            self.err(path, f"unknown {type(node).__name__.lower()} op {node.op!r}")
+                    elif not isinstance(node, Const):
+                        self.err(path, f"not an expression node: {node!r}")
                 if used != set(range(len(op.inputs))):
                     self.err(
                         path,

@@ -1,10 +1,10 @@
 """Functional interpreter: values and hazard detection."""
 
+import math
 import random
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from tilelab.interp import InterpError, interpret_functional
 from tilelab.ir import (
@@ -25,6 +25,7 @@ from tilelab.ir import (
     TileModule,
     Unary,
     ViewRef,
+    expr_nodes,
     full_view,
 )
 from tilelab.kernels import (
@@ -40,6 +41,7 @@ from tilelab.kernels import (
 from tilelab.lower import compile_expr
 from tilelab.machine import MachineConfig
 from tilelab.sim import SimulationError, simulate_timed
+from tilelab.verifier import verify_module
 
 
 def test_vec_add_constant_inputs():
@@ -129,7 +131,7 @@ def test_input_name_mismatch_rejected():
 
 _REFERENCE_OPS = {
     "tanh": np.tanh,
-    "erf": erf,
+    "erf": np.vectorize(math.erf, otypes=[np.float64]),
     "add": np.add,
     "sub": np.subtract,
     "mul": np.multiply,
@@ -161,13 +163,56 @@ def _random_expr(rng: random.Random, depth: int):
     return Binary(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
 
 
-def test_compiled_expressions_match_tree_evaluation():
+def _generated_exprs() -> list:
+    """Both GELU trees, then 200 seeded random trees over the op table."""
     rng = random.Random(7)
+    return [gelu_expr(v) for v in GeluVariant] + [_random_expr(rng, 5) for _ in range(200)]
+
+
+def test_compiled_expressions_match_tree_evaluation():
     values = np.random.default_rng(7).uniform(-4.0, 4.0, (2, 257))
     xs = [values[0], values[1]]
-    exprs = [gelu_expr(v) for v in GeluVariant] + [_random_expr(rng, 5) for _ in range(200)]
     with np.errstate(all="ignore"):
-        for e in exprs:
+        for e in _generated_exprs():
             got = np.broadcast_to(np.asarray(compile_expr(e)(xs), np.float64), 257)
             want = np.broadcast_to(np.asarray(_tree_eval(e, xs), np.float64), 257)
             assert got.tobytes() == want.tobytes(), e
+
+
+def _one_tile(expr, n_inputs: int, cols: int) -> TileModule:
+    """A scalar one-tile module: copy the inputs in, compute, copy out."""
+    t_ins = [BufferDecl(f"t{k}", MemSpace.TCM, 1, cols) for k in range(n_inputs)]
+    t_out = BufferDecl("tY", MemSpace.TCM, 1, cols)
+    body = []
+    for k, t in enumerate(t_ins):
+        body += [AllocTcm(t), Copy(src=ViewRef(f"X{k}", 0, 0, 1, cols), dst=full_view(t))]
+    body += [
+        AllocTcm(t_out),
+        Compute(tuple(full_view(t) for t in t_ins), full_view(t_out), expr),
+        Copy(src=full_view(t_out), dst=ViewRef("Y", 0, 0, 1, cols)),
+    ]
+    body += [DeallocTcm(t.id) for t in (*t_ins, t_out)]
+    buffers = [BufferDecl(f"X{k}", MemSpace.DDR, 1, cols) for k in range(n_inputs)]
+    buffers.append(BufferDecl("Y", MemSpace.DDR, 1, cols))
+    return TileModule("expr", tuple(buffers), tuple(body))
+
+
+def test_interpreter_equals_simulator_over_generated_expressions():
+    cfg = MachineConfig()
+    values = np.random.default_rng(7).uniform(-4.0, 4.0, (2, 1, 257)).astype(np.float32)
+    exprs = _generated_exprs()
+    clean = 0
+    with np.errstate(all="ignore"):
+        for i, e in enumerate(exprs):
+            used = [node.index for node in expr_nodes(e) if isinstance(node, Input)]
+            n_inputs = max(used, default=-1) + 1
+            m = _one_tile(e, n_inputs, 257)
+            if verify_module(m, cfg):
+                assert i >= 2, f"GELU tree {e} must verify clean"
+                continue
+            clean += 1
+            inputs = {f"X{k}": values[k] for k in range(n_inputs)}
+            got = interpret_functional(m, inputs)["Y"]
+            sim_out, _ = simulate_timed(m, inputs, cfg)
+            assert got.tobytes() == sim_out["Y"].tobytes(), e
+    assert clean > len(exprs) // 2

@@ -65,5 +65,5 @@ def test_structural_change_changes_text():
 
 def test_name_and_metadata_not_structural():
     a = build_vec_add_2d(vec_add_2d())
-    renamed = replace(a, name="other", rung="vec")
+    renamed = replace(a, name="other")
     assert print_module(a) == print_module(renamed)

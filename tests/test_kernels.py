@@ -13,7 +13,6 @@ from tilelab.kernels import (
     gelu,
     gelu_reference,
     make_inputs,
-    max_tile_rows,
     reference_output,
     uniform_f32,
     vec_add_2d,
@@ -39,10 +38,7 @@ def test_tile_rows_larger_than_rows_rejected():
 
 def test_capacity_bound_tile_height():
     # A 256 KiB scratchpad holds exactly one 64 KiB row per live buffer
-    # (two inputs + one output), single-buffered.
-    assert max_tile_rows(262144, 16384) == 1
-    assert max_tile_rows(262144, 16384, double_buffered=True) == 0
-    assert max_tile_rows(8_388_608, 16384) == 42
+    # (two inputs + one output), so two-row tiles do not fit.
     with pytest.raises(ValueError):
         build_vec_add_2d(vec_add_2d(rows=64, tile_rows=2), tcm_capacity=262144)
 

@@ -1,8 +1,13 @@
 """Verifier: every invariant violation surfaces as a diagnostic."""
 
+import numpy as np
+import pytest
+
 from tilelab.bench import pipeline_for
+from tilelab.interp import InterpError, interpret_functional
 from tilelab.ir import (
     AllocTcm,
+    Binary,
     BufferDecl,
     Compute,
     Copy,
@@ -12,8 +17,10 @@ from tilelab.ir import (
     FlipToggle,
     ForTiles,
     IfToggle,
+    Input,
     MemSpace,
     TileModule,
+    Unary,
     ViewRef,
     full_view,
 )
@@ -151,6 +158,34 @@ def test_vector_factor_floor():
     )
     diags = verify_module(m, CFG)
     assert any("vector_factor" in d for d in diags)
+
+
+@pytest.mark.parametrize(
+    "expr, diag",
+    [
+        (Unary("sin", Input(0)), "body[3]: unknown unary op 'sin'"),
+        (Binary("pow", Input(0), Input(0)), "body[3]: unknown binary op 'pow'"),
+    ],
+    ids=["sin", "pow"],
+)
+def test_unknown_expression_op_flagged(expr, diag):
+    t_in, t_out = TCM("tX", 1, 16), TCM("tY", 1, 16)
+    m = TileModule(
+        "unknown-op",
+        (DDR("X", 1, 16), DDR("Y", 1, 16)),
+        (
+            AllocTcm(t_in),
+            Copy(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t_in)),
+            AllocTcm(t_out),
+            Compute((full_view(t_in),), full_view(t_out), expr),
+            Copy(src=full_view(t_out), dst=ViewRef("Y", 0, 0, 1, 16)),
+            DeallocTcm("tX"),
+            DeallocTcm("tY"),
+        ),
+    )
+    assert verify_module(m, CFG) == [diag]
+    with pytest.raises(InterpError, match="cannot evaluate expression node"):
+        interpret_functional(m, {"X": np.zeros((1, 16), np.float32)})
 
 
 def test_leaked_and_dead_tcm():
