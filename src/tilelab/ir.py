@@ -145,6 +145,12 @@ def expr_nodes(e: Expr) -> Iterator[Expr]:
         yield from expr_nodes(e.b)
 
 
+def ops_per_element(e: Expr) -> int:
+    """Unit operations one element of a compute costs: every expression node
+    (input loads included) plus the store."""
+    return sum(1 for _ in expr_nodes(e)) + 1
+
+
 # --------------------------------------------------------------------------- #
 # Ops
 # --------------------------------------------------------------------------- #

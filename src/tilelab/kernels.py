@@ -4,13 +4,15 @@ Two kernels: a bandwidth-heavy 2D vector addition and the GELU activation
 (tanh approximation by default, erf variant for cross-checking).  Builders
 emit untransformed modules in the single-buffered normal form; inputs come
 from a SplitMix64 stream so identical seeds give identical arrays on every
-platform.
+platform.  Inputs and the reference are computed in fixed host blocks, so
+their temporaries stay small at any array size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -101,23 +103,49 @@ _SM_MIX2 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
 
+# Elements per host block: the generator and the reference work on blocks
+# this long so their temporaries stay cache-sized whatever the array size.
+_BLOCK = 1 << 15
+
+
 def splitmix64_values(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Stream values [offset, offset + count) of SplitMix64(seed), vectorized;
-    the state advance is linear so any window evaluates directly."""
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    the state advance is linear so any window evaluates directly.  Mixes in
+    place: the result array plus one temporary."""
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        x = np.uint64(seed & _U64) + idx * np.uint64(_SM_GAMMA)
-        z = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z *= np.uint64(_SM_GAMMA)
+        z += np.uint64(seed & _U64)
+        for shift, mul in ((30, _SM_MIX1), (27, _SM_MIX2)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= np.uint64(mul)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+    return z
+
+
+def _top24_to_f32(bits: np.ndarray, out: np.ndarray) -> None:
+    """Maps 24-bit integers to INPUT_LO + bits * 2^-21 in f32.  Every step is
+    exact in f32, so this equals the float64 form
+    INPUT_LO + (INPUT_HI - INPUT_LO) * (bits / 2^24) rounded to f32."""
+    out[...] = bits
+    out *= np.float32((INPUT_HI - INPUT_LO) / (1 << 24))
+    out += np.float32(INPUT_LO)
 
 
 def uniform_f32(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """F32 values uniform in [-4, 4) from the top 24 bits of the stream;
-    every value is exactly representable, so the arrays are platform-stable."""
-    bits = splitmix64_values(seed, count, offset) >> np.uint64(40)
-    u = bits.astype(np.float64) / float(1 << 24)
-    return (INPUT_LO + (INPUT_HI - INPUT_LO) * u).astype(np.float32)
+    every value is exactly representable, so the arrays are platform-stable.
+    Generated in blocks of _BLOCK elements."""
+    out = np.empty(count, dtype=np.float32)
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        bits = splitmix64_values(seed, hi - lo, offset + lo)
+        bits >>= np.uint64(40)
+        _top24_to_f32(bits, out[lo:hi])
+    return out
 
 
 def make_inputs(spec: KernelSpec, seed: int | None = None) -> dict[str, np.ndarray]:
@@ -307,18 +335,32 @@ def gelu_reference(x64: np.ndarray, variant: GeluVariant) -> np.ndarray:
     return 0.5 * (x64 * (1.0 + EXPR_OPS[Unary]["erf"](x64 * INV_SQRT_2)))
 
 
+def _blockwise(
+    fn: Callable[..., np.ndarray], args: tuple[np.ndarray, ...], shape: tuple[int, int]
+) -> np.ndarray:
+    """fn over float64 copies of the arguments, _BLOCK elements at a time,
+    each block rounded into one f32 result."""
+    flat = [a.reshape(-1) for a in args]
+    out = np.empty(shape, dtype=np.float32)
+    out_flat = out.reshape(-1)
+    for lo in range(0, out_flat.size, _BLOCK):
+        hi = lo + _BLOCK
+        out_flat[lo:hi] = fn(*(a[lo:hi].astype(np.float64) for a in flat))
+    return out
+
+
 def reference_output(spec: KernelSpec, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Element-by-element double-precision evaluation, rounded to f32 once at
-    the end; no tiling and no IR."""
+    """Element-by-element double-precision evaluation, each element rounded to
+    f32 once; no tiling and no IR.  Evaluated in host blocks of _BLOCK
+    elements, which cannot change any element."""
     shape = ddr_shape(spec)
     if spec.kind is KernelKind.VEC_ADD_2D:
         a, b = np.asarray(inputs["A"]), np.asarray(inputs["B"])
         if a.shape != shape or b.shape != shape:
             raise ValueError(f"inputs must have shape {shape}, got {a.shape} and {b.shape}")
-        c = a.astype(np.float64) + b.astype(np.float64)
-        return {"C": c.astype(np.float32)}
+        return {"C": _blockwise(np.add, (a, b), shape)}
     x = np.asarray(inputs["X"])
     if x.shape != shape:
         raise ValueError(f"input must have shape {shape}, got {x.shape}")
-    y = gelu_reference(x.astype(np.float64), spec.gelu_variant)
-    return {"Y": y.astype(np.float32)}
+    variant = spec.gelu_variant
+    return {"Y": _blockwise(lambda x64: gelu_reference(x64, variant), (x,), shape)}

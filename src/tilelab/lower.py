@@ -77,7 +77,7 @@ class Compute(Step):
     def compiled(self) -> Callable[[list[np.ndarray]], np.ndarray]:
         if self.fn is None:
             self.fn = compile_expr(self.op.expr)
-            self.ops_per_element = sum(1 for _ in ir.expr_nodes(self.op.expr)) + 1
+            self.ops_per_element = ir.ops_per_element(self.op.expr)
         return self.fn
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-from .ir import Compute, ForTiles, TileModule, expr_nodes, walk_module
+from .ir import Compute, ForTiles, TileModule, ops_per_element, walk_module
 from .lower import lower, walk
 
 
@@ -152,10 +152,10 @@ def collect_stats(m: TileModule) -> KernelStats:
     bytes_in = sum(d.nbytes for d in m.buffers if d.id not in written)
     total_elements = sum(d.elems for d in m.buffers if d.id in written)
 
-    ops_per_element = tile_rows = 0
+    per_element = tile_rows = 0
     for _, op in walk_module(m):
         if isinstance(op, Compute):
-            ops_per_element = sum(1 for _ in expr_nodes(op.expr)) + 1
+            per_element = ops_per_element(op.expr)
             tile_rows = op.output.row_count
             break
 
@@ -169,7 +169,7 @@ def collect_stats(m: TileModule) -> KernelStats:
     n_transfers = sum(1 for step, _ in walk(sched.body) if step.kind == "transfer")
     return KernelStats(
         total_elements=total_elements,
-        ops_per_element=ops_per_element,
+        ops_per_element=per_element,
         bytes_in=bytes_in,
         bytes_out=bytes_out,
         tile_count=tile_count,

@@ -8,8 +8,6 @@ in tag order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ir import (
     ANCHORS,
     EXPR_OPS,
@@ -41,19 +39,13 @@ from .lower import lower, walk
 from .machine import MachineConfig
 
 
-@dataclass(frozen=True)
-class _LoopCtx:
-    iv: str
-    tile_count: int
-    toggled: bool
-
-
-def _iv_range(op: Op, loop: _LoopCtx | None) -> tuple[int, int] | None:
-    """Executed iv range [lo, hi) of a possibly guarded op, None when the op
-    never executes or there is no enclosing loop."""
+def _iv_range(op: Op, loop: int | None) -> tuple[int, int] | None:
+    """Executed iv range [lo, hi) of a possibly guarded op in a loop of
+    `loop` tiles, None when the op never executes or there is no enclosing
+    loop."""
     if loop is None:
         return None
-    lo, hi = 0, loop.tile_count
+    lo, hi = 0, loop
     lt = getattr(op, "only_if_iv_lt", None)
     ge = getattr(op, "only_if_iv_ge", None)
     if lt is not None:
@@ -82,7 +74,7 @@ class _Checker:
 
     # -- views ------------------------------------------------------------ #
 
-    def check_view(self, path: str, view: ViewRef, op: Op, loop: _LoopCtx | None) -> None:
+    def check_view(self, path: str, view: ViewRef, op: Op, loop: int | None) -> None:
         decl = self.ddr.get(view.base) or self.live_tcm.get(view.base)
         if decl is None:
             self.err(path, f"view references unknown or dead buffer @{view.base}")
@@ -120,7 +112,7 @@ class _Checker:
 
     # -- capacity helper for concurrent async regions ----------------------- #
 
-    def _region_peak(self, body: tuple[Op, ...], path: str, loop: _LoopCtx | None, toggled: bool) -> int:
+    def _region_peak(self, body: tuple[Op, ...], path: str, loop: int | None, toggled: bool) -> int:
         """Peak extra TCM bytes inside an async region, checked recursively;
         the region must free everything it allocates."""
         saved_live = dict(self.live_tcm)
@@ -138,10 +130,11 @@ class _Checker:
         self,
         body: tuple[Op, ...],
         prefix: str,
-        loop: _LoopCtx | None,
+        loop: int | None,
         toggled: bool,
     ) -> int:
-        """Checks a region; returns the peak concurrent TCM byte count seen."""
+        """Checks a region inside a loop of `loop` tiles (None outside any
+        loop); returns the peak concurrent TCM byte count seen."""
         peak = self.live_bytes
         i = 0
         while i < len(body):
@@ -224,11 +217,10 @@ class _Checker:
             elif isinstance(op, ForTiles):
                 if op.tile_count < 1:
                     self.err(path, f"loop tile_count must be >= 1, got {op.tile_count}")
-                inner = _LoopCtx(op.iv, op.tile_count, op.toggle_init is not None)
                 before = dict(self.live_tcm)
+                inner_toggled = toggled or op.toggle_init is not None
                 peak = max(
-                    peak,
-                    self.check_body(op.body, f"{path}.body", inner, toggled or inner.toggled),
+                    peak, self.check_body(op.body, f"{path}.body", op.tile_count, inner_toggled)
                 )
                 if set(self.live_tcm) != set(before):
                     self.err(path, "loop body must free every tcm buffer it allocates")
@@ -239,8 +231,7 @@ class _Checker:
                     self.err(path, f"forall tile_count must be >= 1, got {op.tile_count}")
                 if op.threads < 1:
                     self.err(path, f"forall threads must be >= 1, got {op.threads}")
-                inner = _LoopCtx(op.iv, op.tile_count, False)
-                peak = max(peak, self.check_body(op.body, f"{path}.body", inner, toggled))
+                peak = max(peak, self.check_body(op.body, f"{path}.body", op.tile_count, toggled))
             elif isinstance(op, AsyncExecute):
                 if op.token in self.tokens:
                     self.err(path, f"duplicate async token %{op.token}")

@@ -2,17 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from tilelab.bench import (
     BenchError,
     HARDWARE_REFERENCE_LADDER,
     HARDWARE_REFERENCE_SWEEP_POINT,
+    outputs_match,
     round3,
     run_ladder,
     run_sweep,
 )
-from tilelab.kernels import gelu, vec_add_2d
+from tilelab.kernels import KernelKind, gelu, vec_add_2d
 from tilelab.machine import MachineConfig
 from tilelab.reports import emit_csv, emit_json, emit_svg, ladder_svg, sweep_latency_svg
 
@@ -138,3 +140,43 @@ def test_gelu_ladder_passes_the_functional_gate():
     report = run_ladder(gelu(n=131072), CFG)
     assert len(report.rows) == 4
     assert all(r.latency_us > 0 for r in report.rows)
+
+
+def _gelu_like() -> np.ndarray:
+    return np.linspace(-4.0, 4.0, 1024, dtype=np.float32).reshape(8, 128)
+
+
+def test_outputs_match_identical_arrays_pass():
+    y = _gelu_like()
+    assert outputs_match(KernelKind.GELU, {"Y": y}, {"Y": y.copy()})
+    assert outputs_match(KernelKind.VEC_ADD_2D, {"C": y}, {"C": y.copy()})
+
+
+def test_outputs_match_rejects_nan_even_where_expected_holds_nan():
+    y = _gelu_like()
+    y[3, 5] = np.nan
+    assert not outputs_match(KernelKind.GELU, {"Y": y}, {"Y": y.copy()})
+
+
+def test_outputs_match_gelu_tolerance():
+    want = _gelu_like()
+    one_ulp = want.copy()
+    one_ulp[2, 7] = np.nextafter(one_ulp[2, 7], np.float32(np.inf))
+    assert not np.array_equal(one_ulp, want)
+    assert outputs_match(KernelKind.GELU, {"Y": one_ulp}, {"Y": want})
+    off = want.copy()
+    off[2, 7] = want[2, 7] * np.float32(1 + 1e-5)
+    assert not outputs_match(KernelKind.GELU, {"Y": off}, {"Y": want})
+
+
+def test_outputs_match_missing_key_fails():
+    y = _gelu_like()
+    assert not outputs_match(KernelKind.GELU, {}, {"Y": y})
+    assert not outputs_match(KernelKind.GELU, {"Y": y, "Z": y}, {"Y": y})
+
+
+def test_outputs_match_vec_add_is_exact():
+    want = _gelu_like()
+    got = want.copy()
+    got[0, 1] = np.nextafter(got[0, 1], np.float32(np.inf))
+    assert not outputs_match(KernelKind.VEC_ADD_2D, {"C": got}, {"C": want})

@@ -1,5 +1,8 @@
 """Kernel builders and reference oracles."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,3 +125,67 @@ def test_short_tail_tile_emitted_after_the_loop():
     tail_computes = [op for op in m.body[1:] if isinstance(op, Compute)]
     assert len(tail_computes) == 1
     assert tail_computes[0].output.elems == 2 * 16384
+
+
+def _sha256_of(arrays: dict[str, np.ndarray]) -> str:
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        h.update(np.ascontiguousarray(arrays[name]).tobytes())
+    return h.hexdigest()
+
+
+# sha256 over the input arrays, then over the reference outputs, in name order.
+PINNED_HOST_DATA = {
+    "vec-add": (
+        vec_add_2d(),
+        "beebb8ef6822e04853819aa39e7427ea833cc9315184bdf5a5114d21196f8422",
+        "9cdcb9618c425c55dff4e2302e2efbb3841265e573ef3c6a7fc41238cfd9a514",
+    ),
+    "gelu-tanh": (
+        gelu(),
+        "e3939289fffced70179edd698ddf9a0ae45c4a8cbe28279d3c595ae1b4792909",
+        "592cdbfcbc8ecae5628ec6edabfd52c50f084bbab3b3dec3f364186d1de0bb2b",
+    ),
+    "gelu-erf-2^16": (
+        gelu(n=1 << 16, variant=GeluVariant.ERF),
+        "2eb3a4ed9be02b7c2f6746df3c4f141085d2d27f0c65ce17363f9f828d7cc3e3",
+        "c180286c9e6cfbd38bacfdd1ab205adfd8851055f81ffb3f6c77d4d01271fa5c",
+    ),
+    "vec-add-7x33": (
+        vec_add_2d(7, 33, 7),
+        "3492ab1832e07a1503ba689ef5990449f946ef738a5d4181132ac97d01d57090",
+        "e2ce5516298adb28ed4a8f9b76813ae23fbf17529713c68e9827fa383803dd1b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HOST_DATA))
+def test_inputs_and_reference_bytes_pinned(name):
+    spec, inputs_sha, reference_sha = PINNED_HOST_DATA[name]
+    inputs = make_inputs(spec)
+    reference = reference_output(spec, inputs)
+    shape = ddr_shape(spec)
+    for arrays in (inputs, reference):
+        assert all(a.dtype == np.float32 and a.shape == shape for a in arrays.values())
+    assert _sha256_of(inputs) == inputs_sha
+    assert _sha256_of(reference) == reference_sha
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_host_data_layer_has_no_full_size_temporaries():
+    # A 4M-element GELU: the inputs and the reference each need 16 MiB;
+    # generating them in host blocks keeps every temporary cache-sized.
+    spec = gelu(1 << 22, 1024)
+    slack = 2 << 20
+    inputs, peak = _traced_peak(lambda: make_inputs(spec))
+    assert peak <= sum(a.nbytes for a in inputs.values()) + slack
+    reference, peak = _traced_peak(lambda: reference_output(spec, inputs))
+    assert peak <= sum(a.nbytes for a in reference.values()) + slack

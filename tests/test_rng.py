@@ -1,8 +1,11 @@
 """Input generator: SplitMix64 stream and the f32 mapping."""
 
-import numpy as np
+import hashlib
 
-from tilelab.kernels import splitmix64_values, uniform_f32
+import numpy as np
+import pytest
+
+from tilelab.kernels import INPUT_HI, INPUT_LO, _top24_to_f32, splitmix64_values, uniform_f32
 
 # First outputs of the reference C implementation (verified against the
 # published test vectors for seed 1234567 before freezing).
@@ -47,3 +50,39 @@ def test_uniform_range_and_exactness():
     # Top-24-bit mapping: every value is an exact multiple of 2^-21.
     scaled = values.astype(np.float64) * (1 << 21)
     assert np.array_equal(scaled, np.round(scaled))
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# Pinned bytes of uniform_f32 for counts and offsets on both sides of the
+# generator's 32,768-element host block.
+UNIFORM_F32_SHA256 = {
+    (1, 0, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 1, 0): "6cd22b0e36ec67d70a4dd717aad0afd8a6e1617219fd96e60fc3930f1e0bc818",
+    (1, 32767, 0): "6e4dba6254e62836594dc7c28f85fa4696e7d8bfb7f9f307576a82b4bd4b6503",
+    (7, 32768, 0): "489d80fa3cf0e1c5d30cd8ad8c2602f81bdd3ee5485f27cdcd913bf5d5cb8163",
+    (7, 32769, 0): "47b0754c285b314daf0cb64d7d3eeb857e96e80debd0f97391acbfe42dd3b422",
+    (3, 98321, 0): "c5ed3909b62157099d9abe7690f4d9e0edbea04718f7e6604303d837e5a30490",
+    (5, 98321, 2**40): "98be016898f2b5c34b597351daa012314cea2b1d57e62483728a8ae1da154893",
+    (9, 32769, 2**40 - 5): "b077079f3f2044845e98aa835be2a3676cc0eb284f13609f8647b395439b0b0d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIFORM_F32_SHA256), ids=str)
+def test_uniform_f32_bytes_pinned(case):
+    seed, count, offset = case
+    values = uniform_f32(seed, count, offset)
+    assert values.dtype == np.float32 and values.shape == (count,)
+    assert _sha256(values) == UNIFORM_F32_SHA256[case]
+
+
+def test_f32_map_is_exact_for_every_24_bit_value():
+    chunk = 1 << 20
+    out = np.empty(chunk, dtype=np.float32)
+    for lo in range(0, 1 << 24, chunk):
+        bits = np.arange(lo, lo + chunk, dtype=np.uint64)
+        _top24_to_f32(bits, out)
+        want = (INPUT_LO + (INPUT_HI - INPUT_LO) * (bits / 2**24)).astype(np.float32)
+        assert out.tobytes() == want.tobytes(), f"chunk at {lo}"
