@@ -51,6 +51,7 @@ from .passes import (
     form_async_threads,
     form_virtual_threads,
     partition_tiles,
+    per_thread_pipelines,
     run_pipeline,
     vectorize,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "make_inputs",
     "match_normal_form",
     "partition_tiles",
+    "per_thread_pipelines",
     "print_module",
     "reference_output",
     "run_ladder",

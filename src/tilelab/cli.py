@@ -65,7 +65,19 @@ def _sizes(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"sizes must be integers: {exc}")
     if not sizes:
         raise argparse.ArgumentTypeError("at least one size is required")
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {min(sizes)}")
     return sizes
+
+
+def _repeat(raw: str) -> int:
+    try:
+        count = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"repeat must be an integer, got {raw!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"repeat must be >= 1, got {count}")
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     ladder.add_argument("--machine", type=Path, default=None, help="machine config JSON")
     ladder.add_argument("--out", type=Path, required=True, help="output directory")
     ladder.add_argument("--format", type=_formats, default=("csv", "json", "svg"))
-    ladder.add_argument("--repeat", type=int, default=1, help="re-run and require identical bytes")
+    ladder.add_argument("--repeat", type=_repeat, default=1, help="re-run and require identical bytes")
 
     sweep = sub.add_parser("sweep", help="run the single- vs multi-thread size sweep")
     sweep.add_argument("--kernel", choices=(KernelKind.GELU.value,), required=True)
@@ -88,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--machine", type=Path, default=None)
     sweep.add_argument("--out", type=Path, required=True)
     sweep.add_argument("--format", type=_formats, default=("csv", "json", "svg"))
-    sweep.add_argument("--repeat", type=int, default=1)
+    sweep.add_argument("--repeat", type=_repeat, default=1)
 
     dump = sub.add_parser("dump-ir", help="print the module text after a pipeline stage")
     dump.add_argument("--kernel", choices=_KERNELS, required=True)

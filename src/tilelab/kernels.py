@@ -190,8 +190,14 @@ def ddr_shape(spec: KernelSpec) -> tuple[int, int]:
     """Declared DDR buffer shape.  The 1D GELU array is laid out tile-major,
     one tile per row, so whole-row views address any tile."""
     if spec.kind is KernelKind.VEC_ADD_2D:
+        if spec.rows < 1 or spec.cols < 1:
+            raise ValueError(f"rows and cols must be >= 1, got {spec.rows}x{spec.cols}")
         return (spec.rows, spec.cols)
     n = spec.cols
+    if n < 1 or spec.tile_elems < 1:
+        raise ValueError(
+            f"element count and tile_elems must be >= 1, got {n} and {spec.tile_elems}"
+        )
     eff = min(spec.tile_elems, n)
     if n % eff != 0:
         raise ValueError(f"tile_elems {spec.tile_elems} must divide the element count {n}")

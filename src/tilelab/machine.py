@@ -135,7 +135,7 @@ class KernelStats:
     bytes_in: int
     bytes_out: int
     tile_count: int
-    tile_rows: int  # rows of the first compute's output: what DB+MT forks over
+    tile_rows: int  # rows of the first compute's output: what the in-tile fork splits
     n_transfers: int
 
 
@@ -181,8 +181,9 @@ def collect_stats(m: TileModule) -> KernelStats:
 def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung) -> int:
     """Certified floor on simulated latency: max of the transfer-channel time
     and the per-context compute time at the rung's vector factor.  vec-mt
-    splits compute over tiles; vec-mt-db forks inside the resident tile, over
-    its rows."""
+    splits compute over tiles.  vec-mt-db either gives each thread a block of
+    tiles to pipeline or forks inside the resident tile, over its rows, so
+    its compute splits over at most the larger of the two counts."""
     t_dma = stats.n_transfers * cfg.dma_startup + math.ceil(
         (stats.bytes_in + stats.bytes_out) / cfg.dma_bandwidth
     )
@@ -191,7 +192,8 @@ def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung
     if rung == LadderRung.VEC_MT:
         t_compute = math.ceil(t_compute / min(cfg.threads, max(stats.tile_count, 1)))
     elif rung == LadderRung.VEC_MT_DB:
-        t_compute = math.ceil(t_compute / min(cfg.threads, max(stats.tile_rows, 1)))
+        parallel = max(stats.tile_rows, stats.tile_count, 1)
+        t_compute = math.ceil(t_compute / min(cfg.threads, parallel))
     return max(t_dma, t_compute)
 
 

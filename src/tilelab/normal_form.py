@@ -4,7 +4,9 @@ builders emit and that the double-buffering rewrite consumes.
 The pattern is matched exactly or not at all: per input an alloc + copy-in
 pair, one output alloc, one compute, one copy-out, then the deallocs in
 allocation order.  A module that has already been pipelined (alternating
-ping/pong sub-kernels) deliberately fails to match.
+ping/pong sub-kernels) deliberately fails to match.  The loop may sit in the
+module body or in any other block, such as the body of one thread's async
+region.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .ir import (
     DeallocTcm,
     ForTiles,
     MemSpace,
+    Op,
     TileModule,
     ViewRef,
     full_view,
@@ -39,7 +42,7 @@ class OutputGroup:
 @dataclass(frozen=True, slots=True)
 class NormalFormDescriptor:
     loop: ForTiles
-    loop_index: int  # position of the loop in the module body
+    loop_index: int  # position of the loop in its block
     inputs: tuple[InputGroup, ...]
     compute: Compute
     output: OutputGroup
@@ -56,9 +59,14 @@ def match_normal_form(m: TileModule) -> NormalFormDescriptor | None:
 
 def match_normal_form_explain(m: TileModule) -> tuple[NormalFormDescriptor | None, str]:
     """Match plus the first deviation from the pattern, for pass errors."""
-    ddr = {d.id for d in m.buffers}
+    return match_block_explain(m.body, {d.id for d in m.buffers})
 
-    loops = [(i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles)]
+
+def match_block_explain(
+    block: tuple[Op, ...], ddr: set[str]
+) -> tuple[NormalFormDescriptor | None, str]:
+    """The normal-form loop of one block; `ddr` names the module buffers."""
+    loops = [(i, op) for i, op in enumerate(block) if isinstance(op, ForTiles)]
     if len(loops) != 1:
         return None, f"expected exactly one top-level tiled loop, found {len(loops)}"
     loop_index, loop = loops[0]

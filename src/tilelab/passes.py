@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 from .ir import (
     ANCHOR_COMPUTE,
@@ -42,8 +42,8 @@ from .ir import (
     walk,
     walk_module,
 )
-from .machine import LadderRung
-from .normal_form import match_normal_form_explain
+from .machine import LadderRung, MachineConfig
+from .normal_form import match_block_explain, match_normal_form
 
 
 class PassError(ValueError):
@@ -72,13 +72,20 @@ class MtPolicy:
 
 @dataclass(frozen=True, slots=True)
 class PipelineSpec:
+    """The rung and the machine parameters its passes read: vector width,
+    threads, and the scratchpad bytes that decide the vec-mt-db
+    composition (see per_thread_pipelines)."""
+
     rung: LadderRung
     lanes: int = 32
     mt: MtPolicy = MtPolicy()
+    tcm_capacity: int = MachineConfig().tcm_capacity
 
     def __post_init__(self) -> None:
         if self.lanes < 1:
             raise ValueError("lanes must be >= 1")
+        if self.tcm_capacity < 1:
+            raise ValueError("tcm_capacity must be >= 1")
 
 
 # --------------------------------------------------------------------------- #
@@ -123,6 +130,10 @@ def _has_anchor(m: TileModule, anchor: str) -> bool:
 
 def _has_forall(m: TileModule) -> bool:
     return any(isinstance(op, Forall) for _, op in walk_module(m))
+
+
+def _has_async(m: TileModule) -> bool:
+    return any(isinstance(op, AsyncExecute) for _, op in walk_module(m))
 
 
 # --------------------------------------------------------------------------- #
@@ -207,8 +218,11 @@ def _pick_policy(tile_count: int, threads: int) -> DistPolicy:
 def form_virtual_threads(m: TileModule, policy: MtPolicy) -> TileModule:
     """Rewrites the tiled loop into an explicitly parallel forall unless it is
     below the MT_MIN_TILES / MT_MIN_ELEMENTS size floor, which returns the
-    module unchanged.  On double-buffered modules the rewrite targets the
-    compute region's sub-tiles instead of the outer ping/pong loop."""
+    module unchanged.  Run before double buffering, each thread later
+    pipelines its own block of tiles; on an already double-buffered module
+    the rewrite instead targets the compute region's sub-tiles inside each
+    tile (the in-tile fork).  Regions that are already forked are never
+    forked again."""
     if _has_anchor(m, ANCHOR_COMPUTE):
         return _form_virtual_threads_in_db(m, policy.threads)
 
@@ -220,10 +234,7 @@ def form_virtual_threads(m: TileModule, policy: MtPolicy) -> TileModule:
         raise PassError("cannot parallelize a loop with a carried toggle")
 
     views = _written_ddr_views(m, loop.body)
-    if (
-        loop.tile_count < MT_MIN_TILES
-        or loop.tile_count * sum(v.elems for v in views) < MT_MIN_ELEMENTS
-    ):
+    if _below_mt_floor(loop.tile_count, sum(v.elems for v in views)):
         return m
     for view in views:
         if abs(view.row_scale) < view.row_count:
@@ -236,6 +247,12 @@ def form_virtual_threads(m: TileModule, policy: MtPolicy) -> TileModule:
     forall = Forall(loop.iv, loop.tile_count, kind, policy.threads, loop.body)
     body = m.body[:index] + (forall,) + m.body[index + 1 :]
     return replace(m, body=body)
+
+
+def _below_mt_floor(parallel: int, elems_each: int) -> bool:
+    """The profitability floor: fewer than MT_MIN_TILES parallel units, or
+    fewer than MT_MIN_ELEMENTS written elements in all of them together."""
+    return parallel < MT_MIN_TILES or parallel * elems_each < MT_MIN_ELEMENTS
 
 
 def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
@@ -257,6 +274,22 @@ def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
     return views
 
 
+def _sub_tile_shape(op: Compute, decls: dict[str, BufferDecl]) -> tuple[int, int] | None:
+    """(rows, cols) of the resident tile the in-tile fork splits into rows,
+    or None when it declines: a view is not a whole tile, the views differ
+    in shape, or the tile is below the size floor."""
+    shapes = set()
+    for view in (*op.inputs, op.output):
+        decl = decls.get(view.base)
+        if decl is None or view != full_view(decl):
+            return None
+        shapes.add((decl.rows, decl.cols))
+    if len(shapes) != 1:
+        return None
+    rows, cols = shapes.pop()
+    return None if _below_mt_floor(rows, cols) else (rows, cols)
+
+
 def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
     decls = {
         op.decl.id: op.decl for _, op in walk_module(m) if isinstance(op, AllocTcm)
@@ -265,20 +298,14 @@ def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
 
     def fn(op: Op):
         nonlocal changed
+        if isinstance(op, AsyncExecute):
+            return (op,)
         if not (isinstance(op, Compute) and op.anchor == ANCHOR_COMPUTE):
             return None
-        views = (*op.inputs, op.output)
-        shapes = set()
-        for view in views:
-            decl = decls.get(view.base)
-            if decl is None or view != full_view(decl):
-                return (op,)  # only whole resident tiles are sub-tiled
-            shapes.add((decl.rows, decl.cols))
-        if len(shapes) != 1:
+        shape = _sub_tile_shape(op, decls)
+        if shape is None:
             return (op,)
-        rows, cols = shapes.pop()
-        if rows < MT_MIN_TILES or op.output.elems < MT_MIN_ELEMENTS:
-            return (op,)
+        rows, cols = shape
         kind = _pick_policy(rows, threads)
         sub = replace(_map_views(op, lambda v: ViewRef(v.base, 1, 0, 1, cols)), anchor=None)
         changed = True
@@ -288,6 +315,46 @@ def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
     if not changed:
         return m
     return replace(m, body=body)
+
+
+def per_thread_pipelines(m: TileModule, spec: PipelineSpec) -> bool:
+    """The vec-mt-db composition for an untransformed module: True when each
+    thread should double-buffer its own block of tiles (one fork/join per
+    run), False to keep one pipeline whose compute forks inside every tile.
+
+    Per-thread pipelines need (a) 2 * min(T, N) copies of the loop body's
+    TCM footprint to fit the scratchpad, and (b) no more tile rows on the
+    busiest thread than the in-tile fork gives: ceil(N/T) * R against
+    N * ceil(R/T), or N * R where a fork declines.  A tie goes to the
+    composition with fewer fork/joins: per-thread pipelines fork once, the
+    in-tile fork N times, and a declined fork not at all.  N is the tile
+    count, R the rows of the resident tile and T the threads."""
+    desc = match_normal_form(m)
+    if desc is None:
+        return False
+    n, t, loop = desc.loop.tile_count, spec.mt.threads, desc.loop
+    body_bytes = sum(op.decl.nbytes for op in loop.body if isinstance(op, AllocTcm))
+    if 2 * min(t, n) * body_bytes > spec.tcm_capacity:
+        return False
+    views = _written_ddr_views(m, loop.body)
+    if any(abs(v.row_scale) < v.row_count for v in views):
+        return False  # tiles overlap: the tile loop cannot fork
+    rows = desc.compute.output.row_count
+    if _below_mt_floor(n, sum(v.elems for v in views)):
+        per_thread = (n * rows, 0)
+    else:
+        per_thread = (math.ceil(n / t) * rows, 1)
+    # The in-tile fork runs after vectorize, which splits off a scalar
+    # epilogue (and so leaves no whole tile) unless lanes divide the tile
+    # or exceed it.
+    decls = {op.decl.id: op.decl for op in loop.body if isinstance(op, AllocTcm)}
+    elems = desc.compute.output.elems
+    splits = elems % spec.lanes != 0 and elems > spec.lanes
+    if splits or _sub_tile_shape(desc.compute, decls) is None:
+        in_tile = (n * rows, 0)
+    else:
+        in_tile = (n * math.ceil(rows / t), n)
+    return per_thread <= in_tile
 
 
 # --------------------------------------------------------------------------- #
@@ -394,12 +461,30 @@ def _remap_views(body: tuple[Op, ...], step: int, start: int) -> tuple[Op, ...]:
 
 
 def db_stage1(m: TileModule) -> TileModule:
-    """Rebuilds the single-buffered loop into a ping/pong pipeline: a prologue
-    prefetches tile 0 into ping buffers, each iteration prefetches the next
-    tile into the opposite buffer while computing on the current one, and
-    storeback rematerializes subviews at the current induction variable.
-    Anchor attributes mark the prefetch/compute/storeback roles for stage 2."""
-    desc, reason = match_normal_form_explain(m)
+    """Rebuilds each single-buffered loop into a ping/pong pipeline: a
+    prologue prefetches the loop's first tile into ping buffers, each
+    iteration prefetches the next tile into the opposite buffer while
+    computing on the current one, and storeback rematerializes subviews at
+    the current induction variable.  A forked module pipelines the loop of
+    every async region, each over its own block of tiles; otherwise the
+    module body holds the one loop.  Anchor attributes mark the
+    prefetch/compute/storeback roles for stage 2."""
+    ddr = {d.id for d in m.buffers}
+    return replace(m, body=_per_pipeline(m.body, lambda block: _pipeline_loop(block, ddr)))
+
+
+def _per_pipeline(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
+    """fn applied to each pipeline block: the body of every async region
+    when the body forks, else the body itself."""
+    if not any(isinstance(op, AsyncExecute) for op in body):
+        return fn(body)
+    return tuple(
+        replace(op, body=fn(op.body)) if isinstance(op, AsyncExecute) else op for op in body
+    )
+
+
+def _pipeline_loop(block: tuple[Op, ...], ddr: set[str]) -> tuple[Op, ...]:
+    desc, reason = match_block_explain(block, ddr)
     if desc is None:
         raise PassError(f"double buffering requires the single-buffered normal form: {reason}")
     loop = desc.loop
@@ -461,14 +546,13 @@ def db_stage1(m: TileModule) -> TileModule:
         epilogue.append(DeallocTcm(ping[d.id].id))
         epilogue.append(DeallocTcm(pong[d.id].id))
 
-    body = (
-        m.body[: desc.loop_index]
+    return (
+        block[: desc.loop_index]
         + tuple(prologue)
         + (pipelined,)
         + tuple(epilogue)
-        + m.body[desc.loop_index + 1 :]
+        + block[desc.loop_index + 1 :]
     )
-    return replace(m, body=body)
 
 
 # --------------------------------------------------------------------------- #
@@ -477,21 +561,28 @@ def db_stage1(m: TileModule) -> TileModule:
 
 
 def db_stage2(m: TileModule) -> TileModule:
-    """Replaces anchored synchronous copies with tagged DMA: prefetches get
-    distinct ping/pong tags per destination buffer with waits inserted
-    immediately before compute; storebacks get their own tags with waits
-    before the next reuse of the source buffer and final balancing waits in
-    the epilogue.  Matches anchors only, never raw structure."""
+    """Replaces anchored synchronous copies with tagged DMA, pipeline by
+    pipeline (see db_stage1): prefetches get distinct ping/pong tags per
+    destination buffer with waits inserted immediately before compute;
+    storebacks get their own tags with waits before the next reuse of the
+    source buffer and final balancing waits after the pipeline's loop.
+    Tags are distinct across pipelines.  Matches anchors only, never raw
+    structure."""
+    next_id = itertools.count()
+    return replace(m, body=_per_pipeline(m.body, lambda block: _async_dma(block, next_id)))
+
+
+def _async_dma(block: tuple[Op, ...], next_id: Iterator[int]) -> tuple[Op, ...]:
     prefetch_dsts: list[str] = []
-    top_level_dsts: set[str] = set()
+    in_block_dsts: set[str] = set()
     storeback_srcs: list[str] = []
     saw_compute = False
-    for path, op in walk_module(m):
+    for path, op in walk(block):
         if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH:
             if op.dst.base not in prefetch_dsts:
                 prefetch_dsts.append(op.dst.base)
             if "." not in path:
-                top_level_dsts.add(op.dst.base)
+                in_block_dsts.add(op.dst.base)
         elif isinstance(op, Copy) and op.anchor == ANCHOR_STOREBACK:
             if op.src.base not in storeback_srcs:
                 storeback_srcs.append(op.src.base)
@@ -502,11 +593,11 @@ def db_stage2(m: TileModule) -> TileModule:
             "async DMA stage requires a pipelined module with prefetch/compute anchors"
         )
 
-    next_id = itertools.count()
+    # PING: prefetched before the loop, in this block.
     prefetch_tag = {
         base: DmaTag(
             next(next_id),
-            TagRole.PING if base in top_level_dsts else TagRole.PONG,
+            TagRole.PING if base in in_block_dsts else TagRole.PONG,
         )
         for base in prefetch_dsts
     }
@@ -539,30 +630,27 @@ def db_stage2(m: TileModule) -> TileModule:
             return (*waits, op)
         return None
 
-    body = _rewrite(m.body, fn)
+    body = _rewrite(block, fn)
+    if not storeback_tag:
+        return body
 
-    if storeback_tag:
-        # Balance the outstanding storebacks: the ping-side arm runs
-        # ceil(T/2) times, the pong side floor(T/2); each needs one final
-        # wait when it ran at all.
-        loop_positions = [
-            (i, op)
-            for i, op in enumerate(body)
-            if isinstance(op, ForTiles) and op.toggle_init is not None
-        ]
-        if len(loop_positions) != 1:
-            raise PassError("expected exactly one pipelined loop with a carried toggle")
-        index, loop = loop_positions[0]
-        final_waits: list[Op] = []
-        for arm_rank, base in enumerate(storeback_srcs):
-            executions = (
-                math.ceil(loop.tile_count / 2) if arm_rank == 0 else loop.tile_count // 2
-            )
-            if executions >= 1:
-                final_waits.append(DmaWait(storeback_tag[base]))
-        body = body[: index + 1] + tuple(final_waits) + body[index + 1 :]
-
-    return replace(m, body=body)
+    # Balance the outstanding storebacks: the ping-side arm runs ceil(T/2)
+    # times, the pong side floor(T/2); each needs one final wait when it ran
+    # at all.
+    loop_positions = [
+        (i, op)
+        for i, op in enumerate(body)
+        if isinstance(op, ForTiles) and op.toggle_init is not None
+    ]
+    if len(loop_positions) != 1:
+        raise PassError("expected exactly one pipelined loop with a carried toggle")
+    index, loop = loop_positions[0]
+    final_waits: list[Op] = []
+    for arm_rank, base in enumerate(storeback_srcs):
+        executions = math.ceil(loop.tile_count / 2) if arm_rank == 0 else loop.tile_count // 2
+        if executions >= 1:
+            final_waits.append(DmaWait(storeback_tag[base]))
+    return body[: index + 1] + tuple(final_waits) + body[index + 1 :]
 
 
 # --------------------------------------------------------------------------- #
@@ -575,19 +663,30 @@ STAGE_INITIAL = "initial"
 # globals at call time, so a rebinding of a pass (for tracing) takes effect.
 _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     "vectorize": lambda m, spec: vectorize(m, spec.lanes),
-    "form-virtual-threads": lambda m, spec: form_virtual_threads(m, spec.mt),
+    # vec-mt-db: each thread gets a block of tiles to pipeline, when the
+    # composition rule picks that over the in-tile fork.
+    "pipeline-threads": lambda m, spec: (
+        form_virtual_threads(m, spec.mt) if per_thread_pipelines(m, spec) else m
+    ),
+    # A module forked into per-thread pipelines is not forked again.
+    "form-virtual-threads": lambda m, spec: m if _has_async(m) else form_virtual_threads(m, spec.mt),
     # The profitability floor may have declined; fork-join lowering then has
     # nothing to do and the rung degenerates to the previous one.
     "form-async-threads": lambda m, spec: form_async_threads(m) if _has_forall(m) else m,
     "db-stage1": lambda m, spec: db_stage1(m),
     "db-stage2": lambda m, spec: db_stage2(m),
 }
+_STAGES["pipeline-async-threads"] = _STAGES["form-async-threads"]
 
 _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.SCALAR: (),
     LadderRung.VEC: ("vectorize",),
     LadderRung.VEC_MT: ("vectorize", "form-virtual-threads", "form-async-threads"),
+    # Both vec-mt-db compositions: per-thread pipelines fork in the first two
+    # stages, the in-tile fork in the last two; the other pair is the identity.
     LadderRung.VEC_MT_DB: (
+        "pipeline-threads",
+        "pipeline-async-threads",
         "db-stage1",
         "db-stage2",
         "vectorize",

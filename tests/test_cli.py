@@ -5,7 +5,8 @@ import json
 import pytest
 
 from tilelab.cli import build_parser, main
-from tilelab.machine import MachineConfig
+from tilelab.machine import LadderRung, MachineConfig
+from tilelab.passes import STAGE_INITIAL, pipeline_stage_names
 
 
 def test_ladder_writes_reports(tmp_path, capsys):
@@ -41,6 +42,24 @@ def test_sweep_rejects_vec_add(tmp_path, capsys):
     code = main(["sweep", "--kernel", "vec-add-2d", "--out", str(tmp_path)])
     assert code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["0,4096", "-4096", "4096,0"])
+def test_sweep_rejects_non_positive_sizes(tmp_path, capsys, sizes):
+    code = main(["sweep", "--kernel", "gelu", "--sizes", sizes, "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "sizes must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("command", ["ladder", "sweep"])
+@pytest.mark.parametrize("repeat", ["0", "-3", "two"])
+def test_bad_repeat_is_usage_error(tmp_path, capsys, command, repeat):
+    kernel = "gelu" if command == "sweep" else "vec-add-2d"
+    code = main([command, "--kernel", kernel, "--out", str(tmp_path / "r"), "--repeat", repeat])
+    assert code == 2
+    assert "repeat must be" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
@@ -108,6 +127,8 @@ def test_repeat_flag_checks_identity(tmp_path):
     "stage",
     [
         "initial",
+        "pipeline-threads",
+        "pipeline-async-threads",
         "db-stage1",
         "db-stage2",
         "vectorize",
@@ -121,3 +142,23 @@ def test_every_stage_choice_accepted(stage):
         ["dump-ir", "--kernel", "vec-add-2d", "--rung", "vec-mt-db", "--stage", stage]
     )
     assert args.stage == stage
+
+
+def test_stage_names_are_static_and_duplicate_free():
+    parser = build_parser()
+    for rung in LadderRung:
+        names = pipeline_stage_names(rung)
+        assert len(set(names)) == len(names), rung
+        assert STAGE_INITIAL not in names and "final" not in names
+        for name in names:
+            args = parser.parse_args(
+                ["dump-ir", "--kernel", "gelu", "--rung", rung.value, "--stage", name]
+            )
+            assert args.stage == name
+
+
+@pytest.mark.parametrize("kernel", ["vec-add-2d", "gelu"])
+def test_dump_ir_every_vec_mt_db_stage(capsys, kernel):
+    for stage in (STAGE_INITIAL, *pipeline_stage_names(LadderRung.VEC_MT_DB), "final"):
+        assert main(["dump-ir", "--kernel", kernel, "--rung", "vec-mt-db", "--stage", stage]) == 0
+        assert capsys.readouterr().out.startswith("buffer @")

@@ -3,8 +3,9 @@ for all four rungs of three kernels on the default machine, and the printed
 IR after every pipeline stage of every rung.
 
 The vec-add and GELU rows are the ROADMAP baseline ladders; the fine-tile
-GELU row exercises many small tiles (and the MT profitability decline at
-vec-mt-db); the IR table adds a vec-add with a peeled tail tile.  Any change
+GELU row exercises many small tiles, too small for the in-tile fork, which
+vec-mt-db runs as per-thread pipelines; the IR table adds a vec-add with a
+peeled tail tile.  Any change
 to these numbers or hashes is a behaviour change.
 """
 
@@ -37,11 +38,11 @@ GOLDEN = {
     ("gelu", "scalar"): (19947520, 19947.52, 19922944, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec"): (647168, 647.168, 622592, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec-mt"): (165932, 165.932, 622592, 24576, 32232, 600, (161984, 162268, 165240, 165332)),
-    ("gelu", "vec-mt-db"): (194432, 194.432, 622592, 24576, 384, 38400, (155648, 155648, 155648, 155648)),
+    ("gelu", "vec-mt-db"): (157484, 157.484, 622592, 24576, 3240, 600, (156032, 156316, 156600, 156884)),
     ("gelu-fine", "scalar"): (1254400, 1254.4, 1245184, 9216, 9216, 0, (0, 0, 0, 0)),
     ("gelu-fine", "vec"): (48128, 48.128, 38912, 9216, 9216, 0, (0, 0, 0, 0)),
     ("gelu-fine", "vec-mt"): (13844, 13.844, 38912, 9216, 13408, 600, (12792, 13156, 13128, 13244)),
-    ("gelu-fine", "vec-mt-db"): (39056, 39.056, 38912, 9216, 144, 0, (0, 0, 0, 0)),
+    ("gelu-fine", "vec-mt-db"): (10604, 10.604, 38912, 9216, 840, 600, (9872, 9916, 9960, 10004)),
 }
 
 
@@ -80,6 +81,8 @@ GOLDEN_IR = {
     ),
     ("vec-add", "vec-mt-db"): (
         ("initial", "1de75a2bc474d3ec"),
+        ("pipeline-threads", "1de75a2bc474d3ec"),
+        ("pipeline-async-threads", "1de75a2bc474d3ec"),
         ("db-stage1", "d5bb9c1c9ccc5cd0"),
         ("db-stage2", "fd6069c17ec48711"),
         ("vectorize", "31cb0d45bbe149ef"),
@@ -101,11 +104,13 @@ GOLDEN_IR = {
     ),
     ("gelu", "vec-mt-db"): (
         ("initial", "24e1a6d2315ef087"),
-        ("db-stage1", "c59c5e3ac06711cf"),
-        ("db-stage2", "9bf6009e95c9cbd9"),
-        ("vectorize", "f933e46e009da3c1"),
-        ("form-virtual-threads", "d0e105e387f05131"),
-        ("form-async-threads", "21462fe35d2950b1"),
+        ("pipeline-threads", "c862157410fe5ab3"),
+        ("pipeline-async-threads", "16b04692e69a79f9"),
+        ("db-stage1", "044f97249205f455"),
+        ("db-stage2", "723d6bd06a47cc43"),
+        ("vectorize", "5357b3b68a7703d6"),
+        ("form-virtual-threads", "5357b3b68a7703d6"),
+        ("form-async-threads", "5357b3b68a7703d6"),
     ),
     ("gelu-fine", "scalar"): (
         ("initial", "d8ec0175b740b0e9"),
@@ -122,11 +127,13 @@ GOLDEN_IR = {
     ),
     ("gelu-fine", "vec-mt-db"): (
         ("initial", "d8ec0175b740b0e9"),
-        ("db-stage1", "f7877bf17c6114f3"),
-        ("db-stage2", "79a58800c20741d7"),
-        ("vectorize", "78bd21a272b0acee"),
-        ("form-virtual-threads", "78bd21a272b0acee"),
-        ("form-async-threads", "78bd21a272b0acee"),
+        ("pipeline-threads", "1d490969a1a630e4"),
+        ("pipeline-async-threads", "53e494b2c62cd489"),
+        ("db-stage1", "84a913ff274cf863"),
+        ("db-stage2", "6d2e991b8393b6f6"),
+        ("vectorize", "324e17f52da89c29"),
+        ("form-virtual-threads", "324e17f52da89c29"),
+        ("form-async-threads", "324e17f52da89c29"),
     ),
     ("vec-add-tail", "scalar"): (
         ("initial", "7f24fa145afb9f54"),
@@ -143,6 +150,8 @@ GOLDEN_IR = {
     ),
     ("vec-add-tail", "vec-mt-db"): (
         ("initial", "7f24fa145afb9f54"),
+        ("pipeline-threads", "7f24fa145afb9f54"),
+        ("pipeline-async-threads", "7f24fa145afb9f54"),
         ("db-stage1", "deb824f7cd898bde"),
         ("db-stage2", "fff85c2623aebc92"),
         ("vectorize", "31cb13f06c5ee3c2"),

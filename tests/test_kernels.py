@@ -63,6 +63,24 @@ def test_gelu_indivisible_size_rejected():
         build_gelu(gelu(n=20000))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        gelu(n=0),
+        gelu(n=-4096),
+        gelu(n=4096, tile_elems=0),
+        gelu(n=4096, tile_elems=-1024),
+        vec_add_2d(rows=0),
+        vec_add_2d(cols=-8),
+    ],
+)
+def test_non_positive_sizes_rejected(spec):
+    with pytest.raises(ValueError, match=">= 1"):
+        ddr_shape(spec)
+    with pytest.raises(ValueError, match=">= 1"):
+        make_inputs(spec)
+
+
 def test_gelu_capacity_check():
     with pytest.raises(ValueError, match="capacity"):
         build_gelu(gelu(), tcm_capacity=65536)
