@@ -1,8 +1,9 @@
 """Benchmark harness: the ablation ladder and the size sweep.
 
-Every rung is rebuilt from the same kernel spec, transformed, verified,
-and simulated; a report is only produced when every rung's outputs match
-the scalar rung (exactly for vec-add, within 1e-6 relative for GELU).
+Every rung is rebuilt from the same kernel spec, transformed, lowered once,
+verified, and simulated; a report is only produced when every rung's
+outputs match the scalar rung (exactly for vec-add, within 1e-6 relative for
+GELU).
 Bundled reference numbers from a hardware measurement of the same ladder
 ride along as metadata for qualitative comparison; the simulator makes no
 attempt to reproduce absolute microseconds.
@@ -16,7 +17,9 @@ from decimal import Decimal, ROUND_HALF_EVEN
 import numpy as np
 
 from .interp import interpret_functional
+from .ir import TileModule
 from .kernels import KernelKind, KernelSpec, build_kernel, make_inputs, reference_output
+from .lower import Schedule, lower
 from .machine import (
     LadderRung,
     MachineConfig,
@@ -122,23 +125,33 @@ class RungRun:
     lower_bound: int
 
 
+def _compile(
+    kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig
+) -> tuple[TileModule, Schedule, list[str]]:
+    """Build -> transform -> lower -> verify, the one compilation path of a
+    rung run.  Returns the base module, which the floor's statistics read,
+    the transformed module's schedule, which the verifier and both executors
+    share, and the verifier's diagnostics."""
+    base = build_kernel(kernel, tcm_capacity=cfg.tcm_capacity)
+    sched = lower(run_pipeline(base, pipeline_for(rung, cfg)))
+    return base, sched, verify_module(sched, cfg)
+
+
 def run_rung(
     kernel: KernelSpec,
     rung: LadderRung,
     cfg: MachineConfig,
     inputs: dict | None = None,
 ) -> RungRun:
-    """Build -> transform -> verify -> simulate for one rung."""
-    base = build_kernel(kernel, tcm_capacity=cfg.tcm_capacity)
-    module = run_pipeline(base, pipeline_for(rung, cfg))
-    diagnostics = verify_module(module, cfg)
+    """Build -> transform -> lower -> verify -> simulate for one rung."""
+    base, sched, diagnostics = _compile(kernel, rung, cfg)
     if diagnostics:
         raise BenchError(
             f"rung {rung.value}: transformed module failed verification: {diagnostics[0]}"
         )
     if inputs is None:
         inputs = make_inputs(kernel)
-    outputs, timing = simulate_timed(module, inputs, cfg)
+    outputs, timing = simulate_timed(sched, inputs, cfg)
     return RungRun(rung, outputs, timing, latency_lower_bound(collect_stats(base), cfg, rung))
 
 
@@ -196,14 +209,12 @@ def functional_check(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -
     """End-to-end equivalence for one (kernel, rung): interpreter vs timed
     simulator vs double-precision reference.  Returns failure descriptions."""
     failures: list[str] = []
-    base = build_kernel(kernel, tcm_capacity=cfg.tcm_capacity)
-    module = run_pipeline(base, pipeline_for(rung, cfg))
-    diagnostics = verify_module(module, cfg)
+    _, sched, diagnostics = _compile(kernel, rung, cfg)
     if diagnostics:
         return [f"verifier: {d}" for d in diagnostics]
     inputs = make_inputs(kernel)
-    interp_out = interpret_functional(module, inputs)
-    sim_out, _ = simulate_timed(module, inputs, cfg)
+    interp_out = interpret_functional(sched, inputs)
+    sim_out, _ = simulate_timed(sched, inputs, cfg)
     ref = reference_output(kernel, inputs)
     for name in ref:
         if not np.array_equal(interp_out[name], sim_out[name]):

@@ -13,16 +13,17 @@ from __future__ import annotations
 import numpy as np
 
 from .ir import TileModule
-from .lower import ArrayStore, HazardTracker, InterpError, lower, walk
+from .lower import ArrayStore, HazardTracker, InterpError, Schedule, lower, walk
 
 __all__ = ["InterpError", "interpret_functional"]
 
 
 def interpret_functional(
-    m: TileModule, inputs: dict[str, np.ndarray]
+    m: TileModule | Schedule, inputs: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
-    """Runs the module on named input arrays and returns the written DDR
-    buffers.  Data moves at transfer issue; waits only clear the hazard."""
+    """Runs the module (or its schedule) on named input arrays and returns
+    the written DDR buffers.  Data moves at transfer issue; waits only clear
+    the hazard."""
     sched = lower(m)
     store = ArrayStore(sched, inputs)
     hazards = HazardTracker(InterpError)

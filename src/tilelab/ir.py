@@ -19,6 +19,7 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .kernels import KernelSpec
+    from .lower import Schedule
 
 
 class MemSpace(str, Enum):
@@ -337,11 +338,14 @@ def walk_module(m: TileModule) -> Iterator[tuple[str, Op]]:
     yield from walk(m.body)
 
 
-def dynamic_schedule(m: TileModule) -> Iterator[tuple[Op, tuple[tuple[str, int], ...]]]:
+def dynamic_schedule(
+    m: TileModule | Schedule,
+) -> Iterator[tuple[Op, tuple[tuple[str, int], ...]]]:
     """The module's single dynamic execution order: (op, iv_bindings) for
     every op instance that executes, with loops iterated, toggle state
     tracked, guards applied, and async regions inline in creation order.
-    A view over the walker of the lowered schedule that both executors run."""
+    A view over the walker of the lowered schedule that both executors run;
+    takes the module or its schedule."""
     from .lower import lower, walk  # lower builds on this module
 
     for step, ivs in walk(lower(m).body):

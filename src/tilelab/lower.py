@@ -7,6 +7,11 @@ expression as a closure over the functions of `ir.EXPR_OPS`, compiled on
 first execution.  Loops stay loops.  `walk` is the one control-flow walker
 (loops, toggles, guards); `ArrayStore` and `HazardTracker` are the buffer
 state and the in-flight transfer model both executors share.
+
+A rung run lowers its transformed module once and hands the schedule to the
+verifier's tag-balance walk and to both executors.  `lower` returns a
+schedule it is given unchanged, so each of them takes a module or its
+schedule.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ Ivs = tuple[tuple[str, int], ...]  # enclosing induction variables, outermost fi
 @dataclass(slots=True, eq=False)
 class Step:
     """One lowered op.  `kind` names what executors do with it; what a kind
-    needs beyond the fields below is read from `op`.  Not frozen: lowering
-    runs for every execution and every dynamic_schedule walk."""
+    needs beyond the fields below is read from `op`.  Not frozen, so a
+    compute step can keep the closure it compiles on first execution for
+    every later run of the same schedule."""
 
     op: ir.Op
     kind: str
@@ -83,7 +89,10 @@ class Compute(Step):
 
 @dataclass(frozen=True, slots=True)
 class Schedule:
-    buffers: tuple[ir.BufferDecl, ...]
+    """A lowered module: the module itself, for its buffer declarations and
+    structural checks, and the steps the executors run."""
+
+    module: ir.TileModule
     written: tuple[str, ...]  # DDR buffers some op writes, in declaration order
     body: tuple[Step, ...]
 
@@ -131,7 +140,10 @@ _PLAIN = {
 }
 
 
-def lower(m: ir.TileModule) -> Schedule:
+def lower(m: ir.TileModule | Schedule) -> Schedule:
+    """The module's schedule; a schedule is returned as it is."""
+    if isinstance(m, Schedule):
+        return m
     decls = {d.id: d for d in m.buffers}  # grows with each alloc, in program order
     written: set[str] = set()
 
@@ -166,7 +178,7 @@ def lower(m: ir.TileModule) -> Schedule:
         raise ValueError(f"unknown op {op!r}")
 
     body = block(m.body)
-    return Schedule(m.buffers, tuple(d.id for d in m.buffers if d.id in written), body)
+    return Schedule(m, tuple(d.id for d in m.buffers if d.id in written), body)
 
 
 def walk(
@@ -264,13 +276,14 @@ class ArrayStore:
 
     def __init__(self, sched: Schedule, inputs: dict[str, np.ndarray]):
         self.written = sched.written
-        expected = {d.id for d in sched.buffers if d.id not in self.written}
+        buffers = sched.module.buffers
+        expected = {d.id for d in buffers if d.id not in self.written}
         if set(inputs) != expected:
             raise InterpError(
                 f"input buffers mismatch: expected {sorted(expected)}, got {sorted(inputs)}"
             )
         self.env: dict[str, tuple[np.ndarray, int, int]] = {}  # id -> (flat data, rows, cols)
-        for d in sched.buffers:
+        for d in buffers:
             if d.id in self.written:
                 self.env[d.id] = _nans(d)
             else:

@@ -75,6 +75,14 @@ class MachineConfig:
     def __post_init__(self) -> None:
         for name in _CONFIG_FIELDS:
             value = getattr(self, name)
+            if name == "clock_hz":
+                ok = isinstance(value, (int, float)) and math.isfinite(value)
+                kind = "a finite number"
+            else:
+                ok = isinstance(value, int)
+                kind = "an integer"
+            if not ok or isinstance(value, bool):
+                raise ValueError(f"machine config field {name} must be {kind}, got {value!r}")
             if value <= 0:
                 raise ValueError(f"machine config field {name} must be positive, got {value}")
 
@@ -180,15 +188,24 @@ def collect_stats(m: TileModule) -> KernelStats:
 
 def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung) -> int:
     """Certified floor on simulated latency: max of the transfer-channel time
-    and the per-context compute time at the rung's vector factor.  vec-mt
-    splits compute over tiles.  vec-mt-db either gives each thread a block of
-    tiles to pipeline or forks inside the resident tile, over its rows, so
-    its compute splits over at most the larger of the two counts."""
+    and the per-context compute time at the rung's vector factor.  Vector
+    rungs run computes smaller than one vector, and epilogues, scalar, so
+    where a vector op costs more than a scalar one each element is charged
+    the cheaper of the two units.  vec-mt splits compute over tiles.
+    vec-mt-db either gives each thread a block of tiles to pipeline or forks
+    inside the resident tile, over its rows, so its compute splits over at
+    most the larger of the two counts."""
     t_dma = stats.n_transfers * cfg.dma_startup + math.ceil(
         (stats.bytes_in + stats.bytes_out) / cfg.dma_bandwidth
     )
-    vector_factor = 1 if rung == LadderRung.SCALAR else cfg.lanes
-    t_compute = compute_cycles(cfg, stats.total_elements, stats.ops_per_element, vector_factor)
+    elems, per_element = stats.total_elements, stats.ops_per_element
+    if rung == LadderRung.SCALAR:
+        t_compute = compute_cycles(cfg, elems, per_element, 1)
+    elif cfg.vector_unit_cost > cfg.scalar_unit_cost:
+        vector = math.ceil(elems * cfg.vector_unit_cost / cfg.lanes)
+        t_compute = per_element * min(elems * cfg.scalar_unit_cost, vector)
+    else:
+        t_compute = compute_cycles(cfg, elems, per_element, cfg.lanes)
     if rung == LadderRung.VEC_MT:
         t_compute = math.ceil(t_compute / min(cfg.threads, max(stats.tile_count, 1)))
     elif rung == LadderRung.VEC_MT_DB:

@@ -136,6 +136,21 @@ def _has_async(m: TileModule) -> bool:
     return any(isinstance(op, AsyncExecute) for _, op in walk_module(m))
 
 
+def _loop_body_bytes(loop: ForTiles) -> int:
+    """TCM bytes one iteration of a tile loop allocates: what each copy of
+    the loop body that is live at the same time needs."""
+    return sum(op.decl.nbytes for op in loop.body if isinstance(op, AllocTcm))
+
+
+def _require_tcm(what: str, copies: int, loop: ForTiles, tcm_capacity: int) -> None:
+    need = copies * _loop_body_bytes(loop)
+    if need > tcm_capacity:
+        raise PassError(
+            f"{what} needs {need} bytes of tcm for {copies} live copies of the loop body"
+            f" > capacity {tcm_capacity}"
+        )
+
+
 # --------------------------------------------------------------------------- #
 # Vectorize
 # --------------------------------------------------------------------------- #
@@ -215,14 +230,17 @@ def _pick_policy(tile_count: int, threads: int) -> DistPolicy:
     return DistPolicy.BLOCK if tile_count % threads == 0 else DistPolicy.BLOCK_CYCLIC
 
 
-def form_virtual_threads(m: TileModule, policy: MtPolicy) -> TileModule:
+def form_virtual_threads(
+    m: TileModule, policy: MtPolicy, tcm_capacity: int = MachineConfig().tcm_capacity
+) -> TileModule:
     """Rewrites the tiled loop into an explicitly parallel forall unless it is
     below the MT_MIN_TILES / MT_MIN_ELEMENTS size floor, which returns the
-    module unchanged.  Run before double buffering, each thread later
-    pipelines its own block of tiles; on an already double-buffered module
-    the rewrite instead targets the compute region's sub-tiles inside each
-    tile (the in-tile fork).  Regions that are already forked are never
-    forked again."""
+    module unchanged.  The threads' copies of the loop body are live at once
+    and must fit `tcm_capacity` together.  Run before double buffering, each
+    thread later pipelines its own block of tiles; on an already
+    double-buffered module the rewrite instead targets the compute region's
+    sub-tiles inside each tile (the in-tile fork).  Regions that are already
+    forked are never forked again."""
     if _has_anchor(m, ANCHOR_COMPUTE):
         return _form_virtual_threads_in_db(m, policy.threads)
 
@@ -242,6 +260,7 @@ def form_virtual_threads(m: TileModule, policy: MtPolicy) -> TileModule:
                 f"cross-thread dependence: output view of @{view.base} overlaps"
                 f" across iterations (stride {view.row_scale} < {view.row_count} rows)"
             )
+    _require_tcm("the tile fork", min(policy.threads, loop.tile_count), loop, tcm_capacity)
 
     kind = _pick_policy(loop.tile_count, policy.threads)
     forall = Forall(loop.iv, loop.tile_count, kind, policy.threads, loop.body)
@@ -333,8 +352,7 @@ def per_thread_pipelines(m: TileModule, spec: PipelineSpec) -> bool:
     if desc is None:
         return False
     n, t, loop = desc.loop.tile_count, spec.mt.threads, desc.loop
-    body_bytes = sum(op.decl.nbytes for op in loop.body if isinstance(op, AllocTcm))
-    if 2 * min(t, n) * body_bytes > spec.tcm_capacity:
+    if 2 * min(t, n) * _loop_body_bytes(loop) > spec.tcm_capacity:
         return False
     views = _written_ddr_views(m, loop.body)
     if any(abs(v.row_scale) < v.row_count for v in views):
@@ -460,7 +478,7 @@ def _remap_views(body: tuple[Op, ...], step: int, start: int) -> tuple[Op, ...]:
 # --------------------------------------------------------------------------- #
 
 
-def db_stage1(m: TileModule) -> TileModule:
+def db_stage1(m: TileModule, tcm_capacity: int = MachineConfig().tcm_capacity) -> TileModule:
     """Rebuilds each single-buffered loop into a ping/pong pipeline: a
     prologue prefetches the loop's first tile into ping buffers, each
     iteration prefetches the next tile into the opposite buffer while
@@ -468,9 +486,16 @@ def db_stage1(m: TileModule) -> TileModule:
     the current induction variable.  A forked module pipelines the loop of
     every async region, each over its own block of tiles; otherwise the
     module body holds the one loop.  Anchor attributes mark the
-    prefetch/compute/storeback roles for stage 2."""
+    prefetch/compute/storeback roles for stage 2.  The ping and pong copies
+    of every pipeline's loop body are live at once and must fit
+    `tcm_capacity` together."""
     ddr = {d.id for d in m.buffers}
-    return replace(m, body=_per_pipeline(m.body, lambda block: _pipeline_loop(block, ddr)))
+    copies = 2 * max(1, sum(isinstance(op, AsyncExecute) for op in m.body))
+
+    def pipeline(block: tuple[Op, ...]) -> tuple[Op, ...]:
+        return _pipeline_loop(block, ddr, copies, tcm_capacity)
+
+    return replace(m, body=_per_pipeline(m.body, pipeline))
 
 
 def _per_pipeline(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
@@ -483,11 +508,14 @@ def _per_pipeline(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
     )
 
 
-def _pipeline_loop(block: tuple[Op, ...], ddr: set[str]) -> tuple[Op, ...]:
+def _pipeline_loop(
+    block: tuple[Op, ...], ddr: set[str], copies: int, tcm_capacity: int
+) -> tuple[Op, ...]:
     desc, reason = match_block_explain(block, ddr)
     if desc is None:
         raise PassError(f"double buffering requires the single-buffered normal form: {reason}")
     loop = desc.loop
+    _require_tcm("double buffering", copies, loop, tcm_capacity)
     tile_count = loop.tile_count
 
     originals = [g.alloc.decl for g in desc.inputs] + [desc.output.alloc.decl]
@@ -666,14 +694,18 @@ _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     # vec-mt-db: each thread gets a block of tiles to pipeline, when the
     # composition rule picks that over the in-tile fork.
     "pipeline-threads": lambda m, spec: (
-        form_virtual_threads(m, spec.mt) if per_thread_pipelines(m, spec) else m
+        form_virtual_threads(m, spec.mt, spec.tcm_capacity)
+        if per_thread_pipelines(m, spec)
+        else m
     ),
     # A module forked into per-thread pipelines is not forked again.
-    "form-virtual-threads": lambda m, spec: m if _has_async(m) else form_virtual_threads(m, spec.mt),
+    "form-virtual-threads": lambda m, spec: (
+        m if _has_async(m) else form_virtual_threads(m, spec.mt, spec.tcm_capacity)
+    ),
     # The profitability floor may have declined; fork-join lowering then has
     # nothing to do and the rung degenerates to the previous one.
     "form-async-threads": lambda m, spec: form_async_threads(m) if _has_forall(m) else m,
-    "db-stage1": lambda m, spec: db_stage1(m),
+    "db-stage1": lambda m, spec: db_stage1(m, spec.tcm_capacity),
     "db-stage2": lambda m, spec: db_stage2(m),
 }
 _STAGES["pipeline-async-threads"] = _STAGES["form-async-threads"]

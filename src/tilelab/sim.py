@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .ir import TileModule
-from .lower import ArrayStore, HazardTracker, Ivs, Step, lower, walk
+from .lower import ArrayStore, HazardTracker, Ivs, Schedule, Step, lower, walk
 from .machine import MachineConfig, TimingReport, compute_cycles, cycles_to_us, transfer_cycles
 
 
@@ -71,7 +71,9 @@ class _Group:
 
 
 class _Engine:
-    def __init__(self, m: TileModule, inputs: dict[str, np.ndarray], cfg: MachineConfig):
+    def __init__(
+        self, m: TileModule | Schedule, inputs: dict[str, np.ndarray], cfg: MachineConfig
+    ):
         sched = lower(m)
         self.cfg = cfg
         self.store = ArrayStore(sched, inputs)
@@ -233,11 +235,11 @@ class _Engine:
 
 
 def simulate_timed(
-    m: TileModule, inputs: dict[str, np.ndarray], cfg: MachineConfig
+    m: TileModule | Schedule, inputs: dict[str, np.ndarray], cfg: MachineConfig
 ) -> tuple[dict[str, np.ndarray], TimingReport]:
-    """Runs the module on the timed machine model; returns the written DDR
-    buffers (bit-identical to the functional interpreter for hazard-free
-    modules) and the latency report."""
+    """Runs the module (or its schedule) on the timed machine model; returns
+    the written DDR buffers (bit-identical to the functional interpreter for
+    hazard-free modules) and the latency report."""
     engine = _Engine(m, inputs, cfg)
     engine.run()
     report = TimingReport(

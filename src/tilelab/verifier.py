@@ -35,7 +35,7 @@ from .ir import (
     ViewRef,
     expr_nodes,
 )
-from .lower import lower, walk
+from .lower import Schedule, lower, walk
 from .machine import MachineConfig
 
 
@@ -58,11 +58,12 @@ def _iv_range(op: Op, loop: int | None) -> tuple[int, int] | None:
 
 
 class _Checker:
-    def __init__(self, m: TileModule, machine: MachineConfig):
-        self.m = m
+    def __init__(self, m: TileModule | Schedule, machine: MachineConfig):
+        self.sched = m  # lowered for the tag-balance walk when still a module
+        self.m = m.module if isinstance(m, Schedule) else m
         self.machine = machine
         self.diags: list[str] = []
-        self.ddr = {d.id: d for d in m.buffers}
+        self.ddr = {d.id: d for d in self.m.buffers}
         self.live_tcm: dict[str, BufferDecl] = {}
         self.live_bytes = 0
         self.tokens: dict[str, str | None] = {}  # token -> group (None until added)
@@ -321,7 +322,7 @@ class _Checker:
         starts: dict[int, int] = {}
         waits: dict[int, int] = {}
         try:
-            for step, _ in walk(lower(self.m).body):
+            for step, _ in walk(lower(self.sched).body):
                 if step.kind == "transfer" and step.tag is not None:
                     starts[step.tag] = starts.get(step.tag, 0) + 1
                 elif step.kind == "wait":
@@ -337,6 +338,8 @@ class _Checker:
                 )
 
 
-def verify_module(m: TileModule, machine: MachineConfig) -> list[str]:
-    """All structural violations in the module, empty when valid."""
+def verify_module(m: TileModule | Schedule, machine: MachineConfig) -> list[str]:
+    """All structural violations in the module, empty when valid.  Given a
+    schedule, checks its module and walks its steps for tag balance; a
+    module that cannot be lowered gets the lowering error as a diagnostic."""
     return _Checker(m, machine).check_module()

@@ -1,4 +1,10 @@
+import numpy as np
 import pytest
+
+from tilelab.interp import interpret_functional
+from tilelab.lower import lower
+from tilelab.sim import simulate_timed
+from tilelab.verifier import verify_module
 
 _RESULTS: dict[str, tuple[str, str]] = {}
 
@@ -30,3 +36,40 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(_RESULTS, key=int):
         title, verdict = _RESULTS[num]
         terminalreporter.write_line(f"criterion {num}: {verdict} - {title}")
+
+
+def _outcome(run):
+    """Output bytes and timing of an executor run, or its error."""
+    try:
+        result = run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    outputs, timing = result if isinstance(result, tuple) else (result, None)
+    return {name: array.tobytes() for name, array in outputs.items()}, timing
+
+
+@pytest.fixture
+def verify():
+    """verify_module(m, machine), asserting on the way that the verifier,
+    the interpreter and the simulator give the same result on the module
+    and on its schedule, and that lowering a schedule returns it as it is.
+    Inputs are ones of every declared input buffer's shape."""
+
+    def check(m, machine):
+        diags = verify_module(m, machine)
+        sched = lower(m)
+        assert lower(sched) is sched
+        assert verify_module(sched, machine) == diags
+        inputs = {
+            d.id: np.ones((d.rows, d.cols), np.float32)
+            for d in m.buffers
+            if d.id not in sched.written
+        }
+        for run in (
+            lambda x: interpret_functional(x, inputs),
+            lambda x: simulate_timed(x, inputs, machine),
+        ):
+            assert _outcome(lambda: run(m)) == _outcome(lambda: run(sched))
+        return diags
+
+    return check

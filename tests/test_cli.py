@@ -117,6 +117,25 @@ def test_bad_machine_config_is_a_run_failure(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ('{"threads": 2.5}', "threads"),
+        ('{"dma_bandwidth": "512"}', "dma_bandwidth"),
+        ('{"lanes": 8.5}', "lanes"),
+        ('{"lanes": true}', "lanes"),
+        ('{"clock_hz": NaN}', "clock_hz"),
+    ],
+)
+def test_malformed_machine_config_value_is_a_run_failure(tmp_path, capsys, config, field):
+    path = tmp_path / "m.json"
+    path.write_text(config)
+    code = main(["verify", "--kernel", "gelu", "--rung", "vec-mt", "--machine", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"field {field} must be" in err
+
+
 def test_repeat_flag_checks_identity(tmp_path):
     out = tmp_path / "r"
     code = main(["ladder", "--kernel", "vec-add-2d", "--out", str(out), "--repeat", "2"])

@@ -157,3 +157,11 @@ def test_stage2_preserves_semantics(tiles):
     assert np.array_equal(
         interpret_functional(m, inputs)["C"], reference_output(spec, inputs)["C"]
     )
+
+
+def test_ping_pong_refuses_what_overflows_tcm():
+    # Ping and pong copies of one 24 KiB tile body need twice the scratchpad.
+    base = build_vec_add_2d(vec_add_2d(16, 256, 8))
+    with pytest.raises(PassError, match="double buffering needs 49152 bytes .* > capacity 24576"):
+        db_stage1(base, 24576)
+    assert verify_module(db_stage1(base, 49152), MachineConfig(tcm_capacity=49152)) == []

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from tilelab.bench import run_rung
 from tilelab.kernels import build_gelu, build_vec_add_2d, gelu, vec_add_2d
 from tilelab.machine import (
+    RUNG_ORDER,
     KernelStats,
     LadderRung,
     MachineConfig,
@@ -48,6 +50,29 @@ def test_nonpositive_config_rejected():
         MachineConfig(dma_bandwidth=0)
     with pytest.raises(ValueError):
         MachineConfig(threads=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("threads", 2.5),
+        ("dma_bandwidth", "512"),
+        ("lanes", 8.5),
+        ("lanes", True),
+        ("fork_cost", None),
+        ("clock_hz", float("nan")),
+        ("clock_hz", float("inf")),
+        ("clock_hz", "1e9"),
+        ("clock_hz", True),
+    ],
+)
+def test_malformed_config_values_rejected(field, value):
+    with pytest.raises(ValueError, match=f"machine config field {field} must be"):
+        machine_config_from_dict({field: value})
+
+
+def test_integer_clock_accepted():
+    assert MachineConfig(clock_hz=1_000_000_000).clock_hz == 1_000_000_000
 
 
 def test_digest_tracks_content():
@@ -105,3 +130,19 @@ def test_lower_bound_limit_regimes():
     compute_bound = MachineConfig(dma_bandwidth=10**6)
     bound = latency_lower_bound(stats, compute_bound, LadderRung.VEC)
     assert bound == math.ceil(1_048_576 / 32) * 4  # compute term dominates
+
+
+def test_floor_charges_the_cheaper_unit_when_vector_ops_cost_more():
+    # A one-element GELU computes scalar at every rung (smaller than one
+    # vector), so a vector op costing two scalar ops must not raise the floor:
+    # 19 ops at scalar cost 1, not ceil(1 / 32) vector ops at cost 2.
+    cfg = MachineConfig(vector_unit_cost=2, dma_startup=1)
+    stats = collect_stats(build_gelu(gelu(1, 1)))
+    for rung in RUNG_ORDER:
+        run = run_rung(gelu(1, 1), rung, cfg)
+        assert run.lower_bound == latency_lower_bound(stats, cfg, rung) == 19, rung
+        assert run.timing.total_cycles >= run.lower_bound, rung
+    # Where every element runs vectorized the term is the one of equal costs.
+    stats = collect_stats(build_vec_add_2d(vec_add_2d()))
+    costly = MachineConfig(vector_unit_cost=2, dma_bandwidth=10**6)
+    assert latency_lower_bound(stats, costly, LadderRung.VEC) == 1_048_576 // 32 * 2 * 4

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tilelab.bench import pipeline_for, run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
     AsyncExecute,
@@ -14,12 +15,14 @@ from tilelab.ir import (
     walk_module,
 )
 from tilelab.kernels import build_vec_add_2d, make_inputs, reference_output, vec_add_2d
+from tilelab.machine import LadderRung, MachineConfig
 from tilelab.passes import (
     MtPolicy,
     PassError,
     form_async_threads,
     form_virtual_threads,
     partition_tiles,
+    run_pipeline,
     vectorize,
 )
 
@@ -70,6 +73,29 @@ def test_overlapping_outputs_rejected():
     clash = replace(base, body=(replace(loop, body=tuple(body)),))
     with pytest.raises(PassError, match="cross-thread dependence"):
         form_virtual_threads(clash, POLICY4)
+
+
+def test_tile_fork_refuses_what_overflows_tcm():
+    # One 8x256 vec-add tile (three 8 KiB buffers) fills a 24 KiB scratchpad,
+    # so the bodies of the two tiles cannot be live at once.
+    base = build_vec_add_2d(vec_add_2d(16, 256, 8))
+    with pytest.raises(PassError, match="the tile fork needs 49152 bytes .* > capacity 24576"):
+        form_virtual_threads(base, POLICY4, 24576)
+    assert isinstance(form_virtual_threads(base, POLICY4, 49152).body[0], Forall)
+
+
+@pytest.mark.parametrize(
+    "rung, stage",
+    [(LadderRung.VEC_MT, "the tile fork"), (LadderRung.VEC_MT_DB, "double buffering")],
+)
+def test_rungs_that_overflow_tcm_fail_in_the_pass(rung, stage):
+    cfg = MachineConfig(tcm_capacity=24576)
+    spec = vec_add_2d(16, 256, 8)
+    base = build_vec_add_2d(spec, tcm_capacity=cfg.tcm_capacity)
+    with pytest.raises(PassError, match=f"{stage} needs 49152 bytes"):
+        run_pipeline(base, pipeline_for(rung, cfg))
+    # The single-buffered vec rung fits and runs.
+    assert run_rung(spec, LadderRung.VEC, cfg).timing.total_cycles > 0
 
 
 # -- partitions --------------------------------------------------------------- #

@@ -1,0 +1,79 @@
+"""One schedule per rung run: `bench` lowers each transformed module once,
+and the verifier and both executors give the same results on a module and
+on its schedule."""
+
+import sys
+from types import SimpleNamespace
+
+import pytest
+
+import tilelab.lower as lowering
+from tilelab.bench import functional_check, pipeline_for, run_rung
+from tilelab.ir import TileModule
+from tilelab.kernels import build_kernel, gelu, vec_add_2d
+from tilelab.lower import Schedule, lower
+from tilelab.machine import MachineConfig, RUNG_ORDER
+from tilelab.passes import run_pipeline
+from tilelab.verifier import verify_module
+
+CFG = MachineConfig()
+
+# The kernels of test_golden.py.
+GOLDEN_KERNELS = {
+    "vec-add": vec_add_2d(),
+    "gelu": gelu(),
+    "gelu-fine": gelu(n=1 << 16, tile_elems=1024),
+    "vec-add-tail": vec_add_2d(rows=10, tile_rows=4),
+}
+
+
+def test_lowering_a_schedule_returns_it():
+    m = build_kernel(gelu(n=4096, tile_elems=1024))
+    sched = lower(m)
+    assert sched.module is m
+    assert lower(sched) is sched
+
+
+@pytest.mark.parametrize("kernel", list(GOLDEN_KERNELS))
+def test_golden_kernels_agree_on_their_schedules(verify, kernel):
+    base = build_kernel(GOLDEN_KERNELS[kernel], tcm_capacity=CFG.tcm_capacity)
+    for rung in RUNG_ORDER:
+        assert verify(run_pipeline(base, pipeline_for(rung, CFG)), CFG) == [], rung
+
+
+def test_a_module_that_cannot_be_lowered_gets_a_diagnostic():
+    m = TileModule("not-an-op", (), (SimpleNamespace(anchor=None),))
+    assert verify_module(m, CFG) == ["body: unknown op namespace(anchor=None)"]
+
+
+@pytest.fixture
+def lowered(monkeypatch):
+    """The modules lowered into new schedules, in call order, with `lower`
+    wrapped wherever tilelab binds it."""
+    built = []
+    real = lowering.lower
+
+    def counting(m):
+        if not isinstance(m, Schedule):
+            built.append(m)
+        return real(m)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("tilelab"):
+            if getattr(module, "lower", None) is real:
+                monkeypatch.setattr(module, "lower", counting)
+    return built
+
+
+@pytest.mark.parametrize("rung", RUNG_ORDER, ids=lambda r: r.value)
+def test_a_rung_run_lowers_its_module_once(lowered, rung):
+    spec = gelu(n=1 << 14, tile_elems=1024)
+    base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
+    transformed = run_pipeline(base, pipeline_for(rung, CFG))
+    run_rung(spec, rung, CFG)
+    # The verifier and the simulator share one schedule; the floor's
+    # statistics lower the base module.
+    assert lowered == [transformed, base]
+    lowered.clear()
+    assert functional_check(spec, rung, CFG) == []
+    assert lowered == [transformed]

@@ -52,7 +52,7 @@ def test_all_rungs_verify_clean():
             assert verify_module(transformed, CFG) == [], rung
 
 
-def test_unbalanced_tag_diagnostic():
+def test_unbalanced_tag_diagnostic(verify):
     t = TCM("t", 1, 16)
     m = TileModule(
         "bad-tag",
@@ -63,11 +63,11 @@ def test_unbalanced_tag_diagnostic():
             DeallocTcm("t"),
         ),
     )
-    diags = verify_module(m, CFG)
+    diags = verify(m, CFG)
     assert any("unbalanced tag 3" in d for d in diags)
 
 
-def test_tcm_capacity_diagnostic_once():
+def test_tcm_capacity_diagnostic_once(verify):
     # Two simultaneously-live 160 KiB buffers against a 256 KiB scratchpad.
     a, b = TCM("a", 1, 40960), TCM("b", 1, 40960)
     m = TileModule(
@@ -75,7 +75,7 @@ def test_tcm_capacity_diagnostic_once():
         (),
         (AllocTcm(a), AllocTcm(b), DeallocTcm("a"), DeallocTcm("b")),
     )
-    diags = verify_module(m, MachineConfig(tcm_capacity=262144))
+    diags = verify(m, MachineConfig(tcm_capacity=262144))
     capacity = [d for d in diags if "capacity" in d]
     assert len(capacity) == 1
     assert "327680" in capacity[0]
@@ -83,7 +83,7 @@ def test_tcm_capacity_diagnostic_once():
     assert verify_module(m, MachineConfig(tcm_capacity=327680)) == []
 
 
-def test_view_out_of_bounds():
+def test_view_out_of_bounds(verify):
     t = TCM("t", 4, 8)
     m = TileModule(
         "oob",
@@ -101,33 +101,33 @@ def test_view_out_of_bounds():
             ),
         ),
     )
-    diags = verify_module(m, CFG)
+    diags = verify(m, CFG)
     assert any("out of bounds" in d for d in diags)
 
 
-def test_transfer_shape_mismatch():
+def test_transfer_shape_mismatch(verify):
     t = TCM("t", 1, 8)
     m = TileModule(
         "mismatch",
         (DDR("X", 1, 16),),
         (AllocTcm(t), Copy(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t)), DeallocTcm("t")),
     )
-    diags = verify_module(m, CFG)
+    diags = verify(m, CFG)
     assert any("shape mismatch" in d for d in diags)
 
 
-def test_toggle_ops_require_carried_toggle():
+def test_toggle_ops_require_carried_toggle(verify):
     m = TileModule(
         "toggle",
         (),
         (ForTiles("i", 2, (IfToggle((), ()), FlipToggle())),),
     )
-    diags = verify_module(m, CFG)
+    diags = verify(m, CFG)
     assert any("if_toggle" in d for d in diags)
     assert any("flip_toggle" in d for d in diags)
 
 
-def test_guard_outside_any_loop_flagged():
+def test_guard_outside_any_loop_flagged(verify):
     t = TCM("t", 1, 16)
     m = TileModule(
         "top-guard",
@@ -138,12 +138,12 @@ def test_guard_outside_any_loop_flagged():
             DeallocTcm("t"),
         ),
     )
-    assert verify_module(m, CFG) == [
+    assert verify(m, CFG) == [
         "body[1]: guard on an induction variable outside any loop"
     ]
 
 
-def test_vector_factor_floor():
+def test_vector_factor_floor(verify):
     t_in, t_out = TCM("a", 1, 8), TCM("b", 1, 8)
     m = TileModule(
         "vf",
@@ -156,7 +156,7 @@ def test_vector_factor_floor():
             DeallocTcm("b"),
         ),
     )
-    diags = verify_module(m, CFG)
+    diags = verify(m, CFG)
     assert any("vector_factor" in d for d in diags)
 
 
@@ -168,7 +168,7 @@ def test_vector_factor_floor():
     ],
     ids=["sin", "pow"],
 )
-def test_unknown_expression_op_flagged(expr, diag):
+def test_unknown_expression_op_flagged(verify, expr, diag):
     t_in, t_out = TCM("tX", 1, 16), TCM("tY", 1, 16)
     m = TileModule(
         "unknown-op",
@@ -183,36 +183,37 @@ def test_unknown_expression_op_flagged(expr, diag):
             DeallocTcm("tY"),
         ),
     )
-    assert verify_module(m, CFG) == [diag]
+    assert verify(m, CFG) == [diag]
     with pytest.raises(InterpError, match="cannot evaluate expression node"):
         interpret_functional(m, {"X": np.zeros((1, 16), np.float32)})
 
 
-def test_leaked_and_dead_tcm():
+def test_leaked_and_dead_tcm(verify):
     m = TileModule("leak", (), (AllocTcm(TCM("t", 1, 8)), DeallocTcm("nope")))
-    diags = verify_module(m, CFG)
+    diags = verify(m, CFG)
     assert any("not live" in d for d in diags)
     assert any("never deallocated" in d for d in diags)
 
 
-def test_concurrent_async_regions_share_capacity():
+def test_concurrent_async_regions_share_capacity(verify):
     # Four concurrent regions of ~1.5 MiB each exceed a 4 MiB scratchpad even
-    # though each region alone fits.
+    # though each region alone fits.  The module is forked for the default
+    # scratchpad: for the small one the tile fork refuses it (test_multithread).
     small = MachineConfig(tcm_capacity=4_194_304)
     base = build_vec_add_2d(vec_add_2d())
-    m = run_pipeline(base, pipeline_for(LadderRung.VEC_MT, small))
-    diags = verify_module(m, small)
+    m = run_pipeline(base, pipeline_for(LadderRung.VEC_MT, CFG))
+    diags = verify(m, small)
     assert any("concurrent async regions" in d for d in diags)
     assert verify_module(m, MachineConfig(tcm_capacity=8_388_608)) == []
 
 
-def test_two_top_level_loops_rejected():
+def test_two_top_level_loops_rejected(verify):
     m = TileModule("twoloops", (), (ForTiles("i", 1, ()), ForTiles("j", 1, ())))
-    diags = verify_module(m, CFG)
+    diags = verify(m, CFG)
     assert any("at most one top-level" in d for d in diags)
 
 
-def test_diagnostics_are_ordered_and_deterministic():
+def test_diagnostics_are_ordered_and_deterministic(verify):
     t = TCM("t", 1, 8)
     m = TileModule(
         "multi",
@@ -223,6 +224,6 @@ def test_diagnostics_are_ordered_and_deterministic():
             DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t), tag=DmaTag(9)),
         ),
     )
-    first = verify_module(m, CFG)
+    first = verify(m, CFG)
     assert first == verify_module(m, CFG)
     assert len(first) >= 3
