@@ -85,6 +85,8 @@ class MachineConfig:
                 raise ValueError(f"machine config field {name} must be {kind}, got {value!r}")
             if value <= 0:
                 raise ValueError(f"machine config field {name} must be positive, got {value}")
+        # One spelling per clock, so equal configs share a digest and JSON form.
+        object.__setattr__(self, "clock_hz", float(self.clock_hz))
 
     @property
     def digest(self) -> str:

@@ -3,7 +3,8 @@
 Five transformations: vectorize, form_virtual_threads (structured parallel
 loop), form_async_threads (fork-join lowering), and the two double-buffering
 stages (structural pipelining, then asynchronous DMA).  Every pass takes a
-module and returns a fresh module; inputs are never mutated.
+module and returns a new one, or its input when it has nothing to do; inputs
+are never mutated.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .ir import (
     ViewRef,
     full_view,
     walk,
-    walk_module,
 )
 from .machine import LadderRung, MachineConfig
 from .normal_form import match_block_explain, match_normal_form
@@ -95,23 +95,32 @@ class PipelineSpec:
 
 def _rewrite(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
     """Applies fn top-down; fn returns a replacement op sequence or None to
-    keep the op and recurse into its regions."""
+    keep the op and recurse into its regions.  A region whose ops all come
+    back unchanged keeps its op, and a body whose ops all come back
+    unchanged is returned as it is."""
     out: list[Op] = []
+    changed = False
     for op in body:
         repl = fn(op)
-        if repl is not None:
-            out.extend(repl)
-            continue
-        if isinstance(op, (ForTiles, Forall, AsyncExecute)):
-            op = replace(op, body=_rewrite(op.body, fn))
-        elif isinstance(op, IfToggle):
-            op = replace(
-                op,
-                then_body=_rewrite(op.then_body, fn),
-                else_body=_rewrite(op.else_body, fn),
-            )
-        out.append(op)
-    return tuple(out)
+        if repl is None:
+            if isinstance(op, (ForTiles, Forall, AsyncExecute)):
+                inner = _rewrite(op.body, fn)
+                repl = (op,) if inner is op.body else (replace(op, body=inner),)
+            elif isinstance(op, IfToggle):
+                then, other = _rewrite(op.then_body, fn), _rewrite(op.else_body, fn)
+                same = then is op.then_body and other is op.else_body
+                repl = (op,) if same else (replace(op, then_body=then, else_body=other),)
+            else:
+                repl = (op,)
+        changed = changed or len(repl) != 1 or repl[0] is not op
+        out.extend(repl)
+    return tuple(out) if changed else body
+
+
+def _rewrite_module(m: TileModule, fn) -> TileModule:
+    """_rewrite over the module body: the module itself when nothing changed."""
+    body = _rewrite(m.body, fn)
+    return m if body is m.body else replace(m, body=body)
 
 
 def _map_views(op: Op, fn) -> Op | None:
@@ -122,18 +131,6 @@ def _map_views(op: Op, fn) -> Op | None:
     if isinstance(op, Compute):
         return replace(op, inputs=tuple(fn(v) for v in op.inputs), output=fn(op.output))
     return None
-
-
-def _has_anchor(m: TileModule, anchor: str) -> bool:
-    return any(op.anchor == anchor for _, op in walk_module(m))
-
-
-def _has_forall(m: TileModule) -> bool:
-    return any(isinstance(op, Forall) for _, op in walk_module(m))
-
-
-def _has_async(m: TileModule) -> bool:
-    return any(isinstance(op, AsyncExecute) for _, op in walk_module(m))
 
 
 def _loop_body_bytes(loop: ForTiles) -> int:
@@ -162,27 +159,31 @@ def vectorize(m: TileModule, lanes: int) -> TileModule:
     the largest multiple plus a scalar epilogue over the remainder."""
     if lanes < 1:
         raise PassError(f"lanes must be >= 1, got {lanes}")
-    for _, op in walk_module(m):
-        if isinstance(op, Compute) and op.vector_factor != 1:
-            raise PassError("module already vectorized: found compute with vector_factor != 1")
-    if lanes == 1:
-        return m
 
     def fn(op: Op):
-        if isinstance(op, Compute):
-            return _vectorize_compute(op, lanes)
-        return None
+        if not isinstance(op, Compute):
+            return None
+        if op.vector_factor != 1:
+            raise PassError("module already vectorized: found compute with vector_factor != 1")
+        return _vectorize_compute(op, lanes)
 
-    return replace(m, body=_rewrite(m.body, fn))
+    return _rewrite_module(m, fn)
+
+
+def _gets_epilogue(elems: int, lanes: int) -> bool:
+    """Whether vectorize splits a compute of `elems` elements into a vector
+    body and a scalar epilogue: it spans more than one vector, and lanes do
+    not divide it."""
+    return elems > lanes and elems % lanes != 0
 
 
 def _vectorize_compute(op: Compute, lanes: int) -> tuple[Op, ...]:
     total = op.output.elems
-    main = (total // lanes) * lanes
-    if main == 0:
-        return (op,)  # smaller than one vector: stays scalar
-    if main == total:
+    if lanes == 1 or total < lanes:
+        return (op,)  # one lane, or smaller than one vector: stays scalar
+    if not _gets_epilogue(total, lanes):
         return (replace(op, vector_factor=lanes),)
+    main = (total // lanes) * lanes
     # The remainder split happens at row granularity; views are whole-row
     # windows, so the split point must land on a row boundary of every view.
     for view in (*op.inputs, op.output):
@@ -237,19 +238,16 @@ def form_virtual_threads(
     below the MT_MIN_TILES / MT_MIN_ELEMENTS size floor, which returns the
     module unchanged.  The threads' copies of the loop body are live at once
     and must fit `tcm_capacity` together.  Run before double buffering, each
-    thread later pipelines its own block of tiles; on an already
-    double-buffered module the rewrite instead targets the compute region's
-    sub-tiles inside each tile (the in-tile fork).  Regions that are already
-    forked are never forked again."""
-    if _has_anchor(m, ANCHOR_COMPUTE):
-        return _form_virtual_threads_in_db(m, policy.threads)
-
+    thread later pipelines its own block of tiles; on a double-buffered
+    module, whose top-level tile loop carries a toggle, the rewrite instead
+    targets the compute region's sub-tiles inside each tile (the in-tile
+    fork).  Regions that are already forked are never forked again."""
     loops = [(i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles)]
     if not loops:
         raise PassError("no top-level tiled loop to parallelize")
     index, loop = loops[0]
     if loop.toggle_init is not None:
-        raise PassError("cannot parallelize a loop with a carried toggle")
+        return _form_virtual_threads_in_db(m, policy.threads)
 
     views = _written_ddr_views(m, loop.body)
     if _below_mt_floor(loop.tile_count, sum(v.elems for v in views)):
@@ -310,30 +308,31 @@ def _sub_tile_shape(op: Compute, decls: dict[str, BufferDecl]) -> tuple[int, int
 
 
 def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
-    decls = {
-        op.decl.id: op.decl for _, op in walk_module(m) if isinstance(op, AllocTcm)
-    }
-    changed = False
+    """The in-tile fork of a double-buffered module: every anchored compute
+    forks over the rows of its resident tile.  An anchored region that is
+    already forked is left as it is."""
+    decls: dict[str, BufferDecl] = {}  # allocs precede their uses
+    anchored = False
 
     def fn(op: Op):
-        nonlocal changed
-        if isinstance(op, AsyncExecute):
-            return (op,)
-        if not (isinstance(op, Compute) and op.anchor == ANCHOR_COMPUTE):
+        nonlocal anchored
+        if isinstance(op, AllocTcm):
+            decls[op.decl.id] = op.decl
+        if op.anchor != ANCHOR_COMPUTE:
             return None
-        shape = _sub_tile_shape(op, decls)
+        anchored = True
+        shape = _sub_tile_shape(op, decls) if isinstance(op, Compute) else None
         if shape is None:
             return (op,)
         rows, cols = shape
         kind = _pick_policy(rows, threads)
         sub = replace(_map_views(op, lambda v: ViewRef(v.base, 1, 0, 1, cols)), anchor=None)
-        changed = True
         return (Forall("s", rows, kind, threads, (sub,), anchor=ANCHOR_COMPUTE),)
 
-    body = _rewrite(m.body, fn)
-    if not changed:
-        return m
-    return replace(m, body=body)
+    result = _rewrite_module(m, fn)
+    if not anchored:
+        raise PassError("cannot parallelize a loop with a carried toggle")
+    return result
 
 
 def per_thread_pipelines(m: TileModule, spec: PipelineSpec) -> bool:
@@ -362,13 +361,11 @@ def per_thread_pipelines(m: TileModule, spec: PipelineSpec) -> bool:
         per_thread = (n * rows, 0)
     else:
         per_thread = (math.ceil(n / t) * rows, 1)
-    # The in-tile fork runs after vectorize, which splits off a scalar
-    # epilogue (and so leaves no whole tile) unless lanes divide the tile
-    # or exceed it.
+    # The in-tile fork runs after vectorize, and a compute with a scalar
+    # epilogue leaves no whole tile to fork.
     decls = {op.decl.id: op.decl for op in loop.body if isinstance(op, AllocTcm)}
-    elems = desc.compute.output.elems
-    splits = elems % spec.lanes != 0 and elems > spec.lanes
-    if splits or _sub_tile_shape(desc.compute, decls) is None:
+    epilogue = _gets_epilogue(desc.compute.output.elems, spec.lanes)
+    if epilogue or _sub_tile_shape(desc.compute, decls) is None:
         in_tile = (n * rows, 0)
     else:
         in_tile = (n * math.ceil(rows / t), n)
@@ -383,9 +380,8 @@ def per_thread_pipelines(m: TileModule, spec: PipelineSpec) -> bool:
 def form_async_threads(m: TileModule) -> TileModule:
     """Lowers every forall to the canonical fork-join skeleton: one async
     region per thread of the forall over its assigned tiles, tokens collected
-    into a group, and an await-all barrier."""
-    if not _has_forall(m):
-        raise PassError("no forall to lower to fork-join form")
+    into a group, and an await-all barrier.  A module without a forall is
+    returned as it is."""
     counter = itertools.count()
 
     def fn(op: Op):
@@ -393,7 +389,7 @@ def form_async_threads(m: TileModule) -> TileModule:
             return _lower_forall(op, next(counter))
         return None
 
-    return replace(m, body=_rewrite(m.body, fn))
+    return _rewrite_module(m, fn)
 
 
 def _lower_forall(forall: Forall, index: int) -> tuple[Op, ...]:
@@ -402,15 +398,15 @@ def _lower_forall(forall: Forall, index: int) -> tuple[Op, ...]:
         raise PassError(f"forall threads must be >= 1, got {threads}")
     sets = partition_tiles(forall.tile_count, threads, forall.policy)
     step = threads if forall.policy is DistPolicy.BLOCK_CYCLIC else 1
+    # Regions run concurrently, so per-tile scratch allocations need
+    # per-thread buffer identities.
+    owned = {op.decl.id for _, op in walk(forall.body) if isinstance(op, AllocTcm)}
     group = f"g{index}"
     ops: list[Op] = []
     for t, tiles in enumerate(sets):
         if not tiles:
             continue
-        body = _remap_views(forall.body, step, tiles[0])
-        # Regions run concurrently, so per-tile scratch allocations need
-        # per-thread buffer identities.
-        body = _rename_tcm(body, f"_w{t}")
+        body = _thread_body(forall.body, step, tiles[0], owned, f"_w{t}")
         token = f"{group}t{t}"
         ops.append(
             AsyncExecute(
@@ -424,36 +420,19 @@ def _lower_forall(forall: Forall, index: int) -> tuple[Op, ...]:
     return tuple(ops)
 
 
-def _rename_tcm(body: tuple[Op, ...], suffix: str) -> tuple[Op, ...]:
-    """Appends a suffix to every TCM buffer allocated within the body and to
-    the views that reference it; buffers owned by enclosing scopes keep
-    their names."""
-    owned = {op.decl.id for _, op in walk(body) if isinstance(op, AllocTcm)}
-    if not owned:
-        return body
+def _thread_body(
+    body: tuple[Op, ...], step: int, start: int, owned: set[str], suffix: str, nested: bool = False
+) -> tuple[Op, ...]:
+    """One thread's copy of a forall body: iv -> start + step * j in every
+    view bound to the loop being lowered, and `suffix` on every TCM buffer
+    in `owned` (allocated within the body).  Views under a nested loop bind
+    to that loop: they are renamed but not remapped."""
 
-    def rename_view(view: ViewRef) -> ViewRef:
+    def view_of(view: ViewRef) -> ViewRef:
         if view.base in owned:
-            return replace(view, base=view.base + suffix)
-        return view
-
-    def fn(op: Op):
-        if isinstance(op, AllocTcm) and op.decl.id in owned:
-            return (replace(op, decl=replace(op.decl, id=op.decl.id + suffix)),)
-        if isinstance(op, DeallocTcm) and op.buffer_id in owned:
-            return (replace(op, buffer_id=op.buffer_id + suffix),)
-        mapped = _map_views(op, rename_view)
-        return None if mapped is None else (mapped,)
-
-    return _rewrite(body, fn)
-
-
-def _remap_views(body: tuple[Op, ...], step: int, start: int) -> tuple[Op, ...]:
-    """Substitutes iv -> start + step * j into every view bound to the loop
-    being lowered; views under a nested loop bind to that loop and are left
-    alone."""
-
-    def remap(view: ViewRef) -> ViewRef:
+            view = replace(view, base=view.base + suffix)
+        if nested:
+            return view
         return replace(
             view,
             row_scale=view.row_scale * step,
@@ -461,13 +440,18 @@ def _remap_views(body: tuple[Op, ...], step: int, start: int) -> tuple[Op, ...]:
         )
 
     def fn(op: Op):
-        if isinstance(op, (ForTiles, Forall)):
-            return (op,)
-        if isinstance(op, (Copy, DmaStart, DmaWait)) and (
+        if isinstance(op, (ForTiles, Forall)) and not nested:
+            inner = _thread_body(op.body, step, start, owned, suffix, nested=True)
+            return (replace(op, body=inner),)
+        if isinstance(op, AllocTcm) and op.decl.id in owned:
+            return (replace(op, decl=replace(op.decl, id=op.decl.id + suffix)),)
+        if isinstance(op, DeallocTcm) and op.buffer_id in owned:
+            return (replace(op, buffer_id=op.buffer_id + suffix),)
+        if not nested and isinstance(op, (Copy, DmaStart, DmaWait)) and (
             op.only_if_iv_lt is not None or op.only_if_iv_ge is not None
         ):
             raise PassError("cannot lower a guarded op inside a forall body")
-        mapped = _map_views(op, remap)
+        mapped = _map_views(op, view_of)
         return None if mapped is None else (mapped,)
 
     return _rewrite(body, fn)
@@ -602,15 +586,12 @@ def db_stage2(m: TileModule) -> TileModule:
 
 def _async_dma(block: tuple[Op, ...], next_id: Iterator[int]) -> tuple[Op, ...]:
     prefetch_dsts: list[str] = []
-    in_block_dsts: set[str] = set()
     storeback_srcs: list[str] = []
     saw_compute = False
-    for path, op in walk(block):
+    for _, op in walk(block):
         if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH:
             if op.dst.base not in prefetch_dsts:
                 prefetch_dsts.append(op.dst.base)
-            if "." not in path:
-                in_block_dsts.add(op.dst.base)
         elif isinstance(op, Copy) and op.anchor == ANCHOR_STOREBACK:
             if op.src.base not in storeback_srcs:
                 storeback_srcs.append(op.src.base)
@@ -621,12 +602,12 @@ def _async_dma(block: tuple[Op, ...], next_id: Iterator[int]) -> tuple[Op, ...]:
             "async DMA stage requires a pipelined module with prefetch/compute anchors"
         )
 
-    # PING: prefetched before the loop, in this block.
+    # PING: prefetched before the loop, at the block's top level.
+    ping = {
+        op.dst.base for op in block if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH
+    }
     prefetch_tag = {
-        base: DmaTag(
-            next(next_id),
-            TagRole.PING if base in in_block_dsts else TagRole.PONG,
-        )
+        base: DmaTag(next(next_id), TagRole.PING if base in ping else TagRole.PONG)
         for base in prefetch_dsts
     }
     storeback_tag = {base: DmaTag(next(next_id), TagRole.STOREBACK) for base in storeback_srcs}
@@ -700,11 +681,13 @@ _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     ),
     # A module forked into per-thread pipelines is not forked again.
     "form-virtual-threads": lambda m, spec: (
-        m if _has_async(m) else form_virtual_threads(m, spec.mt, spec.tcm_capacity)
+        m
+        if any(isinstance(op, AsyncExecute) for op in m.body)
+        else form_virtual_threads(m, spec.mt, spec.tcm_capacity)
     ),
     # The profitability floor may have declined; fork-join lowering then has
     # nothing to do and the rung degenerates to the previous one.
-    "form-async-threads": lambda m, spec: form_async_threads(m) if _has_forall(m) else m,
+    "form-async-threads": lambda m, spec: form_async_threads(m),
     "db-stage1": lambda m, spec: db_stage1(m, spec.tcm_capacity),
     "db-stage2": lambda m, spec: db_stage2(m),
 }

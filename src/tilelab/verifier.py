@@ -111,19 +111,25 @@ class _Checker:
                 )
                 break
 
-    # -- capacity helper for concurrent async regions ----------------------- #
+    # -- scopes: loop bodies, async regions and toggle arms ----------------- #
 
-    def _region_peak(self, body: tuple[Op, ...], path: str, loop: int | None, toggled: bool) -> int:
-        """Peak extra TCM bytes inside an async region, checked recursively;
-        the region must free everything it allocates."""
-        saved_live = dict(self.live_tcm)
-        saved_bytes = self.live_bytes
-        peak = self.check_body(body, path, loop, toggled)
-        if set(self.live_tcm) != set(saved_live):
-            self.err(path, "async region leaks tcm allocations past its end")
-            self.live_tcm = saved_live
-            self.live_bytes = saved_bytes
-        return peak - saved_bytes
+    def check_scope(
+        self,
+        body: tuple[Op, ...],
+        prefix: str,
+        loop: int | None,
+        toggled: bool,
+        leak: str,
+    ) -> int:
+        """Checks a region that must free every TCM buffer it allocates:
+        reports `leak` at the region's path when it does not, restores the
+        live set either way, and returns the region's peak TCM byte count."""
+        saved = dict(self.live_tcm), self.live_bytes
+        peak = self.check_body(body, prefix, loop, toggled)
+        if set(self.live_tcm) != set(saved[0]):
+            self.err(prefix, leak)
+        self.live_tcm, self.live_bytes = saved
+        return peak
 
     # -- main walk --------------------------------------------------------- #
 
@@ -141,6 +147,10 @@ class _Checker:
         while i < len(body):
             op = body[i]
             path = f"{prefix}[{i}]"
+            if not hasattr(op, "anchor"):  # not an op: lowering reports op-like objects
+                self.err(path, f"unknown op {op!r}")
+                i += 1
+                continue
             if op.anchor is not None and op.anchor not in ANCHORS:
                 self.err(path, f"unknown anchor attribute {op.anchor!r}")
             if loop is None and isinstance(op, GUARDED_OPS) and (
@@ -218,15 +228,12 @@ class _Checker:
             elif isinstance(op, ForTiles):
                 if op.tile_count < 1:
                     self.err(path, f"loop tile_count must be >= 1, got {op.tile_count}")
-                before = dict(self.live_tcm)
                 inner_toggled = toggled or op.toggle_init is not None
+                leak = "loop body must free every tcm buffer it allocates"
                 peak = max(
-                    peak, self.check_body(op.body, f"{path}.body", op.tile_count, inner_toggled)
+                    peak,
+                    self.check_scope(op.body, f"{path}.body", op.tile_count, inner_toggled, leak),
                 )
-                if set(self.live_tcm) != set(before):
-                    self.err(path, "loop body must free every tcm buffer it allocates")
-                    self.live_tcm = before
-                    self.live_bytes = sum(d.nbytes for d in before.values())
             elif isinstance(op, Forall):
                 if op.tile_count < 1:
                     self.err(path, f"forall tile_count must be >= 1, got {op.tile_count}")
@@ -248,7 +255,9 @@ class _Checker:
                         if j > i and sub.token in self.tokens:
                             self.err(subpath, f"duplicate async token %{sub.token}")
                         self.tokens.setdefault(sub.token, None)
-                        cluster_extra += self._region_peak(sub.body, f"{subpath}.body", loop, toggled)
+                        leak = "async region leaks tcm allocations past its end"
+                        peak_in = self.check_scope(sub.body, f"{subpath}.body", loop, toggled, leak)
+                        cluster_extra += peak_in - self.live_bytes
                     else:
                         self._check_add_to_group(sub, subpath)
                     j += 1
@@ -269,11 +278,10 @@ class _Checker:
             elif isinstance(op, IfToggle):
                 if not toggled:
                     self.err(path, "if_toggle outside a loop with a carried toggle")
-                snapshot = (dict(self.live_tcm), self.live_bytes)
-                peak = max(peak, self.check_body(op.then_body, f"{path}.then", loop, toggled))
-                self.live_tcm, self.live_bytes = dict(snapshot[0]), snapshot[1]
-                peak = max(peak, self.check_body(op.else_body, f"{path}.else", loop, toggled))
-                self.live_tcm, self.live_bytes = snapshot
+                leak = "if_toggle arm must free every tcm buffer it allocates"
+                for arm, arm_body in (("then", op.then_body), ("else", op.else_body)):
+                    arm_peak = self.check_scope(arm_body, f"{path}.{arm}", loop, toggled, leak)
+                    peak = max(peak, arm_peak)
             elif isinstance(op, FlipToggle):
                 if not toggled:
                     self.err(path, "flip_toggle outside a loop with a carried toggle")

@@ -78,6 +78,15 @@ def test_integer_clock_accepted():
 def test_digest_tracks_content():
     assert MachineConfig().digest == MachineConfig().digest
     assert MachineConfig().digest != MachineConfig(threads=2).digest
+
+
+def test_an_integer_clock_has_the_digest_of_the_equal_float(tmp_path):
+    path = tmp_path / "machine.json"
+    path.write_text('{"clock_hz": 1000000000}')
+    for cfg in (MachineConfig(clock_hz=10**9), load_machine_config(path)):
+        assert cfg == MachineConfig()
+        assert cfg.digest == MachineConfig().digest
+        assert cfg.to_json_dict() == MachineConfig().to_json_dict()
     assert len(MachineConfig().digest) == 12
 
 

@@ -174,9 +174,9 @@ def test_more_threads_than_tiles_skips_empty_regions():
     assert _thread_tile_sets(m) == [(0,), (1,)]
 
 
-def test_no_forall_rejected():
-    with pytest.raises(PassError, match="no forall"):
-        form_async_threads(_build(8))
+def test_no_forall_returns_input():
+    m = _build(8)
+    assert form_async_threads(m) is m
 
 
 def test_lowered_module_preserves_semantics():

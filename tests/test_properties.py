@@ -1,0 +1,99 @@
+"""Property gate over generated specs and machines, every rung: a rung either
+raises PassError with a reason, or its module is verifier-clean, the
+interpreter and the simulator agree bit for bit, the simulator matches the
+reference, the run does not beat the certified floor, and a rerun is
+byte-identical."""
+
+from hypothesis import given, settings, strategies as st
+
+from tilelab.bench import outputs_match, pipeline_for
+from tilelab.interp import interpret_functional
+from tilelab.kernels import (
+    GeluVariant,
+    KernelKind,
+    build_kernel,
+    gelu,
+    make_inputs,
+    reference_output,
+    vec_add_2d,
+)
+from tilelab.lower import lower
+from tilelab.machine import (
+    RUNG_ORDER,
+    MachineConfig,
+    collect_stats,
+    latency_lower_bound,
+)
+from tilelab.passes import PassError, run_pipeline
+from tilelab.printer import print_module
+from tilelab.sim import simulate_timed
+from tilelab.verifier import verify_module
+
+
+@st.composite
+def vec_add_specs(draw):
+    rows = draw(st.integers(1, 24))
+    cols = draw(st.sampled_from([1, 5, 33, 64, 100, 160, 256, 512, 1000]))
+    tile_rows = draw(st.integers(1, rows))  # a short tail tile when it does not divide
+    return vec_add_2d(rows, cols, tile_rows, seed=draw(st.integers(0, 9)))
+
+
+@st.composite
+def gelu_specs(draw):
+    tile_elems = draw(st.sampled_from([7, 40, 200, 512, 1000, 1024, 2048, 4096]))
+    tiles = draw(st.integers(1, 8))
+    variant = draw(st.sampled_from(list(GeluVariant)))
+    return gelu(tiles * tile_elems, tile_elems, variant, seed=draw(st.integers(0, 9)))
+
+
+@st.composite
+def cases(draw):
+    spec = draw(st.one_of(vec_add_specs(), gelu_specs()))
+    # The smallest scratchpad the builder accepts (the f32 tiles of one loop
+    # body), times a factor: small factors leave no room for the forks' or
+    # pipelines' extra copies.
+    if spec.kind is KernelKind.VEC_ADD_2D:
+        tile_bytes = 3 * spec.tile_rows * spec.cols * 4
+    else:
+        tile_bytes = 2 * spec.tile_elems * 4
+    cfg = MachineConfig(
+        lanes=draw(st.sampled_from([1, 2, 3, 5, 8, 12, 16, 32, 64])),
+        threads=draw(st.integers(1, 5)),
+        scalar_unit_cost=draw(st.integers(1, 3)),
+        vector_unit_cost=draw(st.integers(1, 6)),
+        dma_bandwidth=draw(st.integers(1, 1024)),
+        dma_startup=draw(st.integers(1, 200)),
+        fork_cost=draw(st.integers(1, 300)),
+        join_cost=draw(st.integers(1, 300)),
+        tcm_capacity=tile_bytes * draw(st.integers(1, 12)),
+    )
+    return spec, cfg
+
+
+def _run(spec, rung, cfg, inputs):
+    """(printed module, outputs, timing) of one rung, checked on the way."""
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    sched = lower(run_pipeline(base, pipeline_for(rung, cfg)))
+    assert verify_module(sched, cfg) == []
+    interp_out = interpret_functional(sched, inputs)
+    sim_out, timing = simulate_timed(sched, inputs, cfg)
+    assert set(interp_out) == set(sim_out)
+    for name in sim_out:
+        assert interp_out[name].tobytes() == sim_out[name].tobytes(), name
+    assert outputs_match(spec.kind, sim_out, reference_output(spec, inputs))
+    assert timing.total_cycles >= latency_lower_bound(collect_stats(base), cfg, rung)
+    return print_module(sched.module), {k: v.tobytes() for k, v in sim_out.items()}, timing
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(cases())
+def test_every_rung_runs_or_gives_a_reason(case):
+    spec, cfg = case
+    inputs = make_inputs(spec)
+    for rung in RUNG_ORDER:
+        try:
+            first = _run(spec, rung, cfg, inputs)
+        except PassError as exc:
+            assert str(exc), rung
+            continue
+        assert _run(spec, rung, cfg, inputs) == first, rung

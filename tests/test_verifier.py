@@ -227,3 +227,41 @@ def test_diagnostics_are_ordered_and_deterministic(verify):
     first = verify(m, CFG)
     assert first == verify_module(m, CFG)
     assert len(first) >= 3
+
+
+def test_tcm_allocated_in_a_toggle_arm_must_be_freed(verify):
+    # The arm's allocation outlives the arm, so the loop's second iteration
+    # allocates @u again; both executors fail there.
+    t, u = TCM("t", 1, 8), TCM("u", 1, 8)
+    m = TileModule(
+        "arm-leak",
+        (DDR("X", 4, 8), DDR("Y", 4, 8)),
+        (
+            ForTiles(
+                "i",
+                4,
+                (
+                    AllocTcm(t),
+                    Copy(src=ViewRef("X", 1, 0, 1, 8), dst=full_view(t)),
+                    IfToggle((AllocTcm(u),), ()),
+                    FlipToggle(),
+                    Copy(src=full_view(t), dst=ViewRef("Y", 1, 0, 1, 8)),
+                    DeallocTcm("t"),
+                ),
+                toggle_init=True,
+            ),
+        ),
+    )
+    assert verify(m, CFG) == [
+        "body[0].body[2].then: if_toggle arm must free every tcm buffer it allocates"
+    ]
+    with pytest.raises(InterpError, match="buffer @u already live"):
+        interpret_functional(m, {"X": np.zeros((4, 8), np.float32)})
+
+
+def test_a_non_op_in_a_body_is_an_unknown_op():
+    m = TileModule("x", (), (Input(0),))
+    assert verify_module(m, CFG) == [
+        "body[0]: unknown op Input(index=0)",
+        "body: unknown op Input(index=0)",
+    ]
