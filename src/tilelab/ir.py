@@ -27,16 +27,9 @@ class MemSpace(str, Enum):
     TCM = "tcm"
 
 
-@dataclass(frozen=True, slots=True)
-class ElemType:
-    kind: str = "f32"
-
-    @property
-    def size_bytes(self) -> int:
-        return 4
-
-
-F32 = ElemType("f32")
+# The stored element: every buffer holds f32 values, ELEM_DTYPE.itemsize
+# bytes each.
+ELEM_DTYPE = np.dtype(np.float32)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +38,6 @@ class BufferDecl:
     space: MemSpace
     rows: int
     cols: int
-    elem: ElemType = F32
 
     @property
     def elems(self) -> int:
@@ -53,7 +45,7 @@ class BufferDecl:
 
     @property
     def nbytes(self) -> int:
-        return self.elems * self.elem.size_bytes
+        return self.elems * ELEM_DTYPE.itemsize
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,6 +291,8 @@ Op = Union[
     FlipToggle,
 ]
 
+# The op classes; lowering dispatches on the exact class of an op.
+OP_TYPES = frozenset(Op.__args__)
 GUARDED_OPS = (Copy, DmaStart, DmaWait)
 
 

@@ -18,14 +18,9 @@ import numpy as np
 
 from .ir import (
     EXPR_OPS,
-    F32,
-    AllocTcm,
     Binary,
     BufferDecl,
-    Compute,
     Const,
-    Copy,
-    DeallocTcm,
     Expr,
     ForTiles,
     Input,
@@ -34,8 +29,8 @@ from .ir import (
     TileModule,
     Unary,
     ViewRef,
-    full_view,
 )
+from .normal_form import normal_form_tile
 
 
 class KernelKind(str, Enum):
@@ -204,30 +199,14 @@ def ddr_shape(spec: KernelSpec) -> tuple[int, int]:
     return (n // eff, eff)
 
 
-def _normal_form_tile(
-    inputs: list[tuple[str, ViewRef, BufferDecl]],
-    output: tuple[str, ViewRef, BufferDecl],
-    expr: Expr,
-) -> tuple[Op, ...]:
-    ops: list[Op] = []
-    for _, ddr_view, decl in inputs:
-        ops.append(AllocTcm(decl))
-        ops.append(Copy(src=ddr_view, dst=full_view(decl)))
-    _, out_view, out_decl = output
-    ops.append(AllocTcm(out_decl))
-    ops.append(
-        Compute(
-            inputs=tuple(full_view(d) for _, _, d in inputs),
-            output=full_view(out_decl),
-            expr=expr,
-            vector_factor=1,
+def _require_tcm(tile: str, operands, tcm_capacity: int | None, knob: str) -> None:
+    """Rejects a tile whose operands' TCM buffers do not fit together."""
+    footprint = sum(decl.nbytes for _, decl in operands)
+    if tcm_capacity is not None and footprint > tcm_capacity:
+        raise ValueError(
+            f"tile of {tile} needs {footprint} tcm bytes"
+            f" (> capacity {tcm_capacity}); reduce {knob}"
         )
-    )
-    ops.append(Copy(src=full_view(out_decl), dst=out_view))
-    for _, _, decl in inputs:
-        ops.append(DeallocTcm(decl.id))
-    ops.append(DeallocTcm(out_decl.id))
-    return tuple(ops)
 
 
 def build_vec_add_2d(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:
@@ -243,45 +222,25 @@ def build_vec_add_2d(spec: KernelSpec, tcm_capacity: int | None = None) -> TileM
     full_tiles = rows // tile_rows
     tail_rows = rows % tile_rows
 
-    if tcm_capacity is not None:
-        footprint = 3 * tile_rows * cols * F32.size_bytes
-        if footprint > tcm_capacity:
-            raise ValueError(
-                f"tile of {tile_rows} rows needs {footprint} tcm bytes"
-                f" (> capacity {tcm_capacity}); reduce tile_rows"
-            )
+    def operands(row_scale: int, row_base: int, count: int, suffix: str):
+        """(inputs, output) of a tile of `count` rows: A and B in, C out."""
+
+        def operand(name: str):
+            view = ViewRef(name, row_scale, row_base, count, cols)
+            return view, BufferDecl(f"t{name}{suffix}", MemSpace.TCM, count, cols)
+
+        return (operand("A"), operand("B")), operand("C")
+
+    inputs, output = operands(tile_rows, 0, tile_rows, "")
+    _require_tcm(f"{tile_rows} rows", (*inputs, output), tcm_capacity, "tile_rows")
 
     buffers = tuple(BufferDecl(b, MemSpace.DDR, rows, cols) for b in ("A", "B", "C"))
-
-    def tcm(name: str, r: int) -> BufferDecl:
-        return BufferDecl(name, MemSpace.TCM, r, cols)
-
     body: list[Op] = [
-        ForTiles(
-            "i",
-            full_tiles,
-            _normal_form_tile(
-                inputs=[
-                    ("A", ViewRef("A", tile_rows, 0, tile_rows, cols), tcm("tA", tile_rows)),
-                    ("B", ViewRef("B", tile_rows, 0, tile_rows, cols), tcm("tB", tile_rows)),
-                ],
-                output=("C", ViewRef("C", tile_rows, 0, tile_rows, cols), tcm("tC", tile_rows)),
-                expr=vec_add_expr(),
-            ),
-        )
+        ForTiles("i", full_tiles, normal_form_tile(inputs, output, vec_add_expr()))
     ]
     if tail_rows:
-        off = full_tiles * tile_rows
-        body.extend(
-            _normal_form_tile(
-                inputs=[
-                    ("A", ViewRef("A", 0, off, tail_rows, cols), tcm("tA_tail", tail_rows)),
-                    ("B", ViewRef("B", 0, off, tail_rows, cols), tcm("tB_tail", tail_rows)),
-                ],
-                output=("C", ViewRef("C", 0, off, tail_rows, cols), tcm("tC_tail", tail_rows)),
-                expr=vec_add_expr(),
-            )
-        )
+        inputs, output = operands(0, full_tiles * tile_rows, tail_rows, "_tail")
+        body.extend(normal_form_tile(inputs, output, vec_add_expr()))
     return TileModule("vec-add-2d", buffers, tuple(body), kernel=spec)
 
 
@@ -295,30 +254,18 @@ def build_gelu(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:
         raise ValueError("gelu is one-dimensional: spec.rows must be 1")
     tiles, eff = ddr_shape(spec)
 
-    if tcm_capacity is not None:
-        footprint = 2 * eff * F32.size_bytes
-        if footprint > tcm_capacity:
-            raise ValueError(
-                f"tile of {eff} elements needs {footprint} tcm bytes"
-                f" (> capacity {tcm_capacity}); reduce tile_elems"
-            )
-
     sub_rows = 8 if eff % 8 == 0 else 1
+    x, y = (
+        (ViewRef(b, 1, 0, 1, eff), BufferDecl(f"t{b}", MemSpace.TCM, sub_rows, eff // sub_rows))
+        for b in "XY"
+    )
+    _require_tcm(f"{eff} elements", (x, y), tcm_capacity, "tile_elems")
+
     buffers = (
         BufferDecl("X", MemSpace.DDR, tiles, eff),
         BufferDecl("Y", MemSpace.DDR, tiles, eff),
     )
-    t_x = BufferDecl("tX", MemSpace.TCM, sub_rows, eff // sub_rows)
-    t_y = BufferDecl("tY", MemSpace.TCM, sub_rows, eff // sub_rows)
-    loop = ForTiles(
-        "i",
-        tiles,
-        _normal_form_tile(
-            inputs=[("X", ViewRef("X", 1, 0, 1, eff), t_x)],
-            output=("Y", ViewRef("Y", 1, 0, 1, eff), t_y),
-            expr=gelu_expr(spec.gelu_variant),
-        ),
-    )
+    loop = ForTiles("i", tiles, normal_form_tile((x,), y, gelu_expr(spec.gelu_variant)))
     return TileModule("gelu", buffers, (loop,), kernel=spec)
 
 

@@ -144,7 +144,6 @@ def lower(m: ir.TileModule | Schedule) -> Schedule:
     """The module's schedule; a schedule is returned as it is."""
     if isinstance(m, Schedule):
         return m
-    decls = {d.id: d for d in m.buffers}  # grows with each alloc, in program order
     written: set[str] = set()
 
     def block(ops: tuple[ir.Op, ...]) -> tuple[Step, ...]:
@@ -153,16 +152,12 @@ def lower(m: ir.TileModule | Schedule) -> Schedule:
     def one(op: ir.Op) -> Step:
         cls = type(op)
         if cls is ir.Copy or cls is ir.DmaStart:
-            # An unknown source fails at resolution, before its size is used.
-            src = decls.get(op.src.base)
-            nbytes = op.src.elems * src.elem.size_bytes if src is not None else 0
+            nbytes = op.src.elems * ir.ELEM_DTYPE.itemsize
             tag = op.tag.id if cls is ir.DmaStart else None
             written.add(op.dst.base)
             return Transfer(op, "transfer", _guard(op), _view(op.src), _view(op.dst), nbytes, tag)
         kind = _PLAIN.get(cls)
         if kind is not None:
-            if cls is ir.AllocTcm:
-                decls[op.decl.id] = op.decl
             return Step(op, kind, _guard(op) if cls is ir.DmaWait else None)
         if cls is ir.Compute:
             written.add(op.output.base)
@@ -263,7 +258,7 @@ class HazardTracker:
 
 
 def _nans(decl: ir.BufferDecl) -> tuple[np.ndarray, int, int]:
-    data = np.empty(decl.rows * decl.cols, dtype=np.float32)
+    data = np.empty(decl.rows * decl.cols, dtype=ir.ELEM_DTYPE)
     data.fill(np.nan)
     return data, decl.rows, decl.cols
 
@@ -287,7 +282,7 @@ class ArrayStore:
             if d.id in self.written:
                 self.env[d.id] = _nans(d)
             else:
-                arr = np.asarray(inputs[d.id], dtype=np.float32)
+                arr = np.asarray(inputs[d.id], dtype=ir.ELEM_DTYPE)
                 if arr.shape != (d.rows, d.cols):
                     raise InterpError(
                         f"input @{d.id} has shape {arr.shape}, declared {(d.rows, d.cols)}"

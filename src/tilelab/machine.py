@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from decimal import Decimal, ROUND_HALF_EVEN
 from enum import Enum
@@ -76,7 +77,8 @@ class MachineConfig:
         for name in _CONFIG_FIELDS:
             value = getattr(self, name)
             if name == "clock_hz":
-                ok = isinstance(value, (int, float)) and math.isfinite(value)
+                # An int past the float range is not finite once converted.
+                ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
                 kind = "a finite number"
             else:
                 ok = isinstance(value, int)

@@ -1,12 +1,13 @@
-"""Matcher for the single-buffered tiled-loop normal form that the kernel
-builders emit and that the double-buffering rewrite consumes.
+"""The single-buffered tiled-loop normal form: the loop body the kernel
+builders emit and the double-buffering rewrite consumes.
 
-The pattern is matched exactly or not at all: per input an alloc + copy-in
-pair, one output alloc, one compute, one copy-out, then the deallocs in
-allocation order.  A module that has already been pipelined (alternating
-ping/pong sub-kernels) deliberately fails to match.  The loop may sit in the
-module body or in any other block, such as the body of one thread's async
-region.
+`normal_form_tile` is its one definition: per input an alloc + copy-in
+pair, the output alloc, one compute over whole buffers, the copy-out, then
+the deallocs in allocation order.  The matcher reads the operands off a loop
+body and accepts it only when `normal_form_tile` rebuilds that body exactly,
+so a module that has already been pipelined (alternating ping/pong
+sub-kernels) deliberately fails to match.  The loop may sit in the module
+body or in any other block, such as the body of one thread's async region.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from dataclasses import dataclass
 
 from .ir import (
     AllocTcm,
+    BufferDecl,
     Compute,
     Copy,
     DeallocTcm,
+    Expr,
     ForTiles,
     MemSpace,
     Op,
@@ -26,46 +29,59 @@ from .ir import (
     full_view,
 )
 
-
-@dataclass(frozen=True, slots=True)
-class InputGroup:
-    ddr_view: ViewRef
-    alloc: AllocTcm
-
-
-@dataclass(frozen=True, slots=True)
-class OutputGroup:
-    alloc: AllocTcm
-    ddr_view: ViewRef
+# One operand of a tile: its DDR view and the TCM buffer it is staged in.
+Operand = tuple[ViewRef, BufferDecl]
 
 
 @dataclass(frozen=True, slots=True)
 class NormalFormDescriptor:
     loop: ForTiles
     loop_index: int  # position of the loop in its block
-    inputs: tuple[InputGroup, ...]
+    inputs: tuple[Operand, ...]
     compute: Compute
-    output: OutputGroup
+    output: Operand
 
 
-def _is_full_tcm_view(view: ViewRef, alloc: AllocTcm) -> bool:
-    return view == full_view(alloc.decl)
+def normal_form_tile(
+    inputs: tuple[Operand, ...],
+    output: Operand,
+    expr: Expr,
+    vector_factor: int = 1,
+) -> tuple[Op, ...]:
+    """The single-buffered body of one tile: each input allocated and copied
+    in, the output allocated, computed over whole buffers and copied out,
+    then every buffer freed in allocation order."""
+    ops: list[Op] = []
+    for ddr_view, decl in inputs:
+        ops.append(AllocTcm(decl))
+        ops.append(Copy(src=ddr_view, dst=full_view(decl)))
+    out_view, out_decl = output
+    ops.append(AllocTcm(out_decl))
+    ops.append(
+        Compute(
+            inputs=tuple(full_view(d) for _, d in inputs),
+            output=full_view(out_decl),
+            expr=expr,
+            vector_factor=vector_factor,
+        )
+    )
+    ops.append(Copy(src=full_view(out_decl), dst=out_view))
+    for _, decl in (*inputs, output):
+        ops.append(DeallocTcm(decl.id))
+    return tuple(ops)
 
 
 def match_normal_form(m: TileModule) -> NormalFormDescriptor | None:
-    desc, _ = match_normal_form_explain(m)
+    desc, _ = match_block_explain(m.body, {d.id for d in m.buffers})
     return desc
-
-
-def match_normal_form_explain(m: TileModule) -> tuple[NormalFormDescriptor | None, str]:
-    """Match plus the first deviation from the pattern, for pass errors."""
-    return match_block_explain(m.body, {d.id for d in m.buffers})
 
 
 def match_block_explain(
     block: tuple[Op, ...], ddr: set[str]
 ) -> tuple[NormalFormDescriptor | None, str]:
-    """The normal-form loop of one block; `ddr` names the module buffers."""
+    """The normal-form loop of one block, or None and the reason it does not
+    match; `ddr` names the module buffers.  The vector factor of the compute
+    is not part of the form, so a vectorized loop still matches."""
     loops = [(i, op) for i, op in enumerate(block) if isinstance(op, ForTiles)]
     if len(loops) != 1:
         return None, f"expected exactly one top-level tiled loop, found {len(loops)}"
@@ -74,83 +90,36 @@ def match_block_explain(
         return None, "top-level loop already carries a ping/pong toggle"
 
     body = loop.body
+
+    def at(i: int) -> Op | None:
+        return body[i] if i < len(body) else None
+
+    def differs(i: int) -> tuple[None, str]:
+        found = type(body[i]).__name__ if i < len(body) else "end of body"
+        return None, f"loop body op {i}: {found} differs from the normal form"
+
+    # Operands: the leading alloc + copy-in pairs, then the output alloc, the
+    # compute and the copy-out.  A missing copy-out leaves the output view
+    # None, which no body matches.
     pos = 0
-
-    def kind(op) -> str:
-        return type(op).__name__
-
-    # Input groups: alloc immediately followed by a copy into the whole buffer.
-    inputs: list[InputGroup] = []
-    while (
-        pos + 1 < len(body)
-        and isinstance(body[pos], AllocTcm)
-        and isinstance(body[pos + 1], Copy)
-        and body[pos + 1].dst.base == body[pos].decl.id
-    ):
-        alloc, copy_in = body[pos], body[pos + 1]
-        if alloc.decl.space is not MemSpace.TCM:
-            return None, f"loop body op {pos}: alloc of @{alloc.decl.id} is not in tcm space"
-        if copy_in.src.base not in ddr:
-            return None, f"loop body op {pos + 1}: copy-in source @{copy_in.src.base} is not a ddr buffer"
-        if not _is_full_tcm_view(copy_in.dst, alloc):
-            return None, f"loop body op {pos + 1}: copy-in must fill the whole tcm buffer @{alloc.decl.id}"
-        inputs.append(InputGroup(copy_in.src, alloc))
+    while isinstance(at(pos), AllocTcm) and isinstance(at(pos + 1), Copy):
         pos += 2
-    if not inputs:
-        found = kind(body[pos]) if pos < len(body) else "end of body"
-        return None, f"loop body op {pos}: expected alloc + copy-in input group, found {found}"
+    if pos == 0:
+        return differs(0)
+    for k, kind in enumerate((AllocTcm, Compute)):
+        if not isinstance(at(pos + k), kind):
+            return differs(pos + k)
+    inputs = tuple((body[i + 1].src, body[i].decl) for i in range(0, pos, 2))
+    compute, copy_out = body[pos + 1], at(pos + 2)
+    output = (copy_out.dst if isinstance(copy_out, Copy) else None, body[pos].decl)
 
-    # One output alloc.
-    if pos >= len(body) or not isinstance(body[pos], AllocTcm):
-        found = kind(body[pos]) if pos < len(body) else "end of body"
-        return None, f"loop body op {pos}: expected output tcm alloc, found {found}"
-    out_alloc = body[pos]
-    pos += 1
-
-    # One compute reading the input buffers in order, writing the output buffer.
-    if pos >= len(body) or not isinstance(body[pos], Compute):
-        found = kind(body[pos]) if pos < len(body) else "end of body"
-        return None, f"loop body op {pos}: expected compute, found {found}"
-    compute = body[pos]
-    expected_in = tuple(full_view(g.alloc.decl) for g in inputs)
-    if compute.inputs != expected_in:
-        return None, f"loop body op {pos}: compute must read the copied-in tcm buffers in order"
-    if not _is_full_tcm_view(compute.output, out_alloc):
-        return None, f"loop body op {pos}: compute must write the whole output buffer @{out_alloc.decl.id}"
-    pos += 1
-
-    # Write-back to ddr.
-    if pos >= len(body) or not isinstance(body[pos], Copy):
-        found = kind(body[pos]) if pos < len(body) else "end of body"
-        return None, f"loop body op {pos}: expected copy-out, found {found}"
-    copy_out = body[pos]
-    if not _is_full_tcm_view(copy_out.src, out_alloc):
-        return None, f"loop body op {pos}: copy-out must read the whole output buffer @{out_alloc.decl.id}"
-    if copy_out.dst.base not in ddr:
-        return None, f"loop body op {pos}: copy-out destination @{copy_out.dst.base} is not a ddr buffer"
-    pos += 1
-
-    # Deallocs in allocation order.
-    alloc_order = [g.alloc.decl.id for g in inputs] + [out_alloc.decl.id]
-    for buffer_id in alloc_order:
-        if pos >= len(body) or not isinstance(body[pos], DeallocTcm):
-            found = kind(body[pos]) if pos < len(body) else "end of body"
-            return None, f"loop body op {pos}: expected dealloc of @{buffer_id}, found {found}"
-        if body[pos].buffer_id != buffer_id:
-            return None, (
-                f"loop body op {pos}: deallocs out of allocation order"
-                f" (expected @{buffer_id}, found @{body[pos].buffer_id})"
-            )
-        pos += 1
-
-    if pos != len(body):
-        return None, f"loop body op {pos}: trailing op {kind(body[pos])} after the write-back sequence"
-
-    desc = NormalFormDescriptor(
-        loop=loop,
-        loop_index=loop_index,
-        inputs=tuple(inputs),
-        compute=compute,
-        output=OutputGroup(out_alloc, copy_out.dst),
-    )
-    return desc, ""
+    rebuilt = normal_form_tile(inputs, output, compute.expr, compute.vector_factor)
+    if body != rebuilt:
+        diff = [i for i, (op, want) in enumerate(zip(body, rebuilt)) if op != want]
+        return differs(diff[0] if diff else min(len(body), len(rebuilt)))
+    for view, decl in (*inputs, output):
+        if decl.space is not MemSpace.TCM:
+            return None, f"alloc of @{decl.id} is not in tcm space"
+        if view.base not in ddr:
+            return None, f"@{view.base} is not a ddr buffer"
+    return NormalFormDescriptor(loop, loop_index, inputs, compute, output), ""

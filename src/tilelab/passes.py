@@ -34,7 +34,6 @@ from .ir import (
     Forall,
     ForTiles,
     IfToggle,
-    MemSpace,
     Op,
     TagRole,
     TileModule,
@@ -502,34 +501,29 @@ def _pipeline_loop(
     _require_tcm("double buffering", copies, loop, tcm_capacity)
     tile_count = loop.tile_count
 
-    originals = [g.alloc.decl for g in desc.inputs] + [desc.output.alloc.decl]
+    originals = [decl for _, decl in (*desc.inputs, desc.output)]
 
-    def side_decl(decl: BufferDecl, side: str) -> BufferDecl:
-        return BufferDecl(f"{decl.id}_{side}", MemSpace.TCM, decl.rows, decl.cols, decl.elem)
-
-    ping = {d.id: side_decl(d, "ping") for d in originals}
-    pong = {d.id: side_decl(d, "pong") for d in originals}
+    ping = {d.id: replace(d, id=f"{d.id}_ping") for d in originals}
+    pong = {d.id: replace(d, id=f"{d.id}_pong") for d in originals}
 
     prologue: list[Op] = []
     for d in originals:
         prologue.append(AllocTcm(ping[d.id]))
         prologue.append(AllocTcm(pong[d.id]))
-    for g in desc.inputs:
-        first_tile = replace(g.ddr_view, row_scale=0, row_base=g.ddr_view.row_base)
-        prologue.append(
-            Copy(src=first_tile, dst=full_view(ping[g.alloc.decl.id]), anchor=ANCHOR_PREFETCH)
-        )
+    for view, decl in desc.inputs:
+        first_tile = replace(view, row_scale=0)
+        prologue.append(Copy(src=first_tile, dst=full_view(ping[decl.id]), anchor=ANCHOR_PREFETCH))
 
-    out_id = desc.output.alloc.decl.id
+    out_view, out_decl = desc.output
 
     def arm(current: dict[str, BufferDecl], opposite: dict[str, BufferDecl]) -> tuple[Op, ...]:
         ops: list[Op] = []
-        for g in desc.inputs:
-            next_tile = replace(g.ddr_view, row_base=g.ddr_view.row_base + g.ddr_view.row_scale)
+        for view, decl in desc.inputs:
+            next_tile = replace(view, row_base=view.row_base + view.row_scale)
             ops.append(
                 Copy(
                     src=next_tile,
-                    dst=full_view(opposite[g.alloc.decl.id]),
+                    dst=full_view(opposite[decl.id]),
                     anchor=ANCHOR_PREFETCH,
                     only_if_iv_lt=tile_count - 1,
                 )
@@ -537,13 +531,13 @@ def _pipeline_loop(
         ops.append(
             replace(
                 desc.compute,
-                inputs=tuple(full_view(current[g.alloc.decl.id]) for g in desc.inputs),
-                output=full_view(current[out_id]),
+                inputs=tuple(full_view(current[decl.id]) for _, decl in desc.inputs),
+                output=full_view(current[out_decl.id]),
                 anchor=ANCHOR_COMPUTE,
             )
         )
         ops.append(
-            Copy(src=full_view(current[out_id]), dst=desc.output.ddr_view, anchor=ANCHOR_STOREBACK)
+            Copy(src=full_view(current[out_decl.id]), dst=out_view, anchor=ANCHOR_STOREBACK)
         )
         return tuple(ops)
 

@@ -39,7 +39,7 @@ _EMPTY_MARK = "// empty"
 
 
 def _decl(d: BufferDecl) -> str:
-    return f"{d.space.value}<{d.rows}x{d.cols}x{d.elem.kind}>"
+    return f"{d.space.value}<{d.rows}x{d.cols}xf32>"
 
 
 def _offset(view: ViewRef, iv: str | None) -> str:

@@ -12,6 +12,7 @@ from .ir import (
     ANCHORS,
     EXPR_OPS,
     GUARDED_OPS,
+    OP_TYPES,
     AddToGroup,
     AllocTcm,
     AsyncExecute,
@@ -69,6 +70,8 @@ class _Checker:
         self.tokens: dict[str, str | None] = {}  # token -> group (None until added)
         self.groups_awaited: set[str] = set()
         self.tag_sites: dict[int, tuple[str, str]] = {}  # id -> (role, dst base)
+        # False once a fault that lowering or the walker raises on is reported.
+        self.walkable = True
 
     def err(self, path: str, msg: str) -> None:
         self.diags.append(f"{path}: {msg}")
@@ -147,8 +150,9 @@ class _Checker:
         while i < len(body):
             op = body[i]
             path = f"{prefix}[{i}]"
-            if not hasattr(op, "anchor"):  # not an op: lowering reports op-like objects
+            if type(op) not in OP_TYPES:  # lowering rejects it: nothing is walked
                 self.err(path, f"unknown op {op!r}")
+                self.walkable = False
                 i += 1
                 continue
             if op.anchor is not None and op.anchor not in ANCHORS:
@@ -248,7 +252,7 @@ class _Checker:
                 # their scratchpad footprints add up.
                 cluster_extra = 0
                 j = i
-                while j < len(body) and isinstance(body[j], (AsyncExecute, AddToGroup)):
+                while j < len(body) and type(body[j]) in (AsyncExecute, AddToGroup):
                     sub = body[j]
                     subpath = f"{prefix}[{j}]"
                     if isinstance(sub, AsyncExecute):
@@ -278,6 +282,7 @@ class _Checker:
             elif isinstance(op, IfToggle):
                 if not toggled:
                     self.err(path, "if_toggle outside a loop with a carried toggle")
+                    self.walkable = False
                 leak = "if_toggle arm must free every tcm buffer it allocates"
                 for arm, arm_body in (("then", op.then_body), ("else", op.else_body)):
                     arm_peak = self.check_scope(arm_body, f"{path}.{arm}", loop, toggled, leak)
@@ -285,6 +290,7 @@ class _Checker:
             elif isinstance(op, FlipToggle):
                 if not toggled:
                     self.err(path, "flip_toggle outside a loop with a carried toggle")
+                    self.walkable = False
             i += 1
         return peak
 
@@ -327,17 +333,15 @@ class _Checker:
         return self.diags
 
     def _check_tag_balance(self) -> None:
+        if not self.walkable:
+            return
         starts: dict[int, int] = {}
         waits: dict[int, int] = {}
-        try:
-            for step, _ in walk(lower(self.sched).body):
-                if step.kind == "transfer" and step.tag is not None:
-                    starts[step.tag] = starts.get(step.tag, 0) + 1
-                elif step.kind == "wait":
-                    waits[step.op.tag.id] = waits.get(step.op.tag.id, 0) + 1
-        except ValueError as exc:
-            self.err("body", str(exc))
-            return
+        for step, _ in walk(lower(self.sched).body):
+            if step.kind == "transfer" and step.tag is not None:
+                starts[step.tag] = starts.get(step.tag, 0) + 1
+            elif step.kind == "wait":
+                waits[step.op.tag.id] = waits.get(step.op.tag.id, 0) + 1
         for tag_id in sorted(set(starts) | set(waits)):
             s, w = starts.get(tag_id, 0), waits.get(tag_id, 0)
             if s != w:
@@ -348,6 +352,7 @@ class _Checker:
 
 def verify_module(m: TileModule | Schedule, machine: MachineConfig) -> list[str]:
     """All structural violations in the module, empty when valid.  Given a
-    schedule, checks its module and walks its steps for tag balance; a
-    module that cannot be lowered gets the lowering error as a diagnostic."""
+    schedule, checks its module and walks its steps for tag balance.  A
+    fault that lowering or the walker raises on is reported at its op, and
+    such a module gets no tag-balance walk."""
     return _Checker(m, machine).check_module()

@@ -136,6 +136,15 @@ def test_malformed_machine_config_value_is_a_run_failure(tmp_path, capsys, confi
     assert err.startswith("error: ") and f"field {field} must be" in err
 
 
+def test_a_clock_past_the_float_range_is_a_run_failure(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"clock_hz": 1' + "0" * 400 + "}")
+    code = main(["verify", "--kernel", "gelu", "--rung", "vec-mt", "--machine", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "field clock_hz must be a finite number" in err
+
+
 def test_repeat_flag_checks_identity(tmp_path):
     out = tmp_path / "r"
     code = main(["ladder", "--kernel", "vec-add-2d", "--out", str(out), "--repeat", "2"])

@@ -71,6 +71,11 @@ def test_malformed_config_values_rejected(field, value):
         machine_config_from_dict({field: value})
 
 
+def test_a_clock_past_the_float_range_is_rejected():
+    with pytest.raises(ValueError, match="field clock_hz must be a finite number"):
+        MachineConfig(clock_hz=10**400)
+
+
 def test_integer_clock_accepted():
     assert MachineConfig(clock_hz=1_000_000_000).clock_hz == 1_000_000_000
 

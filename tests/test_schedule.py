@@ -43,7 +43,7 @@ def test_golden_kernels_agree_on_their_schedules(verify, kernel):
 
 def test_a_module_that_cannot_be_lowered_gets_a_diagnostic():
     m = TileModule("not-an-op", (), (SimpleNamespace(anchor=None),))
-    assert verify_module(m, CFG) == ["body: unknown op namespace(anchor=None)"]
+    assert verify_module(m, CFG) == ["body[0]: unknown op namespace(anchor=None)"]
 
 
 @pytest.fixture

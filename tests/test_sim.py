@@ -28,8 +28,15 @@ from tilelab.kernels import (
     vec_add_2d,
 )
 from tilelab.machine import LadderRung, MachineConfig, RUNG_ORDER, collect_stats, latency_lower_bound
-from tilelab.passes import run_pipeline
+from tilelab.passes import (
+    MtPolicy,
+    form_async_threads,
+    form_virtual_threads,
+    run_pipeline,
+    vectorize,
+)
 from tilelab.sim import DeadlockError, simulate_timed
+from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
 
@@ -200,3 +207,47 @@ def test_timing_report_invariants():
                 rep.compute_busy_cycles + rep.stall_cycles + rep.overhead_cycles
                 <= CFG.threads * rep.total_cycles
             )
+
+
+def test_regions_beyond_the_workers_queue_for_a_free_one():
+    # Four regions of two GELU tiles each; with fewer workers the extra
+    # regions wait in the queue, so the same compute takes longer.
+    spec = gelu(8 * 2048, 2048)
+    m = form_async_threads(
+        form_virtual_threads(vectorize(build_kernel(spec), 8), MtPolicy(4))
+    )
+    assert sum(isinstance(op, AsyncExecute) for op in m.body) == 4
+    inputs = make_inputs(spec)
+    reports = []
+    for threads in (4, 2, 1):
+        cfg = MachineConfig(lanes=8, threads=threads)
+        assert verify_module(m, cfg) == []
+        out, report = simulate_timed(m, inputs, cfg)
+        assert np.array_equal(out["Y"], interpret_functional(m, inputs)["Y"])
+        reports.append(report)
+    assert len({r.compute_busy_cycles for r in reports}) == 1
+    assert [r.total_cycles for r in reports] == [10828, 20556, 40492]
+
+
+def test_a_group_already_done_at_the_await_joins_at_once():
+    # The region is empty and finishes when forked; the control context's
+    # long copy ends later, so the await finds the group done.
+    elems = 65536
+    t = BufferDecl("t", MemSpace.TCM, 1, elems)
+    m = TileModule(
+        "early-region",
+        (BufferDecl("X", MemSpace.DDR, 1, elems),),
+        (
+            AsyncExecute("t0", ()),
+            AddToGroup("t0", "g"),
+            AllocTcm(t),
+            Copy(src=ViewRef("X", 0, 0, 1, elems), dst=full_view(t)),
+            DeallocTcm("t"),
+            AwaitAll("g"),
+        ),
+    )
+    assert verify_module(m, CFG) == []
+    _, report = simulate_timed(m, {"X": np.zeros((1, elems), np.float32)}, CFG)
+    copy = CFG.dma_startup + 4 * elems // CFG.dma_bandwidth
+    assert report.total_cycles == CFG.fork_cost + copy + CFG.join_cost
+    assert report.overhead_cycles == CFG.fork_cost + CFG.join_cost

@@ -261,7 +261,14 @@ def test_tcm_allocated_in_a_toggle_arm_must_be_freed(verify):
 
 def test_a_non_op_in_a_body_is_an_unknown_op():
     m = TileModule("x", (), (Input(0),))
-    assert verify_module(m, CFG) == [
-        "body[0]: unknown op Input(index=0)",
-        "body: unknown op Input(index=0)",
-    ]
+    assert verify_module(m, CFG) == ["body[0]: unknown op Input(index=0)"]
+
+
+def test_an_if_toggle_outside_a_toggled_loop_is_reported_once(verify):
+    m = TileModule("x", (), (ForTiles("i", 2, (IfToggle((), ()),)),))
+    assert verify(m, CFG) == ["body[0].body[0]: if_toggle outside a loop with a carried toggle"]
+
+
+def test_a_top_level_flip_toggle_is_reported_once(verify):
+    m = TileModule("x", (), (FlipToggle(),))
+    assert verify(m, CFG) == ["body[0]: flip_toggle outside a loop with a carried toggle"]
