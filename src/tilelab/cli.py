@@ -67,6 +67,8 @@ def _sizes(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("at least one size is required")
     if min(sizes) < 1:
         raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {min(sizes)}")
+    if list(sizes) != sorted(set(sizes)):
+        raise argparse.ArgumentTypeError(f"sizes must be strictly ascending, got {raw}")
     return sizes
 
 

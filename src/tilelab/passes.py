@@ -463,11 +463,12 @@ def _thread_body(
 
 def db_stage1(m: TileModule, tcm_capacity: int = MachineConfig().tcm_capacity) -> TileModule:
     """Rebuilds each single-buffered loop into a ping/pong pipeline: a
-    prologue prefetches the loop's first tile into ping buffers, each
-    iteration prefetches the next tile into the opposite buffer while
-    computing on the current one, and storeback rematerializes subviews at
-    the current induction variable.  A forked module pipelines the loop of
-    every async region, each over its own block of tiles; otherwise the
+    prologue prefetches the loop's first tile into ping buffers, and each
+    arm of the loop prefetches the next tile into the opposite buffers,
+    computes on the current ones and stores back, rematerializing subviews
+    at the current induction variable (db_stage2 moves the wait for the
+    current tile ahead of the prefetch).  A forked module pipelines the loop
+    of every async region, each over its own block of tiles; otherwise the
     module body holds the one loop.  Anchor attributes mark the
     prefetch/compute/storeback roles for stage 2.  The ping and pong copies
     of every pipeline's loop body are live at once and must fit
@@ -569,11 +570,16 @@ def _pipeline_loop(
 def db_stage2(m: TileModule) -> TileModule:
     """Replaces anchored synchronous copies with tagged DMA, pipeline by
     pipeline (see db_stage1): prefetches get distinct ping/pong tags per
-    destination buffer with waits inserted immediately before compute;
-    storebacks get their own tags with waits before the next reuse of the
-    source buffer and final balancing waits after the pipeline's loop.
-    Tags are distinct across pipelines.  Matches anchors only, never raw
-    structure."""
+    destination buffer, storebacks their own tags.  Each arm of the ping/pong
+    loop waits for the current tile's inputs, issues the next tile's
+    prefetch, waits for the storeback issued two tiles back from the buffer
+    it is about to overwrite, then computes and stores back; final balancing
+    waits follow the pipeline's loop.  Waiting before prefetching keeps the
+    single FIFO channel in the order tiles are needed when several
+    pipelines share it, and costs one pipeline nothing: its prefetch would
+    queue behind the current tile anyway.  Tags are distinct across
+    pipelines.  Rewrites anchored ops and the arms of the toggle that holds
+    them."""
     next_id = itertools.count()
     return replace(m, body=_per_pipeline(m.body, lambda block: _async_dma(block, next_id)))
 
@@ -606,7 +612,19 @@ def _async_dma(block: tuple[Op, ...], next_id: Iterator[int]) -> tuple[Op, ...]:
     }
     storeback_tag = {base: DmaTag(next(next_id), TagRole.STOREBACK) for base in storeback_srcs}
 
+    def arm(body: tuple[Op, ...]) -> tuple[Op, ...]:
+        reads = [
+            v.base
+            for op in body
+            if isinstance(op, Compute) and op.anchor == ANCHOR_COMPUTE
+            for v in op.inputs
+        ]
+        waits = tuple(DmaWait(prefetch_tag[base]) for base in reads if base in prefetch_tag)
+        return waits + _rewrite(body, fn)
+
     def fn(op: Op):
+        if isinstance(op, IfToggle):
+            return (replace(op, then_body=arm(op.then_body), else_body=arm(op.else_body)),)
         if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH:
             return (
                 DmaStart(
@@ -623,14 +641,8 @@ def _async_dma(block: tuple[Op, ...], next_id: Iterator[int]) -> tuple[Op, ...]:
                 DmaStart(src=op.src, dst=op.dst, tag=storeback_tag[op.src.base], anchor=op.anchor),
             )
         if isinstance(op, Compute) and op.anchor == ANCHOR_COMPUTE:
-            waits: list[Op] = [
-                DmaWait(prefetch_tag[v.base])
-                for v in op.inputs
-                if v.base in prefetch_tag
-            ]
             if op.output.base in storeback_tag:
-                waits.append(DmaWait(storeback_tag[op.output.base], only_if_iv_ge=2))
-            return (*waits, op)
+                return (DmaWait(storeback_tag[op.output.base], only_if_iv_ge=2), op)
         return None
 
     body = _rewrite(block, fn)

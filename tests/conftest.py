@@ -2,6 +2,20 @@ import numpy as np
 import pytest
 
 from tilelab.interp import interpret_functional
+from tilelab.ir import (
+    ANCHOR_COMPUTE,
+    ANCHOR_PREFETCH,
+    ANCHOR_STOREBACK,
+    AddToGroup,
+    AwaitAll,
+    Compute,
+    DmaStart,
+    DmaWait,
+    IfToggle,
+    TagRole,
+    walk,
+    walk_module,
+)
 from tilelab.lower import lower
 from tilelab.sim import simulate_timed
 from tilelab.verifier import verify_module
@@ -73,3 +87,52 @@ def verify():
         return diags
 
     return check
+
+
+def _arm_role(op):
+    if isinstance(op, DmaWait):
+        return "storeback wait" if op.tag.role is TagRole.STOREBACK else "input wait"
+    if isinstance(op, (AddToGroup, AwaitAll)):
+        return ANCHOR_COMPUTE  # the join of a compute forked inside the tile
+    return op.anchor
+
+
+def _check_arm_order(m):
+    """Asserts that every ping/pong arm of m is, in this order and nothing
+    else: a wait on each input tile the compute reads, the prefetch of the
+    next tile into the opposite buffers, the wait on the storeback issued
+    two tiles back, the compute (or its fork-join), and its storeback.
+    Returns the number of arms."""
+    tag_of = {op.dst.base: op.tag for _, op in walk_module(m) if isinstance(op, DmaStart)}
+    arms = [
+        arm
+        for _, op in walk_module(m)
+        if isinstance(op, IfToggle)
+        for arm in (op.then_body, op.else_body)
+    ]
+    for arm in arms:
+        computes = [op for op in arm if _arm_role(op) == ANCHOR_COMPUTE]
+        leaves = [op for _, op in walk(tuple(computes)) if isinstance(op, Compute)]
+        reads = list(dict.fromkeys(v.base for c in leaves for v in c.inputs))
+        n = len(reads)
+        assert [_arm_role(op) for op in arm] == (
+            ["input wait"] * n
+            + [ANCHOR_PREFETCH] * n
+            + ["storeback wait"]
+            + [ANCHOR_COMPUTE] * len(computes)
+            + [ANCHOR_STOREBACK]
+        )
+        assert [op.tag for op in arm[:n]] == [tag_of[base] for base in reads]
+        prefetches = arm[n : 2 * n]
+        assert all(op.only_if_iv_lt is not None for op in prefetches)
+        assert not {op.dst.base for op in prefetches} & set(reads)
+        wait, store = arm[2 * n], arm[-1]
+        assert wait.tag == store.tag and wait.only_if_iv_ge == 2
+        assert {c.output.base for c in leaves} == {store.src.base}
+    return len(arms)
+
+
+@pytest.fixture(scope="session")
+def arm_order():
+    """The double-buffered arm order check (see _check_arm_order)."""
+    return _check_arm_order

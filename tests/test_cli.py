@@ -52,6 +52,14 @@ def test_sweep_rejects_non_positive_sizes(tmp_path, capsys, sizes):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("sizes", ["8192,4096", "4096,4096", "4096,16384,8192"])
+def test_sweep_rejects_sizes_out_of_order(tmp_path, capsys, sizes):
+    code = main(["sweep", "--kernel", "gelu", "--sizes", sizes, "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert f"sizes must be strictly ascending, got {sizes}" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("command", ["ladder", "sweep"])
 @pytest.mark.parametrize("repeat", ["0", "-3", "two"])
 def test_bad_repeat_is_usage_error(tmp_path, capsys, command, repeat):

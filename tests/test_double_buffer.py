@@ -3,24 +3,23 @@
 import numpy as np
 import pytest
 
+from tilelab.bench import pipeline_for
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
     ANCHOR_COMPUTE,
     ANCHOR_PREFETCH,
     ANCHOR_STOREBACK,
     AllocTcm,
-    Compute,
     Copy,
     DmaStart,
     DmaWait,
-    IfToggle,
     TagRole,
     dynamic_schedule,
     walk_module,
 )
 from tilelab.kernels import build_vec_add_2d, make_inputs, reference_output, vec_add_2d
-from tilelab.machine import MachineConfig
-from tilelab.passes import PassError, db_stage1, db_stage2
+from tilelab.machine import LadderRung, MachineConfig
+from tilelab.passes import PassError, db_stage1, db_stage2, run_pipeline
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -91,28 +90,16 @@ def test_stage1_preserves_semantics():
 # -- stage 2 ------------------------------------------------------------------ #
 
 
-def _arm_bodies(m):
-    for _, op in walk_module(m):
-        if isinstance(op, IfToggle):
-            return op.then_body, op.else_body
-    raise AssertionError("no pipelined loop found")
-
-
-def test_waits_sit_immediately_before_compute():
-    m = db_stage2(db_stage1(_build(8)))
-    for arm in _arm_bodies(m):
-        compute_at = next(i for i, op in enumerate(arm) if isinstance(op, Compute))
-        input_bases = {v.base for v in arm[compute_at].inputs}
-        wait_tags = set()
-        i = compute_at - 1
-        while i >= 0 and isinstance(arm[i], DmaWait):
-            wait_tags.add(arm[i].tag.id)
-            i -= 1
-        start_tag_by_dst = {
-            op.dst.base: op.tag.id for _, op in walk_module(m) if isinstance(op, DmaStart)
-        }
-        for base in input_bases:
-            assert start_tag_by_dst[base] in wait_tags
+@pytest.mark.parametrize("composition", ["one-pipeline", "per-thread"])
+def test_each_arm_waits_for_its_tile_before_prefetching_the_next(arm_order, composition):
+    if composition == "one-pipeline":
+        m, arms = db_stage2(db_stage1(_build(8))), 2
+    else:
+        # The design-grid vec-add anchor: four threads, each its own pipeline.
+        cfg = MachineConfig(threads=4)
+        base = build_vec_add_2d(vec_add_2d(64, 2048, 8))
+        m, arms = run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg)), 4 * 2
+    assert arm_order(m) == arms
 
 
 def test_ping_and_pong_tags_distinct_per_stream():

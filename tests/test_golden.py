@@ -4,8 +4,9 @@ IR after every pipeline stage of every rung.
 
 The vec-add and GELU rows are the ROADMAP baseline ladders; the fine-tile
 GELU row exercises many small tiles, too small for the in-tile fork, which
-vec-mt-db runs as per-thread pipelines; the IR table adds a vec-add with a
-peeled tail tile.  Any change
+vec-mt-db runs as per-thread pipelines; the vec-add anchor of the benchmark's
+design grid runs four per-thread pipelines that share one memory-bound
+channel; the IR table adds a vec-add with a peeled tail tile.  Any change
 to these numbers or hashes is a behaviour change.
 """
 
@@ -27,6 +28,7 @@ KERNELS = {
     "vec-add": vec_add_2d(),
     "gelu": gelu(),
     "gelu-fine": gelu(n=1 << 16, tile_elems=1024),
+    "vec-add-anchor": vec_add_2d(64, 2048, 8),
 }
 
 # (kernel, rung) -> TimingReport fields in declaration order.
@@ -38,11 +40,15 @@ GOLDEN = {
     ("gelu", "scalar"): (19947520, 19947.52, 19922944, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec"): (647168, 647.168, 622592, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec-mt"): (165932, 165.932, 622592, 24576, 32232, 600, (161984, 162268, 165240, 165332)),
-    ("gelu", "vec-mt-db"): (157484, 157.484, 622592, 24576, 3240, 600, (156032, 156316, 156600, 156884)),
+    ("gelu", "vec-mt-db"): (157100, 157.1, 622592, 24576, 2472, 600, (156032, 156124, 156408, 156500)),
     ("gelu-fine", "scalar"): (1254400, 1254.4, 1245184, 9216, 9216, 0, (0, 0, 0, 0)),
     ("gelu-fine", "vec"): (48128, 48.128, 38912, 9216, 9216, 0, (0, 0, 0, 0)),
     ("gelu-fine", "vec-mt"): (13844, 13.844, 38912, 9216, 13408, 600, (12792, 13156, 13128, 13244)),
-    ("gelu-fine", "vec-mt-db"): (10604, 10.604, 38912, 9216, 840, 600, (9872, 9916, 9960, 10004)),
+    ("gelu-fine", "vec-mt-db"): (10604, 10.604, 38912, 9216, 768, 600, (9872, 9916, 9888, 10004)),
+    ("vec-add-anchor", "scalar"): (528896, 528.896, 524288, 4608, 4608, 0, (0, 0, 0, 0)),
+    ("vec-add-anchor", "vec"): (20992, 20.992, 16384, 4608, 4608, 0, (0, 0, 0, 0)),
+    ("vec-add-anchor", "vec-mt"): (7468, 7.468, 16384, 4608, 9192, 600, (5440, 6492, 6776, 6868)),
+    ("vec-add-anchor", "vec-mt-db"): (6124, 6.124, 16384, 4608, 4008, 600, (4672, 4956, 5240, 5524)),
 }
 
 
@@ -84,10 +90,10 @@ GOLDEN_IR = {
         ("pipeline-threads", "1de75a2bc474d3ec"),
         ("pipeline-async-threads", "1de75a2bc474d3ec"),
         ("db-stage1", "d5bb9c1c9ccc5cd0"),
-        ("db-stage2", "fd6069c17ec48711"),
-        ("vectorize", "31cb0d45bbe149ef"),
-        ("form-virtual-threads", "7a08463af6df3a60"),
-        ("form-async-threads", "54ef7828222ce564"),
+        ("db-stage2", "8c3c7cc771934f61"),
+        ("vectorize", "dc6ffaa3477bc8bc"),
+        ("form-virtual-threads", "47518728ca4aed5d"),
+        ("form-async-threads", "11dc7c5f7dda8b71"),
     ),
     ("gelu", "scalar"): (
         ("initial", "24e1a6d2315ef087"),
@@ -107,10 +113,10 @@ GOLDEN_IR = {
         ("pipeline-threads", "c862157410fe5ab3"),
         ("pipeline-async-threads", "16b04692e69a79f9"),
         ("db-stage1", "044f97249205f455"),
-        ("db-stage2", "723d6bd06a47cc43"),
-        ("vectorize", "5357b3b68a7703d6"),
-        ("form-virtual-threads", "5357b3b68a7703d6"),
-        ("form-async-threads", "5357b3b68a7703d6"),
+        ("db-stage2", "8c86f6d07481d4f8"),
+        ("vectorize", "5c05b8ea6697ed9e"),
+        ("form-virtual-threads", "5c05b8ea6697ed9e"),
+        ("form-async-threads", "5c05b8ea6697ed9e"),
     ),
     ("gelu-fine", "scalar"): (
         ("initial", "d8ec0175b740b0e9"),
@@ -130,10 +136,33 @@ GOLDEN_IR = {
         ("pipeline-threads", "1d490969a1a630e4"),
         ("pipeline-async-threads", "53e494b2c62cd489"),
         ("db-stage1", "84a913ff274cf863"),
-        ("db-stage2", "6d2e991b8393b6f6"),
-        ("vectorize", "324e17f52da89c29"),
-        ("form-virtual-threads", "324e17f52da89c29"),
-        ("form-async-threads", "324e17f52da89c29"),
+        ("db-stage2", "c93b444b07da28ca"),
+        ("vectorize", "c0ab2c1e11ec3f75"),
+        ("form-virtual-threads", "c0ab2c1e11ec3f75"),
+        ("form-async-threads", "c0ab2c1e11ec3f75"),
+    ),
+    ("vec-add-anchor", "scalar"): (
+        ("initial", "9e518f2423292b27"),
+    ),
+    ("vec-add-anchor", "vec"): (
+        ("initial", "9e518f2423292b27"),
+        ("vectorize", "5f5167db7e65937c"),
+    ),
+    ("vec-add-anchor", "vec-mt"): (
+        ("initial", "9e518f2423292b27"),
+        ("vectorize", "5f5167db7e65937c"),
+        ("form-virtual-threads", "6756ea5d7be985f9"),
+        ("form-async-threads", "907b0a0a40a8b67f"),
+    ),
+    ("vec-add-anchor", "vec-mt-db"): (
+        ("initial", "9e518f2423292b27"),
+        ("pipeline-threads", "a09927f4a3c56b9f"),
+        ("pipeline-async-threads", "c97642d70438ff75"),
+        ("db-stage1", "67cb44fd9288a5ab"),
+        ("db-stage2", "a524ec34f9f61893"),
+        ("vectorize", "1f00827a304ca9ed"),
+        ("form-virtual-threads", "1f00827a304ca9ed"),
+        ("form-async-threads", "1f00827a304ca9ed"),
     ),
     ("vec-add-tail", "scalar"): (
         ("initial", "7f24fa145afb9f54"),
@@ -153,10 +182,10 @@ GOLDEN_IR = {
         ("pipeline-threads", "7f24fa145afb9f54"),
         ("pipeline-async-threads", "7f24fa145afb9f54"),
         ("db-stage1", "deb824f7cd898bde"),
-        ("db-stage2", "fff85c2623aebc92"),
-        ("vectorize", "31cb13f06c5ee3c2"),
-        ("form-virtual-threads", "69014e5f11b76d55"),
-        ("form-async-threads", "37a6ed6d0a910d82"),
+        ("db-stage2", "2eff0cd752ec6955"),
+        ("vectorize", "e56c03638a8ff429"),
+        ("form-virtual-threads", "e3f622440b7c1563"),
+        ("form-async-threads", "1d6ee43ddedae8ac"),
     ),
 }
 

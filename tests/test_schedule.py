@@ -23,6 +23,7 @@ GOLDEN_KERNELS = {
     "vec-add": vec_add_2d(),
     "gelu": gelu(),
     "gelu-fine": gelu(n=1 << 16, tile_elems=1024),
+    "vec-add-anchor": vec_add_2d(64, 2048, 8),
     "vec-add-tail": vec_add_2d(rows=10, tile_rows=4),
 }
 
