@@ -43,16 +43,19 @@ from .machine import (
 )
 from .normal_form import NormalFormDescriptor, match_normal_form
 from .passes import (
+    Composition,
     MtPolicy,
     PassError,
     PipelineSpec,
+    choose_composition,
+    compositions,
     db_stage1,
     db_stage2,
     form_async_threads,
     form_virtual_threads,
     partition_tiles,
-    per_thread_pipelines,
     run_pipeline,
+    split_tiles,
     vectorize,
 )
 from .printer import print_module
@@ -63,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchError",
+    "Composition",
     "DEFAULT_SWEEP_SIZES",
     "DeadlockError",
     "GeluVariant",
@@ -86,7 +90,9 @@ __all__ = [
     "build_gelu",
     "build_kernel",
     "build_vec_add_2d",
+    "choose_composition",
     "collect_stats",
+    "compositions",
     "cycles_to_us",
     "db_stage1",
     "db_stage2",
@@ -99,7 +105,6 @@ __all__ = [
     "make_inputs",
     "match_normal_form",
     "partition_tiles",
-    "per_thread_pipelines",
     "print_module",
     "reference_output",
     "run_ladder",
@@ -107,6 +112,7 @@ __all__ = [
     "run_rung",
     "run_sweep",
     "simulate_timed",
+    "split_tiles",
     "vec_add_2d",
     "vectorize",
     "verify_module",

@@ -98,7 +98,7 @@ def round3(value: float) -> float:
 
 
 def pipeline_for(rung: LadderRung, cfg: MachineConfig) -> PipelineSpec:
-    return PipelineSpec(rung, cfg.lanes, MtPolicy(cfg.threads), cfg.tcm_capacity)
+    return PipelineSpec(rung, cfg.lanes, MtPolicy(cfg.threads), cfg)
 
 
 def outputs_match(kind: KernelKind, got: dict, want: dict) -> bool:

@@ -196,9 +196,9 @@ def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung
     rungs run computes smaller than one vector, and epilogues, scalar, so
     where a vector op costs more than a scalar one each element is charged
     the cheaper of the two units.  vec-mt splits compute over tiles.
-    vec-mt-db either gives each thread a block of tiles to pipeline or forks
-    inside the resident tile, over its rows, so its compute splits over at
-    most the larger of the two counts."""
+    vec-mt-db either gives each thread a block of tiles, which may be split
+    by rows, to pipeline, or forks inside the resident tile, over its rows,
+    so its compute splits over at most tiles x rows of a resident tile."""
     t_dma = stats.n_transfers * cfg.dma_startup + math.ceil(
         (stats.bytes_in + stats.bytes_out) / cfg.dma_bandwidth
     )
@@ -213,7 +213,7 @@ def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung
     if rung == LadderRung.VEC_MT:
         t_compute = math.ceil(t_compute / min(cfg.threads, max(stats.tile_count, 1)))
     elif rung == LadderRung.VEC_MT_DB:
-        parallel = max(stats.tile_rows, stats.tile_count, 1)
+        parallel = max(stats.tile_count * stats.tile_rows, 1)
         t_compute = math.ceil(t_compute / min(cfg.threads, parallel))
     return max(t_dma, t_compute)
 

@@ -39,10 +39,11 @@ from .ir import (
     TileModule,
     ViewRef,
     full_view,
+    ops_per_element,
     walk,
 )
-from .machine import LadderRung, MachineConfig
-from .normal_form import match_block_explain, match_normal_form
+from .machine import LadderRung, MachineConfig, compute_cycles, transfer_cycles
+from .normal_form import Operand, match_block_explain, match_normal_form, normal_form_tile
 
 
 class PassError(ValueError):
@@ -51,7 +52,8 @@ class PassError(ValueError):
 
 # Size floor below which multi-threading is declined: fewer parallel tiles
 # (or sub-tile rows) than MT_MIN_TILES, or fewer written elements in all of
-# them together than MT_MIN_ELEMENTS.
+# them together than MT_MIN_ELEMENTS.  A one-thread policy declines every
+# fork.
 MT_MIN_TILES = 2
 MT_MIN_ELEMENTS = 4096
 
@@ -71,20 +73,18 @@ class MtPolicy:
 
 @dataclass(frozen=True, slots=True)
 class PipelineSpec:
-    """The rung and the machine parameters its passes read: vector width,
-    threads, and the scratchpad bytes that decide the vec-mt-db
-    composition (see per_thread_pipelines)."""
+    """The rung and what its passes read: the vector width, the threads, and
+    the machine whose scratchpad bounds every pass and whose timing fields
+    price the vec-mt-db compositions (see choose_composition)."""
 
     rung: LadderRung
     lanes: int = 32
     mt: MtPolicy = MtPolicy()
-    tcm_capacity: int = MachineConfig().tcm_capacity
+    machine: MachineConfig = MachineConfig()
 
     def __post_init__(self) -> None:
         if self.lanes < 1:
             raise ValueError("lanes must be >= 1")
-        if self.tcm_capacity < 1:
-            raise ValueError("tcm_capacity must be >= 1")
 
 
 # --------------------------------------------------------------------------- #
@@ -233,10 +233,11 @@ def _pick_policy(tile_count: int, threads: int) -> DistPolicy:
 def form_virtual_threads(
     m: TileModule, policy: MtPolicy, tcm_capacity: int = MachineConfig().tcm_capacity
 ) -> TileModule:
-    """Rewrites the tiled loop into an explicitly parallel forall unless it is
-    below the MT_MIN_TILES / MT_MIN_ELEMENTS size floor, which returns the
-    module unchanged.  The threads' copies of the loop body are live at once
-    and must fit `tcm_capacity` together.  Run before double buffering, each
+    """Rewrites the tiled loop into an explicitly parallel forall unless the
+    policy has one thread or the loop is below the MT_MIN_TILES /
+    MT_MIN_ELEMENTS size floor, which returns the module unchanged.  The
+    threads' copies of the loop body are live at once and must fit
+    `tcm_capacity` together.  Run before double buffering, each
     thread later pipelines its own block of tiles; on a double-buffered
     module, whose top-level tile loop carries a toggle, the rewrite instead
     targets the compute region's sub-tiles inside each tile (the in-tile
@@ -249,7 +250,7 @@ def form_virtual_threads(
         return _form_virtual_threads_in_db(m, policy.threads)
 
     views = _written_ddr_views(m, loop.body)
-    if _below_mt_floor(loop.tile_count, sum(v.elems for v in views)):
+    if _declines_fork(loop.tile_count, sum(v.elems for v in views), policy.threads):
         return m
     for view in views:
         if abs(view.row_scale) < view.row_count:
@@ -265,10 +266,11 @@ def form_virtual_threads(
     return replace(m, body=body)
 
 
-def _below_mt_floor(parallel: int, elems_each: int) -> bool:
-    """The profitability floor: fewer than MT_MIN_TILES parallel units, or
-    fewer than MT_MIN_ELEMENTS written elements in all of them together."""
-    return parallel < MT_MIN_TILES or parallel * elems_each < MT_MIN_ELEMENTS
+def _declines_fork(parallel: int, elems_each: int, threads: int) -> bool:
+    """The profitability floor: one thread, which a fork cannot pay for;
+    fewer than MT_MIN_TILES parallel units; or fewer than MT_MIN_ELEMENTS
+    written elements in all of them together."""
+    return threads < 2 or parallel < MT_MIN_TILES or parallel * elems_each < MT_MIN_ELEMENTS
 
 
 def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
@@ -290,10 +292,12 @@ def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
     return views
 
 
-def _sub_tile_shape(op: Compute, decls: dict[str, BufferDecl]) -> tuple[int, int] | None:
+def _sub_tile_shape(
+    op: Compute, decls: dict[str, BufferDecl], threads: int
+) -> tuple[int, int] | None:
     """(rows, cols) of the resident tile the in-tile fork splits into rows,
     or None when it declines: a view is not a whole tile, the views differ
-    in shape, or the tile is below the size floor."""
+    in shape, or the fork is below the profitability floor."""
     shapes = set()
     for view in (*op.inputs, op.output):
         decl = decls.get(view.base)
@@ -303,7 +307,7 @@ def _sub_tile_shape(op: Compute, decls: dict[str, BufferDecl]) -> tuple[int, int
     if len(shapes) != 1:
         return None
     rows, cols = shapes.pop()
-    return None if _below_mt_floor(rows, cols) else (rows, cols)
+    return None if _declines_fork(rows, cols, threads) else (rows, cols)
 
 
 def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
@@ -320,7 +324,7 @@ def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
         if op.anchor != ANCHOR_COMPUTE:
             return None
         anchored = True
-        shape = _sub_tile_shape(op, decls) if isinstance(op, Compute) else None
+        shape = _sub_tile_shape(op, decls, threads) if isinstance(op, Compute) else None
         if shape is None:
             return (op,)
         rows, cols = shape
@@ -334,41 +338,170 @@ def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
     return result
 
 
-def per_thread_pipelines(m: TileModule, spec: PipelineSpec) -> bool:
-    """The vec-mt-db composition for an untransformed module: True when each
-    thread should double-buffer its own block of tiles (one fork/join per
-    run), False to keep one pipeline whose compute forks inside every tile.
+def _whole_row_tiles(operands: tuple[Operand, ...], k: int) -> bool:
+    """Whether every operand is a contiguous whole-row tile, its DDR view
+    the rows and columns of its buffer, and k divides those rows."""
+    return all(
+        v.row_scale == v.row_count == d.rows and v.col_count == d.cols and d.rows % k == 0
+        for v, d in operands
+    )
 
-    Per-thread pipelines need (a) 2 * min(T, N) copies of the loop body's
-    TCM footprint to fit the scratchpad, and (b) no more tile rows on the
-    busiest thread than the in-tile fork gives: ceil(N/T) * R against
-    N * ceil(R/T), or N * R where a fork declines.  A tie goes to the
-    composition with fewer fork/joins: per-thread pipelines fork once, the
-    in-tile fork N times, and a declined fork not at all.  N is the tile
-    count, R the rows of the resident tile and T the threads."""
+
+def split_tiles(m: TileModule, k: int) -> TileModule:
+    """The normal-form loop over tiles split `k` ways by rows: `k` times the
+    iterations, each over a tile of rows/k rows, its body rebuilt by
+    normal_form_tile with views and buffers of that many rows.  Every DDR
+    view must be a contiguous whole-row tile and k must divide its rows (see
+    _whole_row_tiles).  k = 1 returns the module."""
+    desc, reason = match_block_explain(m.body, {d.id for d in m.buffers})
+    if desc is None:
+        raise PassError(f"splitting tiles requires the single-buffered normal form: {reason}")
+    if k < 1:
+        raise PassError(f"split factor must be >= 1, got {k}")
+    if k == 1:
+        return m
+    if not _whole_row_tiles((*desc.inputs, desc.output), k):
+        raise PassError(f"cannot split tiles {k} ways: a view is not {k} whole-row sub-tiles")
+
+    def split(operand: Operand) -> Operand:
+        view, decl = operand
+        rows = decl.rows // k
+        return replace(view, row_scale=rows, row_count=rows), replace(decl, rows=rows)
+
+    body = normal_form_tile(
+        tuple(split(op) for op in desc.inputs),
+        split(desc.output),
+        desc.compute.expr,
+        desc.compute.vector_factor,
+    )
+    loop = ForTiles(desc.loop.iv, desc.loop.tile_count * k, body)
+    index = desc.loop_index
+    return replace(m, body=m.body[:index] + (loop,) + m.body[index + 1 :])
+
+
+IN_TILE = 0  # the `split` of the in-tile composition
+
+
+@dataclass(frozen=True, slots=True)
+class Composition:
+    """One vec-mt-db candidate and its closed-form cost.  `split` IN_TILE
+    keeps one pipeline whose compute forks inside every tile, or does not
+    fork where that fork declines; `split` k >= 1 gives each thread a block
+    of the tiles split k ways by rows (see split_tiles) to double-buffer on
+    its own.  `forks` counts fork/joins and `transfers` the DMA transfers of
+    the tile loop."""
+
+    split: int
+    cycles: int
+    forks: int
+    transfers: int
+
+
+def _vectorized_cycles(cfg: MachineConfig, elems: int, per_element: int, lanes: int) -> int:
+    """Compute cycles of a whole-buffer compute after vectorize: the vector
+    body and the scalar epilogue, or all scalar below one vector."""
+    if lanes == 1 or elems < lanes:
+        return compute_cycles(cfg, elems, per_element, 1)
+    rest = elems % lanes
+    vector = compute_cycles(cfg, elems - rest, per_element, lanes)
+    return vector + compute_cycles(cfg, rest, per_element, 1)
+
+
+def _forked_cycles(cfg: MachineConfig, units: int, threads: int, x_in: int, unit: int) -> int:
+    """When the last region of a fork over `units` units of `unit` compute
+    cycles finishes, join excluded.  Units are dealt out in blocks, or
+    block-cyclically, so the first r of the Tu = min(threads, units)
+    regions get one more.  Region j (from 1) starts j forks in and has its
+    first unit once the channel has moved `x_in` for it, behind the first
+    loads of the regions before it."""
+    used = min(threads, units)
+    q, r = divmod(units, used)
+
+    def ready(j: int) -> int:
+        return max(cfg.fork_cost + j * x_in, j * cfg.fork_cost + x_in)
+
+    return max(ready(used) + q * unit, ready(r) + (q + 1) * unit if r else 0)
+
+
+def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
+    """The vec-mt-db candidates of an untransformed module, in-tile first,
+    each priced from the normal-form loop and the machine's cost forms; no
+    pass runs.  Per-thread pipelines are offered where the tile fork forks
+    and 2 * min(T, n) copies of the loop body fit the scratchpad; a k-way
+    split also needs whole-row tiles (see _whole_row_tiles) and no scalar
+    epilogue in the sub-tile.  With Xin and Xout one tile's input and output
+    transfer cycles and F(n, x, c) the end of a fork over n units of c
+    cycles whose regions each first load x (see _forked_cycles):
+
+        in-tile     max(Xin + N*P + Xout, N*(Xin + Xout), N*Xin + (N-1)*Xout + P)
+        per-thread  max(F(n, Xin, C) + Xout, fork + n*(Xin + Xout)) + join
+
+    over N tiles of R rows, where P is one tile's compute, F(R, 0, row) +
+    join when it forks over its rows and vectorized whole where that fork
+    declines, and over n = N*k sub-tiles of compute C each.  The last
+    in-tile term is the channel moving every input and all outputs but the
+    last before the last tile computes.  A module outside the normal form
+    has no candidates."""
     desc = match_normal_form(m)
     if desc is None:
-        return False
-    n, t, loop = desc.loop.tile_count, spec.mt.threads, desc.loop
-    if 2 * min(t, n) * _loop_body_bytes(loop) > spec.tcm_capacity:
-        return False
-    views = _written_ddr_views(m, loop.body)
-    if any(abs(v.row_scale) < v.row_count for v in views):
-        return False  # tiles overlap: the tile loop cannot fork
-    rows = desc.compute.output.row_count
-    if _below_mt_floor(n, sum(v.elems for v in views)):
-        per_thread = (n * rows, 0)
-    else:
-        per_thread = (math.ceil(n / t) * rows, 1)
+        return ()
+    cfg, lanes, threads = spec.machine, spec.lanes, spec.mt.threads
+    loop, compute = desc.loop, desc.compute
+    tiles, rows, cols = loop.tile_count, compute.output.row_count, compute.output.col_count
+    per_element = ops_per_element(compute.expr)
+    operands = (*desc.inputs, desc.output)
+    out_view = desc.output[0]
+
+    def transfers(k: int) -> tuple[int, int]:
+        """(Xin, Xout) of one tile split k ways."""
+        inputs = sum(transfer_cycles(cfg, decl.nbytes // k) for _, decl in desc.inputs)
+        return inputs, transfer_cycles(cfg, desc.output[1].nbytes // k)
+
     # The in-tile fork runs after vectorize, and a compute with a scalar
     # epilogue leaves no whole tile to fork.
+    x_in, x_out = transfers(1)
     decls = {op.decl.id: op.decl for op in loop.body if isinstance(op, AllocTcm)}
-    epilogue = _gets_epilogue(desc.compute.output.elems, spec.lanes)
-    if epilogue or _sub_tile_shape(desc.compute, decls) is None:
-        in_tile = (n * rows, 0)
+    if _gets_epilogue(rows * cols, lanes) or _sub_tile_shape(compute, decls, threads) is None:
+        per_tile, forks = _vectorized_cycles(cfg, rows * cols, per_element, lanes), 0
     else:
-        in_tile = (n * math.ceil(rows / t), n)
-    return per_thread <= in_tile
+        vf = 1 if lanes == 1 or rows * cols < lanes else lanes
+        row = compute_cycles(cfg, cols, per_element, vf)
+        per_tile, forks = _forked_cycles(cfg, rows, threads, 0, row) + cfg.join_cost, tiles
+    in_tile = max(
+        x_in + tiles * per_tile + x_out,
+        tiles * (x_in + x_out),
+        tiles * x_in + (tiles - 1) * x_out + per_tile,
+    )
+    candidates = [Composition(IN_TILE, in_tile, forks, tiles * len(operands))]
+
+    if abs(out_view.row_scale) < out_view.row_count:
+        return tuple(candidates)  # tiles overlap: the tile loop cannot fork
+    for k in range(1, rows + 1):
+        if k > 1 and (
+            not _whole_row_tiles(operands, k) or _gets_epilogue(rows * cols // k, lanes)
+        ):
+            continue
+        n = tiles * k
+        if _declines_fork(n, out_view.elems // k, threads):
+            continue
+        if 2 * min(threads, n) * _loop_body_bytes(loop) // k > cfg.tcm_capacity:
+            continue
+        x_in, x_out = transfers(k)
+        c = _vectorized_cycles(cfg, rows * cols // k, per_element, lanes)
+        last = _forked_cycles(cfg, n, threads, x_in, c) + x_out
+        cycles = max(last, cfg.fork_cost + n * (x_in + x_out)) + cfg.join_cost
+        candidates.append(Composition(k, cycles, 1, n * len(operands)))
+    return tuple(candidates)
+
+
+def choose_composition(m: TileModule, spec: PipelineSpec) -> Composition | None:
+    """The cheapest vec-mt-db candidate (see compositions); a tie goes to
+    fewer fork/joins, then to fewer transfers.  None outside the normal
+    form."""
+    candidates = compositions(m, spec)
+    if not candidates:
+        return None
+    return min(candidates, key=lambda c: (c.cycles, c.forks, c.transfers))
 
 
 # --------------------------------------------------------------------------- #
@@ -678,26 +811,31 @@ STAGE_INITIAL = "initial"
 # globals at call time, so a rebinding of a pass (for tracing) takes effect.
 _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     "vectorize": lambda m, spec: vectorize(m, spec.lanes),
-    # vec-mt-db: each thread gets a block of tiles to pipeline, when the
-    # composition rule picks that over the in-tile fork.
-    "pipeline-threads": lambda m, spec: (
-        form_virtual_threads(m, spec.mt, spec.tcm_capacity)
-        if per_thread_pipelines(m, spec)
-        else m
-    ),
+    # vec-mt-db: where the cost model picks per-thread pipelines, the tiles
+    # are split as the pick says and each thread gets a block to pipeline.
+    "pipeline-threads": lambda m, spec: _pipeline_threads(m, spec, choose_composition(m, spec)),
     # A module forked into per-thread pipelines is not forked again.
     "form-virtual-threads": lambda m, spec: (
         m
         if any(isinstance(op, AsyncExecute) for op in m.body)
-        else form_virtual_threads(m, spec.mt, spec.tcm_capacity)
+        else form_virtual_threads(m, spec.mt, spec.machine.tcm_capacity)
     ),
     # The profitability floor may have declined; fork-join lowering then has
     # nothing to do and the rung degenerates to the previous one.
     "form-async-threads": lambda m, spec: form_async_threads(m),
-    "db-stage1": lambda m, spec: db_stage1(m, spec.tcm_capacity),
+    "db-stage1": lambda m, spec: db_stage1(m, spec.machine.tcm_capacity),
     "db-stage2": lambda m, spec: db_stage2(m),
 }
 _STAGES["pipeline-async-threads"] = _STAGES["form-async-threads"]
+
+
+def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | None) -> TileModule:
+    """The tile fork of a per-thread composition over its split tiles; the
+    module itself for the in-tile composition."""
+    if choice is None or choice.split == IN_TILE:
+        return m
+    return form_virtual_threads(split_tiles(m, choice.split), spec.mt, spec.machine.tcm_capacity)
+
 
 _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.SCALAR: (),

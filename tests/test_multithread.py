@@ -163,10 +163,9 @@ def test_block_cyclic_lowering_tile_sets():
 
 
 def test_single_thread_degenerate_fork_join():
-    m = form_async_threads(form_virtual_threads(_build(8), MtPolicy(threads=1)))
-    regions = [op for _, op in walk_module(m) if isinstance(op, AsyncExecute)]
-    assert len(regions) == 1
-    assert _thread_tile_sets(m) == [tuple(range(8))]
+    # A fork over one worker only adds fork/join cycles: it is declined.
+    base = _build(8)
+    assert form_virtual_threads(base, MtPolicy(threads=1)) is base
 
 
 def test_more_threads_than_tiles_skips_empty_regions():

@@ -3,9 +3,17 @@ raises PassError with a reason, or its module is verifier-clean, the
 interpreter and the simulator agree bit for bit, the simulator matches the
 reference, the run does not beat the certified floor, and a rerun is
 byte-identical.  Every double-buffered arm a vec-mt-db module holds waits for
-its tile before it prefetches the next (see conftest._check_arm_order)."""
+its tile before it prefetches the next (see conftest._check_arm_order).
+
+At vec-mt-db every composition candidate is also forced through the stage
+table: each one that compiles passes the same checks, and the one the cost
+model picks runs within 5% of the fastest."""
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
+
+from tilelab import passes
 
 from tilelab.bench import outputs_match, pipeline_for
 from tilelab.interp import interpret_functional
@@ -26,31 +34,31 @@ from tilelab.machine import (
     collect_stats,
     latency_lower_bound,
 )
-from tilelab.passes import PassError, run_pipeline
+from tilelab.passes import PassError, choose_composition, compositions, run_pipeline
 from tilelab.printer import print_module
 from tilelab.sim import simulate_timed
 from tilelab.verifier import verify_module
 
 
 @st.composite
-def vec_add_specs(draw):
+def vec_add_specs(draw, cols=(1, 5, 33, 64, 100, 160, 256, 512, 1000)):
     rows = draw(st.integers(1, 24))
-    cols = draw(st.sampled_from([1, 5, 33, 64, 100, 160, 256, 512, 1000]))
+    cols = draw(st.sampled_from(cols))
     tile_rows = draw(st.integers(1, rows))  # a short tail tile when it does not divide
     return vec_add_2d(rows, cols, tile_rows, seed=draw(st.integers(0, 9)))
 
 
 @st.composite
-def gelu_specs(draw):
-    tile_elems = draw(st.sampled_from([7, 40, 200, 512, 1000, 1024, 2048, 4096]))
+def gelu_specs(draw, tile_elems=(7, 40, 200, 512, 1000, 1024, 2048, 4096)):
+    tile_elems = draw(st.sampled_from(tile_elems))
     tiles = draw(st.integers(1, 8))
     variant = draw(st.sampled_from(list(GeluVariant)))
     return gelu(tiles * tile_elems, tile_elems, variant, seed=draw(st.integers(0, 9)))
 
 
 @st.composite
-def cases(draw):
-    spec = draw(st.one_of(vec_add_specs(), gelu_specs()))
+def cases(draw, specs=st.one_of(vec_add_specs(), gelu_specs()), threads=st.integers(1, 5)):
+    spec = draw(specs)
     # The smallest scratchpad the builder accepts (the f32 tiles of one loop
     # body), times a factor: small factors leave no room for the forks' or
     # pipelines' extra copies.
@@ -60,7 +68,7 @@ def cases(draw):
         tile_bytes = 2 * spec.tile_elems * 4
     cfg = MachineConfig(
         lanes=draw(st.sampled_from([1, 2, 3, 5, 8, 12, 16, 32, 64])),
-        threads=draw(st.integers(1, 5)),
+        threads=draw(threads),
         scalar_unit_cost=draw(st.integers(1, 3)),
         vector_unit_cost=draw(st.integers(1, 6)),
         dma_bandwidth=draw(st.integers(1, 1024)),
@@ -101,3 +109,33 @@ def test_every_rung_runs_or_gives_a_reason(arm_order, case):
             assert str(exc), rung
             continue
         assert _run(spec, rung, cfg, inputs, arm_order) == first, rung
+
+
+# Kernels large enough for the multi-threading size floor on some drawn
+# shape, on machines with threads to fork over: cases with several
+# vec-mt-db candidates.
+forkable_cases = cases(
+    st.one_of(vec_add_specs((160, 256, 512, 1000, 2048)), gelu_specs((512, 1024, 2048, 4096))),
+    st.integers(2, 5),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(forkable_cases)
+def test_the_chosen_composition_is_near_the_fastest(arm_order, case):
+    spec, cfg = case
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    spec_db = pipeline_for(LadderRung.VEC_MT_DB, cfg)
+    inputs = make_inputs(spec)
+    cycles = {}
+    for candidate in compositions(base, spec_db):
+        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
+            try:
+                _, _, timing = _run(spec, LadderRung.VEC_MT_DB, cfg, inputs, arm_order)
+            except PassError as exc:
+                assert str(exc)
+                continue
+        cycles[candidate] = timing.total_cycles
+    chosen = choose_composition(base, spec_db)
+    if chosen in cycles:
+        assert cycles[chosen] <= 1.05 * min(cycles.values()), (chosen, cycles)

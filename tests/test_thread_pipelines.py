@@ -1,14 +1,18 @@
 """vec-mt-db as per-thread pipelines: each thread double-buffers its own
-block of tiles, with its own buffers and tags, over the shared channel; and
-the rule that picks this composition or the in-tile fork."""
+block of tiles, with its own buffers and tags, over the shared channel; the
+row split of tiles that per-thread ping/pong cannot hold whole; and the cost
+model that picks a composition."""
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
+from tilelab import passes
+
 from tilelab.bench import outputs_match, pipeline_for, run_rung
 from tilelab.interp import interpret_functional
-from tilelab.ir import AsyncExecute, Copy, DmaStart, DmaWait, ForTiles, TagRole, walk
+from tilelab.ir import AsyncExecute, Copy, DmaStart, DmaWait, ForTiles, TagRole, walk, walk_module
 from tilelab.kernels import build_kernel, gelu, make_inputs, reference_output, vec_add_2d
 from tilelab.machine import (
     MachineConfig,
@@ -17,14 +21,19 @@ from tilelab.machine import (
     collect_stats,
     latency_lower_bound,
 )
+from tilelab.normal_form import match_normal_form
 from tilelab.passes import (
+    Composition,
     MtPolicy,
+    PassError,
+    choose_composition,
+    compositions,
     db_stage1,
     db_stage2,
     form_async_threads,
     form_virtual_threads,
-    per_thread_pipelines,
     run_pipeline,
+    split_tiles,
     vectorize,
 )
 from tilelab.sim import simulate_timed
@@ -82,7 +91,8 @@ def test_thread_pipelines_agree_with_the_reference(tiles, threads):
         m = _thread_pipelines(base, cfg)
         report = _check(m, spec, cfg, inputs, reference, floor)
         regions = _regions(m)
-        assert len(regions) == (min(threads, tiles) if tiles >= 2 else 0)
+        # One thread, or one tile, declines the fork.
+        assert len(regions) == (min(threads, tiles) if tiles >= 2 and threads >= 2 else 0)
         assert report.overhead_cycles == (
             len(regions) * cfg.fork_cost + cfg.join_cost if regions else 0
         )
@@ -114,57 +124,89 @@ def _in_tile(m):
     )
 
 
+def _forced(base, cfg, candidate):
+    """The vec-mt-db module of `candidate`, whatever the cost model picks."""
+    with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
+        return run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+
+
 @pytest.mark.parametrize(
     "spec, cfg, expected",
     [
-        (gelu(), CFG, True),  # tie on balance: 16 x 8 rows either way
+        (gelu(), CFG, True),  # 157,208 per-thread against 194,432 in-tile
         (gelu(n=1 << 16, tile_elems=1024), CFG, True),  # tile too small for the in-tile fork
         (gelu(n=1 << 22, tile_elems=1024), CFG, True),
-        (vec_add_2d(), CFG, False),  # per-thread ping/pong needs 12 MiB of 8 MiB TCM
-        (gelu(n=5 * 16384), MachineConfig(lanes=8, threads=4), False),  # 16 rows vs 10
+        # Memory-bound: the channel bounds every candidate, and the in-tile
+        # fork moves the fewest transfers with no per-run fork/join.
+        (vec_add_2d(), MachineConfig(dma_bandwidth=1), False),
+        (gelu(n=5 * 16384), MachineConfig(lanes=8, threads=4), False),  # 52,024 vs 79,384
     ],
 )
 def test_selection_rule(spec, cfg, expected):
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     spec_db = pipeline_for(LadderRung.VEC_MT_DB, cfg)
-    assert per_thread_pipelines(base, spec_db) is expected
+    choice = choose_composition(base, spec_db)
+    assert choice == min(compositions(base, spec_db), key=lambda c: c.cycles)
+    assert (choice.split > 0) is expected
     m = run_pipeline(base, spec_db)
     assert bool(_regions(m)) is expected
     assert _in_tile(m) is not expected
 
 
-def test_vec_add_keeps_the_in_tile_fork_for_tcm_alone():
+def test_vec_add_splits_tiles_that_do_not_fit_tcm():
+    # Per-thread ping/pong over whole 8-row tiles needs 12 MiB of 8 MiB TCM;
+    # 2-row sub-tiles fit, and pay one fork/join in place of eight.
     base = build_kernel(vec_add_2d(), tcm_capacity=CFG.tcm_capacity)
     spec = pipeline_for(LadderRung.VEC_MT_DB, CFG)
-    assert not per_thread_pipelines(base, spec)
-    assert per_thread_pipelines(base, replace(spec, tcm_capacity=2 * CFG.tcm_capacity))
+    assert [c.split for c in compositions(base, spec)] == [0, 2, 4, 8]
+    assert choose_composition(base, spec) == Composition(4, 35948, 1, 96)
+    roomy = replace(spec, machine=replace(CFG, tcm_capacity=2 * CFG.tcm_capacity))
+    assert [c.split for c in compositions(base, roomy)] == [0, 1, 2, 4, 8]
+    m = run_pipeline(base, spec)
+    regions = _regions(m)
+    assert len(regions) == 4 and not _in_tile(m)
+    assert [op.tile_count for op in regions[0].body if isinstance(op, ForTiles)] == [8]
+    assert simulate_timed(m, make_inputs(vec_add_2d()), CFG)[1].total_cycles == 35948
 
 
 def test_five_tile_gelu_keeps_the_in_tile_fork_for_balance():
     cfg = MachineConfig(lanes=8, threads=4)
     base = build_kernel(gelu(n=5 * 16384), tcm_capacity=cfg.tcm_capacity)
     spec = pipeline_for(LadderRung.VEC_MT_DB, cfg)
-    assert not per_thread_pipelines(base, replace(spec, tcm_capacity=1 << 40))
+    roomy = replace(spec, machine=replace(cfg, tcm_capacity=1 << 40))
+    assert choose_composition(base, roomy).split == 0
     inputs = make_inputs(gelu(n=5 * 16384))
     chosen = simulate_timed(run_pipeline(base, spec), inputs, cfg)[1]
     per_thread = simulate_timed(_thread_pipelines(base, cfg), inputs, cfg)[1]
     assert chosen.total_cycles < per_thread.total_cycles
 
 
+# Ties on this machine: two 1-row tiles cost 2,075 cycles with no fork and
+# with per-thread pipelines; 64 2-row tiles cost 3,078 as per-thread
+# pipelines over whole tiles and over 1-row halves.
+TIE_CFG = MachineConfig(
+    lanes=8, threads=2, dma_startup=1, dma_bandwidth=1024, fork_cost=100, join_cost=824
+)
+
+
 @pytest.mark.parametrize(
     "spec, expected",
     [
-        (gelu(n=3 * 2048, tile_elems=2048), False),  # in-tile declines: no fork beats one
-        (gelu(n=2 * 16384), True),  # one fork beats one per tile
+        (vec_add_2d(rows=2, cols=2048, tile_rows=1), False),  # no fork beats one
+        (vec_add_2d(rows=128, cols=64, tile_rows=2), True),  # whole tiles beat halves
     ],
 )
 def test_a_tie_goes_to_fewer_forks(spec, expected):
-    cfg = MachineConfig(threads=1)  # every composition leaves all rows on one thread
-    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    assert per_thread_pipelines(base, pipeline_for(LadderRung.VEC_MT_DB, cfg)) is expected
-    m = run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
-    forks = sum(1 for _, op in walk(m.body) if isinstance(op, AsyncExecute))
-    assert forks == 1 if expected else forks == 0
+    """Then to fewer transfers."""
+    base = build_kernel(spec, tcm_capacity=TIE_CFG.tcm_capacity)
+    spec_db = pipeline_for(LadderRung.VEC_MT_DB, TIE_CFG)
+    candidates = compositions(base, spec_db)
+    choice = choose_composition(base, spec_db)
+    tied = [c for c in candidates if c.cycles == choice.cycles]
+    assert len(tied) == 2 and choice == min(tied, key=lambda c: (c.forks, c.transfers))
+    assert choice.split == (1 if expected else 0)
+    forks = sum(1 for _, op in walk_module(run_pipeline(base, spec_db)) if isinstance(op, AsyncExecute))
+    assert forks == (TIE_CFG.threads if expected else 0)
 
 
 def test_overlapping_tiles_keep_the_in_tile_fork():
@@ -179,8 +221,82 @@ def test_overlapping_tiles_keep_the_in_tile_fork():
     )
     m = replace(base, body=(replace(loop, body=body),))
     spec = pipeline_for(LadderRung.VEC_MT_DB, CFG)
-    assert not per_thread_pipelines(m, spec)
+    assert [c.split for c in compositions(m, spec)] == [0]
     assert verify_module(run_pipeline(m, spec), CFG) == []
+
+
+def test_split_tiles_rebuilds_the_normal_form_loop():
+    spec = vec_add_2d(rows=10, cols=256, tile_rows=4)  # two tiles and a 2-row tail
+    base = build_kernel(spec)
+    assert split_tiles(base, 1) is base
+    m = split_tiles(base, 4)
+    desc = match_normal_form(m)
+    assert desc.loop.tile_count == 8 and m.body[1:] == base.body[1:]
+    for view, decl in (*desc.inputs, desc.output):
+        assert (view.row_scale, view.row_base, view.row_count, decl.rows) == (1, 0, 1, 1)
+    inputs = make_inputs(spec)
+    assert interpret_functional(m, inputs)["C"].tobytes() == reference_output(spec, inputs)["C"].tobytes()
+    for bad, k in ((base, 3), (base, 0), (build_kernel(gelu()), 2), (db_stage1(base), 2)):
+        with pytest.raises(PassError):
+            split_tiles(bad, k)
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, cycles, floor, old_floor",
+    [
+        (vec_add_2d(4, 8192, 2), MachineConfig(lanes=8, threads=4), 5548, 4096, 8192),
+        (vec_add_2d(4, 2048, 2), MachineConfig(lanes=8, threads=4), 2044, 1024, 2048),
+        (vec_add_2d(4, 8192, 2), MachineConfig(lanes=16, threads=4), 3500, 2048, 4096),
+    ],
+)
+def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floor):
+    """Two 2-row tiles split into four 1-row tiles run on four threads, where
+    a floor over max(tiles, rows) = 2 contexts would be beaten."""
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    split = [c for c in compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg)) if c.split == 2]
+    m = _forced(base, cfg, split[0])
+    assert len(_regions(m)) == 4
+    stats = collect_stats(base)
+    got = latency_lower_bound(stats, cfg, LadderRung.VEC_MT_DB)
+    assert got == floor and 2 * got == old_floor
+    inputs = make_inputs(spec)
+    report = _check(m, spec, cfg, inputs, reference_output(spec, inputs), got)
+    assert report.total_cycles == cycles < old_floor
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, before, after",
+    [
+        # Memory-bound: the per-thread fork buys nothing on the saturated channel.
+        (vec_add_2d(41, 160, 1), MachineConfig(lanes=8, threads=2), 8418, 8132),
+        # Seven in-tile fork/joins cost more than one per run.
+        (gelu(7 * 4096, 4096), MachineConfig(lanes=64, threads=4), 6520, 3212),
+        (vec_add_2d(), CFG, 40832, 35948),
+    ],
+)
+def test_cost_model_picks(spec, cfg, before, after):
+    """vec-mt-db cycles of the composition the cost model picks (`after`) and
+    of the one the busiest-thread row count picked before it (`before`)."""
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    candidates = compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    inputs = make_inputs(spec)
+    cycles = {
+        c.split: simulate_timed(_forced(base, cfg, c), inputs, cfg)[1].total_cycles
+        for c in candidates
+    }
+    assert before in cycles.values()
+    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == after
+    assert after == min(cycles.values())
+
+
+@pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])
+@pytest.mark.parametrize("spec", [vec_add_2d(), gelu(), gelu(n=1 << 16, tile_elems=1024)])
+def test_one_thread_declines_every_fork(spec, rung):
+    cfg = MachineConfig(threads=1)
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    m = run_pipeline(base, pipeline_for(rung, cfg))
+    assert not any(isinstance(op, AsyncExecute) for _, op in walk_module(m))
+    assert simulate_timed(m, make_inputs(spec), cfg)[1].overhead_cycles == 0
 
 
 def test_default_gelu_ladder_is_strictly_monotone():
