@@ -14,7 +14,6 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from tilelab import passes
-
 from tilelab.bench import outputs_match, pipeline_for
 from tilelab.interp import interpret_functional
 from tilelab.kernels import (
