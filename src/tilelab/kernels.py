@@ -181,13 +181,10 @@ def gelu_expr(variant: GeluVariant = GeluVariant.TANH) -> Expr:
 # --------------------------------------------------------------------------- #
 
 
-def ddr_shape(spec: KernelSpec) -> tuple[int, int]:
-    """Declared DDR buffer shape.  The 1D GELU array is laid out tile-major,
-    one tile per row, so whole-row views address any tile."""
-    if spec.kind is KernelKind.VEC_ADD_2D:
-        if spec.rows < 1 or spec.cols < 1:
-            raise ValueError(f"rows and cols must be >= 1, got {spec.rows}x{spec.cols}")
-        return (spec.rows, spec.cols)
+def _gelu_tile(spec: KernelSpec) -> tuple[int, int]:
+    """(rows, cols) of a GELU tile: tile_elems elements, or all of them when
+    there are fewer, in 8 whole rows when 8 divides them and in one row
+    otherwise."""
     n = spec.cols
     if n < 1 or spec.tile_elems < 1:
         raise ValueError(
@@ -196,7 +193,19 @@ def ddr_shape(spec: KernelSpec) -> tuple[int, int]:
     eff = min(spec.tile_elems, n)
     if n % eff != 0:
         raise ValueError(f"tile_elems {spec.tile_elems} must divide the element count {n}")
-    return (n // eff, eff)
+    rows = 8 if eff % 8 == 0 else 1
+    return rows, eff // rows
+
+
+def ddr_shape(spec: KernelSpec) -> tuple[int, int]:
+    """Declared DDR buffer shape.  The 1D GELU array has the columns of its
+    tile, so a tile is whole rows, as in vec-add."""
+    if spec.kind is KernelKind.VEC_ADD_2D:
+        if spec.rows < 1 or spec.cols < 1:
+            raise ValueError(f"rows and cols must be >= 1, got {spec.rows}x{spec.cols}")
+        return (spec.rows, spec.cols)
+    _, cols = _gelu_tile(spec)
+    return (spec.cols // cols, cols)
 
 
 def _require_tcm(tile: str, operands, tcm_capacity: int | None, knob: str) -> None:
@@ -209,6 +218,45 @@ def _require_tcm(tile: str, operands, tcm_capacity: int | None, knob: str) -> No
         )
 
 
+def _build_row_tiles(
+    spec: KernelSpec,
+    names: str,
+    expr: Expr,
+    tile_rows: int,
+    tcm_capacity: int | None,
+    tile: str,
+    knob: str,
+) -> TileModule:
+    """`names` are one-letter DDR arrays of ddr_shape(spec), the inputs and
+    then the output: output = expr(inputs) over tiles of tile_rows whole
+    rows, each array's tile staged in TCM buffer t<name>.  When tile_rows
+    does not divide the row count, a short final tile is peeled after the
+    loop.  `tile` and `knob` name the tile and its size option in the error
+    of a tile that does not fit tcm_capacity."""
+    *inputs, output = names
+    rows, cols = ddr_shape(spec)
+    full_tiles, tail_rows = divmod(rows, tile_rows)
+
+    def operands(row_scale: int, row_base: int, count: int, suffix: str):
+        """(inputs, output) of a tile of `count` rows."""
+
+        def operand(name: str):
+            view = ViewRef(name, row_scale, row_base, count, cols)
+            return view, BufferDecl(f"t{name}{suffix}", MemSpace.TCM, count, cols)
+
+        return tuple(operand(name) for name in inputs), operand(output)
+
+    ins, out = operands(tile_rows, 0, tile_rows, "")
+    _require_tcm(tile, (*ins, out), tcm_capacity, knob)
+
+    buffers = tuple(BufferDecl(b, MemSpace.DDR, rows, cols) for b in names)
+    body: list[Op] = [ForTiles("i", full_tiles, normal_form_tile(ins, out, expr))]
+    if tail_rows:
+        ins, out = operands(0, full_tiles * tile_rows, tail_rows, "_tail")
+        body.extend(normal_form_tile(ins, out, expr))
+    return TileModule(spec.kind.value, buffers, tuple(body), kernel=spec)
+
+
 def build_vec_add_2d(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:
     """C = A + B over whole-row tiles of tile_rows rows.  When tile_rows does
     not divide the row count, a short final tile is peeled after the loop."""
@@ -216,57 +264,21 @@ def build_vec_add_2d(spec: KernelSpec, tcm_capacity: int | None = None) -> TileM
         raise ValueError(f"expected a vec-add-2d spec, got {spec.kind.value}")
     if spec.tile_rows < 1 or spec.tile_rows > spec.rows:
         raise ValueError(f"tile_rows {spec.tile_rows} must be in [1, rows={spec.rows}]")
-
-    rows, cols = spec.rows, spec.cols
-    tile_rows = spec.tile_rows
-    full_tiles = rows // tile_rows
-    tail_rows = rows % tile_rows
-
-    def operands(row_scale: int, row_base: int, count: int, suffix: str):
-        """(inputs, output) of a tile of `count` rows: A and B in, C out."""
-
-        def operand(name: str):
-            view = ViewRef(name, row_scale, row_base, count, cols)
-            return view, BufferDecl(f"t{name}{suffix}", MemSpace.TCM, count, cols)
-
-        return (operand("A"), operand("B")), operand("C")
-
-    inputs, output = operands(tile_rows, 0, tile_rows, "")
-    _require_tcm(f"{tile_rows} rows", (*inputs, output), tcm_capacity, "tile_rows")
-
-    buffers = tuple(BufferDecl(b, MemSpace.DDR, rows, cols) for b in ("A", "B", "C"))
-    body: list[Op] = [
-        ForTiles("i", full_tiles, normal_form_tile(inputs, output, vec_add_expr()))
-    ]
-    if tail_rows:
-        inputs, output = operands(0, full_tiles * tile_rows, tail_rows, "_tail")
-        body.extend(normal_form_tile(inputs, output, vec_add_expr()))
-    return TileModule("vec-add-2d", buffers, tuple(body), kernel=spec)
+    expr, tile = vec_add_expr(), f"{spec.tile_rows} rows"
+    return _build_row_tiles(spec, "ABC", expr, spec.tile_rows, tcm_capacity, tile, "tile_rows")
 
 
 def build_gelu(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:
-    """Y = GELU(X) over flat tiles of tile_elems elements.  Resident tiles are
-    shaped (8, tile_elems / 8) when possible so the compute region can later
-    be split into per-row sub-tiles."""
+    """Y = GELU(X) over tiles of tile_elems elements, each in whole rows (see
+    ddr_shape): 8 rows when 8 divides the tile, so per-thread pipelines can
+    split it by rows, and one row otherwise."""
     if spec.kind is not KernelKind.GELU:
         raise ValueError(f"expected a gelu spec, got {spec.kind.value}")
     if spec.rows != 1:
         raise ValueError("gelu is one-dimensional: spec.rows must be 1")
-    tiles, eff = ddr_shape(spec)
-
-    sub_rows = 8 if eff % 8 == 0 else 1
-    x, y = (
-        (ViewRef(b, 1, 0, 1, eff), BufferDecl(f"t{b}", MemSpace.TCM, sub_rows, eff // sub_rows))
-        for b in "XY"
-    )
-    _require_tcm(f"{eff} elements", (x, y), tcm_capacity, "tile_elems")
-
-    buffers = (
-        BufferDecl("X", MemSpace.DDR, tiles, eff),
-        BufferDecl("Y", MemSpace.DDR, tiles, eff),
-    )
-    loop = ForTiles("i", tiles, normal_form_tile((x,), y, gelu_expr(spec.gelu_variant)))
-    return TileModule("gelu", buffers, (loop,), kernel=spec)
+    rows, cols = _gelu_tile(spec)
+    expr, tile = gelu_expr(spec.gelu_variant), f"{rows * cols} elements"
+    return _build_row_tiles(spec, "XY", expr, rows, tcm_capacity, tile, "tile_elems")
 
 
 def build_kernel(spec: KernelSpec, tcm_capacity: int | None = None) -> TileModule:

@@ -147,7 +147,7 @@ class KernelStats:
     bytes_in: int
     bytes_out: int
     tile_count: int
-    tile_rows: int  # rows of the first compute's output: what the in-tile fork splits
+    tile_rows: int  # rows of the first compute's output: what split_tiles may split
     n_transfers: int
 
 
@@ -196,9 +196,9 @@ def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung
     rungs run computes smaller than one vector, and epilogues, scalar, so
     where a vector op costs more than a scalar one each element is charged
     the cheaper of the two units.  vec-mt splits compute over tiles.
-    vec-mt-db either gives each thread a block of tiles, which may be split
-    by rows, to pipeline, or forks inside the resident tile, over its rows,
-    so its compute splits over at most tiles x rows of a resident tile."""
+    vec-mt-db gives each thread a block of tiles, which may be split by
+    rows, to pipeline, so its compute splits over at most tiles x rows of a
+    resident tile."""
     t_dma = stats.n_transfers * cfg.dma_startup + math.ceil(
         (stats.bytes_in + stats.bytes_out) / cfg.dma_bandwidth
     )

@@ -51,9 +51,9 @@ class PassError(ValueError):
 
 
 # Size floor below which multi-threading is declined: fewer parallel tiles
-# (or sub-tile rows) than MT_MIN_TILES, or fewer written elements in all of
-# them together than MT_MIN_ELEMENTS.  A one-thread policy declines every
-# fork.
+# (split tiles count one each) than MT_MIN_TILES, or fewer written elements
+# in all of them together than MT_MIN_ELEMENTS.  A one-thread policy declines
+# every fork.
 MT_MIN_TILES = 2
 MT_MIN_ELEMENTS = 4096
 
@@ -237,17 +237,15 @@ def form_virtual_threads(
     policy has one thread or the loop is below the MT_MIN_TILES /
     MT_MIN_ELEMENTS size floor, which returns the module unchanged.  The
     threads' copies of the loop body are live at once and must fit
-    `tcm_capacity` together.  Run before double buffering, each
-    thread later pipelines its own block of tiles; on a double-buffered
-    module, whose top-level tile loop carries a toggle, the rewrite instead
-    targets the compute region's sub-tiles inside each tile (the in-tile
-    fork).  Regions that are already forked are never forked again."""
+    `tcm_capacity` together.  Run before double buffering, each thread
+    later pipelines its own block of tiles; a double-buffered loop, which
+    carries a toggle, does not fork."""
     loops = [(i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles)]
     if not loops:
         raise PassError("no top-level tiled loop to parallelize")
     index, loop = loops[0]
     if loop.toggle_init is not None:
-        return _form_virtual_threads_in_db(m, policy.threads)
+        raise PassError("cannot parallelize a loop with a carried toggle")
 
     views = _written_ddr_views(m, loop.body)
     if _declines_fork(loop.tile_count, sum(v.elems for v in views), policy.threads):
@@ -292,52 +290,6 @@ def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
     return views
 
 
-def _sub_tile_shape(
-    op: Compute, decls: dict[str, BufferDecl], threads: int
-) -> tuple[int, int] | None:
-    """(rows, cols) of the resident tile the in-tile fork splits into rows,
-    or None when it declines: a view is not a whole tile, the views differ
-    in shape, or the fork is below the profitability floor."""
-    shapes = set()
-    for view in (*op.inputs, op.output):
-        decl = decls.get(view.base)
-        if decl is None or view != full_view(decl):
-            return None
-        shapes.add((decl.rows, decl.cols))
-    if len(shapes) != 1:
-        return None
-    rows, cols = shapes.pop()
-    return None if _declines_fork(rows, cols, threads) else (rows, cols)
-
-
-def _form_virtual_threads_in_db(m: TileModule, threads: int) -> TileModule:
-    """The in-tile fork of a double-buffered module: every anchored compute
-    forks over the rows of its resident tile.  An anchored region that is
-    already forked is left as it is."""
-    decls: dict[str, BufferDecl] = {}  # allocs precede their uses
-    anchored = False
-
-    def fn(op: Op):
-        nonlocal anchored
-        if isinstance(op, AllocTcm):
-            decls[op.decl.id] = op.decl
-        if op.anchor != ANCHOR_COMPUTE:
-            return None
-        anchored = True
-        shape = _sub_tile_shape(op, decls, threads) if isinstance(op, Compute) else None
-        if shape is None:
-            return (op,)
-        rows, cols = shape
-        kind = _pick_policy(rows, threads)
-        sub = replace(_map_views(op, lambda v: ViewRef(v.base, 1, 0, 1, cols)), anchor=None)
-        return (Forall("s", rows, kind, threads, (sub,), anchor=ANCHOR_COMPUTE),)
-
-    result = _rewrite_module(m, fn)
-    if not anchored:
-        raise PassError("cannot parallelize a loop with a carried toggle")
-    return result
-
-
 def _whole_row_tiles(operands: tuple[Operand, ...], k: int) -> bool:
     """Whether every operand is a contiguous whole-row tile, its DDR view
     the rows and columns of its buffer, and k divides those rows."""
@@ -379,17 +331,13 @@ def split_tiles(m: TileModule, k: int) -> TileModule:
     return replace(m, body=m.body[:index] + (loop,) + m.body[index + 1 :])
 
 
-IN_TILE = 0  # the `split` of the in-tile composition
-
-
 @dataclass(frozen=True, slots=True)
 class Composition:
-    """One vec-mt-db candidate and its closed-form cost.  `split` IN_TILE
-    keeps one pipeline whose compute forks inside every tile, or does not
-    fork where that fork declines; `split` k >= 1 gives each thread a block
-    of the tiles split k ways by rows (see split_tiles) to double-buffer on
-    its own.  `forks` counts fork/joins and `transfers` the DMA transfers of
-    the tile loop."""
+    """One vec-mt-db candidate and its closed-form cost: the tiles split
+    `split` ways by rows (see split_tiles; 1 keeps them whole), then either
+    one pipeline double-buffers them all (`forks` 0) or each thread
+    double-buffers a block of them on its own (`forks` 1: one fork/join per
+    run).  `transfers` counts the DMA transfers of the tile loop."""
 
     split: int
     cycles: int
@@ -424,73 +372,54 @@ def _forked_cycles(cfg: MachineConfig, units: int, threads: int, x_in: int, unit
 
 
 def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
-    """The vec-mt-db candidates of an untransformed module, in-tile first,
-    each priced from the normal-form loop and the machine's cost forms; no
-    pass runs.  Per-thread pipelines are offered where the tile fork forks
-    and 2 * min(T, n) copies of the loop body fit the scratchpad; a k-way
-    split also needs whole-row tiles (see _whole_row_tiles) and no scalar
-    epilogue in the sub-tile.  With Xin and Xout one tile's input and output
-    transfer cycles and F(n, x, c) the end of a fork over n units of c
-    cycles whose regions each first load x (see _forked_cycles):
+    """The vec-mt-db candidates of an untransformed module, each priced from
+    the normal-form loop and the machine's cost forms; no pass runs.  Tiles
+    split k ways need whole-row tiles (see _whole_row_tiles) and no scalar
+    epilogue in the sub-tile.  Every such k offers one pipeline, if k = 1 or
+    its ping/pong copies of the loop body fit the scratchpad, and per-thread
+    pipelines where the tile fork forks and 2 * min(T, n) copies fit.  With
+    Xin and Xout one sub-tile's input and output transfer cycles, C its
+    compute, n = N*k sub-tiles of N tiles, and F(n, x, c) the end of a fork
+    over n units of c cycles whose regions each first load x (see
+    _forked_cycles):
 
-        in-tile     max(Xin + N*P + Xout, N*(Xin + Xout), N*Xin + (N-1)*Xout + P)
-        per-thread  max(F(n, Xin, C) + Xout, fork + n*(Xin + Xout)) + join
+        one pipeline  max(Xin + n*C + Xout, n*(Xin + Xout), n*Xin + (n-1)*Xout + C)
+        per-thread    max(F(n, Xin, C) + Xout, fork + n*(Xin + Xout)) + join
 
-    over N tiles of R rows, where P is one tile's compute, F(R, 0, row) +
-    join when it forks over its rows and vectorized whole where that fork
-    declines, and over n = N*k sub-tiles of compute C each.  The last
-    in-tile term is the channel moving every input and all outputs but the
-    last before the last tile computes.  A module outside the normal form
-    has no candidates."""
+    The last term of one pipeline is the channel moving every input and all
+    outputs but the last before the last sub-tile computes.  A module
+    outside the normal form has no candidates."""
     desc = match_normal_form(m)
     if desc is None:
         return ()
     cfg, lanes, threads = spec.machine, spec.lanes, spec.mt.threads
     loop, compute = desc.loop, desc.compute
-    tiles, rows, cols = loop.tile_count, compute.output.row_count, compute.output.col_count
+    tiles, rows, elems = loop.tile_count, compute.output.row_count, compute.output.elems
     per_element = ops_per_element(compute.expr)
     operands = (*desc.inputs, desc.output)
     out_view = desc.output[0]
+    forkable = abs(out_view.row_scale) >= out_view.row_count  # output tiles do not overlap
+    body_bytes = _loop_body_bytes(loop)
 
-    def transfers(k: int) -> tuple[int, int]:
-        """(Xin, Xout) of one tile split k ways."""
-        inputs = sum(transfer_cycles(cfg, decl.nbytes // k) for _, decl in desc.inputs)
-        return inputs, transfer_cycles(cfg, desc.output[1].nbytes // k)
-
-    # The in-tile fork runs after vectorize, and a compute with a scalar
-    # epilogue leaves no whole tile to fork.
-    x_in, x_out = transfers(1)
-    decls = {op.decl.id: op.decl for op in loop.body if isinstance(op, AllocTcm)}
-    if _gets_epilogue(rows * cols, lanes) or _sub_tile_shape(compute, decls, threads) is None:
-        per_tile, forks = _vectorized_cycles(cfg, rows * cols, per_element, lanes), 0
-    else:
-        vf = 1 if lanes == 1 or rows * cols < lanes else lanes
-        row = compute_cycles(cfg, cols, per_element, vf)
-        per_tile, forks = _forked_cycles(cfg, rows, threads, 0, row) + cfg.join_cost, tiles
-    in_tile = max(
-        x_in + tiles * per_tile + x_out,
-        tiles * (x_in + x_out),
-        tiles * x_in + (tiles - 1) * x_out + per_tile,
-    )
-    candidates = [Composition(IN_TILE, in_tile, forks, tiles * len(operands))]
-
-    if abs(out_view.row_scale) < out_view.row_count:
-        return tuple(candidates)  # tiles overlap: the tile loop cannot fork
+    candidates = []
     for k in range(1, rows + 1):
-        if k > 1 and (
-            not _whole_row_tiles(operands, k) or _gets_epilogue(rows * cols // k, lanes)
-        ):
+        if k > 1 and (not _whole_row_tiles(operands, k) or _gets_epilogue(elems // k, lanes)):
             continue
         n = tiles * k
-        if _declines_fork(n, out_view.elems // k, threads):
-            continue
-        if 2 * min(threads, n) * _loop_body_bytes(loop) // k > cfg.tcm_capacity:
-            continue
-        x_in, x_out = transfers(k)
-        c = _vectorized_cycles(cfg, rows * cols // k, per_element, lanes)
-        last = _forked_cycles(cfg, n, threads, x_in, c) + x_out
-        cycles = max(last, cfg.fork_cost + n * (x_in + x_out)) + cfg.join_cost
-        candidates.append(Composition(k, cycles, 1, n * len(operands)))
+        x_in = sum(transfer_cycles(cfg, decl.nbytes // k) for _, decl in desc.inputs)
+        x_out = transfer_cycles(cfg, desc.output[1].nbytes // k)
+        c = _vectorized_cycles(cfg, elems // k, per_element, lanes)
+        if k == 1 or 2 * body_bytes // k <= cfg.tcm_capacity:
+            cycles = max(x_in + n * c + x_out, n * (x_in + x_out), n * x_in + (n - 1) * x_out + c)
+            candidates.append(Composition(k, cycles, 0, n * len(operands)))
+        if (
+            forkable
+            and not _declines_fork(n, elems // k, threads)
+            and 2 * min(threads, n) * body_bytes // k <= cfg.tcm_capacity
+        ):
+            last = _forked_cycles(cfg, n, threads, x_in, c) + x_out
+            cycles = max(last, cfg.fork_cost + n * (x_in + x_out)) + cfg.join_cost
+            candidates.append(Composition(k, cycles, 1, n * len(operands)))
     return tuple(candidates)
 
 
@@ -811,14 +740,11 @@ STAGE_INITIAL = "initial"
 # globals at call time, so a rebinding of a pass (for tracing) takes effect.
 _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     "vectorize": lambda m, spec: vectorize(m, spec.lanes),
-    # vec-mt-db: where the cost model picks per-thread pipelines, the tiles
-    # are split as the pick says and each thread gets a block to pipeline.
+    # vec-mt-db: the tiles are split as the cost model's pick says and, for
+    # per-thread pipelines, each thread gets a block of them to pipeline.
     "pipeline-threads": lambda m, spec: _pipeline_threads(m, spec, choose_composition(m, spec)),
-    # A module forked into per-thread pipelines is not forked again.
-    "form-virtual-threads": lambda m, spec: (
-        m
-        if any(isinstance(op, AsyncExecute) for op in m.body)
-        else form_virtual_threads(m, spec.mt, spec.machine.tcm_capacity)
+    "form-virtual-threads": lambda m, spec: form_virtual_threads(
+        m, spec.mt, spec.machine.tcm_capacity
     ),
     # The profitability floor may have declined; fork-join lowering then has
     # nothing to do and the rung degenerates to the previous one.
@@ -830,27 +756,26 @@ _STAGES["pipeline-async-threads"] = _STAGES["form-async-threads"]
 
 
 def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | None) -> TileModule:
-    """The tile fork of a per-thread composition over its split tiles; the
-    module itself for the in-tile composition."""
-    if choice is None or choice.split == IN_TILE:
+    """The tiles split as `choice` says, then forked by the tile fork when it
+    forks; the module itself when there is no candidate."""
+    if choice is None:
         return m
-    return form_virtual_threads(split_tiles(m, choice.split), spec.mt, spec.machine.tcm_capacity)
+    m = split_tiles(m, choice.split)
+    return form_virtual_threads(m, spec.mt, spec.machine.tcm_capacity) if choice.forks else m
 
 
 _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.SCALAR: (),
     LadderRung.VEC: ("vectorize",),
     LadderRung.VEC_MT: ("vectorize", "form-virtual-threads", "form-async-threads"),
-    # Both vec-mt-db compositions: per-thread pipelines fork in the first two
-    # stages, the in-tile fork in the last two; the other pair is the identity.
+    # Per-thread pipelines fork in the first two stages; one pipeline leaves
+    # the second stage nothing to do.
     LadderRung.VEC_MT_DB: (
         "pipeline-threads",
         "pipeline-async-threads",
         "db-stage1",
         "db-stage2",
         "vectorize",
-        "form-virtual-threads",
-        "form-async-threads",
     ),
 }
 

@@ -48,13 +48,13 @@ def test_capacity_bound_tile_height():
 
 def test_gelu_largest_sweep_point_shape():
     m = build_gelu(gelu(n=1_048_576))
-    assert ddr_shape(gelu(n=1_048_576)) == (64, 16384)
+    assert ddr_shape(gelu(n=1_048_576)) == (512, 2048)
     assert m.buffers[0].elems == 1_048_576
     assert m.body[0].tile_count == 64
 
 
 def test_gelu_small_sizes_fold_into_one_tile():
-    assert ddr_shape(gelu(n=4096)) == (1, 4096)
+    assert ddr_shape(gelu(n=4096)) == (8, 512)
     assert build_gelu(gelu(n=4096)).body[0].tile_count == 1
 
 

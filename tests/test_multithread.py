@@ -19,6 +19,8 @@ from tilelab.machine import LadderRung, MachineConfig
 from tilelab.passes import (
     MtPolicy,
     PassError,
+    db_stage1,
+    db_stage2,
     form_async_threads,
     form_virtual_threads,
     partition_tiles,
@@ -82,6 +84,13 @@ def test_tile_fork_refuses_what_overflows_tcm():
     with pytest.raises(PassError, match="the tile fork needs 49152 bytes .* > capacity 24576"):
         form_virtual_threads(base, POLICY4, 24576)
     assert isinstance(form_virtual_threads(base, POLICY4, 49152).body[0], Forall)
+
+
+def test_a_double_buffered_loop_does_not_fork():
+    # The ping/pong loop carries its toggle from one tile to the next.
+    pipelined = vectorize(db_stage2(db_stage1(_build(8, tile_rows=2))), 32)
+    with pytest.raises(PassError, match="cannot parallelize a loop with a carried toggle"):
+        form_virtual_threads(pipelined, POLICY4)
 
 
 @pytest.mark.parametrize(

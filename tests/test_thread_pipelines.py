@@ -1,7 +1,8 @@
 """vec-mt-db as per-thread pipelines: each thread double-buffers its own
 block of tiles, with its own buffers and tags, over the shared channel; the
-row split of tiles that per-thread ping/pong cannot hold whole; and the cost
-model that picks a composition."""
+row split of tiles, for pipelines whose ping/pong cannot hold whole tiles or
+overlaps better over smaller ones; and the cost model that picks a
+composition."""
 
 from dataclasses import replace
 from unittest import mock
@@ -116,13 +117,6 @@ def test_thread_pipelines_agree_with_the_reference(tiles, threads):
         _check(chosen, spec, cfg, inputs, reference, floor)
 
 
-def _in_tile(m):
-    """True when some fork-join region sits inside the tile loop."""
-    return any(
-        isinstance(op, AsyncExecute) and "." in path for path, op in walk(m.body)
-    )
-
-
 def _forced(base, cfg, candidate):
     """The vec-mt-db module of `candidate`, whatever the cost model picks."""
     with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
@@ -132,22 +126,24 @@ def _forced(base, cfg, candidate):
 @pytest.mark.parametrize(
     "spec, cfg, expected",
     [
-        (gelu(), CFG, True),  # 156,908 per-thread against 194,432 in-tile
-        (gelu(n=1 << 16, tile_elems=1024), CFG, True),  # tile too small for the in-tile fork
+        (gelu(), CFG, True),  # 156,508 over 1-row sub-tiles against 622,976 unforked
+        (gelu(n=1 << 16, tile_elems=1024), CFG, True),
         (gelu(n=1 << 22, tile_elems=1024), CFG, True),
-        # Memory-bound: the channel bounds every candidate, and the in-tile
-        # fork moves the fewest transfers with no per-run fork/join.
+        # Memory-bound: the channel bounds every candidate, and one pipeline
+        # over whole tiles moves the fewest transfers with no fork/join.
         (vec_add_2d(), MachineConfig(dma_bandwidth=1), False),
-        (gelu(n=5 * 16384), MachineConfig(lanes=8, threads=4), False),  # 52,024 vs 78,508
+        (gelu(n=5 * 16384), MachineConfig(lanes=8, threads=4), True),  # 49,500 vs 194,720
     ],
 )
 def test_selection_rule(spec, cfg, expected):
+    """`expected`: per-thread pipelines, each forked at the top level."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     spec_db = pipeline_for(LadderRung.VEC_MT_DB, cfg)
-    assert (choose_composition(base, spec_db).split > 0) is expected
+    assert choose_composition(base, spec_db).forks == expected
     m = run_pipeline(base, spec_db)
-    assert bool(_regions(m)) is expected
-    assert _in_tile(m) is not expected
+    regions = _regions(m)
+    assert bool(regions) is expected
+    assert sum(isinstance(op, AsyncExecute) for _, op in walk_module(m)) == len(regions)
 
 
 def test_vec_add_splits_tiles_that_do_not_fit_tcm():
@@ -155,27 +151,29 @@ def test_vec_add_splits_tiles_that_do_not_fit_tcm():
     # 2-row sub-tiles fit, and pay one fork/join in place of eight.
     base = build_kernel(vec_add_2d(), tcm_capacity=CFG.tcm_capacity)
     spec = pipeline_for(LadderRung.VEC_MT_DB, CFG)
-    assert [c.split for c in compositions(base, spec)] == [0, 2, 4, 8]
+    splits = [(1, 0), (2, 0), (2, 1), (4, 0), (4, 1), (8, 0), (8, 1)]
+    assert [(c.split, c.forks) for c in compositions(base, spec)] == splits
     assert choose_composition(base, spec) == Composition(4, 35948, 1, 96)
     roomy = replace(spec, machine=replace(CFG, tcm_capacity=2 * CFG.tcm_capacity))
-    assert [c.split for c in compositions(base, roomy)] == [0, 1, 2, 4, 8]
+    assert [(c.split, c.forks) for c in compositions(base, roomy)] == [(1, 0), (1, 1), *splits[1:]]
     m = run_pipeline(base, spec)
     regions = _regions(m)
-    assert len(regions) == 4 and not _in_tile(m)
+    assert len(regions) == 4
     assert [op.tile_count for op in regions[0].body if isinstance(op, ForTiles)] == [8]
     assert simulate_timed(m, make_inputs(vec_add_2d()), CFG)[1].total_cycles == 35948
 
 
-def test_five_tile_gelu_keeps_the_in_tile_fork_for_balance():
+def test_five_tile_gelu_splits_its_tiles_for_balance():
+    # Five whole tiles on four threads leave one thread two of them; forty
+    # 1-row sub-tiles deal out ten to each.
     cfg = MachineConfig(lanes=8, threads=4)
-    base = build_kernel(gelu(n=5 * 16384), tcm_capacity=cfg.tcm_capacity)
-    spec = pipeline_for(LadderRung.VEC_MT_DB, cfg)
-    roomy = replace(spec, machine=replace(cfg, tcm_capacity=1 << 40))
-    assert choose_composition(base, roomy).split == 0
-    inputs = make_inputs(gelu(n=5 * 16384))
-    chosen = simulate_timed(run_pipeline(base, spec), inputs, cfg)[1]
-    per_thread = simulate_timed(_thread_pipelines(base, cfg), inputs, cfg)[1]
-    assert chosen.total_cycles < per_thread.total_cycles
+    spec = gelu(n=5 * 16384)
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    choice = choose_composition(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    assert (choice.split, choice.forks) == (8, 1)
+    inputs = make_inputs(spec)
+    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == 49500
+    assert simulate_timed(_thread_pipelines(base, cfg), inputs, cfg)[1].total_cycles == 78508
 
 
 # Ties on this machine: two 1-row tiles cost 2,075 cycles with no fork and
@@ -201,14 +199,15 @@ def test_a_tie_goes_to_fewer_forks(spec, expected):
     choice = choose_composition(base, spec_db)
     tied = [c for c in candidates if c.cycles == choice.cycles]
     assert len(tied) == 2 and choice == min(tied, key=lambda c: (c.forks, c.transfers))
-    assert choice.split == (1 if expected else 0)
+    assert (choice.split, choice.forks) == (1, int(expected))
     m = run_pipeline(base, spec_db)
     forks = sum(1 for _, op in walk_module(m) if isinstance(op, AsyncExecute))
     assert forks == (TIE_CFG.threads if expected else 0)
 
 
-def test_overlapping_tiles_keep_the_in_tile_fork():
-    # Output tiles 2 rows apart but 4 rows tall: the tile loop cannot fork.
+def test_overlapping_tiles_run_one_pipeline():
+    # Output tiles 2 rows apart but 4 rows tall: the tile loop can neither
+    # fork nor split.
     base = build_kernel(vec_add_2d(rows=16, cols=1024, tile_rows=4))
     loop = base.body[0]
     body = tuple(
@@ -219,7 +218,7 @@ def test_overlapping_tiles_keep_the_in_tile_fork():
     )
     m = replace(base, body=(replace(loop, body=body),))
     spec = pipeline_for(LadderRung.VEC_MT_DB, CFG)
-    assert [c.split for c in compositions(m, spec)] == [0]
+    assert [(c.split, c.forks) for c in compositions(m, spec)] == [(1, 0)]
     assert verify_module(run_pipeline(m, spec), CFG) == []
 
 
@@ -235,7 +234,8 @@ def test_split_tiles_rebuilds_the_normal_form_loop():
     inputs = make_inputs(spec)
     got = interpret_functional(m, inputs)["C"]
     assert got.tobytes() == reference_output(spec, inputs)["C"].tobytes()
-    for bad, k in ((base, 3), (base, 0), (build_kernel(gelu()), 2), (db_stage1(base), 2)):
+    assert match_normal_form(split_tiles(build_kernel(gelu()), 8)).loop.tile_count == 512
+    for bad, k in ((base, 3), (base, 0), (build_kernel(gelu()), 3), (db_stage1(base), 2)):
         with pytest.raises(PassError):
             split_tiles(bad, k)
 
@@ -252,8 +252,8 @@ def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floo
     """Two 2-row tiles split into four 1-row tiles run on four threads, where
     a floor over max(tiles, rows) = 2 contexts would be beaten."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    split = [c for c in compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg)) if c.split == 2]
-    m = _forced(base, cfg, split[0])
+    candidates = compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    m = _forced(base, cfg, next(c for c in candidates if (c.split, c.forks) == (2, 1)))
     assert len(_regions(m)) == 4
     stats = collect_stats(base)
     got = latency_lower_bound(stats, cfg, LadderRung.VEC_MT_DB)
@@ -268,19 +268,25 @@ def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floo
     [
         # Memory-bound: the per-thread fork buys nothing on the saturated channel.
         (vec_add_2d(41, 160, 1), MachineConfig(lanes=8, threads=2), 8418, 8132),
-        # Seven in-tile fork/joins cost more than one per run.
-        (gelu(7 * 4096, 4096), MachineConfig(lanes=64, threads=4), 6520, 3212),
-        (vec_add_2d(), CFG, 40832, 35948),
+        # Whole GELU tiles on per-thread pipelines, against halves.
+        (gelu(7 * 4096, 4096), MachineConfig(lanes=64, threads=4), 3212, 3052),
+        # One pipeline over whole tiles, against one over 1-row sub-tiles,
+        # which overlaps all but one row's first load and last store.
+        (vec_add_2d(), MachineConfig(threads=1), 134336, 131648),
+        # A single tile and a peeled tail: one pipeline over 3-way splits.
+        (vec_add_2d(4, 1056, 3), MachineConfig(lanes=16, threads=4), 1542, 1494),
     ],
 )
 def test_cost_model_picks(spec, cfg, before, after):
     """vec-mt-db cycles of the composition the cost model picks (`after`) and
-    of the one the busiest-thread row count picked before it (`before`)."""
+    of the one an earlier rule picked (`before`): the busiest-thread row
+    count, or the cost model before GELU tiles could split and before one
+    pipeline could run over split tiles."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     candidates = compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
     inputs = make_inputs(spec)
     cycles = {
-        c.split: simulate_timed(_forced(base, cfg, c), inputs, cfg)[1].total_cycles
+        c: simulate_timed(_forced(base, cfg, c), inputs, cfg)[1].total_cycles
         for c in candidates
     }
     assert before in cycles.values()
