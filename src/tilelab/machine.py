@@ -195,10 +195,10 @@ def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung
     and the per-context compute time at the rung's vector factor.  Vector
     rungs run computes smaller than one vector, and epilogues, scalar, so
     where a vector op costs more than a scalar one each element is charged
-    the cheaper of the two units.  vec-mt splits compute over tiles.
-    vec-mt-db gives each thread a block of tiles, which may be split by
-    rows, to pipeline, so its compute splits over at most tiles x rows of a
-    resident tile."""
+    the cheaper of the two units.  vec-mt and vec-mt-db give each thread a
+    block of tiles, which may be split by rows, to loop or pipeline over, so
+    their compute splits over at most min(threads, tiles x rows of a
+    resident tile) contexts."""
     t_dma = stats.n_transfers * cfg.dma_startup + math.ceil(
         (stats.bytes_in + stats.bytes_out) / cfg.dma_bandwidth
     )
@@ -210,9 +210,7 @@ def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung
         t_compute = per_element * min(elems * cfg.scalar_unit_cost, vector)
     else:
         t_compute = compute_cycles(cfg, elems, per_element, cfg.lanes)
-    if rung == LadderRung.VEC_MT:
-        t_compute = math.ceil(t_compute / min(cfg.threads, max(stats.tile_count, 1)))
-    elif rung == LadderRung.VEC_MT_DB:
+    if rung in (LadderRung.VEC_MT, LadderRung.VEC_MT_DB):
         parallel = max(stats.tile_count * stats.tile_rows, 1)
         t_compute = math.ceil(t_compute / min(cfg.threads, parallel))
     return max(t_dma, t_compute)

@@ -9,6 +9,7 @@ are never mutated.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -43,7 +44,13 @@ from .ir import (
     walk,
 )
 from .machine import LadderRung, MachineConfig, compute_cycles, transfer_cycles
-from .normal_form import Operand, match_block_explain, match_normal_form, normal_form_tile
+from .normal_form import (
+    NormalFormDescriptor,
+    Operand,
+    match_block_explain,
+    match_normal_form,
+    normal_form_tile,
+)
 
 
 class PassError(ValueError):
@@ -51,9 +58,9 @@ class PassError(ValueError):
 
 
 # Size floor below which multi-threading is declined: fewer parallel tiles
-# (split tiles count one each) than MT_MIN_TILES, or fewer written elements
-# in all of them together than MT_MIN_ELEMENTS.  A one-thread policy declines
-# every fork.
+# than MT_MIN_TILES, or fewer written elements in all of them together than
+# MT_MIN_ELEMENTS.  vec-mt counts the kernel's whole tiles, vec-mt-db its
+# split tiles one each.  A one-thread policy declines every fork.
 MT_MIN_TILES = 2
 MT_MIN_ELEMENTS = 4096
 
@@ -75,7 +82,7 @@ class MtPolicy:
 class PipelineSpec:
     """The rung and what its passes read: the vector width, the threads, and
     the machine whose scratchpad bounds every pass and whose timing fields
-    price the vec-mt-db compositions (see choose_composition)."""
+    price the vec-mt and vec-mt-db compositions (see choose_composition)."""
 
     rung: LadderRung
     lanes: int = 32
@@ -333,11 +340,12 @@ def split_tiles(m: TileModule, k: int) -> TileModule:
 
 @dataclass(frozen=True, slots=True)
 class Composition:
-    """One vec-mt-db candidate and its closed-form cost: the tiles split
-    `split` ways by rows (see split_tiles; 1 keeps them whole), then either
-    one pipeline double-buffers them all (`forks` 0) or each thread
-    double-buffers a block of them on its own (`forks` 1: one fork/join per
-    run).  `transfers` counts the DMA transfers of the tile loop."""
+    """One vec-mt or vec-mt-db candidate and its cost: the tiles split
+    `split` ways by rows (see split_tiles; 1 keeps them whole), then run by
+    one loop or one pipeline over them all (`forks` 0), or forked so each
+    thread runs a block of them through its own loop or pipeline (`forks`
+    1: one fork/join per run).  `transfers` counts the DMA transfers of the
+    tile loop."""
 
     split: int
     cycles: int
@@ -371,17 +379,82 @@ def _forked_cycles(cfg: MachineConfig, units: int, threads: int, x_in: int, unit
     return max(ready(used) + q * unit, ready(r) + (q + 1) * unit if r else 0)
 
 
+def _forked_loops_cycles(
+    cfg: MachineConfig, units: int, threads: int, x_ins: tuple[int, ...], c: int, x_out: int
+) -> int:
+    """When the last region of a fork over `units` units of the
+    single-buffered loop finishes, join excluded.  Units are dealt out as in
+    _forked_cycles, and region j (from 1) starts j forks in.  A unit copies
+    its inputs in one at a time (`x_ins` cycles each), computes for `c` and
+    copies its output back (`x_out`).  Every copy blocks its region and
+    queues on the one FIFO channel behind the copies requested before it, so
+    the regions' loops are replayed in time order, an event per copy and per
+    compute.  A tie goes to the event scheduled first; a region's start,
+    scheduled as it is forked, loses every tie.  Both as in the simulator."""
+    used = min(threads, units)
+    q, r = divmod(units, used)
+    steps = (*((True, x) for x in x_ins), (False, c), (True, x_out))  # (a copy?, cycles)
+    left = [q + (j < r) for j in range(used)]
+    # (time, a region's start, order scheduled, region, next step)
+    events = [((j + 1) * cfg.fork_cost, True, j, j, 0) for j in range(used)]
+    order = itertools.count(used)
+    channel_free = end = 0
+    while events:
+        t, _, _, j, step = heapq.heappop(events)
+        if step == len(steps):
+            left[j] -= 1
+            if not left[j]:
+                end = t
+                continue
+            step = 0
+        copy, cycles = steps[step]
+        if copy:
+            t = channel_free = max(t, channel_free) + cycles
+        else:
+            t += cycles
+        heapq.heappush(events, (t, False, next(order), j, step + 1))
+    return end
+
+
+def _splits(desc: NormalFormDescriptor, cfg: MachineConfig, lanes: int) -> Iterator[tuple]:
+    """(k, n, input transfer cycles, compute cycles, output transfer cycles)
+    of each sub-tile for every k the tiles split into: whole-row tiles (see
+    _whole_row_tiles) and no scalar epilogue in the sub-tile.  k = 1 always."""
+    compute = desc.compute
+    rows, elems = compute.output.row_count, compute.output.elems
+    per_element = ops_per_element(compute.expr)
+    operands = (*desc.inputs, desc.output)
+    for k in range(1, rows + 1):
+        if k > 1 and (not _whole_row_tiles(operands, k) or _gets_epilogue(elems // k, lanes)):
+            continue
+        x_ins = tuple(transfer_cycles(cfg, decl.nbytes // k) for _, decl in desc.inputs)
+        x_out = transfer_cycles(cfg, desc.output[1].nbytes // k)
+        c = _vectorized_cycles(cfg, elems // k, per_element, lanes)
+        yield k, desc.loop.tile_count * k, x_ins, c, x_out
+
+
 def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
-    """The vec-mt-db candidates of an untransformed module, each priced from
-    the normal-form loop and the machine's cost forms; no pass runs.  Tiles
-    split k ways need whole-row tiles (see _whole_row_tiles) and no scalar
-    epilogue in the sub-tile.  Every such k offers one pipeline, if k = 1 or
-    its ping/pong copies of the loop body fit the scratchpad, and per-thread
-    pipelines where the tile fork forks and 2 * min(T, n) copies fit.  With
-    Xin and Xout one sub-tile's input and output transfer cycles, C its
-    compute, n = N*k sub-tiles of N tiles, and F(n, x, c) the end of a fork
+    """The vec-mt or vec-mt-db candidates of an untransformed module, each
+    priced from the normal-form loop and the machine's cost forms; no pass
+    runs.  The tiles split k ways as _splits allows.  With Xin and Xout one
+    sub-tile's input and output transfer cycles, C its compute, n = N*k
+    sub-tiles of N tiles, T the threads and F(n, x, c) the end of a fork
     over n units of c cycles whose regions each first load x (see
     _forked_cycles):
+
+    vec-mt offers the unforked loop over whole tiles, N*(Xin + C + Xout),
+    so a fork that cannot pay is declined; and, where the tile fork forks
+    the whole tiles and min(T, n) copies of the split loop body fit the
+    scratchpad, per-thread loops over each split, their copies replayed on
+    the channel (see _forked_loops_cycles) plus the join.  A fork whose
+    lower bound exceeds the price of a candidate before it is priced at
+    that bound, which no replay can beat:
+
+        per-thread loop  max(F(n, 0, Xin + C + Xout), fork + n*(Xin + Xout)) + join
+
+    vec-mt-db offers one pipeline where its ping/pong copies of the loop
+    body fit the scratchpad, and per-thread pipelines where the tile fork
+    forks the split tiles and 2 * min(T, n) copies fit:
 
         one pipeline  max(Xin + n*C + Xout, n*(Xin + Xout), n*Xin + (n-1)*Xout + C)
         per-thread    max(F(n, Xin, C) + Xout, fork + n*(Xin + Xout)) + join
@@ -392,41 +465,54 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     desc = match_normal_form(m)
     if desc is None:
         return ()
-    cfg, lanes, threads = spec.machine, spec.lanes, spec.mt.threads
-    loop, compute = desc.loop, desc.compute
-    tiles, rows, elems = loop.tile_count, compute.output.row_count, compute.output.elems
-    per_element = ops_per_element(compute.expr)
-    operands = (*desc.inputs, desc.output)
+    cfg, threads = spec.machine, spec.mt.threads
     out_view = desc.output[0]
     forkable = abs(out_view.row_scale) >= out_view.row_count  # output tiles do not overlap
-    body_bytes = _loop_body_bytes(loop)
+    body_bytes = _loop_body_bytes(desc.loop)
+    operands = len(desc.inputs) + 1
+    splits = list(_splits(desc, cfg, spec.lanes))
+
+    if spec.rung is not LadderRung.VEC_MT_DB:
+        _, tiles, x_ins, c, x_out = splits[0]
+        best = tiles * (sum(x_ins) + c + x_out)
+        candidates = [Composition(1, best, 0, tiles * operands)]
+        if not forkable or _declines_fork(tiles, out_view.elems, threads):
+            return tuple(candidates)
+        for k, n, x_ins, c, x_out in splits:
+            if min(threads, n) * body_bytes // k > cfg.tcm_capacity:
+                continue
+            x_in = sum(x_ins)
+            unit = x_in + c + x_out
+            cycles = max(_forked_cycles(cfg, n, threads, 0, unit), cfg.fork_cost + n * (x_in + x_out))
+            cycles += cfg.join_cost
+            if cycles <= best:  # else the lower bound already loses: no replay
+                cycles = _forked_loops_cycles(cfg, n, threads, x_ins, c, x_out) + cfg.join_cost
+                best = min(best, cycles)
+            candidates.append(Composition(k, cycles, 1, n * operands))
+        return tuple(candidates)
 
     candidates = []
-    for k in range(1, rows + 1):
-        if k > 1 and (not _whole_row_tiles(operands, k) or _gets_epilogue(elems // k, lanes)):
-            continue
-        n = tiles * k
-        x_in = sum(transfer_cycles(cfg, decl.nbytes // k) for _, decl in desc.inputs)
-        x_out = transfer_cycles(cfg, desc.output[1].nbytes // k)
-        c = _vectorized_cycles(cfg, elems // k, per_element, lanes)
-        if k == 1 or 2 * body_bytes // k <= cfg.tcm_capacity:
+    for k, n, x_ins, c, x_out in splits:
+        x_in = sum(x_ins)
+        if 2 * body_bytes // k <= cfg.tcm_capacity:
             cycles = max(x_in + n * c + x_out, n * (x_in + x_out), n * x_in + (n - 1) * x_out + c)
-            candidates.append(Composition(k, cycles, 0, n * len(operands)))
+            candidates.append(Composition(k, cycles, 0, n * operands))
         if (
             forkable
-            and not _declines_fork(n, elems // k, threads)
+            and not _declines_fork(n, out_view.elems // k, threads)
             and 2 * min(threads, n) * body_bytes // k <= cfg.tcm_capacity
         ):
             last = _forked_cycles(cfg, n, threads, x_in, c) + x_out
             cycles = max(last, cfg.fork_cost + n * (x_in + x_out)) + cfg.join_cost
-            candidates.append(Composition(k, cycles, 1, n * len(operands)))
+            candidates.append(Composition(k, cycles, 1, n * operands))
     return tuple(candidates)
 
 
 def choose_composition(m: TileModule, spec: PipelineSpec) -> Composition | None:
-    """The cheapest vec-mt-db candidate (see compositions); a tie goes to
-    fewer fork/joins, then to fewer transfers.  None outside the normal
-    form."""
+    """The cheapest candidate of the rung (see compositions); a tie goes to
+    fewer fork/joins, then to fewer transfers.  None when there is no
+    candidate: outside the normal form, or at vec-mt-db where none fits the
+    scratchpad."""
     candidates = compositions(m, spec)
     if not candidates:
         return None
@@ -740,19 +826,14 @@ STAGE_INITIAL = "initial"
 # globals at call time, so a rebinding of a pass (for tracing) takes effect.
 _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     "vectorize": lambda m, spec: vectorize(m, spec.lanes),
-    # vec-mt-db: the tiles are split as the cost model's pick says and, for
-    # per-thread pipelines, each thread gets a block of them to pipeline.
+    # vec-mt and vec-mt-db: the tiles are split as the cost model's pick
+    # says and, for a fork, each thread gets a block of them to run.
     "pipeline-threads": lambda m, spec: _pipeline_threads(m, spec, choose_composition(m, spec)),
-    "form-virtual-threads": lambda m, spec: form_virtual_threads(
-        m, spec.mt, spec.machine.tcm_capacity
-    ),
-    # The profitability floor may have declined; fork-join lowering then has
-    # nothing to do and the rung degenerates to the previous one.
-    "form-async-threads": lambda m, spec: form_async_threads(m),
+    # An unforked pick leaves fork-join lowering nothing to do.
+    "pipeline-async-threads": lambda m, spec: form_async_threads(m),
     "db-stage1": lambda m, spec: db_stage1(m, spec.machine.tcm_capacity),
     "db-stage2": lambda m, spec: db_stage2(m),
 }
-_STAGES["pipeline-async-threads"] = _STAGES["form-async-threads"]
 
 
 def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | None) -> TileModule:
@@ -764,12 +845,12 @@ def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | N
     return form_virtual_threads(m, spec.mt, spec.machine.tcm_capacity) if choice.forks else m
 
 
+# vec-mt and vec-mt-db fork in the first two stages; an unforked loop or one
+# pipeline leaves the second stage nothing to do.
 _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.SCALAR: (),
     LadderRung.VEC: ("vectorize",),
-    LadderRung.VEC_MT: ("vectorize", "form-virtual-threads", "form-async-threads"),
-    # Per-thread pipelines fork in the first two stages; one pipeline leaves
-    # the second stage nothing to do.
+    LadderRung.VEC_MT: ("pipeline-threads", "pipeline-async-threads", "vectorize"),
     LadderRung.VEC_MT_DB: (
         "pipeline-threads",
         "pipeline-async-threads",

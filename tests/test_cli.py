@@ -168,8 +168,6 @@ def test_repeat_flag_checks_identity(tmp_path):
         "db-stage1",
         "db-stage2",
         "vectorize",
-        "form-virtual-threads",
-        "form-async-threads",
         "final",
     ],
 )
@@ -178,6 +176,15 @@ def test_every_stage_choice_accepted(stage):
         ["dump-ir", "--kernel", "vec-add-2d", "--rung", "vec-mt-db", "--stage", stage]
     )
     assert args.stage == stage
+
+
+@pytest.mark.parametrize("stage", ["form-virtual-threads", "form-async-threads"])
+def test_a_stage_in_no_rung_is_no_choice(stage):
+    # vec-mt forks in pipeline-threads and pipeline-async-threads, as vec-mt-db does.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["dump-ir", "--kernel", "vec-add-2d", "--rung", "vec-mt", "--stage", stage]
+        )
 
 
 def test_stage_names_are_static_and_duplicate_free():

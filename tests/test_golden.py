@@ -3,15 +3,17 @@ for all four rungs of three kernels on the default machine, and the printed
 IR after every pipeline stage of every rung.
 
 The vec-add and GELU rows are the ROADMAP baseline ladders: vec-add's
-vec-mt-db runs per-thread pipelines over its tiles split into 2-row
-sub-tiles, which fit the scratchpad where whole tiles do not, and GELU's
-over its 8-row tiles split into single rows.  The fine-tile GELU row
-exercises many small tiles, which vec-mt-db runs whole as per-thread
-pipelines; the vec-add anchor of the benchmark's design grid runs four
-per-thread pipelines that share one memory-bound channel; the IR table
-adds a vec-add with a peeled tail tile, whose vec-mt-db splits its two
-tiles into 1-row sub-tiles.  Any change to these numbers or hashes is a
-behaviour change.
+vec-mt runs per-thread loops over its 8-row tiles split into single rows,
+and its vec-mt-db per-thread pipelines over 2-row sub-tiles, which fit the
+scratchpad where whole tiles do not; GELU's vec-mt runs per-thread loops
+over whole tiles, and its vec-mt-db per-thread pipelines over its 8-row
+tiles split into single rows.  The fine-tile GELU row exercises many small
+tiles, which vec-mt and vec-mt-db run whole on every thread; the vec-add
+anchor of the benchmark's design grid runs four per-thread pipelines that
+share one memory-bound channel; the IR table adds a vec-add with a peeled
+tail tile, whose vec-mt and vec-mt-db split its two tiles into 2-row and
+1-row sub-tiles.  Any change to these numbers or hashes is a behaviour
+change.
 """
 
 import hashlib
@@ -39,7 +41,7 @@ KERNELS = {
 GOLDEN = {
     ("vec-add", "scalar"): (4220416, 4220.416, 4194304, 26112, 26112, 0, (0, 0, 0, 0)),
     ("vec-add", "vec"): (157184, 157.184, 131072, 26112, 26112, 0, (0, 0, 0, 0)),
-    ("vec-add", "vec-mt"): (52652, 52.652, 131072, 26112, 67944, 600, (46912, 48988, 51064, 52052)),
+    ("vec-add", "vec-mt"): (46956, 46.956, 131072, 36864, 51048, 600, (44800, 45084, 45880, 46356)),
     ("vec-add", "vec-mt-db"): (35948, 35.948, 131072, 30720, 7080, 600, (33728, 34268, 34808, 35348)),
     ("gelu", "scalar"): (19947520, 19947.52, 19922944, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec"): (647168, 647.168, 622592, 24576, 24576, 0, (0, 0, 0, 0)),
@@ -85,9 +87,9 @@ GOLDEN_IR = {
     ),
     ("vec-add", "vec-mt"): (
         ("initial", "1de75a2bc474d3ec"),
-        ("vectorize", "1f5bfcaea10d5eea"),
-        ("form-virtual-threads", "bff43ed5d9dfaa76"),
-        ("form-async-threads", "071d430360ceeea1"),
+        ("pipeline-threads", "63a3b385b8ab5991"),
+        ("pipeline-async-threads", "d2dbdab6b67c52dd"),
+        ("vectorize", "d7366d923ba7dddf"),
     ),
     ("vec-add", "vec-mt-db"): (
         ("initial", "1de75a2bc474d3ec"),
@@ -106,9 +108,9 @@ GOLDEN_IR = {
     ),
     ("gelu", "vec-mt"): (
         ("initial", "7a47c4ba35d7c422"),
-        ("vectorize", "64ed083e1a0fdfe7"),
-        ("form-virtual-threads", "2ee4d2e28a229525"),
-        ("form-async-threads", "86006784b3222c0c"),
+        ("pipeline-threads", "f108c147f6af003b"),
+        ("pipeline-async-threads", "00e492a8d9d84972"),
+        ("vectorize", "86006784b3222c0c"),
     ),
     ("gelu", "vec-mt-db"): (
         ("initial", "7a47c4ba35d7c422"),
@@ -127,9 +129,9 @@ GOLDEN_IR = {
     ),
     ("gelu-fine", "vec-mt"): (
         ("initial", "bd97a6592f32b7ef"),
-        ("vectorize", "8bdde77ffe5622d2"),
-        ("form-virtual-threads", "013e4a6c42e9a56f"),
-        ("form-async-threads", "b5e6893d0c6f0e2b"),
+        ("pipeline-threads", "241f9c8e464a5863"),
+        ("pipeline-async-threads", "8a0fa5723e54dd1a"),
+        ("vectorize", "b5e6893d0c6f0e2b"),
     ),
     ("gelu-fine", "vec-mt-db"): (
         ("initial", "bd97a6592f32b7ef"),
@@ -148,9 +150,9 @@ GOLDEN_IR = {
     ),
     ("vec-add-anchor", "vec-mt"): (
         ("initial", "9e518f2423292b27"),
-        ("vectorize", "5f5167db7e65937c"),
-        ("form-virtual-threads", "6756ea5d7be985f9"),
-        ("form-async-threads", "907b0a0a40a8b67f"),
+        ("pipeline-threads", "a09927f4a3c56b9f"),
+        ("pipeline-async-threads", "c97642d70438ff75"),
+        ("vectorize", "907b0a0a40a8b67f"),
     ),
     ("vec-add-anchor", "vec-mt-db"): (
         ("initial", "9e518f2423292b27"),
@@ -169,9 +171,9 @@ GOLDEN_IR = {
     ),
     ("vec-add-tail", "vec-mt"): (
         ("initial", "7f24fa145afb9f54"),
-        ("vectorize", "2d4ee5b21b84a0b5"),
-        ("form-virtual-threads", "9c4f17256c11b04d"),
-        ("form-async-threads", "32e1bdf31c3b2d69"),
+        ("pipeline-threads", "7ab175dcb969921b"),
+        ("pipeline-async-threads", "30fe4a50ae8a11e3"),
+        ("vectorize", "58a9fbeb0ec59084"),
     ),
     ("vec-add-tail", "vec-mt-db"): (
         ("initial", "7f24fa145afb9f54"),

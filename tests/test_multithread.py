@@ -1,8 +1,11 @@
 """Multi-threading passes: structured forall forming and fork-join lowering."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from tilelab import passes
 from tilelab.bench import pipeline_for, run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
@@ -14,11 +17,21 @@ from tilelab.ir import (
     ViewRef,
     walk_module,
 )
-from tilelab.kernels import build_vec_add_2d, make_inputs, reference_output, vec_add_2d
+from tilelab.kernels import (
+    build_kernel,
+    build_vec_add_2d,
+    gelu,
+    make_inputs,
+    reference_output,
+    vec_add_2d,
+)
 from tilelab.machine import LadderRung, MachineConfig
 from tilelab.passes import (
+    Composition,
     MtPolicy,
     PassError,
+    choose_composition,
+    compositions,
     db_stage1,
     db_stage2,
     form_async_threads,
@@ -93,18 +106,65 @@ def test_a_double_buffered_loop_does_not_fork():
         form_virtual_threads(pipelined, POLICY4)
 
 
-@pytest.mark.parametrize(
-    "rung, stage",
-    [(LadderRung.VEC_MT, "the tile fork"), (LadderRung.VEC_MT_DB, "double buffering")],
-)
-def test_rungs_that_overflow_tcm_fail_in_the_pass(rung, stage):
+def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
+    # Two 8x256 vec-add tiles (three 8 KiB buffers each) on a 24 KiB
+    # scratchpad: neither a fork nor a ping/pong over whole tiles fits.
     cfg = MachineConfig(tcm_capacity=24576)
     spec = vec_add_2d(16, 256, 8)
     base = build_vec_add_2d(spec, tcm_capacity=cfg.tcm_capacity)
-    with pytest.raises(PassError, match=f"{stage} needs 49152 bytes"):
-        run_pipeline(base, pipeline_for(rung, cfg))
-    # The single-buffered vec rung fits and runs.
-    assert run_rung(spec, LadderRung.VEC, cfg).timing.total_cycles > 0
+    inputs = make_inputs(spec)
+    vec = run_rung(spec, LadderRung.VEC, cfg, inputs).timing.total_cycles
+    assert vec == 992
+    # vec-mt declines its fork: the loops over 4- and 8-way splits fit, but
+    # cost more than the unforked loop.
+    spec_mt = pipeline_for(LadderRung.VEC_MT, cfg)
+    assert [(c.split, c.forks) for c in compositions(base, spec_mt)] == [(1, 0), (4, 1), (8, 1)]
+    assert choose_composition(base, spec_mt).forks == 0
+    assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == vec
+    with mock.patch.object(passes, "choose_composition", lambda m, s: Composition(4, 0, 1, 24)):
+        forked = run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles
+    assert forked == 1932
+    # vec-mt-db runs one pipeline over 2-way splits, whose ping/pong fits.
+    choice = choose_composition(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    assert (choice.split, choice.forks) == (2, 0)
+    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == 920
+
+
+def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
+    # One-row tiles cannot split, and their ping/pong overflows 3 KiB.
+    cfg = MachineConfig(tcm_capacity=3072)
+    base = build_vec_add_2d(vec_add_2d(16, 256, 1), tcm_capacity=cfg.tcm_capacity)
+    assert compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg)) == ()
+    with pytest.raises(PassError, match="double buffering needs 6144 bytes"):
+        run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, before, after",
+    [
+        # Each thread's first load queues behind the whole-tile loads of the
+        # threads forked before it; 1-row sub-tiles shorten the queue.
+        (vec_add_2d(), MachineConfig(), 52652, 46956),
+        # Two tiles fill two of four threads; halves fill all four.
+        (gelu(8192, 4096), MachineConfig(lanes=16, threads=4), 5456, 3192),
+        # Whole tiles: halves run 1,928, though they fill the threads better.
+        (gelu(5 * 1024, 1024), MachineConfig(lanes=32, threads=4), 1804, 1804),
+    ],
+)
+def test_vec_mt_cost_model_picks(spec, cfg, before, after):
+    """vec-mt cycles of the candidate the cost model picks (`after`) and of
+    the whole-tile fork the size floor alone took (`before`); the pick is
+    the fastest candidate, each forced through the stage table."""
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    inputs = make_inputs(spec)
+    cycles = {}
+    for candidate in compositions(base, pipeline_for(LadderRung.VEC_MT, cfg)):
+        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
+            run = run_rung(spec, LadderRung.VEC_MT, cfg, inputs)
+        cycles[candidate.split, candidate.forks] = run.timing.total_cycles
+    assert cycles[1, 1] == before
+    assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == after
+    assert after == min(cycles.values())
 
 
 # -- partitions --------------------------------------------------------------- #

@@ -5,9 +5,9 @@ reference, the run does not beat the certified floor, and a rerun is
 byte-identical.  Every double-buffered arm a vec-mt-db module holds waits for
 its tile before it prefetches the next (see conftest._check_arm_order).
 
-At vec-mt-db every composition candidate is also forced through the stage
-table: each one that compiles passes the same checks, and the one the cost
-model picks runs within 5% of the fastest."""
+At vec-mt and at vec-mt-db every composition candidate is also forced
+through the stage table: each one that compiles passes the same checks, and
+the one the cost model picks runs within 5% of the fastest."""
 
 from unittest import mock
 
@@ -111,30 +111,41 @@ def test_every_rung_runs_or_gives_a_reason(arm_order, case):
 
 
 # Kernels large enough for the multi-threading size floor on some drawn
-# shape, on machines with threads to fork over: cases with several
-# vec-mt-db candidates.
+# shape, on machines with threads to fork over: cases with several vec-mt
+# and vec-mt-db candidates.
 forkable_cases = cases(
     st.one_of(vec_add_specs((160, 256, 512, 1000, 2048)), gelu_specs((512, 1024, 2048, 4096))),
     st.integers(2, 5),
 )
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(forkable_cases)
-def test_the_chosen_composition_is_near_the_fastest(arm_order, case):
+def _chosen_near_the_fastest(rung, case, arm_order):
+    """Forces every candidate of the rung through the stage table."""
     spec, cfg = case
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    spec_db = pipeline_for(LadderRung.VEC_MT_DB, cfg)
+    spec_rung = pipeline_for(rung, cfg)
     inputs = make_inputs(spec)
     cycles = {}
-    for candidate in compositions(base, spec_db):
+    for candidate in compositions(base, spec_rung):
         with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
             try:
-                _, _, timing = _run(spec, LadderRung.VEC_MT_DB, cfg, inputs, arm_order)
+                _, _, timing = _run(spec, rung, cfg, inputs, arm_order)
             except PassError as exc:
                 assert str(exc)
                 continue
         cycles[candidate] = timing.total_cycles
-    chosen = choose_composition(base, spec_db)
+    chosen = choose_composition(base, spec_rung)
     if chosen in cycles:
         assert cycles[chosen] <= 1.05 * min(cycles.values()), (chosen, cycles)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(forkable_cases)
+def test_the_chosen_composition_is_near_the_fastest(arm_order, case):
+    _chosen_near_the_fastest(LadderRung.VEC_MT_DB, case, arm_order)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(forkable_cases)
+def test_the_chosen_vec_mt_composition_is_near_the_fastest(arm_order, case):
+    _chosen_near_the_fastest(LadderRung.VEC_MT, case, arm_order)

@@ -145,6 +145,19 @@ def test_db_mt_floor_uses_the_rows_it_forks_over(cfg, cycles, floor):
     assert latency_lower_bound(collect_stats(base), cfg, LadderRung.VEC_MT_DB) == floor
 
 
+def test_mt_floor_uses_the_rows_it_forks_over():
+    # Two 8-row GELU tiles: vec-mt splits them into halves and runs four
+    # per-thread loops, so the floor divides compute by min(threads, 16)
+    # contexts; by the tile count, the floor would be 9,728.
+    spec = gelu(n=32768)
+    base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
+    run = run_rung(spec, LadderRung.VEC_MT, CFG, make_inputs(spec))
+    assert run.timing.total_cycles == 5804
+    assert sum(busy > 0 for busy in run.timing.per_thread_busy) == 4
+    assert latency_lower_bound(collect_stats(base), CFG, LadderRung.VEC_MT) == 4864
+    assert run.lower_bound == 4864
+
+
 def test_mt_speedup_never_exceeds_thread_count():
     for rows in (8, 16, 64):
         spec = vec_add_2d(rows=rows, tile_rows=1)

@@ -25,8 +25,8 @@ from tilelab.ir import (
     full_view,
 )
 from tilelab.kernels import build_gelu, build_vec_add_2d, gelu, vec_add_2d, vec_add_expr
-from tilelab.machine import LadderRung, MachineConfig, RUNG_ORDER
-from tilelab.passes import run_pipeline
+from tilelab.machine import MachineConfig, RUNG_ORDER
+from tilelab.passes import MtPolicy, form_async_threads, form_virtual_threads, run_pipeline
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -197,11 +197,12 @@ def test_leaked_and_dead_tcm(verify):
 
 def test_concurrent_async_regions_share_capacity(verify):
     # Four concurrent regions of ~1.5 MiB each exceed a 4 MiB scratchpad even
-    # though each region alone fits.  The module is forked for the default
-    # scratchpad: for the small one the tile fork refuses it (test_multithread).
+    # though each region alone fits.  The whole tiles are forked for the
+    # default scratchpad: for the small one the tile fork refuses them
+    # (test_multithread), and vec-mt forks split tiles that fit.
     small = MachineConfig(tcm_capacity=4_194_304)
     base = build_vec_add_2d(vec_add_2d())
-    m = run_pipeline(base, pipeline_for(LadderRung.VEC_MT, CFG))
+    m = form_async_threads(form_virtual_threads(base, MtPolicy(CFG.threads)))
     diags = verify(m, small)
     assert any("concurrent async regions" in d for d in diags)
     assert verify_module(m, MachineConfig(tcm_capacity=8_388_608)) == []
