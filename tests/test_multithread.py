@@ -27,7 +27,6 @@ from tilelab.kernels import (
 )
 from tilelab.machine import LadderRung, MachineConfig
 from tilelab.passes import (
-    Composition,
     MtPolicy,
     PassError,
     choose_composition,
@@ -121,7 +120,8 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
     assert [(c.split, c.forks) for c in compositions(base, spec_mt)] == [(1, 0), (4, 1), (8, 1)]
     assert choose_composition(base, spec_mt).forks == 0
     assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == vec
-    with mock.patch.object(passes, "choose_composition", lambda m, s: Composition(4, 0, 1, 24)):
+    four_way = next(c for c in compositions(base, spec_mt) if c.split == 4)
+    with mock.patch.object(passes, "choose_composition", lambda m, s: four_way):
         forked = run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles
     assert forked == 1932
     # vec-mt-db runs one pipeline over 2-way splits, whose ping/pong fits.
@@ -147,7 +147,7 @@ def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
         (vec_add_2d(), MachineConfig(), 52652, 46956),
         # Two tiles fill two of four threads; halves fill all four.
         (gelu(8192, 4096), MachineConfig(lanes=16, threads=4), 5456, 3192),
-        # Whole tiles: halves run 1,928, though they fill the threads better.
+        # Five whole tiles beat ten halves (1,928), which deal out more evenly.
         (gelu(5 * 1024, 1024), MachineConfig(lanes=32, threads=4), 1804, 1804),
     ],
 )
