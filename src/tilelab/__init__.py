@@ -44,7 +44,6 @@ from .machine import (
 from .normal_form import NormalFormDescriptor, match_normal_form
 from .passes import (
     Composition,
-    MtPolicy,
     PassError,
     PipelineSpec,
     choose_composition,
@@ -78,7 +77,6 @@ __all__ = [
     "LadderRow",
     "LadderRung",
     "MachineConfig",
-    "MtPolicy",
     "NormalFormDescriptor",
     "PassError",
     "PipelineSpec",

@@ -28,7 +28,7 @@ from .machine import (
     collect_stats,
     latency_lower_bound,
 )
-from .passes import MtPolicy, PipelineSpec, run_pipeline
+from .passes import PipelineSpec, run_pipeline
 from .sim import simulate_timed
 from .verifier import verify_module
 
@@ -97,10 +97,6 @@ def round3(value: float) -> float:
     return float(Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN))
 
 
-def pipeline_for(rung: LadderRung, cfg: MachineConfig) -> PipelineSpec:
-    return PipelineSpec(rung, cfg.lanes, MtPolicy(cfg.threads), cfg)
-
-
 def outputs_match(kind: KernelKind, got: dict, want: dict) -> bool:
     """Exact equality for vec-add; GELU within GELU_RTOL.  GELU tries exact
     equality first, which accepts the same pairs as allclose alone: both
@@ -133,7 +129,7 @@ def _compile(
     the transformed module's schedule, which the verifier and both executors
     share, and the verifier's diagnostics."""
     base = build_kernel(kernel, tcm_capacity=cfg.tcm_capacity)
-    sched = lower(run_pipeline(base, pipeline_for(rung, cfg)))
+    sched = lower(run_pipeline(base, PipelineSpec(rung, cfg)))
     return base, sched, verify_module(sched, cfg)
 
 

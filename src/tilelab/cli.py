@@ -17,13 +17,12 @@ from .bench import (
     BenchError,
     DEFAULT_SWEEP_SIZES,
     functional_check,
-    pipeline_for,
     run_ladder,
     run_sweep,
 )
 from .kernels import KernelKind, KernelSpec, build_kernel, gelu, vec_add_2d
 from .machine import LadderRung, MachineConfig, load_machine_config
-from .passes import STAGE_INITIAL, pipeline_stage_names, run_pipeline_stages
+from .passes import STAGE_INITIAL, PipelineSpec, pipeline_stage_names, run_pipeline_stages
 from .printer import print_module
 from .reports import emit_csv, emit_json, emit_svg, write_report_files
 
@@ -158,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             rung = LadderRung(args.rung)
             stages = run_pipeline_stages(
                 build_kernel(_kernel_spec(args.kernel), tcm_capacity=cfg.tcm_capacity),
-                pipeline_for(rung, cfg),
+                PipelineSpec(rung, cfg),
             )
             wanted = args.stage
             if wanted == "final":

@@ -154,11 +154,6 @@ ANCHOR_STOREBACK = "db.storeback"
 ANCHORS = (ANCHOR_PREFETCH, ANCHOR_COMPUTE, ANCHOR_STOREBACK)
 
 
-class DistPolicy(str, Enum):
-    BLOCK = "block"
-    BLOCK_CYCLIC = "block_cyclic"
-
-
 class TagRole(str, Enum):
     PING = "ping"
     PONG = "pong"
@@ -187,7 +182,6 @@ class ForTiles:
 class Forall:
     iv: str
     tile_count: int
-    policy: DistPolicy
     threads: int
     body: tuple["Op", ...]
     anchor: str | None = None

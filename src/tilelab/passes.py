@@ -1,10 +1,14 @@
 """Rewrite passes over tile modules and the rung-keyed pipeline driver.
 
-Five transformations: vectorize, form_virtual_threads (structured parallel
-loop), form_async_threads (fork-join lowering), and the two double-buffering
-stages (structural pipelining, then asynchronous DMA).  Every pass takes a
-module and returns a new one, or its input when it has nothing to do; inputs
-are never mutated.
+Six transformations: vectorize, split_tiles (tiles split k ways by rows),
+form_virtual_threads (the tile fork: a structured parallel loop),
+form_async_threads (fork-join lowering), and the two double-buffering stages
+(structural pipelining, then asynchronous DMA).  The driver runs them as the
+named stages of _STAGES, `vectorize`, `pipeline-threads` (split_tiles and
+the tile fork, as choose_composition picks), `pipeline-async-threads`,
+`db-stage1` and `db-stage2`, in the order _RUNG_STAGES gives each rung.
+Every pass takes a module and returns a new one, or its input when it has
+nothing to do; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .ir import (
     Compute,
     Copy,
     DeallocTcm,
-    DistPolicy,
     DmaStart,
     DmaTag,
     DmaWait,
@@ -60,38 +63,29 @@ class PassError(ValueError):
 # Size floor below which multi-threading is declined: fewer parallel tiles
 # than MT_MIN_TILES, or fewer written elements in all of them together than
 # MT_MIN_ELEMENTS.  vec-mt counts the kernel's whole tiles, vec-mt-db its
-# split tiles one each.  A one-thread policy declines every fork.
+# split tiles one each.  A one-thread machine declines every fork.
 MT_MIN_TILES = 2
 MT_MIN_ELEMENTS = 4096
 
 
 @dataclass(frozen=True, slots=True)
-class MtPolicy:
-    """Thread count of the multi-threading passes.  The distribution is block
-    for evenly dividing tile counts and block-cyclic otherwise (balances
-    uneven ranges)."""
-
-    threads: int = 4
-
-    def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-
-@dataclass(frozen=True, slots=True)
 class PipelineSpec:
-    """The rung and what its passes read: the vector width, the threads, and
-    the machine whose scratchpad bounds every pass and whose timing fields
-    price the vec-mt and vec-mt-db compositions (see choose_composition)."""
+    """The rung and the machine its passes read: the machine's lanes are the
+    vector width, its threads the fork width, its scratchpad bounds every
+    pass, and its timing fields price the vec-mt and vec-mt-db compositions
+    (see choose_composition)."""
 
     rung: LadderRung
-    lanes: int = 32
-    mt: MtPolicy = MtPolicy()
     machine: MachineConfig = MachineConfig()
 
-    def __post_init__(self) -> None:
-        if self.lanes < 1:
-            raise ValueError("lanes must be >= 1")
+    @property
+    def lanes(self) -> int:
+        return self.machine.lanes
+
+    @property
+    def mt(self) -> MachineConfig:
+        """The machine, whose `threads` the multi-threading passes fork over."""
+        return self.machine
 
 
 # --------------------------------------------------------------------------- #
@@ -218,44 +212,50 @@ def _vectorize_compute(op: Compute, lanes: int) -> tuple[Op, ...]:
 # --------------------------------------------------------------------------- #
 
 
-def partition_tiles(
-    tile_count: int, threads: int, kind: DistPolicy
-) -> tuple[tuple[int, ...], ...]:
-    """Per-thread tile assignments; the union is exactly [0, tile_count) and
-    the sets are pairwise disjoint."""
+def partition_tiles(tile_count: int, threads: int) -> tuple[tuple[int, ...], ...]:
+    """Per-thread tile assignments, OpenMP's schedule(static): contiguous
+    blocks in thread order, the first tile_count % threads of them one tile
+    longer.  The union is exactly [0, tile_count), the sets are pairwise
+    disjoint, and their sizes differ by at most one."""
     if tile_count < 0 or threads < 1:
         raise ValueError("tile_count must be >= 0 and threads >= 1")
-    if kind is DistPolicy.BLOCK:
-        chunk = math.ceil(tile_count / threads) if tile_count else 0
-        return tuple(
-            tuple(range(t * chunk, min((t + 1) * chunk, tile_count))) for t in range(threads)
-        )
-    return tuple(tuple(range(t, tile_count, threads)) for t in range(threads))
+    q, r = divmod(tile_count, threads)
+    starts = [t * q + min(t, r) for t in range(threads + 1)]
+    return tuple(tuple(range(starts[t], starts[t + 1])) for t in range(threads))
 
 
-def _pick_policy(tile_count: int, threads: int) -> DistPolicy:
-    return DistPolicy.BLOCK if tile_count % threads == 0 else DistPolicy.BLOCK_CYCLIC
+def _require_flat(body: tuple[Op, ...]) -> None:
+    """The tile fork forks only loop bodies without a loop, a toggle or an
+    async region."""
+    for op in body:
+        if isinstance(op, (ForTiles, Forall, IfToggle, FlipToggle, AsyncExecute)):
+            raise PassError(
+                f"cannot parallelize a loop whose body holds a {type(op).__name__}:"
+                " the tile fork forks only flat loop bodies"
+            )
 
 
 def form_virtual_threads(
-    m: TileModule, policy: MtPolicy, tcm_capacity: int = MachineConfig().tcm_capacity
+    m: TileModule, threads: int, tcm_capacity: int = MachineConfig().tcm_capacity
 ) -> TileModule:
-    """Rewrites the tiled loop into an explicitly parallel forall unless the
-    policy has one thread or the loop is below the MT_MIN_TILES /
-    MT_MIN_ELEMENTS size floor, which returns the module unchanged.  The
-    threads' copies of the loop body are live at once and must fit
-    `tcm_capacity` together.  Run before double buffering, each thread
-    later pipelines its own block of tiles; a double-buffered loop, which
-    carries a toggle, does not fork."""
+    """Rewrites the tiled loop into an explicitly parallel forall over
+    `threads` unless there is one thread or the loop is below the
+    MT_MIN_TILES / MT_MIN_ELEMENTS size floor, which returns the module
+    unchanged.  The threads' copies of the loop body are live at once and
+    must fit `tcm_capacity` together.  Run before double buffering, each
+    thread later pipelines its own block of tiles.  Only a flat loop body
+    forks: a double-buffered loop, which carries a toggle, or a body holding
+    a loop, a toggle or an async region raises PassError."""
     loops = [(i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles)]
     if not loops:
         raise PassError("no top-level tiled loop to parallelize")
     index, loop = loops[0]
     if loop.toggle_init is not None:
         raise PassError("cannot parallelize a loop with a carried toggle")
+    _require_flat(loop.body)
 
     views = _written_ddr_views(m, loop.body)
-    if _declines_fork(loop.tile_count, sum(v.elems for v in views), policy.threads):
+    if _declines_fork(loop.tile_count, sum(v.elems for v in views), threads):
         return m
     for view in views:
         if abs(view.row_scale) < view.row_count:
@@ -263,10 +263,9 @@ def form_virtual_threads(
                 f"cross-thread dependence: output view of @{view.base} overlaps"
                 f" across iterations (stride {view.row_scale} < {view.row_count} rows)"
             )
-    _require_tcm("the tile fork", min(policy.threads, loop.tile_count), loop, tcm_capacity)
+    _require_tcm("the tile fork", min(threads, loop.tile_count), loop, tcm_capacity)
 
-    kind = _pick_policy(loop.tile_count, policy.threads)
-    forall = Forall(loop.iv, loop.tile_count, kind, policy.threads, loop.body)
+    forall = Forall(loop.iv, loop.tile_count, threads, loop.body)
     body = m.body[:index] + (forall,) + m.body[index + 1 :]
     return replace(m, body=body)
 
@@ -279,22 +278,14 @@ def _declines_fork(parallel: int, elems_each: int, threads: int) -> bool:
 
 
 def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
-    """DDR views written by ops binding to the enclosing loop's iv (ops under
-    a nested loop bind elsewhere and are skipped)."""
+    """DDR views written by the ops of a flat loop body."""
     ddr = {d.id for d in m.buffers}
-    views: list[ViewRef] = []
-
-    def fn(op: Op):
-        if isinstance(op, (ForTiles, Forall)):
-            return (op,)
-        if isinstance(op, (Copy, DmaStart)) and op.dst.base in ddr:
-            views.append(op.dst)
-        elif isinstance(op, Compute) and op.output.base in ddr:
-            views.append(op.output)
-        return None
-
-    _rewrite(body, fn)
-    return views
+    written = (
+        op.output if isinstance(op, Compute) else op.dst
+        for op in body
+        if isinstance(op, (Copy, DmaStart, Compute))
+    )
+    return [view for view in written if view.base in ddr]
 
 
 def _whole_row_tiles(operands: tuple[Operand, ...], k: int) -> bool:
@@ -365,11 +356,11 @@ def _vectorized_cycles(cfg: MachineConfig, elems: int, per_element: int, lanes: 
 
 def _forked_cycles(cfg: MachineConfig, units: int, threads: int, x_in: int, unit: int) -> int:
     """When the last region of a fork over `units` units of `unit` compute
-    cycles finishes, join excluded.  Units are dealt out in blocks, or
-    block-cyclically, so the first r of the Tu = min(threads, units)
-    regions get one more.  Region j (from 1) starts j forks in and has its
-    first unit once the channel has moved `x_in` for it, behind the first
-    loads of the regions before it."""
+    cycles finishes, join excluded.  Units are dealt out as partition_tiles
+    deals tiles, so the first r of the Tu = min(threads, units) regions get
+    one more.  Region j (from 1) starts j forks in and has its first unit
+    once the channel has moved `x_in` for it, behind the first loads of the
+    regions before it."""
     used = min(threads, units)
     q, r = divmod(units, used)
 
@@ -465,12 +456,12 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     desc = match_normal_form(m)
     if desc is None:
         return ()
-    cfg, threads = spec.machine, spec.mt.threads
+    cfg, threads = spec.machine, spec.machine.threads
     out_view = desc.output[0]
     forkable = abs(out_view.row_scale) >= out_view.row_count  # output tiles do not overlap
     body_bytes = _loop_body_bytes(desc.loop)
     operands = len(desc.inputs) + 1
-    splits = list(_splits(desc, cfg, spec.lanes))
+    splits = list(_splits(desc, cfg, cfg.lanes))
 
     if spec.rung is not LadderRung.VEC_MT_DB:
         _, tiles, x_ins, c, x_out = splits[0]
@@ -543,17 +534,17 @@ def _lower_forall(forall: Forall, index: int) -> tuple[Op, ...]:
     threads = forall.threads
     if threads < 1:
         raise PassError(f"forall threads must be >= 1, got {threads}")
-    sets = partition_tiles(forall.tile_count, threads, forall.policy)
-    step = threads if forall.policy is DistPolicy.BLOCK_CYCLIC else 1
+    _require_flat(forall.body)
+    sets = partition_tiles(forall.tile_count, threads)
     # Regions run concurrently, so per-tile scratch allocations need
     # per-thread buffer identities.
-    owned = {op.decl.id for _, op in walk(forall.body) if isinstance(op, AllocTcm)}
+    owned = {op.decl.id for op in forall.body if isinstance(op, AllocTcm)}
     group = f"g{index}"
     ops: list[Op] = []
     for t, tiles in enumerate(sets):
         if not tiles:
             continue
-        body = _thread_body(forall.body, step, tiles[0], owned, f"_w{t}")
+        body = _thread_body(forall.body, tiles[0], owned, f"_w{t}")
         token = f"{group}t{t}"
         ops.append(
             AsyncExecute(
@@ -567,41 +558,29 @@ def _lower_forall(forall: Forall, index: int) -> tuple[Op, ...]:
     return tuple(ops)
 
 
-def _thread_body(
-    body: tuple[Op, ...], step: int, start: int, owned: set[str], suffix: str, nested: bool = False
-) -> tuple[Op, ...]:
-    """One thread's copy of a forall body: iv -> start + step * j in every
-    view bound to the loop being lowered, and `suffix` on every TCM buffer
-    in `owned` (allocated within the body).  Views under a nested loop bind
-    to that loop: they are renamed but not remapped."""
+def _thread_body(body: tuple[Op, ...], start: int, owned: set[str], suffix: str) -> tuple[Op, ...]:
+    """One thread's copy of a flat forall body: iv -> start + j in every
+    view, and `suffix` on every TCM buffer in `owned` (allocated within the
+    body)."""
 
     def view_of(view: ViewRef) -> ViewRef:
         if view.base in owned:
             view = replace(view, base=view.base + suffix)
-        if nested:
-            return view
-        return replace(
-            view,
-            row_scale=view.row_scale * step,
-            row_base=view.row_scale * start + view.row_base,
-        )
+        return replace(view, row_base=view.row_scale * start + view.row_base)
 
-    def fn(op: Op):
-        if isinstance(op, (ForTiles, Forall)) and not nested:
-            inner = _thread_body(op.body, step, start, owned, suffix, nested=True)
-            return (replace(op, body=inner),)
+    def one(op: Op) -> Op:
         if isinstance(op, AllocTcm) and op.decl.id in owned:
-            return (replace(op, decl=replace(op.decl, id=op.decl.id + suffix)),)
+            return replace(op, decl=replace(op.decl, id=op.decl.id + suffix))
         if isinstance(op, DeallocTcm) and op.buffer_id in owned:
-            return (replace(op, buffer_id=op.buffer_id + suffix),)
-        if not nested and isinstance(op, (Copy, DmaStart, DmaWait)) and (
+            return replace(op, buffer_id=op.buffer_id + suffix)
+        if isinstance(op, (Copy, DmaStart, DmaWait)) and (
             op.only_if_iv_lt is not None or op.only_if_iv_ge is not None
         ):
             raise PassError("cannot lower a guarded op inside a forall body")
         mapped = _map_views(op, view_of)
-        return None if mapped is None else (mapped,)
+        return op if mapped is None else mapped
 
-    return _rewrite(body, fn)
+    return tuple(one(op) for op in body)
 
 
 # --------------------------------------------------------------------------- #
@@ -825,7 +804,7 @@ STAGE_INITIAL = "initial"
 # Stage name -> pass call.  The lambdas look the passes up in this module's
 # globals at call time, so a rebinding of a pass (for tracing) takes effect.
 _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
-    "vectorize": lambda m, spec: vectorize(m, spec.lanes),
+    "vectorize": lambda m, spec: vectorize(m, spec.machine.lanes),
     # vec-mt and vec-mt-db: the tiles are split as the cost model's pick
     # says and, for a fork, each thread gets a block of them to run.
     "pipeline-threads": lambda m, spec: _pipeline_threads(m, spec, choose_composition(m, spec)),
@@ -842,7 +821,8 @@ def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | N
     if choice is None:
         return m
     m = split_tiles(m, choice.split)
-    return form_virtual_threads(m, spec.mt, spec.machine.tcm_capacity) if choice.forks else m
+    cfg = spec.machine
+    return form_virtual_threads(m, cfg.threads, cfg.tcm_capacity) if choice.forks else m
 
 
 # vec-mt and vec-mt-db fork in the first two stages; an unforked loop or one

@@ -101,8 +101,8 @@ def _emit(lines: list[str], body: tuple[Op, ...], depth: int, iv: str | None) ->
             lines.append(f"{pad}}}")
         elif isinstance(op, Forall):
             lines.append(
-                f"{pad}forall %{op.iv} in 0..{op.tile_count} "
-                f"dist={op.policy.value} threads={op.threads} {{{_suffix(op, iv)}"
+                f"{pad}forall %{op.iv} in 0..{op.tile_count} threads={op.threads}"
+                f" {{{_suffix(op, iv)}"
             )
             _emit(lines, op.body, depth + 1, op.iv)
             lines.append(f"{pad}}}")

@@ -9,13 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from tilelab.bench import DEFAULT_SWEEP_SIZES, pipeline_for, run_ladder, run_rung, run_sweep
+from tilelab.bench import DEFAULT_SWEEP_SIZES, run_ladder, run_rung, run_sweep
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
     ANCHOR_PREFETCH,
     Compute,
     Copy,
-    DistPolicy,
     DmaStart,
     DmaWait,
     dynamic_schedule,
@@ -105,7 +104,7 @@ def test_criterion_4_simulator_floor():
     memory_bound = MachineConfig(dma_bandwidth=1)
     spec = vec_add_2d()
     base = build_vec_add_2d(spec, tcm_capacity=memory_bound.tcm_capacity)
-    module = run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, memory_bound))
+    module = run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, memory_bound))
     _, report = simulate_timed(module, make_inputs(spec), memory_bound)
     stats = collect_stats(base)
     transfer_floor = stats.n_transfers * memory_bound.dma_startup + math.ceil(
@@ -117,13 +116,18 @@ def test_criterion_4_simulator_floor():
 
 @pytest.mark.criterion("5", "pass structural invariants hold exhaustively at small scale")
 def test_criterion_5_structural_invariants():
-    # Partition coverage and disjointness for all T <= 64, threads <= 8.
+    # Partition coverage, disjointness, contiguity and balance for all
+    # T <= 64, threads <= 8.
     for tile_count in range(1, 65):
         for threads in range(1, 9):
-            for kind in (DistPolicy.BLOCK, DistPolicy.BLOCK_CYCLIC):
-                sets = partition_tiles(tile_count, threads, kind)
-                flat = sorted(t for s in sets for t in s)
-                assert flat == list(range(tile_count))
+            sets = partition_tiles(tile_count, threads)
+            flat = [t for s in sets for t in s]
+            assert sorted(flat) == list(range(tile_count))
+            assert len(flat) == len(set(flat))
+            for s in sets:
+                assert all(b == a + 1 for a, b in zip(s, s[1:]))
+            sizes = [len(s) for s in sets]
+            assert max(sizes) - min(sizes) <= 1
 
     # Stage 1: dynamically executed prefetches equal the tile count.
     for tiles in (1, 2, 3, 8):
@@ -206,7 +210,7 @@ def test_criterion_7_db_bracket():
     assert abs(t_dma - t_compute) <= 0.10 * max(t_dma, t_compute)
 
     inputs = make_inputs(spec)
-    single_buffered = run_pipeline(base, PipelineSpec(LadderRung.VEC, lanes=cfg.lanes))
+    single_buffered = run_pipeline(base, PipelineSpec(LadderRung.VEC, cfg))
     db_only = vectorize(db_stage2(db_stage1(base)), cfg.lanes)
     _, single_report = simulate_timed(single_buffered, inputs, cfg)
     _, db_report = simulate_timed(db_only, inputs, cfg)

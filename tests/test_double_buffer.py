@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from tilelab.bench import pipeline_for
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
     ANCHOR_COMPUTE,
@@ -19,7 +18,7 @@ from tilelab.ir import (
 )
 from tilelab.kernels import build_vec_add_2d, make_inputs, reference_output, vec_add_2d
 from tilelab.machine import LadderRung, MachineConfig
-from tilelab.passes import PassError, db_stage1, db_stage2, run_pipeline
+from tilelab.passes import PassError, PipelineSpec, db_stage1, db_stage2, run_pipeline
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -98,7 +97,7 @@ def test_each_arm_waits_for_its_tile_before_prefetching_the_next(arm_order, comp
         # The design-grid vec-add anchor: four threads, each its own pipeline.
         cfg = MachineConfig(threads=4)
         base = build_vec_add_2d(vec_add_2d(64, 2048, 8))
-        m, arms = run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg)), 4 * 2
+        m, arms = run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg)), 4 * 2
     assert arm_order(m) == arms
 
 

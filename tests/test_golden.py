@@ -20,11 +20,10 @@ import hashlib
 
 import pytest
 
-from tilelab.bench import pipeline_for
 from tilelab.interp import interpret_functional
 from tilelab.kernels import build_kernel, gelu, make_inputs, vec_add_2d
 from tilelab.machine import MachineConfig, RUNG_ORDER, TimingReport
-from tilelab.passes import run_pipeline, run_pipeline_stages
+from tilelab.passes import PipelineSpec, run_pipeline, run_pipeline_stages
 from tilelab.printer import print_module
 from tilelab.sim import simulate_timed
 
@@ -64,7 +63,7 @@ def test_golden_ladder(kernel):
     base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
     inputs = make_inputs(spec)
     for rung in RUNG_ORDER:
-        module = run_pipeline(base, pipeline_for(rung, CFG))
+        module = run_pipeline(base, PipelineSpec(rung, CFG))
         sim_out, report = simulate_timed(module, inputs, CFG)
         assert report == TimingReport(*GOLDEN[(kernel, rung.value)]), rung
         interp_out = interpret_functional(module, inputs)
@@ -87,13 +86,13 @@ GOLDEN_IR = {
     ),
     ("vec-add", "vec-mt"): (
         ("initial", "1de75a2bc474d3ec"),
-        ("pipeline-threads", "63a3b385b8ab5991"),
+        ("pipeline-threads", "9267f9adff5afcf5"),
         ("pipeline-async-threads", "d2dbdab6b67c52dd"),
         ("vectorize", "d7366d923ba7dddf"),
     ),
     ("vec-add", "vec-mt-db"): (
         ("initial", "1de75a2bc474d3ec"),
-        ("pipeline-threads", "4163dbdce047e24b"),
+        ("pipeline-threads", "8c3db69bc640e49d"),
         ("pipeline-async-threads", "e37ab05c50e61611"),
         ("db-stage1", "5a3526ec65d6a773"),
         ("db-stage2", "fa4ba5033b52c19b"),
@@ -108,13 +107,13 @@ GOLDEN_IR = {
     ),
     ("gelu", "vec-mt"): (
         ("initial", "7a47c4ba35d7c422"),
-        ("pipeline-threads", "f108c147f6af003b"),
+        ("pipeline-threads", "d7906d35e5bc106f"),
         ("pipeline-async-threads", "00e492a8d9d84972"),
         ("vectorize", "86006784b3222c0c"),
     ),
     ("gelu", "vec-mt-db"): (
         ("initial", "7a47c4ba35d7c422"),
-        ("pipeline-threads", "917bab19241b05e6"),
+        ("pipeline-threads", "c9b9889bbc9f88c7"),
         ("pipeline-async-threads", "0f53a3d2175646b1"),
         ("db-stage1", "bbe89e8cb5cba08f"),
         ("db-stage2", "3d0574728cb95f95"),
@@ -129,13 +128,13 @@ GOLDEN_IR = {
     ),
     ("gelu-fine", "vec-mt"): (
         ("initial", "bd97a6592f32b7ef"),
-        ("pipeline-threads", "241f9c8e464a5863"),
+        ("pipeline-threads", "5a103fae4efd372d"),
         ("pipeline-async-threads", "8a0fa5723e54dd1a"),
         ("vectorize", "b5e6893d0c6f0e2b"),
     ),
     ("gelu-fine", "vec-mt-db"): (
         ("initial", "bd97a6592f32b7ef"),
-        ("pipeline-threads", "241f9c8e464a5863"),
+        ("pipeline-threads", "5a103fae4efd372d"),
         ("pipeline-async-threads", "8a0fa5723e54dd1a"),
         ("db-stage1", "7bb391b84c6cd36e"),
         ("db-stage2", "9399dd636aa6ceaa"),
@@ -150,13 +149,13 @@ GOLDEN_IR = {
     ),
     ("vec-add-anchor", "vec-mt"): (
         ("initial", "9e518f2423292b27"),
-        ("pipeline-threads", "a09927f4a3c56b9f"),
+        ("pipeline-threads", "3a7a66fc1af9f797"),
         ("pipeline-async-threads", "c97642d70438ff75"),
         ("vectorize", "907b0a0a40a8b67f"),
     ),
     ("vec-add-anchor", "vec-mt-db"): (
         ("initial", "9e518f2423292b27"),
-        ("pipeline-threads", "a09927f4a3c56b9f"),
+        ("pipeline-threads", "3a7a66fc1af9f797"),
         ("pipeline-async-threads", "c97642d70438ff75"),
         ("db-stage1", "67cb44fd9288a5ab"),
         ("db-stage2", "a524ec34f9f61893"),
@@ -171,13 +170,13 @@ GOLDEN_IR = {
     ),
     ("vec-add-tail", "vec-mt"): (
         ("initial", "7f24fa145afb9f54"),
-        ("pipeline-threads", "7ab175dcb969921b"),
+        ("pipeline-threads", "c96c7b9c28eef020"),
         ("pipeline-async-threads", "30fe4a50ae8a11e3"),
         ("vectorize", "58a9fbeb0ec59084"),
     ),
     ("vec-add-tail", "vec-mt-db"): (
         ("initial", "7f24fa145afb9f54"),
-        ("pipeline-threads", "25739acd98a87852"),
+        ("pipeline-threads", "9fb75190a9691204"),
         ("pipeline-async-threads", "3b39c6534fdd5166"),
         ("db-stage1", "5ee5171ea90f96fb"),
         ("db-stage2", "18a4224921c395ce"),
@@ -190,7 +189,7 @@ GOLDEN_IR = {
 def test_golden_ir(kernel):
     base = build_kernel(IR_KERNELS[kernel], tcm_capacity=CFG.tcm_capacity)
     for rung in RUNG_ORDER:
-        stages = run_pipeline_stages(base, pipeline_for(rung, CFG))
+        stages = run_pipeline_stages(base, PipelineSpec(rung, CFG))
         got = tuple(
             (name, hashlib.sha256(print_module(m).encode()).hexdigest()[:16])
             for name, m in stages

@@ -2,11 +2,10 @@
 
 from dataclasses import replace
 
-from tilelab.bench import pipeline_for
 from tilelab.ir import ForTiles, TileModule
 from tilelab.kernels import build_vec_add_2d, vec_add_2d
 from tilelab.machine import LadderRung, MachineConfig
-from tilelab.passes import db_stage1, run_pipeline
+from tilelab.passes import PipelineSpec, db_stage1, run_pipeline
 from tilelab.printer import print_module
 
 CFG = MachineConfig()
@@ -26,7 +25,7 @@ def test_empty_loop_prints_three_lines():
 
 def test_fork_join_line_order():
     base = build_vec_add_2d(vec_add_2d(), tcm_capacity=CFG.tcm_capacity)
-    m = run_pipeline(base, pipeline_for(LadderRung.VEC_MT, CFG))
+    m = run_pipeline(base, PipelineSpec(LadderRung.VEC_MT, CFG))
     text = print_module(m)
     first_exec = text.index("async.execute")
     first_add = text.index("add_to_group")
@@ -58,7 +57,7 @@ def test_identical_modules_print_identically():
 def test_structural_change_changes_text():
     a = build_vec_add_2d(vec_add_2d())
     b = build_vec_add_2d(vec_add_2d(rows=64, tile_rows=4))
-    c = run_pipeline(a, pipeline_for(LadderRung.VEC, CFG))
+    c = run_pipeline(a, PipelineSpec(LadderRung.VEC, CFG))
     texts = [print_module(m) for m in (a, b, c)]
     assert len(set(texts)) == 3
 

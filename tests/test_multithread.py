@@ -1,17 +1,17 @@
 """Multi-threading passes: structured forall forming and fork-join lowering."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from tilelab import passes
-from tilelab.bench import pipeline_for, run_rung
+from tilelab.bench import run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
     AsyncExecute,
     AwaitAll,
-    DistPolicy,
     Forall,
     ForTiles,
     ViewRef,
@@ -27,8 +27,8 @@ from tilelab.kernels import (
 )
 from tilelab.machine import LadderRung, MachineConfig
 from tilelab.passes import (
-    MtPolicy,
     PassError,
+    PipelineSpec,
     choose_composition,
     compositions,
     db_stage1,
@@ -40,7 +40,7 @@ from tilelab.passes import (
     vectorize,
 )
 
-POLICY4 = MtPolicy(threads=4)
+THREADS = 4
 
 
 def _build(rows, tile_rows=1):
@@ -50,34 +50,30 @@ def _build(rows, tile_rows=1):
 # -- form_virtual_threads ---------------------------------------------------- #
 
 
-def test_even_tiles_pick_block():
-    m = form_virtual_threads(_build(8), POLICY4)
+def test_ten_tiles_on_four_threads_fork_into_contiguous_blocks():
+    # The first 10 % 4 threads get one tile more: regions of 3, 3, 2 and 2.
+    m = form_virtual_threads(_build(10), THREADS)
     forall = m.body[0]
     assert isinstance(forall, Forall)
-    assert forall.policy is DistPolicy.BLOCK
     assert forall.threads == 4
-
-
-def test_uneven_tiles_pick_block_cyclic():
-    m = form_virtual_threads(_build(10), POLICY4)
-    assert m.body[0].policy is DistPolicy.BLOCK_CYCLIC
+    blocks = ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9))
+    assert partition_tiles(10, 4) == blocks
+    assert _thread_tile_sets(form_async_threads(m)) == list(blocks)
 
 
 def test_below_min_tiles_unchanged():
     base = _build(8, tile_rows=8)  # single tile
-    assert form_virtual_threads(base, POLICY4) is base
+    assert form_virtual_threads(base, THREADS) is base
 
 
 def test_below_min_elements_unchanged():
     base = _build(4)  # 4 tiles x 16384 elements each, but floor on tiles holds
     small = build_vec_add_2d(vec_add_2d(rows=4, cols=8, tile_rows=1))  # 32 elements
-    assert form_virtual_threads(small, POLICY4) is small
-    assert isinstance(form_virtual_threads(base, POLICY4).body[0], Forall)
+    assert form_virtual_threads(small, THREADS) is small
+    assert isinstance(form_virtual_threads(base, THREADS).body[0], Forall)
 
 
 def test_overlapping_outputs_rejected():
-    from dataclasses import replace
-
     base = _build(8)
     loop = base.body[0]
     body = list(loop.body)
@@ -86,7 +82,7 @@ def test_overlapping_outputs_rejected():
     body[-4] = replace(copy_out, dst=ViewRef("C", 0, 0, 1, 16384))
     clash = replace(base, body=(replace(loop, body=tuple(body)),))
     with pytest.raises(PassError, match="cross-thread dependence"):
-        form_virtual_threads(clash, POLICY4)
+        form_virtual_threads(clash, THREADS)
 
 
 def test_tile_fork_refuses_what_overflows_tcm():
@@ -94,15 +90,26 @@ def test_tile_fork_refuses_what_overflows_tcm():
     # so the bodies of the two tiles cannot be live at once.
     base = build_vec_add_2d(vec_add_2d(16, 256, 8))
     with pytest.raises(PassError, match="the tile fork needs 49152 bytes .* > capacity 24576"):
-        form_virtual_threads(base, POLICY4, 24576)
-    assert isinstance(form_virtual_threads(base, POLICY4, 49152).body[0], Forall)
+        form_virtual_threads(base, THREADS, 24576)
+    assert isinstance(form_virtual_threads(base, THREADS, 49152).body[0], Forall)
+
+
+def test_a_loop_whose_body_holds_a_loop_does_not_fork():
+    base = _build(8)
+    loop = base.body[0]
+    nested = replace(loop, body=(ForTiles("j", 2, loop.body),))
+    with pytest.raises(
+        PassError,
+        match="loop whose body holds a ForTiles: the tile fork forks only flat loop bodies",
+    ):
+        form_virtual_threads(replace(base, body=(nested,)), THREADS)
 
 
 def test_a_double_buffered_loop_does_not_fork():
     # The ping/pong loop carries its toggle from one tile to the next.
     pipelined = vectorize(db_stage2(db_stage1(_build(8, tile_rows=2))), 32)
     with pytest.raises(PassError, match="cannot parallelize a loop with a carried toggle"):
-        form_virtual_threads(pipelined, POLICY4)
+        form_virtual_threads(pipelined, THREADS)
 
 
 def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
@@ -116,7 +123,7 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
     assert vec == 992
     # vec-mt declines its fork: the loops over 4- and 8-way splits fit, but
     # cost more than the unforked loop.
-    spec_mt = pipeline_for(LadderRung.VEC_MT, cfg)
+    spec_mt = PipelineSpec(LadderRung.VEC_MT, cfg)
     assert [(c.split, c.forks) for c in compositions(base, spec_mt)] == [(1, 0), (4, 1), (8, 1)]
     assert choose_composition(base, spec_mt).forks == 0
     assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == vec
@@ -125,7 +132,7 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
         forked = run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles
     assert forked == 1932
     # vec-mt-db runs one pipeline over 2-way splits, whose ping/pong fits.
-    choice = choose_composition(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    choice = choose_composition(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
     assert (choice.split, choice.forks) == (2, 0)
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == 920
 
@@ -134,9 +141,9 @@ def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
     # One-row tiles cannot split, and their ping/pong overflows 3 KiB.
     cfg = MachineConfig(tcm_capacity=3072)
     base = build_vec_add_2d(vec_add_2d(16, 256, 1), tcm_capacity=cfg.tcm_capacity)
-    assert compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg)) == ()
+    assert compositions(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg)) == ()
     with pytest.raises(PassError, match="double buffering needs 6144 bytes"):
-        run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+        run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
 
 
 @pytest.mark.parametrize(
@@ -158,7 +165,7 @@ def test_vec_mt_cost_model_picks(spec, cfg, before, after):
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     inputs = make_inputs(spec)
     cycles = {}
-    for candidate in compositions(base, pipeline_for(LadderRung.VEC_MT, cfg)):
+    for candidate in compositions(base, PipelineSpec(LadderRung.VEC_MT, cfg)):
         with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
             run = run_rung(spec, LadderRung.VEC_MT, cfg, inputs)
         cycles[candidate.split, candidate.forks] = run.timing.total_cycles
@@ -171,29 +178,20 @@ def test_vec_mt_cost_model_picks(spec, cfg, before, after):
 
 
 def test_block_partition_of_eight():
-    assert partition_tiles(8, 4, DistPolicy.BLOCK) == ((0, 1), (2, 3), (4, 5), (6, 7))
-
-
-def test_block_cyclic_partition_of_ten():
-    assert partition_tiles(10, 4, DistPolicy.BLOCK_CYCLIC) == (
-        (0, 4, 8),
-        (1, 5, 9),
-        (2, 6),
-        (3, 7),
-    )
+    assert partition_tiles(8, 4) == ((0, 1), (2, 3), (4, 5), (6, 7))
 
 
 def test_partition_properties_exhaustive():
     for tile_count in range(1, 65):
         for threads in range(1, 9):
-            for kind in (DistPolicy.BLOCK, DistPolicy.BLOCK_CYCLIC):
-                sets = partition_tiles(tile_count, threads, kind)
-                flat = [t for s in sets for t in s]
-                assert sorted(flat) == list(range(tile_count)), (tile_count, threads, kind)
-                assert len(flat) == len(set(flat))
-                if kind is DistPolicy.BLOCK_CYCLIC:
-                    sizes = [len(s) for s in sets]
-                    assert max(sizes) - min(sizes) <= 1
+            sets = partition_tiles(tile_count, threads)
+            flat = [t for s in sets for t in s]
+            assert sorted(flat) == list(range(tile_count)), (tile_count, threads)
+            assert len(flat) == len(set(flat))
+            for s in sets:  # a run of consecutive tiles
+                assert all(b == a + 1 for a, b in zip(s, s[1:])), (tile_count, threads)
+            sizes = [len(s) for s in sets]
+            assert max(sizes) - min(sizes) <= 1, (tile_count, threads)
 
 
 # -- form_async_threads ------------------------------------------------------- #
@@ -221,24 +219,19 @@ def _thread_tile_sets(m):
 
 
 def test_block_lowering_tile_sets():
-    m = form_async_threads(form_virtual_threads(_build(8), POLICY4))
+    m = form_async_threads(form_virtual_threads(_build(8), THREADS))
     assert _thread_tile_sets(m) == [(0, 1), (2, 3), (4, 5), (6, 7)]
     assert sum(1 for _, op in walk_module(m) if isinstance(op, AwaitAll)) == 1
-
-
-def test_block_cyclic_lowering_tile_sets():
-    m = form_async_threads(form_virtual_threads(_build(10), POLICY4))
-    assert _thread_tile_sets(m) == [(0, 4, 8), (1, 5, 9), (2, 6), (3, 7)]
 
 
 def test_single_thread_degenerate_fork_join():
     # A fork over one worker only adds fork/join cycles: it is declined.
     base = _build(8)
-    assert form_virtual_threads(base, MtPolicy(threads=1)) is base
+    assert form_virtual_threads(base, 1) is base
 
 
 def test_more_threads_than_tiles_skips_empty_regions():
-    m = form_async_threads(form_virtual_threads(_build(2), POLICY4))
+    m = form_async_threads(form_virtual_threads(_build(2), THREADS))
     assert _thread_tile_sets(m) == [(0,), (1,)]
 
 
@@ -251,7 +244,7 @@ def test_lowered_module_preserves_semantics():
     for rows in (8, 10):
         spec = vec_add_2d(rows=rows, tile_rows=1)
         m = form_async_threads(
-            form_virtual_threads(vectorize(build_vec_add_2d(spec), 32), POLICY4)
+            form_virtual_threads(vectorize(build_vec_add_2d(spec), 32), THREADS)
         )
         inputs = make_inputs(spec)
         out = interpret_functional(m, inputs)

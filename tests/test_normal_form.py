@@ -20,7 +20,6 @@ from tilelab.kernels import (
 from tilelab.machine import MachineConfig
 from tilelab.normal_form import match_block_explain, match_normal_form, normal_form_tile
 from tilelab.passes import (
-    MtPolicy,
     db_stage1,
     db_stage2,
     form_async_threads,
@@ -77,7 +76,7 @@ def test_each_builder_loop_is_rebuilt_from_its_descriptor(kernel):
 @pytest.mark.parametrize("kernel", list(SPECS))
 def test_each_thread_loop_is_rebuilt_from_its_descriptor(kernel):
     base = build_kernel(SPECS[kernel])
-    forked = form_async_threads(form_virtual_threads(base, MtPolicy(4)))
+    forked = form_async_threads(form_virtual_threads(base, 4))
     regions = [op for op in forked.body if isinstance(op, AsyncExecute)]
     assert regions
     ddr = {d.id for d in base.buffers}

@@ -2,20 +2,25 @@
 raises PassError with a reason, or its module is verifier-clean, the
 interpreter and the simulator agree bit for bit, the simulator matches the
 reference, the run does not beat the certified floor, and a rerun is
-byte-identical.  Every double-buffered arm a vec-mt-db module holds waits for
+byte-identical.  Every compute of the module runs at vector factor 1 or the
+machine's lanes, and a forked module has at most the machine's threads of
+async regions.  Every double-buffered arm a vec-mt-db module holds waits for
 its tile before it prefetches the next (see conftest._check_arm_order).
 
 At vec-mt and at vec-mt-db every composition candidate is also forced
 through the stage table: each one that compiles passes the same checks, and
-the one the cost model picks runs within 5% of the fastest."""
+the one the cost model picks runs within 5% of the fastest.  The vec-mt gate
+also pins draws that a closed-form price of the per-thread loops mispriced by
+more than 5%, so a price that regresses on them fails here."""
 
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilelab import passes
-from tilelab.bench import outputs_match, pipeline_for
+from tilelab.bench import outputs_match
 from tilelab.interp import interpret_functional
+from tilelab.ir import AsyncExecute, Compute, walk_module
 from tilelab.kernels import (
     GeluVariant,
     KernelKind,
@@ -33,7 +38,13 @@ from tilelab.machine import (
     collect_stats,
     latency_lower_bound,
 )
-from tilelab.passes import PassError, choose_composition, compositions, run_pipeline
+from tilelab.passes import (
+    PassError,
+    PipelineSpec,
+    choose_composition,
+    compositions,
+    run_pipeline,
+)
 from tilelab.printer import print_module
 from tilelab.sim import simulate_timed
 from tilelab.verifier import verify_module
@@ -82,8 +93,11 @@ def cases(draw, specs=st.one_of(vec_add_specs(), gelu_specs()), threads=st.integ
 def _run(spec, rung, cfg, inputs, arm_order):
     """(printed module, outputs, timing) of one rung, checked on the way."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    sched = lower(run_pipeline(base, pipeline_for(rung, cfg)))
+    sched = lower(run_pipeline(base, PipelineSpec(rung, cfg)))
     assert verify_module(sched, cfg) == []
+    ops = [op for _, op in walk_module(sched.module)]
+    assert {op.vector_factor for op in ops if isinstance(op, Compute)} <= {1, cfg.lanes}
+    assert sum(isinstance(op, AsyncExecute) for op in ops) <= cfg.threads
     if rung is LadderRung.VEC_MT_DB:
         assert arm_order(sched.module) >= 2
     interp_out = interpret_functional(sched, inputs)
@@ -123,7 +137,7 @@ def _chosen_near_the_fastest(rung, case, arm_order):
     """Forces every candidate of the rung through the stage table."""
     spec, cfg = case
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    spec_rung = pipeline_for(rung, cfg)
+    spec_rung = PipelineSpec(rung, cfg)
     inputs = make_inputs(spec)
     cycles = {}
     for candidate in compositions(base, spec_rung):
@@ -147,5 +161,17 @@ def test_the_chosen_composition_is_near_the_fastest(arm_order, case):
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(forkable_cases)
+# Draws of forkable_cases whose pick the closed form
+# max(F(n, Xin, Xin + C + Xout) - Xin, fork + n*(Xin + Xout) + min(C, Xout)) + join
+# put 5.1% to 7.3% over the fastest candidate; the channel replay picks the fastest.
+@example((vec_add_2d(21, 512, 10, seed=8), MachineConfig(8, 5, 3, 3, 633, 127, 199, 227, 614400)))
+@example((vec_add_2d(18, 512, 8, seed=7), MachineConfig(16, 2, 2, 4, 18, 116, 7, 116, 540672)))
+@example((gelu(8192, 1024, GeluVariant.ERF, 4), MachineConfig(64, 5, 1, 3, 34, 3, 16, 249, 73728)))
+@example(
+    (gelu(24576, 4096, GeluVariant.ERF, 9), MachineConfig(32, 5, 3, 3, 1023, 139, 195, 246, 196608))
+)
+@example((gelu(4096, 2048, GeluVariant.TANH, 8), MachineConfig(8, 4, 3, 5, 1, 75, 32, 74, 196608)))
+@example((gelu(20480, 4096, GeluVariant.ERF, 2), MachineConfig(32, 3, 1, 2, 255, 75, 2, 2, 262144)))
+@example((gelu(7168, 1024, GeluVariant.TANH, 7), MachineConfig(16, 2, 1, 6, 6, 6, 151, 263, 98304)))
 def test_the_chosen_vec_mt_composition_is_near_the_fastest(arm_order, case):
     _chosen_near_the_fastest(LadderRung.VEC_MT, case, arm_order)

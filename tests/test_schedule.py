@@ -8,12 +8,12 @@ from types import SimpleNamespace
 import pytest
 
 import tilelab.lower as lowering
-from tilelab.bench import functional_check, pipeline_for, run_rung
+from tilelab.bench import functional_check, run_rung
 from tilelab.ir import TileModule
 from tilelab.kernels import build_kernel, gelu, vec_add_2d
 from tilelab.lower import Schedule, lower
 from tilelab.machine import MachineConfig, RUNG_ORDER
-from tilelab.passes import run_pipeline
+from tilelab.passes import PipelineSpec, run_pipeline
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -39,7 +39,7 @@ def test_lowering_a_schedule_returns_it():
 def test_golden_kernels_agree_on_their_schedules(verify, kernel):
     base = build_kernel(GOLDEN_KERNELS[kernel], tcm_capacity=CFG.tcm_capacity)
     for rung in RUNG_ORDER:
-        assert verify(run_pipeline(base, pipeline_for(rung, CFG)), CFG) == [], rung
+        assert verify(run_pipeline(base, PipelineSpec(rung, CFG)), CFG) == [], rung
 
 
 def test_a_module_that_cannot_be_lowered_gets_a_diagnostic():
@@ -70,7 +70,7 @@ def lowered(monkeypatch):
 def test_a_rung_run_lowers_its_module_once(lowered, rung):
     spec = gelu(n=1 << 14, tile_elems=1024)
     base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
-    transformed = run_pipeline(base, pipeline_for(rung, CFG))
+    transformed = run_pipeline(base, PipelineSpec(rung, CFG))
     run_rung(spec, rung, CFG)
     # The verifier and the simulator share one schedule; the floor's
     # statistics lower the base module.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tilelab.bench import pipeline_for, run_rung
+from tilelab.bench import run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
     AddToGroup,
@@ -29,7 +29,7 @@ from tilelab.kernels import (
 )
 from tilelab.machine import LadderRung, MachineConfig, RUNG_ORDER, collect_stats, latency_lower_bound
 from tilelab.passes import (
-    MtPolicy,
+    PipelineSpec,
     form_async_threads,
     form_virtual_threads,
     run_pipeline,
@@ -104,7 +104,7 @@ def test_determinism_bit_for_bit():
     spec = vec_add_2d()
     m = run_pipeline(
         build_vec_add_2d(spec, tcm_capacity=CFG.tcm_capacity),
-        pipeline_for(LadderRung.VEC_MT_DB, CFG),
+        PipelineSpec(LadderRung.VEC_MT_DB, CFG),
     )
     inputs = make_inputs(spec)
     out1, rep1 = simulate_timed(m, inputs, CFG)
@@ -119,7 +119,7 @@ def test_determinism_bit_for_bit():
 def test_simulator_equals_interpreter(kind, rung):
     spec = vec_add_2d() if kind == "vec-add-2d" else gelu(n=262144)
     base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
-    m = run_pipeline(base, pipeline_for(rung, CFG))
+    m = run_pipeline(base, PipelineSpec(rung, CFG))
     inputs = make_inputs(spec)
     sim_out, report = simulate_timed(m, inputs, CFG)
     interp_out = interpret_functional(m, inputs)
@@ -139,7 +139,7 @@ def test_db_mt_floor_uses_the_rows_it_forks_over(cfg, cycles, floor):
     # min(threads, 8), not by the tile count.
     spec = gelu(n=4096, tile_elems=4096)
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    m = run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    m = run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
     _, report = simulate_timed(m, make_inputs(spec), cfg)
     assert report.total_cycles == cycles
     assert latency_lower_bound(collect_stats(base), cfg, LadderRung.VEC_MT_DB) == floor
@@ -180,7 +180,7 @@ def test_schedule_independence_of_outputs():
     spec = vec_add_2d()
     m = run_pipeline(
         build_vec_add_2d(spec, tcm_capacity=CFG.tcm_capacity),
-        pipeline_for(LadderRung.VEC_MT, CFG),
+        PipelineSpec(LadderRung.VEC_MT, CFG),
     )
     # Reverse the creation order of the async regions within the group.
     pairs, tail = [], []
@@ -228,7 +228,7 @@ def test_regions_beyond_the_workers_queue_for_a_free_one():
     # regions wait in the queue, so the same compute takes longer.
     spec = gelu(8 * 2048, 2048)
     m = form_async_threads(
-        form_virtual_threads(vectorize(build_kernel(spec), 8), MtPolicy(4))
+        form_virtual_threads(vectorize(build_kernel(spec), 8), 4)
     )
     assert sum(isinstance(op, AsyncExecute) for op in m.body) == 4
     inputs = make_inputs(spec)

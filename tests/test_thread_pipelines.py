@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from tilelab import passes
-from tilelab.bench import outputs_match, pipeline_for, run_rung
+from tilelab.bench import outputs_match, run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import AsyncExecute, Copy, DmaStart, DmaWait, ForTiles, TagRole, walk, walk_module
 from tilelab.kernels import build_kernel, gelu, make_inputs, reference_output, vec_add_2d
@@ -24,7 +24,7 @@ from tilelab.machine import (
 from tilelab.normal_form import match_normal_form
 from tilelab.passes import (
     Composition,
-    MtPolicy,
+    PipelineSpec,
     PassError,
     choose_composition,
     compositions,
@@ -44,7 +44,7 @@ CFG = MachineConfig()
 
 def _thread_pipelines(base, cfg):
     """The per-thread composition, whatever the selection rule says."""
-    m = form_virtual_threads(base, MtPolicy(cfg.threads))
+    m = form_virtual_threads(base, cfg.threads)
     if m is not base:
         m = form_async_threads(m)
     return vectorize(db_stage2(db_stage1(m)), cfg.lanes)
@@ -113,14 +113,14 @@ def test_thread_pipelines_agree_with_the_reference(tiles, threads):
             loops = [op for op in region.body if isinstance(op, ForTiles)]
             assert len(loops) == 1 and loops[0].toggle_init is True
 
-        chosen = run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+        chosen = run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
         _check(chosen, spec, cfg, inputs, reference, floor)
 
 
 def _forced(base, cfg, candidate):
     """The vec-mt-db module of `candidate`, whatever the cost model picks."""
     with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
-        return run_pipeline(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+        return run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
 
 
 @pytest.mark.parametrize(
@@ -138,7 +138,7 @@ def _forced(base, cfg, candidate):
 def test_selection_rule(spec, cfg, expected):
     """`expected`: per-thread pipelines, each forked at the top level."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    spec_db = pipeline_for(LadderRung.VEC_MT_DB, cfg)
+    spec_db = PipelineSpec(LadderRung.VEC_MT_DB, cfg)
     assert choose_composition(base, spec_db).forks == expected
     m = run_pipeline(base, spec_db)
     regions = _regions(m)
@@ -150,7 +150,7 @@ def test_vec_add_splits_tiles_that_do_not_fit_tcm():
     # Per-thread ping/pong over whole 8-row tiles needs 12 MiB of 8 MiB TCM;
     # 2-row sub-tiles fit, and pay one fork/join in place of eight.
     base = build_kernel(vec_add_2d(), tcm_capacity=CFG.tcm_capacity)
-    spec = pipeline_for(LadderRung.VEC_MT_DB, CFG)
+    spec = PipelineSpec(LadderRung.VEC_MT_DB, CFG)
     splits = [(1, 0), (2, 0), (2, 1), (4, 0), (4, 1), (8, 0), (8, 1)]
     assert [(c.split, c.forks) for c in compositions(base, spec)] == splits
     assert choose_composition(base, spec) == Composition(4, 35948, 1, 96)
@@ -169,7 +169,7 @@ def test_five_tile_gelu_splits_its_tiles_for_balance():
     cfg = MachineConfig(lanes=8, threads=4)
     spec = gelu(n=5 * 16384)
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    choice = choose_composition(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    choice = choose_composition(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
     assert (choice.split, choice.forks) == (8, 1)
     inputs = make_inputs(spec)
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == 49500
@@ -194,7 +194,7 @@ TIE_CFG = MachineConfig(
 def test_a_tie_goes_to_fewer_forks(spec, expected):
     """Then to fewer transfers."""
     base = build_kernel(spec, tcm_capacity=TIE_CFG.tcm_capacity)
-    spec_db = pipeline_for(LadderRung.VEC_MT_DB, TIE_CFG)
+    spec_db = PipelineSpec(LadderRung.VEC_MT_DB, TIE_CFG)
     candidates = compositions(base, spec_db)
     choice = choose_composition(base, spec_db)
     tied = [c for c in candidates if c.cycles == choice.cycles]
@@ -217,7 +217,7 @@ def test_overlapping_tiles_run_one_pipeline():
         for op in loop.body
     )
     m = replace(base, body=(replace(loop, body=body),))
-    spec = pipeline_for(LadderRung.VEC_MT_DB, CFG)
+    spec = PipelineSpec(LadderRung.VEC_MT_DB, CFG)
     assert [(c.split, c.forks) for c in compositions(m, spec)] == [(1, 0)]
     assert verify_module(run_pipeline(m, spec), CFG) == []
 
@@ -252,7 +252,7 @@ def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floo
     """Two 2-row tiles split into four 1-row tiles run on four threads, where
     a floor over max(tiles, rows) = 2 contexts would be beaten."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    candidates = compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    candidates = compositions(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
     m = _forced(base, cfg, next(c for c in candidates if (c.split, c.forks) == (2, 1)))
     assert len(_regions(m)) == 4
     stats = collect_stats(base)
@@ -283,7 +283,7 @@ def test_cost_model_picks(spec, cfg, before, after):
     count, or the cost model before GELU tiles could split and before one
     pipeline could run over split tiles."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    candidates = compositions(base, pipeline_for(LadderRung.VEC_MT_DB, cfg))
+    candidates = compositions(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
     inputs = make_inputs(spec)
     cycles = {
         c: simulate_timed(_forced(base, cfg, c), inputs, cfg)[1].total_cycles
@@ -299,7 +299,7 @@ def test_cost_model_picks(spec, cfg, before, after):
 def test_one_thread_declines_every_fork(spec, rung):
     cfg = MachineConfig(threads=1)
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    m = run_pipeline(base, pipeline_for(rung, cfg))
+    m = run_pipeline(base, PipelineSpec(rung, cfg))
     assert not any(isinstance(op, AsyncExecute) for _, op in walk_module(m))
     assert simulate_timed(m, make_inputs(spec), cfg)[1].overhead_cycles == 0
 

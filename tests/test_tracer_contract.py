@@ -10,7 +10,7 @@ from tilelab import bench, reports
 from tilelab.ir import dynamic_schedule
 from tilelab.kernels import build_kernel, gelu
 from tilelab.machine import MachineConfig, RUNG_ORDER
-from tilelab.passes import run_pipeline
+from tilelab.passes import PipelineSpec, run_pipeline
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -46,7 +46,7 @@ def test_traced_run_fills_every_observation():
     assert traced <= {span.name for span in tracer.spans}
 
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    modules = [run_pipeline(base, bench.pipeline_for(rung, cfg)) for rung in RUNG_ORDER]
+    modules = [run_pipeline(base, PipelineSpec(rung, cfg)) for rung in RUNG_ORDER]
     assert tracer.interp_ops == sum(sum(1 for _ in dynamic_schedule(m)) for m in modules)
     for rung in RUNG_ORDER:
         assert tracer.rung_runs[(spec, cfg, rung)].rung is rung

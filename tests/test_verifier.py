@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from tilelab.bench import pipeline_for
 from tilelab.interp import InterpError, interpret_functional
 from tilelab.ir import (
     AllocTcm,
@@ -26,7 +25,7 @@ from tilelab.ir import (
 )
 from tilelab.kernels import build_gelu, build_vec_add_2d, gelu, vec_add_2d, vec_add_expr
 from tilelab.machine import MachineConfig, RUNG_ORDER
-from tilelab.passes import MtPolicy, form_async_threads, form_virtual_threads, run_pipeline
+from tilelab.passes import PipelineSpec, form_async_threads, form_virtual_threads, run_pipeline
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -48,7 +47,7 @@ def test_all_rungs_verify_clean():
             else build_gelu(spec, tcm_capacity=CFG.tcm_capacity)
         )
         for rung in RUNG_ORDER:
-            transformed = run_pipeline(base, pipeline_for(rung, CFG))
+            transformed = run_pipeline(base, PipelineSpec(rung, CFG))
             assert verify_module(transformed, CFG) == [], rung
 
 
@@ -202,7 +201,7 @@ def test_concurrent_async_regions_share_capacity(verify):
     # (test_multithread), and vec-mt forks split tiles that fit.
     small = MachineConfig(tcm_capacity=4_194_304)
     base = build_vec_add_2d(vec_add_2d())
-    m = form_async_threads(form_virtual_threads(base, MtPolicy(CFG.threads)))
+    m = form_async_threads(form_virtual_threads(base, CFG.threads))
     diags = verify(m, small)
     assert any("concurrent async regions" in d for d in diags)
     assert verify_module(m, MachineConfig(tcm_capacity=8_388_608)) == []
