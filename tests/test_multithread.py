@@ -50,15 +50,20 @@ def _build(rows, tile_rows=1):
 # -- form_virtual_threads ---------------------------------------------------- #
 
 
-def test_ten_tiles_on_four_threads_fork_into_contiguous_blocks():
-    # The first 10 % 4 threads get one tile more: regions of 3, 3, 2 and 2.
+def test_even_tiles_pick_block():
+    m = form_virtual_threads(_build(8), THREADS)
+    forall = m.body[0]
+    assert isinstance(forall, Forall)
+    assert forall.threads == 4
+
+
+def test_uneven_tiles_pick_block_cyclic():
+    # Uneven tiles no longer deal block-cyclic: the same balanced contiguous
+    # split forks them, and every thread still gets 2 or 3 of the 10 tiles.
     m = form_virtual_threads(_build(10), THREADS)
     forall = m.body[0]
     assert isinstance(forall, Forall)
     assert forall.threads == 4
-    blocks = ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9))
-    assert partition_tiles(10, 4) == blocks
-    assert _thread_tile_sets(form_async_threads(m)) == list(blocks)
 
 
 def test_below_min_tiles_unchanged():
@@ -181,6 +186,11 @@ def test_block_partition_of_eight():
     assert partition_tiles(8, 4) == ((0, 1), (2, 3), (4, 5), (6, 7))
 
 
+def test_block_cyclic_partition_of_ten():
+    # The first 10 % 4 threads get one tile more: regions of 3, 3, 2 and 2.
+    assert partition_tiles(10, 4) == ((0, 1, 2), (3, 4, 5), (6, 7), (8, 9))
+
+
 def test_partition_properties_exhaustive():
     for tile_count in range(1, 65):
         for threads in range(1, 9):
@@ -222,6 +232,11 @@ def test_block_lowering_tile_sets():
     m = form_async_threads(form_virtual_threads(_build(8), THREADS))
     assert _thread_tile_sets(m) == [(0, 1), (2, 3), (4, 5), (6, 7)]
     assert sum(1 for _, op in walk_module(m) if isinstance(op, AwaitAll)) == 1
+
+
+def test_block_cyclic_lowering_tile_sets():
+    m = form_async_threads(form_virtual_threads(_build(10), THREADS))
+    assert _thread_tile_sets(m) == [(0, 1, 2), (3, 4, 5), (6, 7), (8, 9)]
 
 
 def test_single_thread_degenerate_fork_join():
