@@ -125,8 +125,6 @@ EXPR_OPS: dict[type, dict[str, Callable[..., np.ndarray]]] = {
         "max": np.maximum,
     },
 }
-UNARY_OPS = tuple(EXPR_OPS[Unary])
-BINARY_OPS = tuple(EXPR_OPS[Binary])
 
 
 def expr_nodes(e: Expr) -> Iterator[Expr]:

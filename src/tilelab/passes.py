@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
@@ -43,6 +42,7 @@ from .ir import (
     TileModule,
     ViewRef,
     full_view,
+    op_regions,
     ops_per_element,
     walk,
 )
@@ -156,7 +156,10 @@ def _require_tcm(what: str, copies: int, loop: ForTiles, tcm_capacity: int) -> N
 def vectorize(m: TileModule, lanes: int) -> TileModule:
     """Sets every compute region's vector factor to `lanes`; a region whose
     element count is not a multiple of lanes is split into a vector body over
-    the largest multiple plus a scalar epilogue over the remainder."""
+    the largest multiple plus a scalar epilogue over the remainder.  The
+    split is by rows, so it raises PassError (`cannot split epilogue`)
+    unless the vector body ends on a row boundary of every view; ROADMAP
+    item 1 holds the fix."""
     if lanes < 1:
         raise PassError(f"lanes must be >= 1, got {lanes}")
 
@@ -335,13 +338,11 @@ class Composition:
     `split` ways by rows (see split_tiles; 1 keeps them whole), then run by
     one loop or one pipeline over them all (`forks` 0), or forked so each
     thread runs a block of them through its own loop or pipeline (`forks`
-    1: one fork/join per run).  `transfers` counts the DMA transfers of the
-    tile loop."""
+    1: one fork/join per run)."""
 
     split: int
     cycles: int
     forks: int
-    transfers: int
 
 
 def _vectorized_cycles(cfg: MachineConfig, elems: int, per_element: int, lanes: int) -> int:
@@ -460,13 +461,12 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     out_view = desc.output[0]
     forkable = abs(out_view.row_scale) >= out_view.row_count  # output tiles do not overlap
     body_bytes = _loop_body_bytes(desc.loop)
-    operands = len(desc.inputs) + 1
     splits = list(_splits(desc, cfg, cfg.lanes))
 
     if spec.rung is not LadderRung.VEC_MT_DB:
         _, tiles, x_ins, c, x_out = splits[0]
         best = tiles * (sum(x_ins) + c + x_out)
-        candidates = [Composition(1, best, 0, tiles * operands)]
+        candidates = [Composition(1, best, 0)]
         if not forkable or _declines_fork(tiles, out_view.elems, threads):
             return tuple(candidates)
         for k, n, x_ins, c, x_out in splits:
@@ -479,7 +479,7 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
             if cycles <= best:  # else the lower bound already loses: no replay
                 cycles = _forked_loops_cycles(cfg, n, threads, x_ins, c, x_out) + cfg.join_cost
                 best = min(best, cycles)
-            candidates.append(Composition(k, cycles, 1, n * operands))
+            candidates.append(Composition(k, cycles, 1))
         return tuple(candidates)
 
     candidates = []
@@ -487,7 +487,7 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
         x_in = sum(x_ins)
         if 2 * body_bytes // k <= cfg.tcm_capacity:
             cycles = max(x_in + n * c + x_out, n * (x_in + x_out), n * x_in + (n - 1) * x_out + c)
-            candidates.append(Composition(k, cycles, 0, n * operands))
+            candidates.append(Composition(k, cycles, 0))
         if (
             forkable
             and not _declines_fork(n, out_view.elems // k, threads)
@@ -495,19 +495,19 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
         ):
             last = _forked_cycles(cfg, n, threads, x_in, c) + x_out
             cycles = max(last, cfg.fork_cost + n * (x_in + x_out)) + cfg.join_cost
-            candidates.append(Composition(k, cycles, 1, n * operands))
+            candidates.append(Composition(k, cycles, 1))
     return tuple(candidates)
 
 
 def choose_composition(m: TileModule, spec: PipelineSpec) -> Composition | None:
     """The cheapest candidate of the rung (see compositions); a tie goes to
-    fewer fork/joins, then to fewer transfers.  None when there is no
-    candidate: outside the normal form, or at vec-mt-db where none fits the
-    scratchpad."""
+    fewer fork/joins, then to the smaller split, which moves fewer
+    transfers.  None when there is no candidate: outside the normal form,
+    or at vec-mt-db where none fits the scratchpad."""
     candidates = compositions(m, spec)
     if not candidates:
         return None
-    return min(candidates, key=lambda c: (c.cycles, c.forks, c.transfers))
+    return min(candidates, key=lambda c: (c.cycles, c.forks, c.split))
 
 
 # --------------------------------------------------------------------------- #
@@ -584,27 +584,48 @@ def _thread_body(body: tuple[Op, ...], start: int, owned: set[str], suffix: str)
 
 
 # --------------------------------------------------------------------------- #
-# Double buffering stage 1: structural pipelining
+# Double buffering: one ping/pong pipeline, with copies (stage 1) then DMA (stage 2)
 # --------------------------------------------------------------------------- #
 
 
 def db_stage1(m: TileModule, tcm_capacity: int = MachineConfig().tcm_capacity) -> TileModule:
-    """Rebuilds each single-buffered loop into a ping/pong pipeline: a
-    prologue prefetches the loop's first tile into ping buffers, and each
-    arm of the loop prefetches the next tile into the opposite buffers,
-    computes on the current ones and stores back, rematerializing subviews
-    at the current induction variable (db_stage2 moves the wait for the
-    current tile ahead of the prefetch).  A forked module pipelines the loop
+    """Rebuilds each single-buffered loop into its ping/pong pipeline with
+    synchronous copies (see _ping_pong).  A forked module pipelines the loop
     of every async region, each over its own block of tiles; otherwise the
-    module body holds the one loop.  Anchor attributes mark the
-    prefetch/compute/storeback roles for stage 2.  The ping and pong copies
-    of every pipeline's loop body are live at once and must fit
-    `tcm_capacity` together."""
+    module body holds the one loop.  The ping and pong copies of every
+    pipeline's loop body are live at once and must fit `tcm_capacity`
+    together."""
     ddr = {d.id for d in m.buffers}
     copies = 2 * max(1, sum(isinstance(op, AsyncExecute) for op in m.body))
 
     def pipeline(block: tuple[Op, ...]) -> tuple[Op, ...]:
-        return _pipeline_loop(block, ddr, copies, tcm_capacity)
+        desc, reason = match_block_explain(block, ddr)
+        if desc is None:
+            raise PassError(f"double buffering requires the single-buffered normal form: {reason}")
+        _require_tcm("double buffering", copies, desc.loop, tcm_capacity)
+        return block[: desc.loop_index] + _ping_pong(desc) + block[desc.loop_index + 1 :]
+
+    return replace(m, body=_per_pipeline(m.body, pipeline))
+
+
+def db_stage2(m: TileModule) -> TileModule:
+    """Rebuilds each db_stage1 pipeline with tagged DMA in place of its
+    copies (see _ping_pong).  The operands are read off the ping arm and the
+    prologue's ping allocs, and the pipeline is accepted only if db_stage1
+    builds it exactly from them; otherwise PassError names the first op that
+    differs.  Tags are distinct across pipelines."""
+    dma_ids = itertools.count()
+
+    def pipeline(block: tuple[Op, ...]) -> tuple[Op, ...]:
+        desc = _read_pipeline(block)
+        sync = _ping_pong(desc)
+        loop_at = next(i for i, op in enumerate(sync) if isinstance(op, ForTiles))
+        start = max(0, desc.loop_index - loop_at)
+        end = start + len(sync)
+        if block[start:end] != sync:
+            where = _first_difference(block, block[:start] + sync + block[end:])
+            raise PassError(f"async DMA stage: {where} differs from db_stage1's pipeline")
+        return block[:start] + _ping_pong(desc, dma_ids) + block[end:]
 
     return replace(m, body=_per_pipeline(m.body, pipeline))
 
@@ -615,184 +636,121 @@ def _per_pipeline(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
     if not any(isinstance(op, AsyncExecute) for op in body):
         return fn(body)
     return tuple(
-        replace(op, body=fn(op.body)) if isinstance(op, AsyncExecute) else op for op in body
+        AsyncExecute(op.token, fn(op.body), op.anchor) if isinstance(op, AsyncExecute) else op
+        for op in body
     )
 
 
-def _pipeline_loop(
-    block: tuple[Op, ...], ddr: set[str], copies: int, tcm_capacity: int
-) -> tuple[Op, ...]:
-    desc, reason = match_block_explain(block, ddr)
-    if desc is None:
-        raise PassError(f"double buffering requires the single-buffered normal form: {reason}")
-    loop = desc.loop
-    _require_tcm("double buffering", copies, loop, tcm_capacity)
-    tile_count = loop.tile_count
+def _ping_pong(desc: NormalFormDescriptor, dma_ids: Iterator[int] | None = None) -> tuple[Op, ...]:
+    """The ping/pong pipeline that replaces a normal-form loop in its block.
+    A prologue allocates a ping and a pong copy of every buffer and
+    prefetches the first tile into ping; each arm of the toggled loop
+    prefetches the next tile into the opposite buffers, computes on the
+    current ones and stores back; an epilogue frees the buffers.  Anchors
+    mark the prefetch/compute/storeback roles.
 
-    originals = [decl for _, decl in (*desc.inputs, desc.output)]
+    With `dma_ids` every copy is a DMA start, its tag drawn per input's ping
+    buffer, per input's pong buffer, then for the ping and the pong
+    storeback.  Each arm waits for its current tile's inputs before it
+    prefetches: that keeps the one FIFO channel in the order tiles are needed
+    when pipelines share it, and costs one pipeline nothing.  It then waits
+    for the storeback issued two tiles back from the buffer it overwrites.
+    After the loop, each arm that ran waits for its last storeback: the ping
+    arm runs ceil(T/2) times, the pong arm floor(T/2)."""
+    tiles = desc.loop.tile_count
+    decls = [decl for _, decl in (*desc.inputs, desc.output)]
+    ping = {d.id: BufferDecl(f"{d.id}_ping", d.space, d.rows, d.cols) for d in decls}
+    pong = {d.id: BufferDecl(f"{d.id}_pong", d.space, d.rows, d.cols) for d in decls}
+    whole = {b.id: full_view(b) for b in (*ping.values(), *pong.values())}
+    out_view, out = desc.output
+    following = [
+        ViewRef(v.base, v.row_scale, v.row_base + v.row_scale, v.row_count, v.col_count)
+        for v, _ in desc.inputs
+    ]
+    # TCM buffer id -> tag of the DMA that fills or drains it; empty for copies.
+    tag: dict[str, DmaTag] = {}
+    if dma_ids is not None:
+        for buffers, role in ((ping, TagRole.PING), (pong, TagRole.PONG)):
+            for _, d in desc.inputs:
+                tag[buffers[d.id].id] = DmaTag(next(dma_ids), role)
+        for buffers in (ping, pong):
+            tag[buffers[out.id].id] = DmaTag(next(dma_ids), TagRole.STOREBACK)
 
-    ping = {d.id: replace(d, id=f"{d.id}_ping") for d in originals}
-    pong = {d.id: replace(d, id=f"{d.id}_pong") for d in originals}
-
-    prologue: list[Op] = []
-    for d in originals:
-        prologue.append(AllocTcm(ping[d.id]))
-        prologue.append(AllocTcm(pong[d.id]))
-    for view, decl in desc.inputs:
-        first_tile = replace(view, row_scale=0)
-        prologue.append(Copy(src=first_tile, dst=full_view(ping[decl.id]), anchor=ANCHOR_PREFETCH))
-
-    out_view, out_decl = desc.output
+    def move(src: ViewRef, dst: ViewRef, anchor: str, only_if_iv_lt: int | None = None) -> Op:
+        if not tag:
+            return Copy(src, dst, anchor, only_if_iv_lt)
+        tcm = dst.base if dst.base in tag else src.base
+        return DmaStart(src, dst, tag[tcm], anchor, only_if_iv_lt)
 
     def arm(current: dict[str, BufferDecl], opposite: dict[str, BufferDecl]) -> tuple[Op, ...]:
-        ops: list[Op] = []
-        for view, decl in desc.inputs:
-            next_tile = replace(view, row_base=view.row_base + view.row_scale)
-            ops.append(
-                Copy(
-                    src=next_tile,
-                    dst=full_view(opposite[decl.id]),
-                    anchor=ANCHOR_PREFETCH,
-                    only_if_iv_lt=tile_count - 1,
-                )
-            )
-        ops.append(
-            replace(
-                desc.compute,
-                inputs=tuple(full_view(current[decl.id]) for _, decl in desc.inputs),
-                output=full_view(current[out_decl.id]),
-                anchor=ANCHOR_COMPUTE,
-            )
-        )
-        ops.append(
-            Copy(src=full_view(current[out_decl.id]), dst=out_view, anchor=ANCHOR_STOREBACK)
-        )
+        reads = tuple(whole[current[d.id].id] for _, d in desc.inputs)
+        result = whole[current[out.id].id]
+        ops: list[Op] = [DmaWait(tag[v.base]) for v in reads if tag]
+        for view, (_, d) in zip(following, desc.inputs):
+            ops.append(move(view, whole[opposite[d.id].id], ANCHOR_PREFETCH, tiles - 1))
+        if tag:
+            ops.append(DmaWait(tag[result.base], only_if_iv_ge=2))
+        expr, vector_factor = desc.compute.expr, desc.compute.vector_factor
+        ops.append(Compute(reads, result, expr, vector_factor, ANCHOR_COMPUTE))
+        ops.append(move(result, out_view, ANCHOR_STOREBACK))
         return tuple(ops)
 
-    pipelined = ForTiles(
-        loop.iv,
-        tile_count,
-        (IfToggle(arm(ping, pong), arm(pong, ping)), FlipToggle()),
-        toggle_init=True,
-    )
-    epilogue: list[Op] = []
-    for d in originals:
-        epilogue.append(DeallocTcm(ping[d.id].id))
-        epilogue.append(DeallocTcm(pong[d.id].id))
-
-    return (
-        block[: desc.loop_index]
-        + tuple(prologue)
-        + (pipelined,)
-        + tuple(epilogue)
-        + block[desc.loop_index + 1 :]
-    )
+    ops: list[Op] = [AllocTcm(buffers[d.id]) for d in decls for buffers in (ping, pong)]
+    for v, d in desc.inputs:
+        first = ViewRef(v.base, 0, v.row_base, v.row_count, v.col_count)
+        ops.append(move(first, whole[ping[d.id].id], ANCHOR_PREFETCH))
+    body = (IfToggle(arm(ping, pong), arm(pong, ping)), FlipToggle())
+    ops.append(ForTiles(desc.loop.iv, tiles, body, toggle_init=True))
+    runs = ((ping, (tiles + 1) // 2), (pong, tiles // 2))
+    ops.extend(DmaWait(tag[buffers[out.id].id]) for buffers, n in runs if n and tag)
+    ops.extend(DeallocTcm(buffers[d.id].id) for d in decls for buffers in (ping, pong))
+    return tuple(ops)
 
 
-# --------------------------------------------------------------------------- #
-# Double buffering stage 2: asynchronous DMA
-# --------------------------------------------------------------------------- #
-
-
-def db_stage2(m: TileModule) -> TileModule:
-    """Replaces anchored synchronous copies with tagged DMA, pipeline by
-    pipeline (see db_stage1): prefetches get distinct ping/pong tags per
-    destination buffer, storebacks their own tags.  Each arm of the ping/pong
-    loop waits for the current tile's inputs, issues the next tile's
-    prefetch, waits for the storeback issued two tiles back from the buffer
-    it is about to overwrite, then computes and stores back; final balancing
-    waits follow the pipeline's loop.  Waiting before prefetching keeps the
-    single FIFO channel in the order tiles are needed when several
-    pipelines share it, and costs one pipeline nothing: its prefetch would
-    queue behind the current tile anyway.  Tags are distinct across
-    pipelines.  Rewrites anchored ops and the arms of the toggle that holds
-    them."""
-    next_id = itertools.count()
-    return replace(m, body=_per_pipeline(m.body, lambda block: _async_dma(block, next_id)))
-
-
-def _async_dma(block: tuple[Op, ...], next_id: Iterator[int]) -> tuple[Op, ...]:
-    prefetch_dsts: list[str] = []
-    storeback_srcs: list[str] = []
-    saw_compute = False
-    for _, op in walk(block):
-        if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH:
-            if op.dst.base not in prefetch_dsts:
-                prefetch_dsts.append(op.dst.base)
-        elif isinstance(op, Copy) and op.anchor == ANCHOR_STOREBACK:
-            if op.src.base not in storeback_srcs:
-                storeback_srcs.append(op.src.base)
-        elif op.anchor == ANCHOR_COMPUTE:
-            saw_compute = True
-    if not prefetch_dsts or not saw_compute:
-        raise PassError(
-            "async DMA stage requires a pipelined module with prefetch/compute anchors"
-        )
-
-    # PING: prefetched before the loop, at the block's top level.
-    ping = {
-        op.dst.base for op in block if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH
-    }
-    prefetch_tag = {
-        base: DmaTag(next(next_id), TagRole.PING if base in ping else TagRole.PONG)
-        for base in prefetch_dsts
-    }
-    storeback_tag = {base: DmaTag(next(next_id), TagRole.STOREBACK) for base in storeback_srcs}
-
-    def arm(body: tuple[Op, ...]) -> tuple[Op, ...]:
-        reads = [
-            v.base
-            for op in body
-            if isinstance(op, Compute) and op.anchor == ANCHOR_COMPUTE
-            for v in op.inputs
-        ]
-        waits = tuple(DmaWait(prefetch_tag[base]) for base in reads if base in prefetch_tag)
-        return waits + _rewrite(body, fn)
-
-    def fn(op: Op):
-        if isinstance(op, IfToggle):
-            return (replace(op, then_body=arm(op.then_body), else_body=arm(op.else_body)),)
-        if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH:
-            return (
-                DmaStart(
-                    src=op.src,
-                    dst=op.dst,
-                    tag=prefetch_tag[op.dst.base],
-                    anchor=op.anchor,
-                    only_if_iv_lt=op.only_if_iv_lt,
-                    only_if_iv_ge=op.only_if_iv_ge,
-                ),
-            )
-        if isinstance(op, Copy) and op.anchor == ANCHOR_STOREBACK:
-            return (
-                DmaStart(src=op.src, dst=op.dst, tag=storeback_tag[op.src.base], anchor=op.anchor),
-            )
-        if isinstance(op, Compute) and op.anchor == ANCHOR_COMPUTE:
-            if op.output.base in storeback_tag:
-                return (DmaWait(storeback_tag[op.output.base], only_if_iv_ge=2), op)
-        return None
-
-    body = _rewrite(block, fn)
-    if not storeback_tag:
-        return body
-
-    # Balance the outstanding storebacks: the ping-side arm runs ceil(T/2)
-    # times, the pong side floor(T/2); each needs one final wait when it ran
-    # at all.
-    loop_positions = [
-        (i, op)
-        for i, op in enumerate(body)
-        if isinstance(op, ForTiles) and op.toggle_init is not None
+def _read_pipeline(block: tuple[Op, ...]) -> NormalFormDescriptor:
+    """The normal-form loop db_stage1 would have built the block's pipeline
+    from, at the position of the toggled loop: the operands read off its
+    ping arm and the prologue's ping allocs."""
+    loops = [
+        i for i, op in enumerate(block) if isinstance(op, ForTiles) and op.toggle_init is not None
     ]
-    if len(loop_positions) != 1:
-        raise PassError("expected exactly one pipelined loop with a carried toggle")
-    index, loop = loop_positions[0]
-    final_waits: list[Op] = []
-    for arm_rank, base in enumerate(storeback_srcs):
-        executions = math.ceil(loop.tile_count / 2) if arm_rank == 0 else loop.tile_count // 2
-        if executions >= 1:
-            final_waits.append(DmaWait(storeback_tag[base]))
-    return body[: index + 1] + tuple(final_waits) + body[index + 1 :]
+    if len(loops) != 1:
+        raise PassError(
+            "async DMA stage requires one pipelined loop with prefetch/compute anchors,"
+            f" found {len(loops)}"
+        )
+    index, loop = loops[0], block[loops[0]]
+    toggle = loop.body[0] if loop.body else None
+    arm = toggle.then_body if isinstance(toggle, IfToggle) else ()
+    prefetches, (compute, storeback) = arm[:-2], (None, None, *arm)[-2:]
+    shaped = isinstance(compute, Compute) and isinstance(storeback, Copy)
+    if not shaped or not all(isinstance(op, Copy) for op in prefetches):
+        raise PassError("async DMA stage: the ping arm is not prefetches, compute and storeback")
+    allocs = {op.decl.id: op.decl for op in block[:index] if isinstance(op, AllocTcm)}
+
+    def unping(base: str) -> BufferDecl:
+        if base not in allocs:
+            raise PassError(f"async DMA stage: no alloc of @{base} before the pipelined loop")
+        d = allocs[base]
+        return BufferDecl(d.id.removesuffix("_ping"), d.space, d.rows, d.cols)
+
+    inputs = []
+    for s, read in zip((p.src for p in prefetches), compute.inputs):  # s: the next tile
+        view = ViewRef(s.base, s.row_scale, s.row_base - s.row_scale, s.row_count, s.col_count)
+        inputs.append((view, unping(read.base)))
+    output = (storeback.dst, unping(compute.output.base))
+    return NormalFormDescriptor(loop, index, tuple(inputs), compute, output)
+
+
+def _first_difference(got: tuple[Op, ...], want: tuple[Op, ...]) -> str:
+    """Where `got` first differs from `want`, as a walk position and op kind:
+    the first differing op with no regions or of another kind, else the
+    first differing op."""
+    pairs = itertools.zip_longest(walk(got), walk(want), fillvalue=(None, None))
+    diffs = [(path or where, op, ref) for (path, op), (where, ref) in pairs if op != ref]
+    leaves = (d for d in diffs if type(d[1]) is not type(d[2]) or not op_regions(d[1]))
+    path, op, _ = next(leaves, diffs[0])
+    return f"{path} ({type(op).__name__ if op is not None else 'end of block'})"
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,8 @@
 """Double buffering: structural pipelining (stage 1) and async DMA (stage 2)."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,16 +12,27 @@ from tilelab.ir import (
     ANCHOR_PREFETCH,
     ANCHOR_STOREBACK,
     AllocTcm,
+    Compute,
     Copy,
     DmaStart,
     DmaWait,
+    ForTiles,
+    IfToggle,
     TagRole,
     dynamic_schedule,
     walk_module,
 )
 from tilelab.kernels import build_vec_add_2d, make_inputs, reference_output, vec_add_2d
 from tilelab.machine import LadderRung, MachineConfig
-from tilelab.passes import PassError, PipelineSpec, db_stage1, db_stage2, run_pipeline
+from tilelab.passes import (
+    PassError,
+    PipelineSpec,
+    db_stage1,
+    db_stage2,
+    run_pipeline,
+    run_pipeline_stages,
+)
+from tilelab.printer import print_module
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -151,3 +165,45 @@ def test_ping_pong_refuses_what_overflows_tcm():
     with pytest.raises(PassError, match="double buffering needs 49152 bytes .* > capacity 24576"):
         db_stage1(base, 24576)
     assert verify_module(db_stage1(base, 49152), MachineConfig(tcm_capacity=49152)) == []
+
+
+# tiles -> first 16 hex digits of sha256(print_module) after db-stage1 and
+# db-stage2, for one pipeline over 1-row tiles of a 64-column vec-add on a
+# one-thread machine.
+ONE_PIPELINE_IR = {
+    1: ("e27bddc82155d0e6", "1df5529beaaf6957"),
+    2: ("9178d1d78ba2797d", "08abb9e1dfc7549a"),
+    3: ("4df05e4eb71c567a", "7dcb854c35d3ffe0"),
+}
+
+
+@pytest.mark.parametrize("tiles", sorted(ONE_PIPELINE_IR))
+def test_one_pipeline_ir_is_pinned(tiles):
+    base = build_vec_add_2d(vec_add_2d(rows=tiles, cols=64, tile_rows=1))
+    spec = PipelineSpec(LadderRung.VEC_MT_DB, MachineConfig(threads=1))
+    stages = dict(run_pipeline_stages(base, spec))
+    texts = [print_module(stages[name]) for name in ("db-stage1", "db-stage2")]
+    digests = tuple(hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts)
+    assert digests == ONE_PIPELINE_IR[tiles]
+    # The final waits balance the storebacks: the ping arm runs ceil(T/2)
+    # times, the pong arm floor(T/2), so at one tile the pong arm never runs.
+    lines = texts[1].splitlines()
+    after_loop = lines[lines.index("}") + 1 :]
+    waits = [line for line in after_loop if line.startswith("dma.wait")]
+    assert waits == ["dma.wait tag=4:storeback", "dma.wait tag=5:storeback"][: min(tiles, 2)]
+
+
+def test_stage2_refuses_an_edited_pipeline():
+    m = db_stage1(_build(8))
+    index, loop = next((i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles))
+    toggle = loop.body[0]
+    assert isinstance(toggle, IfToggle) and isinstance(toggle.else_body[2], Compute)
+    # The pong arm computes into the ping output buffer.
+    compute = toggle.else_body[2]
+    wrong = dataclasses.replace(compute, output=toggle.then_body[2].output)
+    arm = toggle.else_body[:2] + (wrong,) + toggle.else_body[3:]
+    edited = dataclasses.replace(toggle, else_body=arm)
+    loop = dataclasses.replace(loop, body=(edited,) + loop.body[1:])
+    m = dataclasses.replace(m, body=m.body[:index] + (loop,) + m.body[index + 1 :])
+    with pytest.raises(PassError, match=rf"body\[{index}\]\.body\[0\]\.else\[2\] \(Compute\)"):
+        db_stage2(m)

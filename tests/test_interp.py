@@ -8,8 +8,7 @@ import pytest
 
 from tilelab.interp import InterpError, interpret_functional
 from tilelab.ir import (
-    BINARY_OPS,
-    UNARY_OPS,
+    EXPR_OPS,
     AllocTcm,
     Binary,
     BufferDecl,
@@ -160,8 +159,8 @@ def _random_expr(rng: random.Random, depth: int):
             return Const(rng.choice([0.0, -1.5, 0.044715, 3.0]))
         return Input(rng.randrange(2))
     if rng.random() < 0.3:
-        return Unary(rng.choice(UNARY_OPS), _random_expr(rng, depth - 1))
-    op = rng.choice(BINARY_OPS)
+        return Unary(rng.choice(tuple(EXPR_OPS[Unary])), _random_expr(rng, depth - 1))
+    op = rng.choice(tuple(EXPR_OPS[Binary]))
     return Binary(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
 
 

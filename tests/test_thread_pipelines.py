@@ -153,7 +153,7 @@ def test_vec_add_splits_tiles_that_do_not_fit_tcm():
     spec = PipelineSpec(LadderRung.VEC_MT_DB, CFG)
     splits = [(1, 0), (2, 0), (2, 1), (4, 0), (4, 1), (8, 0), (8, 1)]
     assert [(c.split, c.forks) for c in compositions(base, spec)] == splits
-    assert choose_composition(base, spec) == Composition(4, 35948, 1, 96)
+    assert choose_composition(base, spec) == Composition(4, 35948, 1)
     roomy = replace(spec, machine=replace(CFG, tcm_capacity=2 * CFG.tcm_capacity))
     assert [(c.split, c.forks) for c in compositions(base, roomy)] == [(1, 0), (1, 1), *splits[1:]]
     m = run_pipeline(base, spec)
@@ -192,13 +192,13 @@ TIE_CFG = MachineConfig(
     ],
 )
 def test_a_tie_goes_to_fewer_forks(spec, expected):
-    """Then to fewer transfers."""
+    """Then to the smaller split, which moves fewer transfers."""
     base = build_kernel(spec, tcm_capacity=TIE_CFG.tcm_capacity)
     spec_db = PipelineSpec(LadderRung.VEC_MT_DB, TIE_CFG)
     candidates = compositions(base, spec_db)
     choice = choose_composition(base, spec_db)
     tied = [c for c in candidates if c.cycles == choice.cycles]
-    assert len(tied) == 2 and choice == min(tied, key=lambda c: (c.forks, c.transfers))
+    assert len(tied) == 2 and choice == min(tied, key=lambda c: (c.forks, c.split))
     assert (choice.split, choice.forks) == (1, int(expected))
     m = run_pipeline(base, spec_db)
     forks = sum(1 for _, op in walk_module(m) if isinstance(op, AsyncExecute))
