@@ -36,7 +36,7 @@ def interpret_functional(
             if step.tag is not None:
                 hazards.entries.append((step.tag, src, dst, None))
         elif kind == "wait":
-            hazards.clear(step.op.tag.id)
+            hazards.clear(step.op.tag)
         elif kind == "alloc":
             store.alloc(step.op)
         elif kind == "dealloc":

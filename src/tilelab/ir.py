@@ -146,24 +146,6 @@ def ops_per_element(e: Expr) -> int:
 # Ops
 # --------------------------------------------------------------------------- #
 
-ANCHOR_PREFETCH = "db.prefetch"
-ANCHOR_COMPUTE = "db.compute"
-ANCHOR_STOREBACK = "db.storeback"
-ANCHORS = (ANCHOR_PREFETCH, ANCHOR_COMPUTE, ANCHOR_STOREBACK)
-
-
-class TagRole(str, Enum):
-    PING = "ping"
-    PONG = "pong"
-    STOREBACK = "storeback"
-    PLAIN = "plain"
-
-
-@dataclass(frozen=True, slots=True)
-class DmaTag:
-    id: int
-    role: TagRole = TagRole.PLAIN
-
 
 @dataclass(frozen=True, slots=True)
 class ForTiles:
@@ -173,7 +155,6 @@ class ForTiles:
     # A non-None value enables the loop-carried ping/pong toggle;
     # True means "ping is current" on the first iteration.
     toggle_init: bool | None = None
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,46 +163,39 @@ class Forall:
     tile_count: int
     threads: int
     body: tuple["Op", ...]
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class AsyncExecute:
     token: str
     body: tuple["Op", ...]
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class AddToGroup:
     token: str
     group: str
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class AwaitAll:
     group: str
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class AllocTcm:
     decl: BufferDecl
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class DeallocTcm:
     buffer_id: str
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class Copy:
     src: ViewRef
     dst: ViewRef
-    anchor: str | None = None
     # Bounds tests on the nearest enclosing induction variable; the op
     # executes only when every set guard holds.
     only_if_iv_lt: int | None = None
@@ -232,16 +206,14 @@ class Copy:
 class DmaStart:
     src: ViewRef
     dst: ViewRef
-    tag: DmaTag
-    anchor: str | None = None
+    tag: int
     only_if_iv_lt: int | None = None
     only_if_iv_ge: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class DmaWait:
-    tag: DmaTag
-    anchor: str | None = None
+    tag: int
     only_if_iv_lt: int | None = None
     only_if_iv_ge: int | None = None
 
@@ -252,19 +224,17 @@ class Compute:
     output: ViewRef
     expr: Expr
     vector_factor: int = 1
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class IfToggle:
     then_body: tuple["Op", ...]
     else_body: tuple["Op", ...]
-    anchor: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class FlipToggle:
-    anchor: str | None = None
+    """Flips the innermost toggled loop's ping/pong state."""
 
 
 Op = Union[

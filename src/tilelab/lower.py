@@ -76,14 +76,13 @@ class Compute(Step):
     output: View
     elems: int
     vector_factor: int
+    ops_per_element: int  # expression nodes + the store
     # Set on first execution, so walks that execute nothing compile nothing.
     fn: Callable[[list[np.ndarray]], np.ndarray] | None = None
-    ops_per_element: int = 0  # expression nodes + the store
 
     def compiled(self) -> Callable[[list[np.ndarray]], np.ndarray]:
         if self.fn is None:
             self.fn = compile_expr(self.op.expr)
-            self.ops_per_element = ir.ops_per_element(self.op.expr)
         return self.fn
 
 
@@ -153,7 +152,7 @@ def lower(m: ir.TileModule | Schedule) -> Schedule:
         cls = type(op)
         if cls is ir.Copy or cls is ir.DmaStart:
             nbytes = op.src.elems * ir.ELEM_DTYPE.itemsize
-            tag = op.tag.id if cls is ir.DmaStart else None
+            tag = op.tag if cls is ir.DmaStart else None
             written.add(op.dst.base)
             return Transfer(op, "transfer", _guard(op), _view(op.src), _view(op.dst), nbytes, tag)
         kind = _PLAIN.get(cls)
@@ -162,7 +161,8 @@ def lower(m: ir.TileModule | Schedule) -> Schedule:
         if cls is ir.Compute:
             written.add(op.output.base)
             ins, out = tuple([_view(v) for v in op.inputs]), _view(op.output)
-            return Compute(op, "compute", None, ins, out, op.output.elems, op.vector_factor)
+            cost = (op.output.elems, op.vector_factor, ir.ops_per_element(op.expr))
+            return Compute(op, "compute", None, ins, out, *cost)
         if cls is ir.ForTiles or cls is ir.Forall:
             toggle = op.toggle_init if cls is ir.ForTiles else None
             return Loop(op, "loop", None, op.tile_count, toggle, block(op.body))

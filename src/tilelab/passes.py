@@ -19,9 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 from .ir import (
-    ANCHOR_COMPUTE,
-    ANCHOR_PREFETCH,
-    ANCHOR_STOREBACK,
     AddToGroup,
     AllocTcm,
     AsyncExecute,
@@ -31,14 +28,12 @@ from .ir import (
     Copy,
     DeallocTcm,
     DmaStart,
-    DmaTag,
     DmaWait,
     FlipToggle,
     Forall,
     ForTiles,
     IfToggle,
     Op,
-    TagRole,
     TileModule,
     ViewRef,
     full_view,
@@ -546,13 +541,7 @@ def _lower_forall(forall: Forall, index: int) -> tuple[Op, ...]:
             continue
         body = _thread_body(forall.body, tiles[0], owned, f"_w{t}")
         token = f"{group}t{t}"
-        ops.append(
-            AsyncExecute(
-                token,
-                (ForTiles(f"{forall.iv}{t}", len(tiles), body),),
-                anchor=forall.anchor,
-            )
-        )
+        ops.append(AsyncExecute(token, (ForTiles(f"{forall.iv}{t}", len(tiles), body),)))
         ops.append(AddToGroup(token, group))
     ops.append(AwaitAll(group))
     return tuple(ops)
@@ -636,7 +625,7 @@ def _per_pipeline(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
     if not any(isinstance(op, AsyncExecute) for op in body):
         return fn(body)
     return tuple(
-        AsyncExecute(op.token, fn(op.body), op.anchor) if isinstance(op, AsyncExecute) else op
+        AsyncExecute(op.token, fn(op.body)) if isinstance(op, AsyncExecute) else op
         for op in body
     )
 
@@ -646,8 +635,7 @@ def _ping_pong(desc: NormalFormDescriptor, dma_ids: Iterator[int] | None = None)
     A prologue allocates a ping and a pong copy of every buffer and
     prefetches the first tile into ping; each arm of the toggled loop
     prefetches the next tile into the opposite buffers, computes on the
-    current ones and stores back; an epilogue frees the buffers.  Anchors
-    mark the prefetch/compute/storeback roles.
+    current ones and stores back; an epilogue frees the buffers.
 
     With `dma_ids` every copy is a DMA start, its tag drawn per input's ping
     buffer, per input's pong buffer, then for the ping and the pong
@@ -668,37 +656,34 @@ def _ping_pong(desc: NormalFormDescriptor, dma_ids: Iterator[int] | None = None)
         for v, _ in desc.inputs
     ]
     # TCM buffer id -> tag of the DMA that fills or drains it; empty for copies.
-    tag: dict[str, DmaTag] = {}
+    tag: dict[str, int] = {}
     if dma_ids is not None:
-        for buffers, role in ((ping, TagRole.PING), (pong, TagRole.PONG)):
-            for _, d in desc.inputs:
-                tag[buffers[d.id].id] = DmaTag(next(dma_ids), role)
-        for buffers in (ping, pong):
-            tag[buffers[out.id].id] = DmaTag(next(dma_ids), TagRole.STOREBACK)
+        moved = [buffers[d.id] for buffers in (ping, pong) for _, d in desc.inputs]
+        tag = {b.id: next(dma_ids) for b in (*moved, ping[out.id], pong[out.id])}
 
-    def move(src: ViewRef, dst: ViewRef, anchor: str, only_if_iv_lt: int | None = None) -> Op:
+    def move(src: ViewRef, dst: ViewRef, only_if_iv_lt: int | None = None) -> Op:
         if not tag:
-            return Copy(src, dst, anchor, only_if_iv_lt)
+            return Copy(src, dst, only_if_iv_lt)
         tcm = dst.base if dst.base in tag else src.base
-        return DmaStart(src, dst, tag[tcm], anchor, only_if_iv_lt)
+        return DmaStart(src, dst, tag[tcm], only_if_iv_lt)
 
     def arm(current: dict[str, BufferDecl], opposite: dict[str, BufferDecl]) -> tuple[Op, ...]:
         reads = tuple(whole[current[d.id].id] for _, d in desc.inputs)
         result = whole[current[out.id].id]
         ops: list[Op] = [DmaWait(tag[v.base]) for v in reads if tag]
         for view, (_, d) in zip(following, desc.inputs):
-            ops.append(move(view, whole[opposite[d.id].id], ANCHOR_PREFETCH, tiles - 1))
+            ops.append(move(view, whole[opposite[d.id].id], tiles - 1))
         if tag:
             ops.append(DmaWait(tag[result.base], only_if_iv_ge=2))
         expr, vector_factor = desc.compute.expr, desc.compute.vector_factor
-        ops.append(Compute(reads, result, expr, vector_factor, ANCHOR_COMPUTE))
-        ops.append(move(result, out_view, ANCHOR_STOREBACK))
+        ops.append(Compute(reads, result, expr, vector_factor))
+        ops.append(move(result, out_view))
         return tuple(ops)
 
     ops: list[Op] = [AllocTcm(buffers[d.id]) for d in decls for buffers in (ping, pong)]
     for v, d in desc.inputs:
         first = ViewRef(v.base, 0, v.row_base, v.row_count, v.col_count)
-        ops.append(move(first, whole[ping[d.id].id], ANCHOR_PREFETCH))
+        ops.append(move(first, whole[ping[d.id].id]))
     body = (IfToggle(arm(ping, pong), arm(pong, ping)), FlipToggle())
     ops.append(ForTiles(desc.loop.iv, tiles, body, toggle_init=True))
     runs = ((ping, (tiles + 1) // 2), (pong, tiles // 2))
@@ -715,10 +700,7 @@ def _read_pipeline(block: tuple[Op, ...]) -> NormalFormDescriptor:
         i for i, op in enumerate(block) if isinstance(op, ForTiles) and op.toggle_init is not None
     ]
     if len(loops) != 1:
-        raise PassError(
-            "async DMA stage requires one pipelined loop with prefetch/compute anchors,"
-            f" found {len(loops)}"
-        )
+        raise PassError(f"async DMA stage requires one toggled loop, found {len(loops)}")
     index, loop = loops[0], block[loops[0]]
     toggle = loop.body[0] if loop.body else None
     arm = toggle.then_body if isinstance(toggle, IfToggle) else ()

@@ -20,7 +20,6 @@ from .ir import (
     Copy,
     DeallocTcm,
     DmaStart,
-    DmaTag,
     DmaWait,
     Expr,
     FlipToggle,
@@ -56,10 +55,6 @@ def _view(view: ViewRef, iv: str | None) -> str:
     return f"@{view.base}[{_offset(view, iv)} : {view.row_count} x {view.col_count}]"
 
 
-def _tag(tag: DmaTag) -> str:
-    return f"tag={tag.id}:{tag.role.value}"
-
-
 def _expr(e: Expr) -> str:
     if isinstance(e, Input):
         return f"(in {e.index})"
@@ -72,17 +67,13 @@ def _expr(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _suffix(op, iv: str | None) -> str:
+def _guards(op: Copy | DmaStart | DmaWait, iv: str | None) -> str:
     parts = []
-    lt = getattr(op, "only_if_iv_lt", None)
-    ge = getattr(op, "only_if_iv_ge", None)
     name = iv if iv is not None else "?"
-    if lt is not None:
-        parts.append(f", if %{name} < {lt}")
-    if ge is not None:
-        parts.append(f", if %{name} >= {ge}")
-    if op.anchor is not None:
-        parts.append(f" [{op.anchor}]")
+    if op.only_if_iv_lt is not None:
+        parts.append(f", if %{name} < {op.only_if_iv_lt}")
+    if op.only_if_iv_ge is not None:
+        parts.append(f", if %{name} >= {op.only_if_iv_ge}")
     return "".join(parts)
 
 
@@ -96,51 +87,46 @@ def _emit(lines: list[str], body: tuple[Op, ...], depth: int, iv: str | None) ->
             toggle = ""
             if op.toggle_init is not None:
                 toggle = f" toggle={'ping' if op.toggle_init else 'pong'}"
-            lines.append(f"{pad}for_tiles %{op.iv} in 0..{op.tile_count}{toggle} {{{_suffix(op, iv)}")
+            lines.append(f"{pad}for_tiles %{op.iv} in 0..{op.tile_count}{toggle} {{")
             _emit(lines, op.body, depth + 1, op.iv)
             lines.append(f"{pad}}}")
         elif isinstance(op, Forall):
-            lines.append(
-                f"{pad}forall %{op.iv} in 0..{op.tile_count} threads={op.threads}"
-                f" {{{_suffix(op, iv)}"
-            )
+            lines.append(f"{pad}forall %{op.iv} in 0..{op.tile_count} threads={op.threads} {{")
             _emit(lines, op.body, depth + 1, op.iv)
             lines.append(f"{pad}}}")
         elif isinstance(op, AsyncExecute):
-            lines.append(f"{pad}%{op.token} = async.execute {{{_suffix(op, iv)}")
+            lines.append(f"{pad}%{op.token} = async.execute {{")
             _emit(lines, op.body, depth + 1, iv)
             lines.append(f"{pad}}}")
         elif isinstance(op, AddToGroup):
-            lines.append(f"{pad}async.add_to_group %{op.token} -> @{op.group}{_suffix(op, iv)}")
+            lines.append(f"{pad}async.add_to_group %{op.token} -> @{op.group}")
         elif isinstance(op, AwaitAll):
-            lines.append(f"{pad}async.await_all @{op.group}{_suffix(op, iv)}")
+            lines.append(f"{pad}async.await_all @{op.group}")
         elif isinstance(op, AllocTcm):
-            lines.append(f"{pad}tcm.alloc @{op.decl.id} : {_decl(op.decl)}{_suffix(op, iv)}")
+            lines.append(f"{pad}tcm.alloc @{op.decl.id} : {_decl(op.decl)}")
         elif isinstance(op, DeallocTcm):
-            lines.append(f"{pad}tcm.dealloc @{op.buffer_id}{_suffix(op, iv)}")
+            lines.append(f"{pad}tcm.dealloc @{op.buffer_id}")
         elif isinstance(op, Copy):
-            lines.append(f"{pad}copy {_view(op.src, iv)} -> {_view(op.dst, iv)}{_suffix(op, iv)}")
+            lines.append(f"{pad}copy {_view(op.src, iv)} -> {_view(op.dst, iv)}{_guards(op, iv)}")
         elif isinstance(op, DmaStart):
             lines.append(
                 f"{pad}dma.start {_view(op.src, iv)} -> {_view(op.dst, iv)}, "
-                f"{_tag(op.tag)}{_suffix(op, iv)}"
+                f"tag={op.tag}{_guards(op, iv)}"
             )
         elif isinstance(op, DmaWait):
-            lines.append(f"{pad}dma.wait {_tag(op.tag)}{_suffix(op, iv)}")
+            lines.append(f"{pad}dma.wait tag={op.tag}{_guards(op, iv)}")
         elif isinstance(op, Compute):
             ins = ", ".join(_view(v, iv) for v in op.inputs)
-            lines.append(
-                f"{pad}compute {_expr(op.expr)} [{ins}] -> {_view(op.output, iv)} "
-                f"vf={op.vector_factor}{_suffix(op, iv)}"
-            )
+            out = _view(op.output, iv)
+            lines.append(f"{pad}compute {_expr(op.expr)} [{ins}] -> {out} vf={op.vector_factor}")
         elif isinstance(op, IfToggle):
-            lines.append(f"{pad}if_toggle {{{_suffix(op, iv)}")
+            lines.append(f"{pad}if_toggle {{")
             _emit(lines, op.then_body, depth + 1, iv)
             lines.append(f"{pad}}} else {{")
             _emit(lines, op.else_body, depth + 1, iv)
             lines.append(f"{pad}}}")
         elif isinstance(op, FlipToggle):
-            lines.append(f"{pad}flip_toggle{_suffix(op, iv)}")
+            lines.append(f"{pad}flip_toggle")
         else:
             raise TypeError(f"unknown op: {op!r}")
 

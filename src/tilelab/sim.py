@@ -160,7 +160,7 @@ class _Engine:
                     return
                 self.push(done, lambda t2, e=entry: self._complete(e, t2))
             elif kind == "wait":
-                tag = step.op.tag.id
+                tag = step.op.tag
                 if hazards.pending(tag):
                     ctx.block_start = t
                     self.tag_waiters.setdefault(tag, []).append(ctx)

@@ -9,7 +9,6 @@ in tag order.
 from __future__ import annotations
 
 from .ir import (
-    ANCHORS,
     EXPR_OPS,
     GUARDED_OPS,
     OP_TYPES,
@@ -69,7 +68,7 @@ class _Checker:
         self.live_bytes = 0
         self.tokens: dict[str, str | None] = {}  # token -> group (None until added)
         self.groups_awaited: set[str] = set()
-        self.tag_sites: dict[int, tuple[str, str]] = {}  # id -> (role, dst base)
+        self.tag_sites: dict[int, str] = {}  # tag -> dst base of its first dma.start
         # False once a fault that lowering or the walker raises on is reported.
         self.walkable = True
 
@@ -155,8 +154,6 @@ class _Checker:
                 self.walkable = False
                 i += 1
                 continue
-            if op.anchor is not None and op.anchor not in ANCHORS:
-                self.err(path, f"unknown anchor attribute {op.anchor!r}")
             if loop is None and isinstance(op, GUARDED_OPS) and (
                 op.only_if_iv_lt is not None or op.only_if_iv_ge is not None
             ):
@@ -196,15 +193,12 @@ class _Checker:
                         f" vs dst {op.dst.elems} elems",
                     )
                 if isinstance(op, DmaStart):
-                    seen = self.tag_sites.get(op.tag.id)
-                    site = (op.tag.role.value, op.dst.base)
-                    if seen is None:
-                        self.tag_sites[op.tag.id] = site
-                    elif seen != site:
+                    seen = self.tag_sites.setdefault(op.tag, op.dst.base)
+                    if seen != op.dst.base:
                         self.err(
                             path,
-                            f"tag {op.tag.id} reused with a different role or destination"
-                            f" ({seen[0]}->@{seen[1]} vs {site[0]}->@{site[1]})",
+                            f"tag {op.tag} reused with a different destination"
+                            f" (@{seen} vs @{op.dst.base})",
                         )
             elif isinstance(op, Compute):
                 if op.vector_factor < 1:
@@ -341,7 +335,7 @@ class _Checker:
             if step.kind == "transfer" and step.tag is not None:
                 starts[step.tag] = starts.get(step.tag, 0) + 1
             elif step.kind == "wait":
-                waits[step.op.tag.id] = waits.get(step.op.tag.id, 0) + 1
+                waits[step.op.tag] = waits.get(step.op.tag, 0) + 1
         for tag_id in sorted(set(starts) | set(waits)):
             s, w = starts.get(tag_id, 0), waits.get(tag_id, 0)
             if s != w:

@@ -2,20 +2,7 @@ import numpy as np
 import pytest
 
 from tilelab.interp import interpret_functional
-from tilelab.ir import (
-    ANCHOR_COMPUTE,
-    ANCHOR_PREFETCH,
-    ANCHOR_STOREBACK,
-    AddToGroup,
-    AwaitAll,
-    Compute,
-    DmaStart,
-    DmaWait,
-    IfToggle,
-    TagRole,
-    walk,
-    walk_module,
-)
+from tilelab.ir import Compute, Copy, DmaStart, DmaWait, IfToggle, walk_module
 from tilelab.lower import lower
 from tilelab.sim import simulate_timed
 from tilelab.verifier import verify_module
@@ -89,21 +76,27 @@ def verify():
     return check
 
 
-def _arm_role(op):
+def _arm_role(op, ddr, dma_roles):
+    """An arm op's role, by kind and direction: a copy or DMA into TCM is a
+    prefetch, one into DDR (a buffer of `ddr`) a storeback, and a wait is
+    named after the role in `dma_roles` of the DMA its tag belongs to."""
+    if isinstance(op, (Copy, DmaStart)):
+        return "storeback" if op.dst.base in ddr else "prefetch"
     if isinstance(op, DmaWait):
-        return "storeback wait" if op.tag.role is TagRole.STOREBACK else "input wait"
-    if isinstance(op, (AddToGroup, AwaitAll)):
-        return ANCHOR_COMPUTE  # the join of a compute forked inside the tile
-    return op.anchor
+        return f"{dma_roles[op.tag]} wait"
+    return "compute" if isinstance(op, Compute) else type(op).__name__
 
 
 def _check_arm_order(m):
     """Asserts that every ping/pong arm of m is, in this order and nothing
     else: a wait on each input tile the compute reads, the prefetch of the
     next tile into the opposite buffers, the wait on the storeback issued
-    two tiles back, the compute (or its fork-join), and its storeback.
-    Returns the number of arms."""
-    tag_of = {op.dst.base: op.tag for _, op in walk_module(m) if isinstance(op, DmaStart)}
+    two tiles back, the compute, and its storeback.  Returns the number of
+    arms."""
+    ddr = {d.id for d in m.buffers}
+    starts = [op for _, op in walk_module(m) if isinstance(op, DmaStart)]
+    dma_roles = {op.tag: _arm_role(op, ddr, {}) for op in starts}
+    tag_of = {op.dst.base: op.tag for op in starts}
     arms = [
         arm
         for _, op in walk_module(m)
@@ -111,16 +104,13 @@ def _check_arm_order(m):
         for arm in (op.then_body, op.else_body)
     ]
     for arm in arms:
-        computes = [op for op in arm if _arm_role(op) == ANCHOR_COMPUTE]
-        leaves = [op for _, op in walk(tuple(computes)) if isinstance(op, Compute)]
-        reads = list(dict.fromkeys(v.base for c in leaves for v in c.inputs))
+        compute = arm[-2]
+        reads = list(dict.fromkeys(v.base for v in compute.inputs))
         n = len(reads)
-        assert [_arm_role(op) for op in arm] == (
-            ["input wait"] * n
-            + [ANCHOR_PREFETCH] * n
-            + ["storeback wait"]
-            + [ANCHOR_COMPUTE] * len(computes)
-            + [ANCHOR_STOREBACK]
+        assert [_arm_role(op, ddr, dma_roles) for op in arm] == (
+            ["prefetch wait"] * n
+            + ["prefetch"] * n
+            + ["storeback wait", "compute", "storeback"]
         )
         assert [op.tag for op in arm[:n]] == [tag_of[base] for base in reads]
         prefetches = arm[n : 2 * n]
@@ -128,7 +118,7 @@ def _check_arm_order(m):
         assert not {op.dst.base for op in prefetches} & set(reads)
         wait, store = arm[2 * n], arm[-1]
         assert wait.tag == store.tag and wait.only_if_iv_ge == 2
-        assert {c.output.base for c in leaves} == {store.src.base}
+        assert compute.output.base == store.src.base
     return len(arms)
 
 

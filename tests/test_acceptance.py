@@ -12,7 +12,6 @@ import pytest
 from tilelab.bench import DEFAULT_SWEEP_SIZES, run_ladder, run_rung, run_sweep
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
-    ANCHOR_PREFETCH,
     Compute,
     Copy,
     DmaStart,
@@ -132,9 +131,10 @@ def test_criterion_5_structural_invariants():
     # Stage 1: dynamically executed prefetches equal the tile count.
     for tiles in (1, 2, 3, 8):
         module = db_stage1(build_vec_add_2d(vec_add_2d(rows=tiles, tile_rows=1)))
+        ddr = {d.id for d in module.buffers}
         per_stream: dict[str, int] = {}
         for op, _ in dynamic_schedule(module):
-            if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH:
+            if isinstance(op, Copy) and op.src.base in ddr:
                 stream = op.src.base
                 per_stream[stream] = per_stream.get(stream, 0) + 1
         assert per_stream == {"A": tiles, "B": tiles}
@@ -149,12 +149,12 @@ def test_criterion_5_structural_invariants():
         start_tag_by_buffer: dict[str, int] = {}
         for op, _ in dynamic_schedule(module):
             if isinstance(op, DmaStart):
-                starts[op.tag.id] = starts.get(op.tag.id, 0) + 1
-                start_tag_by_buffer[op.dst.base] = op.tag.id
-                awaited.discard(op.tag.id)
+                starts[op.tag] = starts.get(op.tag, 0) + 1
+                start_tag_by_buffer[op.dst.base] = op.tag
+                awaited.discard(op.tag)
             elif isinstance(op, DmaWait):
-                waits[op.tag.id] = waits.get(op.tag.id, 0) + 1
-                awaited.add(op.tag.id)
+                waits[op.tag] = waits.get(op.tag, 0) + 1
+                awaited.add(op.tag)
             elif isinstance(op, Compute):
                 for view in op.inputs:
                     tag = start_tag_by_buffer.get(view.base)

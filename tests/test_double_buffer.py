@@ -8,9 +8,6 @@ import pytest
 
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
-    ANCHOR_COMPUTE,
-    ANCHOR_PREFETCH,
-    ANCHOR_STOREBACK,
     AllocTcm,
     Compute,
     Copy,
@@ -18,7 +15,7 @@ from tilelab.ir import (
     DmaWait,
     ForTiles,
     IfToggle,
-    TagRole,
+    MemSpace,
     dynamic_schedule,
     walk_module,
 )
@@ -42,6 +39,11 @@ def _build(tiles):
     return build_vec_add_2d(vec_add_2d(rows=tiles, tile_rows=1))
 
 
+def _is_prefetch(m, op):
+    """A copy from a DDR buffer of m into TCM."""
+    return isinstance(op, Copy) and op.dst.base not in {d.id for d in m.buffers}
+
+
 # -- stage 1 ------------------------------------------------------------------ #
 
 
@@ -50,7 +52,7 @@ def test_dynamic_prefetch_count_equals_tile_count(tiles):
     m = db_stage1(_build(tiles))
     per_buffer: dict[str, int] = {}
     for op, _ in dynamic_schedule(m):
-        if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH:
+        if _is_prefetch(m, op):
             per_buffer[op.dst.base] = per_buffer.get(op.dst.base, 0) + 1
     # One prefetch per tile per input stream, split across ping/pong buffers.
     assert per_buffer.pop("tA_ping", 0) + per_buffer.pop("tA_pong", 0) == tiles
@@ -60,11 +62,7 @@ def test_dynamic_prefetch_count_equals_tile_count(tiles):
 
 def test_single_tile_loop_issues_no_inloop_prefetch():
     m = db_stage1(_build(1))
-    in_loop = [
-        op
-        for op, ivs in dynamic_schedule(m)
-        if isinstance(op, Copy) and op.anchor == ANCHOR_PREFETCH and ivs
-    ]
+    in_loop = [op for op, ivs in dynamic_schedule(m) if _is_prefetch(m, op) and ivs]
     assert in_loop == []
 
 
@@ -79,9 +77,23 @@ def test_footprint_doubles():
     assert after == 2 * before
 
 
-def test_all_three_anchor_roles_present():
-    anchors = {op.anchor for _, op in walk_module(db_stage1(_build(8))) if op.anchor}
-    assert anchors == {ANCHOR_PREFETCH, ANCHOR_COMPUTE, ANCHOR_STOREBACK}
+def test_each_stage1_arm_copies_in_computes_and_copies_out():
+    m = db_stage1(_build(8))
+    allocs = [op.decl for _, op in walk_module(m) if isinstance(op, AllocTcm)]
+    space = {d.id: d.space for d in (*m.buffers, *allocs)}
+    toggles = [op for _, op in walk_module(m) if isinstance(op, IfToggle)]
+    arms = [arm for op in toggles for arm in (op.then_body, op.else_body)]
+    assert len(arms) == 2
+
+    def direction(op):
+        return space[op.src.base], space[op.dst.base]
+
+    ddr, tcm = MemSpace.DDR, MemSpace.TCM
+    for arm in arms:
+        *prefetches, compute, storeback = arm
+        assert isinstance(compute, Compute) and len(prefetches) == len(compute.inputs) == 2
+        assert all(isinstance(op, Copy) and direction(op) == (ddr, tcm) for op in prefetches)
+        assert isinstance(storeback, Copy) and direction(storeback) == (tcm, ddr)
 
 
 def test_stage1_rejects_its_own_output():
@@ -117,17 +129,19 @@ def test_each_arm_waits_for_its_tile_before_prefetching_the_next(arm_order, comp
 
 def test_ping_and_pong_tags_distinct_per_stream():
     m = db_stage2(db_stage1(_build(8)))
-    tags = {op.dst.base: op.tag for _, op in walk_module(m) if isinstance(op, DmaStart)}
-    assert tags["tA_ping"].id != tags["tA_pong"].id
-    assert tags["tA_ping"].role is TagRole.PING
-    assert tags["tA_pong"].role is TagRole.PONG
-    storeback = {
-        op.src.base: op.tag
-        for _, op in walk_module(m)
-        if isinstance(op, DmaStart) and op.anchor == ANCHOR_STOREBACK
-    }
-    assert storeback["tC_ping"].id != storeback["tC_pong"].id
-    assert storeback["tC_ping"].role is TagRole.STOREBACK
+    starts = [op for _, op in walk_module(m) if isinstance(op, DmaStart)]
+    # A tag's role follows from its DMAs' destinations: one TCM buffer for a
+    # ping or pong prefetch, the DDR output for a storeback.
+    into = {}
+    for op in starts:
+        into.setdefault(op.tag, set()).add(op.dst.base)
+    tags = {op.dst.base: op.tag for op in starts}
+    assert tags["tA_ping"] != tags["tA_pong"]
+    assert into[tags["tA_ping"]] == {"tA_ping"}
+    assert into[tags["tA_pong"]] == {"tA_pong"}
+    storeback = {op.src.base: op.tag for op in starts if op.dst.base == "C"}
+    assert storeback["tC_ping"] != storeback["tC_pong"]
+    assert into[storeback["tC_ping"]] == into[storeback["tC_pong"]] == {"C"}
 
 
 @pytest.mark.parametrize("tiles", [1, 2, 3, 8])
@@ -137,15 +151,15 @@ def test_tag_balance_on_the_dynamic_path(tiles):
     waits: dict[int, int] = {}
     for op, _ in dynamic_schedule(m):
         if isinstance(op, DmaStart):
-            starts[op.tag.id] = starts.get(op.tag.id, 0) + 1
+            starts[op.tag] = starts.get(op.tag, 0) + 1
         elif isinstance(op, DmaWait):
-            waits[op.tag.id] = waits.get(op.tag.id, 0) + 1
+            waits[op.tag] = waits.get(op.tag, 0) + 1
     assert starts == waits
     assert verify_module(m, CFG) == []
 
 
-def test_stage2_requires_anchors():
-    with pytest.raises(PassError, match="anchor"):
+def test_stage2_requires_a_toggled_loop():
+    with pytest.raises(PassError, match="requires one toggled loop, found 0"):
         db_stage2(_build(8))
 
 
@@ -171,9 +185,9 @@ def test_ping_pong_refuses_what_overflows_tcm():
 # db-stage2, for one pipeline over 1-row tiles of a 64-column vec-add on a
 # one-thread machine.
 ONE_PIPELINE_IR = {
-    1: ("e27bddc82155d0e6", "1df5529beaaf6957"),
-    2: ("9178d1d78ba2797d", "08abb9e1dfc7549a"),
-    3: ("4df05e4eb71c567a", "7dcb854c35d3ffe0"),
+    1: ("0c2a72cab74f08ca", "53815d64a9c8eee8"),
+    2: ("52b96ff13a7e1ad9", "c7595b498255174d"),
+    3: ("25aa2565c7db5cb7", "bc1ada619ebe1eb2"),
 }
 
 
@@ -190,7 +204,7 @@ def test_one_pipeline_ir_is_pinned(tiles):
     lines = texts[1].splitlines()
     after_loop = lines[lines.index("}") + 1 :]
     waits = [line for line in after_loop if line.startswith("dma.wait")]
-    assert waits == ["dma.wait tag=4:storeback", "dma.wait tag=5:storeback"][: min(tiles, 2)]
+    assert waits == ["dma.wait tag=4", "dma.wait tag=5"][: min(tiles, 2)]
 
 
 def test_stage2_refuses_an_edited_pipeline():

@@ -94,9 +94,9 @@ GOLDEN_IR = {
         ("initial", "1de75a2bc474d3ec"),
         ("pipeline-threads", "8c3db69bc640e49d"),
         ("pipeline-async-threads", "e37ab05c50e61611"),
-        ("db-stage1", "5a3526ec65d6a773"),
-        ("db-stage2", "fa4ba5033b52c19b"),
-        ("vectorize", "8350e51a7303e551"),
+        ("db-stage1", "58cd56db65d0942e"),
+        ("db-stage2", "192417ee42580719"),
+        ("vectorize", "696daa4b33c5c10a"),
     ),
     ("gelu", "scalar"): (
         ("initial", "7a47c4ba35d7c422"),
@@ -115,9 +115,9 @@ GOLDEN_IR = {
         ("initial", "7a47c4ba35d7c422"),
         ("pipeline-threads", "c9b9889bbc9f88c7"),
         ("pipeline-async-threads", "0f53a3d2175646b1"),
-        ("db-stage1", "bbe89e8cb5cba08f"),
-        ("db-stage2", "3d0574728cb95f95"),
-        ("vectorize", "4a3a1c55de727eac"),
+        ("db-stage1", "a4c951041d5c79c4"),
+        ("db-stage2", "db224968b9bd72ee"),
+        ("vectorize", "bcb29d13588fbab7"),
     ),
     ("gelu-fine", "scalar"): (
         ("initial", "bd97a6592f32b7ef"),
@@ -136,9 +136,9 @@ GOLDEN_IR = {
         ("initial", "bd97a6592f32b7ef"),
         ("pipeline-threads", "5a103fae4efd372d"),
         ("pipeline-async-threads", "8a0fa5723e54dd1a"),
-        ("db-stage1", "7bb391b84c6cd36e"),
-        ("db-stage2", "9399dd636aa6ceaa"),
-        ("vectorize", "8dbfca605e6ca362"),
+        ("db-stage1", "05ac1ff71207f82e"),
+        ("db-stage2", "47ac8b67e324f2a1"),
+        ("vectorize", "8741d11c8935eb80"),
     ),
     ("vec-add-anchor", "scalar"): (
         ("initial", "9e518f2423292b27"),
@@ -157,9 +157,9 @@ GOLDEN_IR = {
         ("initial", "9e518f2423292b27"),
         ("pipeline-threads", "3a7a66fc1af9f797"),
         ("pipeline-async-threads", "c97642d70438ff75"),
-        ("db-stage1", "67cb44fd9288a5ab"),
-        ("db-stage2", "a524ec34f9f61893"),
-        ("vectorize", "1f00827a304ca9ed"),
+        ("db-stage1", "21c4748111c87fe4"),
+        ("db-stage2", "37af0ce5cc1ffa56"),
+        ("vectorize", "7de3191deb7d33c1"),
     ),
     ("vec-add-tail", "scalar"): (
         ("initial", "7f24fa145afb9f54"),
@@ -178,9 +178,9 @@ GOLDEN_IR = {
         ("initial", "7f24fa145afb9f54"),
         ("pipeline-threads", "9fb75190a9691204"),
         ("pipeline-async-threads", "3b39c6534fdd5166"),
-        ("db-stage1", "5ee5171ea90f96fb"),
-        ("db-stage2", "18a4224921c395ce"),
-        ("vectorize", "ae276d9a9e4760d9"),
+        ("db-stage1", "dc39347a781aba00"),
+        ("db-stage2", "ede25ccba99c00d8"),
+        ("vectorize", "18346a350f47f7d3"),
     ),
 }
 

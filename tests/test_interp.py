@@ -17,7 +17,6 @@ from tilelab.ir import (
     Copy,
     DeallocTcm,
     DmaStart,
-    DmaTag,
     DmaWait,
     Input,
     MemSpace,
@@ -86,10 +85,10 @@ def _dma_module(with_wait: bool) -> TileModule:
     body = [
         AllocTcm(t_in),
         AllocTcm(t_out),
-        DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t_in), tag=DmaTag(0)),
+        DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t_in), tag=0),
     ]
     if with_wait:
-        body.append(DmaWait(DmaTag(0)))
+        body.append(DmaWait(0))
     body += [
         Compute((full_view(t_in),), full_view(t_out), Input(0), vector_factor=1),
         Copy(src=full_view(t_out), dst=ViewRef("Y", 0, 0, 1, 16)),

@@ -7,7 +7,7 @@ import pytest
 
 from tilelab.bench import outputs_match
 from tilelab.interp import interpret_functional
-from tilelab.ir import ANCHOR_COMPUTE, AllocTcm, AsyncExecute, Copy, ForTiles, MemSpace
+from tilelab.ir import AllocTcm, AsyncExecute, Copy, ForTiles, MemSpace
 from tilelab.kernels import (
     build_gelu,
     build_kernel,
@@ -132,13 +132,14 @@ def test_a_missing_copy_out_does_not_match():
     )
 
 
-def test_an_anchored_compute_does_not_match():
+def test_a_guarded_copy_does_not_match():
     m = build_gelu(gelu())
     body = list(m.body[0].body)
-    body[3] = replace(body[3], anchor=ANCHOR_COMPUTE)
+    assert isinstance(body[1], Copy)
+    body[1] = replace(body[1], only_if_iv_lt=1)
     assert _explain(_with_loop_body(m, body)) == (
         None,
-        "loop body op 3: Compute differs from the normal form",
+        "loop body op 1: Copy differs from the normal form",
     )
 
 

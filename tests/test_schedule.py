@@ -9,7 +9,7 @@ import pytest
 
 import tilelab.lower as lowering
 from tilelab.bench import functional_check, run_rung
-from tilelab.ir import TileModule
+from tilelab.ir import TileModule, ops_per_element
 from tilelab.kernels import build_kernel, gelu, vec_add_2d
 from tilelab.lower import Schedule, lower
 from tilelab.machine import MachineConfig, RUNG_ORDER
@@ -42,9 +42,23 @@ def test_golden_kernels_agree_on_their_schedules(verify, kernel):
         assert verify(run_pipeline(base, PipelineSpec(rung, CFG)), CFG) == [], rung
 
 
+@pytest.mark.parametrize("kernel", list(GOLDEN_KERNELS))
+def test_lowered_computes_hold_their_cost_before_any_data_moves(kernel):
+    """The simulator's compute cost comes from lowering, not from the first
+    evaluation of the expression."""
+    base = build_kernel(GOLDEN_KERNELS[kernel], tcm_capacity=CFG.tcm_capacity)
+    for rung in RUNG_ORDER:
+        sched = lower(run_pipeline(base, PipelineSpec(rung, CFG)))
+        computes = [step for step, _ in lowering.walk(sched.body) if step.kind == "compute"]
+        assert computes, rung
+        for step in computes:
+            assert step.fn is None
+            assert step.ops_per_element == ops_per_element(step.op.expr), rung
+
+
 def test_a_module_that_cannot_be_lowered_gets_a_diagnostic():
-    m = TileModule("not-an-op", (), (SimpleNamespace(anchor=None),))
-    assert verify_module(m, CFG) == ["body[0]: unknown op namespace(anchor=None)"]
+    m = TileModule("not-an-op", (), (SimpleNamespace(),))
+    assert verify_module(m, CFG) == ["body[0]: unknown op namespace()"]
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import pytest
 from tilelab import passes
 from tilelab.bench import outputs_match, run_rung
 from tilelab.interp import interpret_functional
-from tilelab.ir import AsyncExecute, Copy, DmaStart, DmaWait, ForTiles, TagRole, walk, walk_module
+from tilelab.ir import AsyncExecute, Copy, DmaStart, DmaWait, ForTiles, walk, walk_module
 from tilelab.kernels import build_kernel, gelu, make_inputs, reference_output, vec_add_2d
 from tilelab.machine import (
     MachineConfig,
@@ -56,7 +56,7 @@ def _regions(m):
 
 def _tags(body):
     return {
-        op.tag.id for _, op in walk(body) if isinstance(op, (DmaStart, DmaWait))
+        op.tag for _, op in walk(body) if isinstance(op, (DmaStart, DmaWait))
     }
 
 
@@ -102,12 +102,15 @@ def test_thread_pipelines_agree_with_the_reference(tiles, threads):
             # two storeback tags, shared with no other region.
             tags = _tags(region.body)
             assert len(tags) == 2 * (len(inputs) + 1)
-            roles = {
-                op.tag: op.tag.role for _, op in walk(region.body) if isinstance(op, DmaStart)
-            }
+            # A ping tag is one whose DMAs fill a ping buffer.
+            ping = dict.fromkeys(
+                op.tag
+                for _, op in walk(region.body)
+                if isinstance(op, DmaStart) and op.dst.base.endswith("_ping")
+            )
             prologue = [op.tag for op in region.body if isinstance(op, DmaStart)]
             assert len(prologue) == len(inputs)
-            assert [tag for tag, role in roles.items() if role is TagRole.PING] == prologue
+            assert list(ping) == prologue
             assert not tags & seen
             seen |= tags
             loops = [op for op in region.body if isinstance(op, ForTiles)]

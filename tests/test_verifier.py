@@ -12,7 +12,7 @@ from tilelab.ir import (
     Copy,
     DeallocTcm,
     DmaStart,
-    DmaTag,
+    DmaWait,
     FlipToggle,
     ForTiles,
     IfToggle,
@@ -58,12 +58,31 @@ def test_unbalanced_tag_diagnostic(verify):
         (DDR("X", 1, 16),),
         (
             AllocTcm(t),
-            DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t), tag=DmaTag(3)),
+            DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t), tag=3),
             DeallocTcm("t"),
         ),
     )
     diags = verify(m, CFG)
     assert any("unbalanced tag 3" in d for d in diags)
+
+
+def test_a_tag_reused_with_another_destination(verify):
+    t, u = TCM("t", 1, 16), TCM("u", 1, 16)
+    m = TileModule(
+        "retag",
+        (DDR("X", 1, 16),),
+        (
+            AllocTcm(t),
+            AllocTcm(u),
+            DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t), tag=2),
+            DmaWait(2),
+            DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(u), tag=2),
+            DmaWait(2),
+            DeallocTcm("t"),
+            DeallocTcm("u"),
+        ),
+    )
+    assert verify(m, CFG) == ["body[4]: tag 2 reused with a different destination (@t vs @u)"]
 
 
 def test_tcm_capacity_diagnostic_once(verify):
@@ -221,7 +240,7 @@ def test_diagnostics_are_ordered_and_deterministic(verify):
         (
             AllocTcm(t),
             Copy(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t)),
-            DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t), tag=DmaTag(9)),
+            DmaStart(src=ViewRef("X", 0, 0, 1, 16), dst=full_view(t), tag=9),
         ),
     )
     first = verify(m, CFG)
