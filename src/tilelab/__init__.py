@@ -53,8 +53,8 @@ from .passes import (
     form_async_threads,
     form_virtual_threads,
     partition_tiles,
+    retile,
     run_pipeline,
-    split_tiles,
     vectorize,
 )
 from .printer import print_module
@@ -105,12 +105,12 @@ __all__ = [
     "partition_tiles",
     "print_module",
     "reference_output",
+    "retile",
     "run_ladder",
     "run_pipeline",
     "run_rung",
     "run_sweep",
     "simulate_timed",
-    "split_tiles",
     "vec_add_2d",
     "vectorize",
     "verify_module",

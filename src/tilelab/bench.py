@@ -126,8 +126,9 @@ def _compile(
 ) -> tuple[TileModule, Schedule, list[str]]:
     """Build -> transform -> lower -> verify, the one compilation path of a
     rung run.  Returns the base module, which the floor's statistics read,
-    the transformed module's schedule, which the verifier and both executors
-    share, and the verifier's diagnostics."""
+    the transformed module's schedule, whose transfers the floor counts and
+    which the verifier and both executors share, and the verifier's
+    diagnostics."""
     base = build_kernel(kernel, tcm_capacity=cfg.tcm_capacity)
     sched = lower(run_pipeline(base, PipelineSpec(rung, cfg)))
     return base, sched, verify_module(sched, cfg)
@@ -148,7 +149,8 @@ def run_rung(
     if inputs is None:
         inputs = make_inputs(kernel)
     outputs, timing = simulate_timed(sched, inputs, cfg)
-    return RungRun(rung, outputs, timing, latency_lower_bound(collect_stats(base), cfg, rung))
+    floor = latency_lower_bound(collect_stats(base, sched), cfg, rung)
+    return RungRun(rung, outputs, timing, floor)
 
 
 def run_ladder(kernel: KernelSpec, cfg: MachineConfig) -> LadderReport:

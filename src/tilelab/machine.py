@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .ir import Compute, ForTiles, TileModule, ops_per_element, walk_module
-from .lower import lower, walk
+from .lower import Schedule, lower, walk
 
 
 class LadderRung(str, Enum):
@@ -147,18 +147,22 @@ class KernelStats:
     bytes_in: int
     bytes_out: int
     tile_count: int
-    tile_rows: int  # rows of the first compute's output: what split_tiles may split
+    tile_rows: int  # rows of the kernel's tile, before any re-tiling
     n_transfers: int
 
 
-def collect_stats(m: TileModule) -> KernelStats:
+def collect_stats(m: TileModule, sched: Schedule | None = None) -> KernelStats:
     """Derive kernel statistics from an untransformed (single-buffered) module.
 
-    The transfer count is the number of dynamically executed copies, which is
-    invariant across the rung pipelines (double buffering re-times transfers
-    but does not change how many tiles move).
+    The transfer count is the number of dynamically executed transfers of
+    `sched`, the lowered schedule of a rung's transformed module, or of m's
+    own schedule without one.  It is not invariant across the rung
+    pipelines: double buffering only re-times transfers, but a rung that
+    re-tiles the loop moves the same bytes in more or fewer of them.  Every
+    other field describes m.
     """
-    sched = lower(m)
+    if sched is None:
+        sched = lower(m)
     written = set(sched.written)
     bytes_out = sum(d.nbytes for d in m.buffers if d.id in written)
     bytes_in = sum(d.nbytes for d in m.buffers if d.id not in written)
@@ -192,13 +196,16 @@ def collect_stats(m: TileModule) -> KernelStats:
 
 def latency_lower_bound(stats: KernelStats, cfg: MachineConfig, rung: LadderRung) -> int:
     """Certified floor on simulated latency: max of the transfer-channel time
-    and the per-context compute time at the rung's vector factor.  Vector
-    rungs run computes smaller than one vector, and epilogues, scalar, so
-    where a vector op costs more than a scalar one each element is charged
-    the cheaper of the two units.  vec-mt and vec-mt-db give each thread a
-    block of tiles, which may be split by rows, to loop or pipeline over, so
-    their compute splits over at most min(threads, tiles x rows of a
-    resident tile) contexts."""
+    and the per-context compute time at the rung's vector factor.  Every
+    transfer the stats count pays the start-up on the one channel, so stats
+    that count a rung's own schedule (see collect_stats) keep the floor
+    certified when the rung re-tiles the loop.  Vector rungs run computes
+    smaller than one vector, and epilogues, scalar, so where a vector op
+    costs more than a scalar one each element is charged the cheaper of the
+    two units.  vec-mt and vec-mt-db give each thread a block of tiles,
+    which may be split by rows, to loop or pipeline over, so their compute
+    splits over at most min(threads, tiles x rows of a resident tile)
+    contexts."""
     t_dma = stats.n_transfers * cfg.dma_startup + math.ceil(
         (stats.bytes_in + stats.bytes_out) / cfg.dma_bandwidth
     )

@@ -1,11 +1,11 @@
 """Rewrite passes over tile modules and the rung-keyed pipeline driver.
 
-Six transformations: vectorize, split_tiles (tiles split k ways by rows),
-form_virtual_threads (the tile fork: a structured parallel loop),
+Six transformations: vectorize, retile (the loop's tiles split or merged by
+rows), form_virtual_threads (the tile fork: a structured parallel loop),
 form_async_threads (fork-join lowering), and the two double-buffering stages
 (structural pipelining, then asynchronous DMA).  The driver runs them as the
-named stages of _STAGES, `vectorize`, `pipeline-threads` (split_tiles and
-the tile fork, as choose_composition picks), `pipeline-async-threads`,
+named stages of _STAGES, `vectorize`, `pipeline-threads` (retile and the
+tile fork, as choose_composition picks), `pipeline-async-threads`,
 `db-stage1` and `db-stage2`, in the order _RUNG_STAGES gives each rung.
 Every pass takes a module and returns a new one, or its input when it has
 nothing to do; inputs are never mutated.
@@ -13,6 +13,7 @@ nothing to do; inputs are never mutated.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, replace
@@ -29,6 +30,7 @@ from .ir import (
     DeallocTcm,
     DmaStart,
     DmaWait,
+    Expr,
     FlipToggle,
     Forall,
     ForTiles,
@@ -286,56 +288,61 @@ def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
     return [view for view in written if view.base in ddr]
 
 
-def _whole_row_tiles(operands: tuple[Operand, ...], k: int) -> bool:
-    """Whether every operand is a contiguous whole-row tile, its DDR view
-    the rows and columns of its buffer, and k divides those rows."""
+def _contiguous_tiles(operands: tuple[Operand, ...], rows: int) -> bool:
+    """Whether every operand is a contiguous whole-row tile of `rows` rows:
+    its DDR view the rows and columns of its buffer, one tile after another."""
     return all(
-        v.row_scale == v.row_count == d.rows and v.col_count == d.cols and d.rows % k == 0
+        v.row_scale == v.row_count == d.rows == rows and v.col_count == d.cols
         for v, d in operands
     )
 
 
-def split_tiles(m: TileModule, k: int) -> TileModule:
-    """The normal-form loop over tiles split `k` ways by rows: `k` times the
-    iterations, each over a tile of rows/k rows, its body rebuilt by
-    normal_form_tile with views and buffers of that many rows.  Every DDR
-    view must be a contiguous whole-row tile and k must divide its rows (see
-    _whole_row_tiles).  k = 1 returns the module."""
+def retile(m: TileModule, rows: int) -> TileModule:
+    """The normal-form loop over tiles of `rows` whole rows: the loop's rows,
+    its tiles times the rows of one, dealt out `rows` at a time, each body
+    rebuilt by normal_form_tile with views and buffers of that many rows.
+    Fewer rows than the kernel's tile split it, more merge consecutive tiles;
+    a peeled tail tile is untouched.  `rows` must divide the loop's rows and
+    every DDR view must be a contiguous whole-row tile (see
+    _contiguous_tiles).  The rows of the kernel's tile return the module."""
     desc, reason = match_block_explain(m.body, {d.id for d in m.buffers})
     if desc is None:
-        raise PassError(f"splitting tiles requires the single-buffered normal form: {reason}")
-    if k < 1:
-        raise PassError(f"split factor must be >= 1, got {k}")
-    if k == 1:
+        raise PassError(f"re-tiling requires the single-buffered normal form: {reason}")
+    tile_rows = desc.output[1].rows
+    loop_rows = desc.loop.tile_count * tile_rows
+    if rows < 1 or loop_rows % rows:
+        raise PassError(f"cannot re-tile {loop_rows} loop rows into tiles of {rows} rows")
+    if rows == tile_rows:
         return m
-    if not _whole_row_tiles((*desc.inputs, desc.output), k):
-        raise PassError(f"cannot split tiles {k} ways: a view is not {k} whole-row sub-tiles")
+    if not _contiguous_tiles((*desc.inputs, desc.output), tile_rows):
+        raise PassError(
+            f"cannot re-tile into {rows}-row tiles: a view is not a contiguous whole-row tile"
+        )
 
-    def split(operand: Operand) -> Operand:
+    def resize(operand: Operand) -> Operand:
         view, decl = operand
-        rows = decl.rows // k
         return replace(view, row_scale=rows, row_count=rows), replace(decl, rows=rows)
 
     body = normal_form_tile(
-        tuple(split(op) for op in desc.inputs),
-        split(desc.output),
+        tuple(resize(op) for op in desc.inputs),
+        resize(desc.output),
         desc.compute.expr,
         desc.compute.vector_factor,
     )
-    loop = ForTiles(desc.loop.iv, desc.loop.tile_count * k, body)
+    loop = ForTiles(desc.loop.iv, loop_rows // rows, body)
     index = desc.loop_index
     return replace(m, body=m.body[:index] + (loop,) + m.body[index + 1 :])
 
 
 @dataclass(frozen=True, slots=True)
 class Composition:
-    """One vec-mt or vec-mt-db candidate and its cost: the tiles split
-    `split` ways by rows (see split_tiles; 1 keeps them whole), then run by
-    one loop or one pipeline over them all (`forks` 0), or forked so each
-    thread runs a block of them through its own loop or pipeline (`forks`
-    1: one fork/join per run)."""
+    """One vec-mt or vec-mt-db candidate and its cost: the loop re-tiled into
+    tiles of `rows` rows (see retile; the kernel's tile rows keep its tiles),
+    then run by one loop or one pipeline over them all (`forks` 0), or
+    forked so each thread runs a block of them through its own loop or
+    pipeline (`forks` 1: one fork/join per run)."""
 
-    split: int
+    rows: int
     cycles: int
     forks: int
 
@@ -403,39 +410,48 @@ def _forked_loops_cycles(
     return end
 
 
-def _splits(desc: NormalFormDescriptor, cfg: MachineConfig, lanes: int) -> Iterator[tuple]:
-    """(k, n, input transfer cycles, compute cycles, output transfer cycles)
-    of each sub-tile for every k the tiles split into: whole-row tiles (see
-    _whole_row_tiles) and no scalar epilogue in the sub-tile.  k = 1 always."""
-    compute = desc.compute
-    rows, elems = compute.output.row_count, compute.output.elems
+def _tilings(desc: NormalFormDescriptor, cfg: MachineConfig, merges: bool) -> Iterator[tuple]:
+    """(rows, n, input transfer cycles, compute cycles, output transfer
+    cycles) of one tile for each tiling the loop may be re-tiled into, most
+    rows first: the kernel's own tile, and tiles of every whole number of
+    rows that divides its rows or, with `merges`, the loop's rows.  Each
+    of those is a contiguous whole-row tile (see _contiguous_tiles) with no
+    scalar epilogue (see _gets_epilogue); n is the tiles of the loop."""
+    compute, (_, out) = desc.compute, desc.output
+    tile_rows, cols = out.rows, out.cols
+    loop_rows = desc.loop.tile_count * tile_rows
     per_element = ops_per_element(compute.expr)
-    operands = (*desc.inputs, desc.output)
-    for k in range(1, rows + 1):
-        if k > 1 and (not _whole_row_tiles(operands, k) or _gets_epilogue(elems // k, lanes)):
+    contiguous = _contiguous_tiles((*desc.inputs, desc.output), tile_rows)
+    family = loop_rows if merges else tile_rows
+    for rows in range(family, 0, -1):
+        if family % rows or (
+            rows != tile_rows and (not contiguous or _gets_epilogue(rows * cols, cfg.lanes))
+        ):
             continue
-        x_ins = tuple(transfer_cycles(cfg, decl.nbytes // k) for _, decl in desc.inputs)
-        x_out = transfer_cycles(cfg, desc.output[1].nbytes // k)
-        c = _vectorized_cycles(cfg, elems // k, per_element, lanes)
-        yield k, desc.loop.tile_count * k, x_ins, c, x_out
+        x_ins = tuple(transfer_cycles(cfg, d.nbytes * rows // tile_rows) for _, d in desc.inputs)
+        x_out = transfer_cycles(cfg, out.nbytes * rows // tile_rows)
+        c = _vectorized_cycles(cfg, rows * cols, per_element, cfg.lanes)
+        yield rows, loop_rows // rows, x_ins, c, x_out
 
 
 def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     """The vec-mt or vec-mt-db candidates of an untransformed module, each
     priced from the normal-form loop and the machine's cost forms; no pass
-    runs.  The tiles split k ways as _splits allows.  With Xin and Xout one
-    sub-tile's input and output transfer cycles, C its compute, n = N*k
-    sub-tiles of N tiles, T the threads and F(n, x, c) the end of a fork
-    over n units of c cycles whose regions each first load x (see
-    _forked_cycles):
+    runs.  The loop is re-tiled as _tilings allows: vec-mt-db splits the
+    kernel's tiles by rows, and vec-mt also merges them.  With Xin and Xout
+    one tile's input and output transfer cycles, C its compute, n the tiles
+    of the loop, T the threads and F(n, x, c) the end of a fork over n units
+    of c cycles whose regions each first load x (see _forked_cycles):
 
-    vec-mt offers the unforked loop over whole tiles, N*(Xin + C + Xout),
-    so a fork that cannot pay is declined; and, where the tile fork forks
-    the whole tiles and min(T, n) copies of the split loop body fit the
-    scratchpad, per-thread loops over each split, their copies replayed on
-    the channel (see _forked_loops_cycles) plus the join.  A fork whose
-    lower bound exceeds the price of a candidate before it is priced at
-    that bound, which no replay can beat:
+    vec-mt offers the unforked loop over the kernel's tiles, N*(Xin + C +
+    Xout), so a fork that cannot pay is declined; and, where the tile fork
+    forks the kernel's N tiles, per-thread loops over each tiling that
+    leaves at least min(T, N) tiles and whose min(T, n) copies of the loop
+    body fit the scratchpad, their copies replayed on the channel (see
+    _forked_loops_cycles) plus the join.  Fewer, larger tiles pay the
+    transfer start-up fewer times.  A fork whose lower bound exceeds the
+    price of a candidate before it is priced at that bound, which no replay
+    can beat:
 
         per-thread loop  max(F(n, 0, Xin + C + Xout), fork + n*(Xin + Xout)) + join
 
@@ -447,25 +463,28 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
         per-thread    max(F(n, Xin, C) + Xout, fork + n*(Xin + Xout)) + join
 
     The last term of one pipeline is the channel moving every input and all
-    outputs but the last before the last sub-tile computes.  A module
-    outside the normal form has no candidates."""
+    outputs but the last before the last tile computes.  A module outside
+    the normal form has no candidates."""
     desc = match_normal_form(m)
     if desc is None:
         return ()
     cfg, threads = spec.machine, spec.machine.threads
-    out_view = desc.output[0]
+    out_view, out = desc.output
     forkable = abs(out_view.row_scale) >= out_view.row_count  # output tiles do not overlap
     body_bytes = _loop_body_bytes(desc.loop)
-    splits = list(_splits(desc, cfg, cfg.lanes))
+
+    def fits(copies: int, rows: int) -> bool:
+        return copies * body_bytes * rows // out.rows <= cfg.tcm_capacity
 
     if spec.rung is not LadderRung.VEC_MT_DB:
-        _, tiles, x_ins, c, x_out = splits[0]
+        tilings = list(_tilings(desc, cfg, merges=True))
+        _, tiles, x_ins, c, x_out = next(t for t in tilings if t[0] == out.rows)
         best = tiles * (sum(x_ins) + c + x_out)
-        candidates = [Composition(1, best, 0)]
+        candidates = [Composition(out.rows, best, 0)]
         if not forkable or _declines_fork(tiles, out_view.elems, threads):
             return tuple(candidates)
-        for k, n, x_ins, c, x_out in splits:
-            if min(threads, n) * body_bytes // k > cfg.tcm_capacity:
+        for rows, n, x_ins, c, x_out in tilings:
+            if n < min(threads, tiles) or not fits(min(threads, n), rows):
                 continue
             x_in = sum(x_ins)
             unit = x_in + c + x_out
@@ -474,35 +493,35 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
             if cycles <= best:  # else the lower bound already loses: no replay
                 cycles = _forked_loops_cycles(cfg, n, threads, x_ins, c, x_out) + cfg.join_cost
                 best = min(best, cycles)
-            candidates.append(Composition(k, cycles, 1))
+            candidates.append(Composition(rows, cycles, 1))
         return tuple(candidates)
 
     candidates = []
-    for k, n, x_ins, c, x_out in splits:
+    for rows, n, x_ins, c, x_out in _tilings(desc, cfg, merges=False):
         x_in = sum(x_ins)
-        if 2 * body_bytes // k <= cfg.tcm_capacity:
+        if fits(2, rows):
             cycles = max(x_in + n * c + x_out, n * (x_in + x_out), n * x_in + (n - 1) * x_out + c)
-            candidates.append(Composition(k, cycles, 0))
+            candidates.append(Composition(rows, cycles, 0))
         if (
             forkable
-            and not _declines_fork(n, out_view.elems // k, threads)
-            and 2 * min(threads, n) * body_bytes // k <= cfg.tcm_capacity
+            and not _declines_fork(n, out_view.elems * rows // out.rows, threads)
+            and fits(2 * min(threads, n), rows)
         ):
             last = _forked_cycles(cfg, n, threads, x_in, c) + x_out
             cycles = max(last, cfg.fork_cost + n * (x_in + x_out)) + cfg.join_cost
-            candidates.append(Composition(k, cycles, 1))
+            candidates.append(Composition(rows, cycles, 1))
     return tuple(candidates)
 
 
 def choose_composition(m: TileModule, spec: PipelineSpec) -> Composition | None:
     """The cheapest candidate of the rung (see compositions); a tie goes to
-    fewer fork/joins, then to the smaller split, which moves fewer
+    fewer fork/joins, then to more rows per tile, which moves fewer
     transfers.  None when there is no candidate: outside the normal form,
     or at vec-mt-db where none fits the scratchpad."""
     candidates = compositions(m, spec)
     if not candidates:
         return None
-    return min(candidates, key=lambda c: (c.cycles, c.forks, c.split))
+    return min(candidates, key=lambda c: (c.cycles, c.forks, -c.rows))
 
 
 # --------------------------------------------------------------------------- #
@@ -603,9 +622,10 @@ def db_stage2(m: TileModule) -> TileModule:
     prologue's ping allocs, and the pipeline is accepted only if db_stage1
     builds it exactly from them; otherwise PassError names the first op that
     differs.  Tags are distinct across pipelines."""
-    dma_ids = itertools.count()
+    next_tag = 0
 
     def pipeline(block: tuple[Op, ...]) -> tuple[Op, ...]:
+        nonlocal next_tag
         desc = _read_pipeline(block)
         sync = _ping_pong(desc)
         loop_at = next(i for i, op in enumerate(sync) if isinstance(op, ForTiles))
@@ -614,7 +634,8 @@ def db_stage2(m: TileModule) -> TileModule:
         if block[start:end] != sync:
             where = _first_difference(block, block[:start] + sync + block[end:])
             raise PassError(f"async DMA stage: {where} differs from db_stage1's pipeline")
-        return block[:start] + _ping_pong(desc, dma_ids) + block[end:]
+        first_tag, next_tag = next_tag, next_tag + 2 * (len(desc.inputs) + 1)
+        return block[:start] + _ping_pong(desc, first_tag) + block[end:]
 
     return replace(m, body=_per_pipeline(m.body, pipeline))
 
@@ -630,36 +651,67 @@ def _per_pipeline(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
     )
 
 
-def _ping_pong(desc: NormalFormDescriptor, dma_ids: Iterator[int] | None = None) -> tuple[Op, ...]:
+def _ping_pong(desc: NormalFormDescriptor, first_tag: int | None = None) -> tuple[Op, ...]:
     """The ping/pong pipeline that replaces a normal-form loop in its block.
     A prologue allocates a ping and a pong copy of every buffer and
     prefetches the first tile into ping; each arm of the toggled loop
     prefetches the next tile into the opposite buffers, computes on the
     current ones and stores back; an epilogue frees the buffers.
 
-    With `dma_ids` every copy is a DMA start, its tag drawn per input's ping
-    buffer, per input's pong buffer, then for the ping and the pong
-    storeback.  Each arm waits for its current tile's inputs before it
-    prefetches: that keeps the one FIFO channel in the order tiles are needed
-    when pipelines share it, and costs one pipeline nothing.  It then waits
-    for the storeback issued two tiles back from the buffer it overwrites.
-    After the loop, each arm that ran waits for its last storeback: the ping
-    arm runs ceil(T/2) times, the pong arm floor(T/2)."""
-    tiles = desc.loop.tile_count
-    decls = [decl for _, decl in (*desc.inputs, desc.output)]
+    With `first_tag` every copy is a DMA start, its tags numbered from
+    first_tag per input's ping buffer, per input's pong buffer, then for the
+    ping and the pong storeback.  Each arm waits for its current tile's
+    inputs before it prefetches: that keeps the one FIFO channel in the order
+    tiles are needed when pipelines share it, and costs one pipeline nothing.
+    It then waits for the storeback issued two tiles back from the buffer it
+    overwrites.  After the loop, each arm that ran waits for its last
+    storeback: the ping arm runs ceil(T/2) times, the pong arm floor(T/2).
+
+    The ops are immutable, so a pipeline is built once and shared by every
+    later call with equal operands (see _pipeline): db_stage2 gets back the
+    very ops db_stage1 built, so its exact-match check finds them identical
+    without walking them."""
+    loop, compute = desc.loop, desc.compute
+    return _pipeline(
+        loop.iv,
+        loop.tile_count,
+        desc.inputs,
+        desc.output,
+        compute.expr,
+        compute.vector_factor,
+        first_tag,
+    )
+
+
+# The pipelines of the last few modules: both stages of one module, and the
+# same module compiled again, hit; a memo of every pipeline a design grid
+# builds would hold megabytes of ops.
+@functools.lru_cache(maxsize=64)
+def _pipeline(
+    iv: str,
+    tiles: int,
+    inputs: tuple[Operand, ...],
+    output: Operand,
+    expr: Expr,
+    vector_factor: int,
+    first_tag: int | None,
+) -> tuple[Op, ...]:
+    """_ping_pong's pipeline, from the fields of the descriptor it reads."""
+    decls = [decl for _, decl in (*inputs, output)]
     ping = {d.id: BufferDecl(f"{d.id}_ping", d.space, d.rows, d.cols) for d in decls}
     pong = {d.id: BufferDecl(f"{d.id}_pong", d.space, d.rows, d.cols) for d in decls}
     whole = {b.id: full_view(b) for b in (*ping.values(), *pong.values())}
-    out_view, out = desc.output
+    out_view, out = output
     following = [
         ViewRef(v.base, v.row_scale, v.row_base + v.row_scale, v.row_count, v.col_count)
-        for v, _ in desc.inputs
+        for v, _ in inputs
     ]
     # TCM buffer id -> tag of the DMA that fills or drains it; empty for copies.
     tag: dict[str, int] = {}
-    if dma_ids is not None:
-        moved = [buffers[d.id] for buffers in (ping, pong) for _, d in desc.inputs]
-        tag = {b.id: next(dma_ids) for b in (*moved, ping[out.id], pong[out.id])}
+    if first_tag is not None:
+        moved = [buffers[d.id] for buffers in (ping, pong) for _, d in inputs]
+        tags = itertools.count(first_tag)
+        tag = {b.id: next(tags) for b in (*moved, ping[out.id], pong[out.id])}
 
     def move(src: ViewRef, dst: ViewRef, only_if_iv_lt: int | None = None) -> Op:
         if not tag:
@@ -668,24 +720,23 @@ def _ping_pong(desc: NormalFormDescriptor, dma_ids: Iterator[int] | None = None)
         return DmaStart(src, dst, tag[tcm], only_if_iv_lt)
 
     def arm(current: dict[str, BufferDecl], opposite: dict[str, BufferDecl]) -> tuple[Op, ...]:
-        reads = tuple(whole[current[d.id].id] for _, d in desc.inputs)
+        reads = tuple(whole[current[d.id].id] for _, d in inputs)
         result = whole[current[out.id].id]
         ops: list[Op] = [DmaWait(tag[v.base]) for v in reads if tag]
-        for view, (_, d) in zip(following, desc.inputs):
+        for view, (_, d) in zip(following, inputs):
             ops.append(move(view, whole[opposite[d.id].id], tiles - 1))
         if tag:
             ops.append(DmaWait(tag[result.base], only_if_iv_ge=2))
-        expr, vector_factor = desc.compute.expr, desc.compute.vector_factor
         ops.append(Compute(reads, result, expr, vector_factor))
         ops.append(move(result, out_view))
         return tuple(ops)
 
     ops: list[Op] = [AllocTcm(buffers[d.id]) for d in decls for buffers in (ping, pong)]
-    for v, d in desc.inputs:
+    for v, d in inputs:
         first = ViewRef(v.base, 0, v.row_base, v.row_count, v.col_count)
         ops.append(move(first, whole[ping[d.id].id]))
     body = (IfToggle(arm(ping, pong), arm(pong, ping)), FlipToggle())
-    ops.append(ForTiles(desc.loop.iv, tiles, body, toggle_init=True))
+    ops.append(ForTiles(iv, tiles, body, toggle_init=True))
     runs = ((ping, (tiles + 1) // 2), (pong, tiles // 2))
     ops.extend(DmaWait(tag[buffers[out.id].id]) for buffers, n in runs if n and tag)
     ops.extend(DeallocTcm(buffers[d.id].id) for d in decls for buffers in (ping, pong))
@@ -745,8 +796,8 @@ STAGE_INITIAL = "initial"
 # globals at call time, so a rebinding of a pass (for tracing) takes effect.
 _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     "vectorize": lambda m, spec: vectorize(m, spec.machine.lanes),
-    # vec-mt and vec-mt-db: the tiles are split as the cost model's pick
-    # says and, for a fork, each thread gets a block of them to run.
+    # vec-mt and vec-mt-db: the loop is re-tiled as the cost model's pick
+    # says and, for a fork, each thread gets a block of its tiles to run.
     "pipeline-threads": lambda m, spec: _pipeline_threads(m, spec, choose_composition(m, spec)),
     # An unforked pick leaves fork-join lowering nothing to do.
     "pipeline-async-threads": lambda m, spec: form_async_threads(m),
@@ -756,11 +807,11 @@ _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
 
 
 def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | None) -> TileModule:
-    """The tiles split as `choice` says, then forked by the tile fork when it
-    forks; the module itself when there is no candidate."""
+    """The loop re-tiled as `choice` says, then forked by the tile fork when
+    it forks; the module itself when there is no candidate."""
     if choice is None:
         return m
-    m = split_tiles(m, choice.split)
+    m = retile(m, choice.rows)
     cfg = spec.machine
     return form_virtual_threads(m, cfg.threads, cfg.tcm_capacity) if choice.forks else m
 

@@ -6,14 +6,16 @@ The vec-add and GELU rows are the ROADMAP baseline ladders: vec-add's
 vec-mt runs per-thread loops over its 8-row tiles split into single rows,
 and its vec-mt-db per-thread pipelines over 2-row sub-tiles, which fit the
 scratchpad where whole tiles do not; GELU's vec-mt runs per-thread loops
-over whole tiles, and its vec-mt-db per-thread pipelines over its 8-row
-tiles split into single rows.  The fine-tile GELU row exercises many small
-tiles, which vec-mt and vec-mt-db run whole on every thread; the vec-add
-anchor of the benchmark's design grid runs four per-thread pipelines that
-share one memory-bound channel; the IR table adds a vec-add with a peeled
-tail tile, whose vec-mt and vec-mt-db split its two tiles into 2-row and
-1-row sub-tiles.  Any change to these numbers or hashes is a behaviour
-change.
+over its 8-row tiles merged in pairs, and its vec-mt-db per-thread
+pipelines over its 8-row tiles split into single rows.  The fine-tile GELU
+row exercises many small tiles: vec-mt merges its 64 tiles into four, one
+per thread, so each thread pays the transfer start-up once per operand,
+and vec-mt-db pipelines them whole on every thread.  The vec-add anchor of
+the benchmark's design grid runs four per-thread pipelines that share one
+memory-bound channel, and four per-thread loops over its 8-row tiles
+merged in pairs.  The IR table adds a vec-add with a peeled tail tile,
+whose vec-mt and vec-mt-db split its two tiles into 2-row and 1-row
+sub-tiles.  Any change to these numbers or hashes is a behaviour change.
 """
 
 import hashlib
@@ -44,15 +46,15 @@ GOLDEN = {
     ("vec-add", "vec-mt-db"): (35948, 35.948, 131072, 30720, 7080, 600, (33728, 34268, 34808, 35348)),
     ("gelu", "scalar"): (19947520, 19947.52, 19922944, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec"): (647168, 647.168, 622592, 24576, 24576, 0, (0, 0, 0, 0)),
-    ("gelu", "vec-mt"): (165932, 165.932, 622592, 24576, 32232, 600, (161984, 162268, 165240, 165332)),
+    ("gelu", "vec-mt"): (164908, 164.908, 622592, 20480, 28520, 600, (161088, 161628, 164088, 164308)),
     ("gelu", "vec-mt-db"): (156508, 156.508, 622592, 81920, 840, 600, (155808, 155868, 155848, 155908)),
     ("gelu-fine", "scalar"): (1254400, 1254.4, 1245184, 9216, 9216, 0, (0, 0, 0, 0)),
     ("gelu-fine", "vec"): (48128, 48.128, 38912, 9216, 9216, 0, (0, 0, 0, 0)),
-    ("gelu-fine", "vec-mt"): (13844, 13.844, 38912, 9216, 13408, 600, (12792, 13156, 13128, 13244)),
+    ("gelu-fine", "vec-mt"): (10988, 10.988, 38912, 1536, 2088, 600, (10112, 10204, 10296, 10388)),
     ("gelu-fine", "vec-mt-db"): (10604, 10.604, 38912, 9216, 768, 600, (9872, 9916, 9888, 10004)),
     ("vec-add-anchor", "scalar"): (528896, 528.896, 524288, 4608, 4608, 0, (0, 0, 0, 0)),
     ("vec-add-anchor", "vec"): (20992, 20.992, 16384, 4608, 4608, 0, (0, 0, 0, 0)),
-    ("vec-add-anchor", "vec-mt"): (7468, 7.468, 16384, 4608, 9192, 600, (5440, 6492, 6776, 6868)),
+    ("vec-add-anchor", "vec-mt"): (7276, 7.276, 16384, 3840, 9000, 600, (6016, 6236, 6456, 6676)),
     ("vec-add-anchor", "vec-mt-db"): (6124, 6.124, 16384, 4608, 4008, 600, (4672, 4956, 5240, 5524)),
 }
 
@@ -107,9 +109,9 @@ GOLDEN_IR = {
     ),
     ("gelu", "vec-mt"): (
         ("initial", "7a47c4ba35d7c422"),
-        ("pipeline-threads", "d7906d35e5bc106f"),
-        ("pipeline-async-threads", "00e492a8d9d84972"),
-        ("vectorize", "86006784b3222c0c"),
+        ("pipeline-threads", "57e5c02a247bdc8c"),
+        ("pipeline-async-threads", "c98c142e050927f7"),
+        ("vectorize", "75ad4f1cb2c17918"),
     ),
     ("gelu", "vec-mt-db"): (
         ("initial", "7a47c4ba35d7c422"),
@@ -128,9 +130,9 @@ GOLDEN_IR = {
     ),
     ("gelu-fine", "vec-mt"): (
         ("initial", "bd97a6592f32b7ef"),
-        ("pipeline-threads", "5a103fae4efd372d"),
-        ("pipeline-async-threads", "8a0fa5723e54dd1a"),
-        ("vectorize", "b5e6893d0c6f0e2b"),
+        ("pipeline-threads", "26a568ace1d7f7cd"),
+        ("pipeline-async-threads", "dc9297f9cb95b9cb"),
+        ("vectorize", "520911ba052ada6c"),
     ),
     ("gelu-fine", "vec-mt-db"): (
         ("initial", "bd97a6592f32b7ef"),
@@ -149,9 +151,9 @@ GOLDEN_IR = {
     ),
     ("vec-add-anchor", "vec-mt"): (
         ("initial", "9e518f2423292b27"),
-        ("pipeline-threads", "3a7a66fc1af9f797"),
-        ("pipeline-async-threads", "c97642d70438ff75"),
-        ("vectorize", "907b0a0a40a8b67f"),
+        ("pipeline-threads", "292a8574ef001856"),
+        ("pipeline-async-threads", "cdfd6eb5458a7ca7"),
+        ("vectorize", "8c17944e8046c623"),
     ),
     ("vec-add-anchor", "vec-mt-db"): (
         ("initial", "9e518f2423292b27"),

@@ -129,16 +129,16 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
     # vec-mt declines its fork: the loops over 4- and 8-way splits fit, but
     # cost more than the unforked loop.
     spec_mt = PipelineSpec(LadderRung.VEC_MT, cfg)
-    assert [(c.split, c.forks) for c in compositions(base, spec_mt)] == [(1, 0), (4, 1), (8, 1)]
+    assert [(c.rows, c.forks) for c in compositions(base, spec_mt)] == [(8, 0), (2, 1), (1, 1)]
     assert choose_composition(base, spec_mt).forks == 0
     assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == vec
-    four_way = next(c for c in compositions(base, spec_mt) if c.split == 4)
+    four_way = next(c for c in compositions(base, spec_mt) if c.rows == 2)
     with mock.patch.object(passes, "choose_composition", lambda m, s: four_way):
         forked = run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles
     assert forked == 1932
     # vec-mt-db runs one pipeline over 2-way splits, whose ping/pong fits.
     choice = choose_composition(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
-    assert (choice.split, choice.forks) == (2, 0)
+    assert (choice.rows, choice.forks) == (4, 0)
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == 920
 
 
@@ -159,8 +159,9 @@ def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
         (vec_add_2d(), MachineConfig(), 52652, 46956),
         # Two tiles fill two of four threads; halves fill all four.
         (gelu(8192, 4096), MachineConfig(lanes=16, threads=4), 5456, 3192),
-        # Five whole tiles beat ten halves (1,928), which deal out more evenly.
-        (gelu(5 * 1024, 1024), MachineConfig(lanes=32, threads=4), 1804, 1804),
+        # Five whole tiles leave one thread two of them; merged into four
+        # 10-row tiles they deal out one each and pay fewer start-ups.
+        (gelu(5 * 1024, 1024), MachineConfig(lanes=32, threads=4), 1804, 1508),
     ],
 )
 def test_vec_mt_cost_model_picks(spec, cfg, before, after):
@@ -173,8 +174,8 @@ def test_vec_mt_cost_model_picks(spec, cfg, before, after):
     for candidate in compositions(base, PipelineSpec(LadderRung.VEC_MT, cfg)):
         with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
             run = run_rung(spec, LadderRung.VEC_MT, cfg, inputs)
-        cycles[candidate.split, candidate.forks] = run.timing.total_cycles
-    assert cycles[1, 1] == before
+        cycles[candidate.rows, candidate.forks] = run.timing.total_cycles
+    assert cycles[8, 1] == before
     assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == after
     assert after == min(cycles.values())
 

@@ -1,8 +1,9 @@
 """vec-mt-db as per-thread pipelines: each thread double-buffers its own
 block of tiles, with its own buffers and tags, over the shared channel; the
-row split of tiles, for pipelines whose ping/pong cannot hold whole tiles or
-overlaps better over smaller ones; and the cost model that picks a
-composition."""
+re-tiling of the loop, which splits tiles for pipelines whose ping/pong
+cannot hold whole tiles or overlaps better over smaller ones, and merges
+them for vec-mt's per-thread loops; the floor of a re-tiled schedule; and
+the cost model that picks a composition."""
 
 from dataclasses import replace
 from unittest import mock
@@ -32,8 +33,8 @@ from tilelab.passes import (
     db_stage2,
     form_async_threads,
     form_virtual_threads,
+    retile,
     run_pipeline,
-    split_tiles,
     vectorize,
 )
 from tilelab.sim import simulate_timed
@@ -154,11 +155,11 @@ def test_vec_add_splits_tiles_that_do_not_fit_tcm():
     # 2-row sub-tiles fit, and pay one fork/join in place of eight.
     base = build_kernel(vec_add_2d(), tcm_capacity=CFG.tcm_capacity)
     spec = PipelineSpec(LadderRung.VEC_MT_DB, CFG)
-    splits = [(1, 0), (2, 0), (2, 1), (4, 0), (4, 1), (8, 0), (8, 1)]
-    assert [(c.split, c.forks) for c in compositions(base, spec)] == splits
-    assert choose_composition(base, spec) == Composition(4, 35948, 1)
+    splits = [(8, 0), (4, 0), (4, 1), (2, 0), (2, 1), (1, 0), (1, 1)]
+    assert [(c.rows, c.forks) for c in compositions(base, spec)] == splits
+    assert choose_composition(base, spec) == Composition(2, 35948, 1)
     roomy = replace(spec, machine=replace(CFG, tcm_capacity=2 * CFG.tcm_capacity))
-    assert [(c.split, c.forks) for c in compositions(base, roomy)] == [(1, 0), (1, 1), *splits[1:]]
+    assert [(c.rows, c.forks) for c in compositions(base, roomy)] == [(8, 0), (8, 1), *splits[1:]]
     m = run_pipeline(base, spec)
     regions = _regions(m)
     assert len(regions) == 4
@@ -173,7 +174,7 @@ def test_five_tile_gelu_splits_its_tiles_for_balance():
     spec = gelu(n=5 * 16384)
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     choice = choose_composition(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
-    assert (choice.split, choice.forks) == (8, 1)
+    assert (choice.rows, choice.forks) == (1, 1)
     inputs = make_inputs(spec)
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == 49500
     assert simulate_timed(_thread_pipelines(base, cfg), inputs, cfg)[1].total_cycles == 78508
@@ -195,14 +196,14 @@ TIE_CFG = MachineConfig(
     ],
 )
 def test_a_tie_goes_to_fewer_forks(spec, expected):
-    """Then to the smaller split, which moves fewer transfers."""
+    """Then to more rows per tile, which moves fewer transfers."""
     base = build_kernel(spec, tcm_capacity=TIE_CFG.tcm_capacity)
     spec_db = PipelineSpec(LadderRung.VEC_MT_DB, TIE_CFG)
     candidates = compositions(base, spec_db)
     choice = choose_composition(base, spec_db)
     tied = [c for c in candidates if c.cycles == choice.cycles]
-    assert len(tied) == 2 and choice == min(tied, key=lambda c: (c.forks, c.split))
-    assert (choice.split, choice.forks) == (1, int(expected))
+    assert len(tied) == 2 and choice == min(tied, key=lambda c: (c.forks, -c.rows))
+    assert (choice.rows, choice.forks) == (spec.tile_rows, int(expected))
     m = run_pipeline(base, spec_db)
     forks = sum(1 for _, op in walk_module(m) if isinstance(op, AsyncExecute))
     assert forks == (TIE_CFG.threads if expected else 0)
@@ -221,26 +222,71 @@ def test_overlapping_tiles_run_one_pipeline():
     )
     m = replace(base, body=(replace(loop, body=body),))
     spec = PipelineSpec(LadderRung.VEC_MT_DB, CFG)
-    assert [(c.split, c.forks) for c in compositions(m, spec)] == [(1, 0)]
+    assert [(c.rows, c.forks) for c in compositions(m, spec)] == [(4, 0)]
     assert verify_module(run_pipeline(m, spec), CFG) == []
 
 
-def test_split_tiles_rebuilds_the_normal_form_loop():
-    spec = vec_add_2d(rows=10, cols=256, tile_rows=4)  # two tiles and a 2-row tail
-    base = build_kernel(spec)
-    assert split_tiles(base, 1) is base
-    m = split_tiles(base, 4)
+# Two 4-row tiles and a peeled 2-row tail: 8 rows in the loop.
+TAILED = vec_add_2d(rows=10, cols=256, tile_rows=4)
+
+
+@pytest.mark.parametrize(
+    "rows, tiles",
+    [(1, 8), (2, 4), (8, 1)],  # split into single rows and into halves; merged into one
+)
+def test_retile_rebuilds_the_normal_form_loop(rows, tiles):
+    base = build_kernel(TAILED)
+    m = retile(base, rows)
     desc = match_normal_form(m)
-    assert desc.loop.tile_count == 8 and m.body[1:] == base.body[1:]
+    assert desc.loop.tile_count == tiles and m.body[1:] == base.body[1:]
     for view, decl in (*desc.inputs, desc.output):
-        assert (view.row_scale, view.row_base, view.row_count, decl.rows) == (1, 0, 1, 1)
-    inputs = make_inputs(spec)
+        assert (view.row_scale, view.row_base, view.row_count, decl.rows) == (rows, 0, rows, rows)
+    inputs = make_inputs(TAILED)
     got = interpret_functional(m, inputs)["C"]
-    assert got.tobytes() == reference_output(spec, inputs)["C"].tobytes()
-    assert match_normal_form(split_tiles(build_kernel(gelu()), 8)).loop.tile_count == 512
-    for bad, k in ((base, 3), (base, 0), (build_kernel(gelu()), 3), (db_stage1(base), 2)):
-        with pytest.raises(PassError):
-            split_tiles(bad, k)
+    assert got.tobytes() == reference_output(TAILED, inputs)["C"].tobytes()
+
+
+def test_retile_into_the_kernels_tile_returns_the_module():
+    base = build_kernel(TAILED)
+    assert retile(base, 4) is base
+    gelu_base = build_kernel(gelu())  # 64 tiles of 8 rows
+    assert retile(gelu_base, 8) is gelu_base
+    assert match_normal_form(retile(gelu_base, 1)).loop.tile_count == 512
+    assert match_normal_form(retile(gelu_base, 64)).loop.tile_count == 8
+
+
+def _overlapping():
+    """TAILED with output tiles 2 rows apart but 4 rows tall."""
+    base = build_kernel(TAILED)
+    loop = base.body[0]
+    body = tuple(
+        replace(op, dst=replace(op.dst, row_scale=2))
+        if isinstance(op, Copy) and op.dst.base == "C"
+        else op
+        for op in loop.body
+    )
+    return replace(base, body=(replace(loop, body=body), *base.body[1:]))
+
+
+@pytest.mark.parametrize(
+    "make, rows, reason",
+    [
+        (lambda: build_kernel(TAILED), 3, "cannot re-tile 8 loop rows into tiles of 3 rows"),
+        (lambda: build_kernel(TAILED), 0, "cannot re-tile 8 loop rows into tiles of 0 rows"),
+        (lambda: build_kernel(gelu()), 3, "cannot re-tile 512 loop rows into tiles of 3 rows"),
+        (_overlapping, 2, "a view is not a contiguous whole-row tile"),
+        (
+            lambda: db_stage1(build_kernel(TAILED)),
+            2,
+            "re-tiling requires the single-buffered normal form:"
+            " top-level loop already carries a ping/pong toggle",
+        ),
+    ],
+    ids=["3-rows", "0-rows", "gelu-3-rows", "overlapping", "db-stage1"],
+)
+def test_retile_refuses_with_a_reason(make, rows, reason):
+    with pytest.raises(PassError, match=reason):
+        retile(make(), rows)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +302,7 @@ def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floo
     a floor over max(tiles, rows) = 2 contexts would be beaten."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     candidates = compositions(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
-    m = _forced(base, cfg, next(c for c in candidates if (c.split, c.forks) == (2, 1)))
+    m = _forced(base, cfg, next(c for c in candidates if (c.rows, c.forks) == (1, 1)))
     assert len(_regions(m)) == 4
     stats = collect_stats(base)
     got = latency_lower_bound(stats, cfg, LadderRung.VEC_MT_DB)
@@ -264,6 +310,29 @@ def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floo
     inputs = make_inputs(spec)
     report = _check(m, spec, cfg, inputs, reference_output(spec, inputs), got)
     assert report.total_cycles == cycles < old_floor
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, rows, cycles, floor, kernel_floor",
+    [
+        (vec_add_2d(48, 572, 2, seed=1), MachineConfig(lanes=16, threads=2), 24, 4592, 3432, 5252),
+        (vec_add_2d(64, 1305, 1, seed=1), MachineConfig(lanes=16, threads=3), 16, 13020, 6960, 14246),
+        (vec_add_2d(15, 448, 1, seed=1), MachineConfig(lanes=64, threads=4), 3, 1434, 1118, 3038),
+        (vec_add_2d(54, 1840, 2, seed=8), MachineConfig(lanes=32, threads=4), 6, 5950, 4057, 7513),
+    ],
+    ids=["48x572-2", "64x1305-1", "15x448-1", "54x1840-2"],
+)
+def test_merged_tiles_keep_the_schedule_floor_certified(spec, cfg, rows, cycles, floor, kernel_floor):
+    """Design-grid draws whose vec-mt merges the kernel's tiles into tiles
+    of `rows` rows: the merged schedule pays the transfer start-up fewer
+    times than the kernel's tiles would, so it beats a floor that counts the
+    kernel's transfers, but not the floor of its own schedule."""
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    assert choose_composition(base, PipelineSpec(LadderRung.VEC_MT, cfg)).rows == rows
+    run = run_rung(spec, LadderRung.VEC_MT, cfg, make_inputs(spec))
+    assert (run.timing.total_cycles, run.lower_bound) == (cycles, floor)
+    assert run.timing.total_cycles >= run.lower_bound
+    assert latency_lower_bound(collect_stats(base), cfg, LadderRung.VEC_MT) == kernel_floor > cycles
 
 
 @pytest.mark.parametrize(
