@@ -5,10 +5,11 @@ rows), form_virtual_threads (the tile fork: a structured parallel loop),
 form_async_threads (fork-join lowering), and the two double-buffering stages
 (structural pipelining, then asynchronous DMA).  The driver runs them as the
 named stages of _STAGES, `vectorize`, `pipeline-threads` (retile and the
-tile fork, as choose_composition picks), `pipeline-async-threads`,
-`db-stage1` and `db-stage2`, in the order _RUNG_STAGES gives each rung.
-Every pass takes a module and returns a new one, or its input when it has
-nothing to do; inputs are never mutated.
+tile fork, as choose_composition picks, pricing both multi-threaded rungs'
+candidates by one exact replay of their steps on the simulator's channel
+rules), `pipeline-async-threads`, `db-stage1` and `db-stage2`, in the order
+_RUNG_STAGES gives each rung.  Every pass takes a module and returns a new
+one, or its input when it has nothing to do; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .ir import (
     DeallocTcm,
     DmaStart,
     DmaWait,
+    ELEM_DTYPE,
     Expr,
     FlipToggle,
     Forall,
@@ -60,7 +62,7 @@ class PassError(ValueError):
 # Size floor below which multi-threading is declined: fewer parallel tiles
 # than MT_MIN_TILES, or fewer written elements in all of them together than
 # MT_MIN_ELEMENTS.  vec-mt counts the kernel's whole tiles, vec-mt-db its
-# split tiles one each.  A one-thread machine declines every fork.
+# re-tiled tiles, split or merged.  A one-thread machine declines every fork.
 MT_MIN_TILES = 2
 MT_MIN_ELEMENTS = 4096
 
@@ -177,6 +179,13 @@ def _gets_epilogue(elems: int, lanes: int) -> bool:
     return elems > lanes and elems % lanes != 0
 
 
+def _cannot_split_epilogue(elems: int, cols: int, lanes: int) -> bool:
+    """Whether vectorize refuses a compute of `elems` elements over a view of
+    `cols` columns: it gets an epilogue, and the vector body does not end on
+    a row boundary of the view (the split is by rows)."""
+    return _gets_epilogue(elems, lanes) and (elems - elems % lanes) % cols != 0
+
+
 def _vectorize_compute(op: Compute, lanes: int) -> tuple[Op, ...]:
     total = op.output.elems
     if lanes == 1 or total < lanes:
@@ -184,10 +193,8 @@ def _vectorize_compute(op: Compute, lanes: int) -> tuple[Op, ...]:
     if not _gets_epilogue(total, lanes):
         return (replace(op, vector_factor=lanes),)
     main = (total // lanes) * lanes
-    # The remainder split happens at row granularity; views are whole-row
-    # windows, so the split point must land on a row boundary of every view.
     for view in (*op.inputs, op.output):
-        if main % view.col_count != 0:
+        if _cannot_split_epilogue(total, view.col_count, lanes):
             raise PassError(
                 f"cannot split epilogue: {main} elements is not a whole number"
                 f" of rows of @{view.base} ({view.col_count} cols)"
@@ -266,8 +273,7 @@ def form_virtual_threads(
     _require_tcm("the tile fork", min(threads, loop.tile_count), loop, tcm_capacity)
 
     forall = Forall(loop.iv, loop.tile_count, threads, loop.body)
-    body = m.body[:index] + (forall,) + m.body[index + 1 :]
-    return replace(m, body=body)
+    return replace(m, body=m.body[:index] + (forall,) + m.body[index + 1 :])
 
 
 def _declines_fork(parallel: int, elems_each: int, threads: int) -> bool:
@@ -323,12 +329,8 @@ def retile(m: TileModule, rows: int) -> TileModule:
         view, decl = operand
         return replace(view, row_scale=rows, row_count=rows), replace(decl, rows=rows)
 
-    body = normal_form_tile(
-        tuple(resize(op) for op in desc.inputs),
-        resize(desc.output),
-        desc.compute.expr,
-        desc.compute.vector_factor,
-    )
+    ins, out = tuple(resize(op) for op in desc.inputs), resize(desc.output)
+    body = normal_form_tile(ins, out, desc.compute.expr, desc.compute.vector_factor)
     loop = ForTiles(desc.loop.iv, loop_rows // rows, body)
     index = desc.loop_index
     return replace(m, body=m.body[:index] + (loop,) + m.body[index + 1 :])
@@ -340,177 +342,193 @@ class Composition:
     tiles of `rows` rows (see retile; the kernel's tile rows keep its tiles),
     then run by one loop or one pipeline over them all (`forks` 0), or
     forked so each thread runs a block of them through its own loop or
-    pipeline (`forks` 1: one fork/join per run)."""
+    pipeline (`forks` 1: one fork/join per run).  `cycles` are those the
+    simulator runs or, when not `exact`, a lower bound on them that already
+    exceeds another candidate's (see compositions)."""
 
     rows: int
     cycles: int
     forks: int
+    exact: bool = True
 
 
-def _vectorized_cycles(cfg: MachineConfig, elems: int, per_element: int, lanes: int) -> int:
-    """Compute cycles of a whole-buffer compute after vectorize: the vector
-    body and the scalar epilogue, or all scalar below one vector."""
-    if lanes == 1 or elems < lanes:
-        return compute_cycles(cfg, elems, per_element, 1)
-    rest = elems % lanes
-    vector = compute_cycles(cfg, elems - rest, per_element, lanes)
-    return vector + compute_cycles(cfg, rest, per_element, 1)
+def _vectorized_cycles(cfg: MachineConfig, elems: int, per_element: int) -> tuple[int, ...]:
+    """Cycles of each compute vectorize makes of one over `elems` elements:
+    the vector body and any scalar epilogue, or all scalar below one vector."""
+    if cfg.lanes == 1 or elems < cfg.lanes:
+        return (compute_cycles(cfg, elems, per_element, 1),)
+    rest = elems % cfg.lanes
+    vector = compute_cycles(cfg, elems - rest, per_element, cfg.lanes)
+    return (vector, compute_cycles(cfg, rest, per_element, 1)) if rest else (vector,)
 
 
-def _forked_cycles(cfg: MachineConfig, units: int, threads: int, x_in: int, unit: int) -> int:
-    """When the last region of a fork over `units` units of `unit` compute
-    cycles finishes, join excluded.  Units are dealt out as partition_tiles
-    deals tiles, so the first r of the Tu = min(threads, units) regions get
-    one more.  Region j (from 1) starts j forks in and has its first unit
-    once the channel has moved `x_in` for it, behind the first loads of the
-    regions before it."""
-    used = min(threads, units)
-    q, r = divmod(units, used)
-
-    def ready(j: int) -> int:
-        return max(cfg.fork_cost + j * x_in, j * cfg.fork_cost + x_in)
-
-    return max(ready(used) + q * unit, ready(r) + (q + 1) * unit if r else 0)
+# The steps of a replayed context, (kind, cycles, tag): busy for `cycles`
+# (a compute, or a fork whose region `tag` then starts), a synchronous copy,
+# a DMA start, a DMA wait, and the await of the forked regions.
+_BUSY, _COPY, _DMA, _WAIT, _AWAIT = range(5)
 
 
-def _forked_loops_cycles(
-    cfg: MachineConfig, units: int, threads: int, x_ins: tuple[int, ...], c: int, x_out: int
-) -> int:
-    """When the last region of a fork over `units` units of the
-    single-buffered loop finishes, join excluded.  Units are dealt out as in
-    _forked_cycles, and region j (from 1) starts j forks in.  A unit copies
-    its inputs in one at a time (`x_ins` cycles each), computes for `c` and
-    copies its output back (`x_out`).  Every copy blocks its region and
-    queues on the one FIFO channel behind the copies requested before it, so
-    the regions' loops are replayed in time order, an event per copy and per
-    compute.  A tie goes to the event scheduled first; a region's start,
-    scheduled as it is forked, loses every tie.  Both as in the simulator."""
-    used = min(threads, units)
-    q, r = divmod(units, used)
-    steps = (*((True, x) for x in x_ins), (False, c), (True, x_out))  # (a copy?, cycles)
-    left = [q + (j < r) for j in range(used)]
-    # (time, a region's start, order scheduled, region, next step)
-    events = [((j + 1) * cfg.fork_cost, True, j, j, 0) for j in range(used)]
-    order = itertools.count(used)
-    channel_free = end = 0
-    while events:
-        t, _, _, j, step = heapq.heappop(events)
-        if step == len(steps):
-            left[j] -= 1
-            if not left[j]:
-                end = t
-                continue
-            step = 0
-        copy, cycles = steps[step]
-        if copy:
-            t = channel_free = max(t, channel_free) + cycles
-        else:
-            t += cycles
-        heapq.heappush(events, (t, False, next(order), j, step + 1))
-    return end
+def _steps(db: bool, n: int, x_ins: tuple, cs: tuple, x_out: int, region: int) -> Iterator:
+    """One loop over n tiles (see normal_form_tile) or, with `db`, _ping_pong's
+    pipeline with DMA and tags (region, k): arm i waits for its inputs,
+    prefetches tile i + 1, waits for the storeback of tile i - 2, computes
+    and stores back; each arm that ran waits for its last storeback."""
+    computes = [(_BUSY, c, None) for c in cs]
+    if not db:
+        tile = [*((_COPY, x, None) for x in x_ins), *computes, (_COPY, x_out, None)]
+        for _ in range(n):
+            yield from tile
+        return
+    k = len(x_ins)
+    loads = [[(_DMA, x, (region, 2 * j + p)) for j, x in enumerate(x_ins)] for p in (0, 1)]
+    yield from loads[0]
+    for i in range(n):
+        p = i % 2
+        yield from ((_WAIT, 0, (region, 2 * j + p)) for j in range(k))
+        yield from loads[1 - p] if i < n - 1 else ()
+        yield from [(_WAIT, 0, (region, 2 * k + p))] if i >= 2 else ()
+        yield from computes
+        yield _DMA, x_out, (region, 2 * k + p)
+    yield from ((_WAIT, 0, (region, 2 * k + p)) for p in range(min(n, 2)))
 
 
-def _tilings(desc: NormalFormDescriptor, cfg: MachineConfig, merges: bool) -> Iterator[tuple]:
-    """(rows, n, input transfer cycles, compute cycles, output transfer
-    cycles) of one tile for each tiling the loop may be re-tiled into, most
-    rows first: the kernel's own tile, and tiles of every whole number of
-    rows that divides its rows or, with `merges`, the loop's rows.  Each
-    of those is a contiguous whole-row tile (see _contiguous_tiles) with no
-    scalar epilogue (see _gets_epilogue); n is the tiles of the loop."""
+def _replay(cfg: MachineConfig, control: Iterator) -> int:
+    """The cycle the control context's steps end, replayed as the simulator
+    runs them: one heap of events in (time, order scheduled).  Each copy and
+    DMA queues on the one FIFO channel as it is requested, and a copy blocks
+    its context until it ends; a DMA's end wakes the contexts waiting on its
+    tag; the await resumes join_cost after the last region ends."""
+    heap, order = [(0, 0, control, None)], itertools.count(1)
+    channel = live = t = 0
+    pending, waiters, awaiting = set(), {}, None
+    while heap:
+        t, _, ctx, arg = heapq.heappop(heap)
+        if ctx is None:  # the DMA tagged `arg` ends
+            pending.discard(arg)
+            for waiter in waiters.pop(arg, ()):
+                heapq.heappush(heap, (t, next(order), waiter, None))
+            continue
+        if arg is not None:  # a fork lands: region `arg` starts
+            live += 1
+            heapq.heappush(heap, (t, next(order), arg, None))
+        for kind, cycles, tag in ctx:
+            if kind == _BUSY:
+                heapq.heappush(heap, (t + cycles, next(order), ctx, tag))
+            elif kind == _WAIT:
+                if tag not in pending:
+                    continue
+                waiters.setdefault(tag, []).append(ctx)
+            elif kind == _AWAIT:
+                if live:
+                    awaiting = ctx
+                else:
+                    heapq.heappush(heap, (t + cfg.join_cost, next(order), ctx, None))
+            else:
+                channel = max(t, channel) + cycles
+                if kind == _DMA:
+                    pending.add(tag)
+                    heapq.heappush(heap, (channel, next(order), None, tag))
+                    continue
+                heapq.heappush(heap, (channel, next(order), ctx, None))
+            break
+        else:  # the context ends
+            if ctx is not control:
+                live -= 1
+                if not live and awaiting is not None:
+                    heapq.heappush(heap, (t + cfg.join_cost, next(order), awaiting, None))
+    return t
+
+
+def _tilings(desc: NormalFormDescriptor, cfg: MachineConfig) -> Iterator[tuple]:
+    """(rows, n, input transfer, compute and output transfer cycles) of one
+    tile of each tiling the loop may be re-tiled into, most rows first: every
+    whole number of rows that divides the loop's rows, each a contiguous
+    whole-row tile (see _contiguous_tiles) with no scalar epilogue (see
+    _gets_epilogue), and the kernel's own tile unless vectorize refuses its
+    compute; n is the tiles of the loop."""
     compute, (_, out) = desc.compute, desc.output
     tile_rows, cols = out.rows, out.cols
     loop_rows = desc.loop.tile_count * tile_rows
     per_element = ops_per_element(compute.expr)
     contiguous = _contiguous_tiles((*desc.inputs, desc.output), tile_rows)
-    family = loop_rows if merges else tile_rows
-    for rows in range(family, 0, -1):
-        if family % rows or (
-            rows != tile_rows and (not contiguous or _gets_epilogue(rows * cols, cfg.lanes))
+    for rows in range(loop_rows, 0, -1):
+        if loop_rows % rows or (
+            _cannot_split_epilogue(rows * cols, cols, cfg.lanes)
+            if rows == tile_rows
+            else not contiguous or _gets_epilogue(rows * cols, cfg.lanes)
         ):
             continue
         x_ins = tuple(transfer_cycles(cfg, d.nbytes * rows // tile_rows) for _, d in desc.inputs)
         x_out = transfer_cycles(cfg, out.nbytes * rows // tile_rows)
-        c = _vectorized_cycles(cfg, rows * cols, per_element, cfg.lanes)
-        yield rows, loop_rows // rows, x_ins, c, x_out
+        cs = _vectorized_cycles(cfg, rows * cols, per_element)
+        yield rows, loop_rows // rows, x_ins, cs, x_out
 
 
 def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
-    """The vec-mt or vec-mt-db candidates of an untransformed module, each
-    priced from the normal-form loop and the machine's cost forms; no pass
-    runs.  The loop is re-tiled as _tilings allows: vec-mt-db splits the
-    kernel's tiles by rows, and vec-mt also merges them.  With Xin and Xout
-    one tile's input and output transfer cycles, C its compute, n the tiles
-    of the loop, T the threads and F(n, x, c) the end of a fork over n units
-    of c cycles whose regions each first load x (see _forked_cycles):
+    """The vec-mt or vec-mt-db candidates of an untransformed module over the
+    tilings of _tilings, in order; no pass runs.  With T the threads, N the
+    kernel's tiles and n a tiling's: vec-mt offers the unforked loop over the
+    N tiles, so a fork that cannot pay is declined, and, where the tile fork
+    forks the N tiles, per-thread loops over each tiling with n >= min(T, N)
+    whose min(T, n) loop bodies fit the scratchpad.  vec-mt-db offers one
+    pipeline over each tiling whose ping/pong fits, and per-thread pipelines
+    where the tile fork forks the n tiles and 2 * min(T, n) copies fit.
 
-    vec-mt offers the unforked loop over the kernel's tiles, N*(Xin + C +
-    Xout), so a fork that cannot pay is declined; and, where the tile fork
-    forks the kernel's N tiles, per-thread loops over each tiling that
-    leaves at least min(T, N) tiles and whose min(T, n) copies of the loop
-    body fit the scratchpad, their copies replayed on the channel (see
-    _forked_loops_cycles) plus the join.  Fewer, larger tiles pay the
-    transfer start-up fewer times.  A fork whose lower bound exceeds the
-    price of a candidate before it is priced at that bound, which no replay
-    can beat:
-
-        per-thread loop  max(F(n, 0, Xin + C + Xout), fork + n*(Xin + Xout)) + join
-
-    vec-mt-db offers one pipeline where its ping/pong copies of the loop
-    body fit the scratchpad, and per-thread pipelines where the tile fork
-    forks the split tiles and 2 * min(T, n) copies fit:
-
-        one pipeline  max(Xin + n*C + Xout, n*(Xin + Xout), n*Xin + (n-1)*Xout + C)
-        per-thread    max(F(n, Xin, C) + Xout, fork + n*(Xin + Xout)) + join
-
-    The last term of one pipeline is the channel moving every input and all
-    outputs but the last before the last tile computes.  A module outside
-    the normal form has no candidates."""
+    A price is the candidate's steps replayed as the simulator runs them (see
+    _replay), plus the peeled tail, which the control context runs alone.
+    Candidates are replayed in order of a certified lower bound; one whose
+    bound exceeds the cheapest replay so far is priced at its bound.  With
+    Xin, C and Xout one tile's input transfers, computes and output transfer,
+    region j (from 0) of b tiles is forked (j + 1) * fork in (no fork: one
+    region, fork = join = 0), and the bound is
+        max(latest region end, fork + n*(Xin + Xout)) + join + tail, where
+        region end = (j + 1)*fork + b*(Xin + C + Xout) for a loop, and
+                     (j + 1)*fork + Xin + b*C + Xout for a pipeline."""
     desc = match_normal_form(m)
     if desc is None:
         return ()
     cfg, threads = spec.machine, spec.machine.threads
+    db = spec.rung is LadderRung.VEC_MT_DB
     out_view, out = desc.output
+    tiles, body_bytes = desc.loop.tile_count, _loop_body_bytes(desc.loop)
     forkable = abs(out_view.row_scale) >= out_view.row_count  # output tiles do not overlap
-    body_bytes = _loop_body_bytes(desc.loop)
+    mt_forks = forkable and not _declines_fork(tiles, out_view.elems, threads)
+    tail = 0  # the copies and computes outside the loop, on an idle channel
+    for op in m.body[: desc.loop_index] + m.body[desc.loop_index + 1 :]:
+        if isinstance(op, Copy):
+            tail += transfer_cycles(cfg, op.src.elems * ELEM_DTYPE.itemsize)
+        elif isinstance(op, Compute):
+            tail += sum(_vectorized_cycles(cfg, op.output.elems, ops_per_element(op.expr)))
 
-    def fits(copies: int, rows: int) -> bool:
-        return copies * body_bytes * rows // out.rows <= cfg.tcm_capacity
-
-    if spec.rung is not LadderRung.VEC_MT_DB:
-        tilings = list(_tilings(desc, cfg, merges=True))
-        _, tiles, x_ins, c, x_out = next(t for t in tilings if t[0] == out.rows)
-        best = tiles * (sum(x_ins) + c + x_out)
-        candidates = [Composition(out.rows, best, 0)]
-        if not forkable or _declines_fork(tiles, out_view.elems, threads):
-            return tuple(candidates)
-        for rows, n, x_ins, c, x_out in tilings:
-            if n < min(threads, tiles) or not fits(min(threads, n), rows):
+    offered = []  # (bound, rows, forks, n, regions, one tile)
+    for rows, n, x_ins, cs, x_out in _tilings(desc, cfg):
+        x_in, c = sum(x_ins), sum(cs)
+        head, per_tile = (x_in + x_out, c) if db else (0, x_in + c + x_out)
+        if db:
+            fork_ok = forkable and not _declines_fork(n, out_view.elems * rows // out.rows, threads)
+        else:
+            fork_ok = mt_forks and n >= min(threads, tiles)
+        for forks, ok in ((0, db or rows == out.rows), (1, fork_ok)):
+            used = min(threads, n) if forks else 1
+            if not ok or (1 + db) * used * body_bytes * rows // out.rows > cfg.tcm_capacity:
                 continue
-            x_in = sum(x_ins)
-            unit = x_in + c + x_out
-            cycles = max(_forked_cycles(cfg, n, threads, 0, unit), cfg.fork_cost + n * (x_in + x_out))
-            cycles += cfg.join_cost
-            if cycles <= best:  # else the lower bound already loses: no replay
-                cycles = _forked_loops_cycles(cfg, n, threads, x_ins, c, x_out) + cfg.join_cost
-                best = min(best, cycles)
-            candidates.append(Composition(rows, cycles, 1))
-        return tuple(candidates)
+            fork, join = (cfg.fork_cost, cfg.join_cost) if forks else (0, 0)
+            q, r = divmod(n, used)
+            latest = max(used * fork + q * per_tile, r * fork + (q + 1) * per_tile if r else 0)
+            bound = max(head + latest, fork + n * (x_in + x_out)) + join + tail
+            offered.append((bound, rows, forks, n, used, (x_ins, cs, x_out)))
 
-    candidates = []
-    for rows, n, x_ins, c, x_out in _tilings(desc, cfg, merges=False):
-        x_in = sum(x_ins)
-        if fits(2, rows):
-            cycles = max(x_in + n * c + x_out, n * (x_in + x_out), n * x_in + (n - 1) * x_out + c)
-            candidates.append(Composition(rows, cycles, 0))
-        if (
-            forkable
-            and not _declines_fork(n, out_view.elems * rows // out.rows, threads)
-            and fits(2 * min(threads, n), rows)
-        ):
-            last = _forked_cycles(cfg, n, threads, x_in, c) + x_out
-            cycles = max(last, cfg.fork_cost + n * (x_in + x_out)) + cfg.join_cost
-            candidates.append(Composition(rows, cycles, 1))
-    return tuple(candidates)
+    prices, best = {}, float("inf")
+    for bound, rows, forks, n, used, tile in sorted(offered, key=lambda o: o[:3]):
+        if bound > best:
+            prices[rows, forks] = Composition(rows, bound, forks, exact=False)
+            continue
+        regions = [_steps(db, len(b), *tile, j) for j, b in enumerate(partition_tiles(n, used))]
+        forked = [*((_BUSY, cfg.fork_cost, g) for g in regions), (_AWAIT, 0, None)]
+        cycles = _replay(cfg, iter(forked) if forks else regions[0]) + tail
+        prices[rows, forks] = Composition(rows, cycles, forks)
+        best = min(best, cycles)
+    return tuple(prices[o[1:3]] for o in offered)
 
 
 def choose_composition(m: TileModule, spec: PipelineSpec) -> Composition | None:
@@ -672,15 +690,8 @@ def _ping_pong(desc: NormalFormDescriptor, first_tag: int | None = None) -> tupl
     very ops db_stage1 built, so its exact-match check finds them identical
     without walking them."""
     loop, compute = desc.loop, desc.compute
-    return _pipeline(
-        loop.iv,
-        loop.tile_count,
-        desc.inputs,
-        desc.output,
-        compute.expr,
-        compute.vector_factor,
-        first_tag,
-    )
+    fields = (desc.inputs, desc.output, compute.expr, compute.vector_factor, first_tag)
+    return _pipeline(loop.iv, loop.tile_count, *fields)
 
 
 # The pipelines of the last few modules: both stages of one module, and the
@@ -688,13 +699,8 @@ def _ping_pong(desc: NormalFormDescriptor, first_tag: int | None = None) -> tupl
 # builds would hold megabytes of ops.
 @functools.lru_cache(maxsize=64)
 def _pipeline(
-    iv: str,
-    tiles: int,
-    inputs: tuple[Operand, ...],
-    output: Operand,
-    expr: Expr,
-    vector_factor: int,
-    first_tag: int | None,
+    iv: str, tiles: int, inputs: tuple[Operand, ...], output: Operand, expr: Expr,
+    vector_factor: int, first_tag: int | None,
 ) -> tuple[Op, ...]:
     """_ping_pong's pipeline, from the fields of the descriptor it reads."""
     decls = [decl for _, decl in (*inputs, output)]
@@ -823,11 +829,7 @@ _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.VEC: ("vectorize",),
     LadderRung.VEC_MT: ("pipeline-threads", "pipeline-async-threads", "vectorize"),
     LadderRung.VEC_MT_DB: (
-        "pipeline-threads",
-        "pipeline-async-threads",
-        "db-stage1",
-        "db-stage2",
-        "vectorize",
+        "pipeline-threads", "pipeline-async-threads", "db-stage1", "db-stage2", "vectorize"
     ),
 }
 
@@ -836,9 +838,7 @@ def pipeline_stage_names(rung: LadderRung) -> tuple[str, ...]:
     return _RUNG_STAGES[rung]
 
 
-def run_pipeline_stages(
-    m: TileModule, spec: PipelineSpec
-) -> list[tuple[str, TileModule]]:
+def run_pipeline_stages(m: TileModule, spec: PipelineSpec) -> list[tuple[str, TileModule]]:
     """Runs the rung's pass list, recording the module after every stage."""
     stages: list[tuple[str, TileModule]] = [(STAGE_INITIAL, m)]
     current = m

@@ -15,6 +15,7 @@ from tilelab.bench import outputs_match, run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import AsyncExecute, Copy, DmaStart, DmaWait, ForTiles, walk, walk_module
 from tilelab.kernels import build_kernel, gelu, make_inputs, reference_output, vec_add_2d
+from tilelab.lower import lower
 from tilelab.machine import (
     MachineConfig,
     LadderRung,
@@ -117,7 +118,9 @@ def test_thread_pipelines_agree_with_the_reference(tiles, threads):
             loops = [op for op in region.body if isinstance(op, ForTiles)]
             assert len(loops) == 1 and loops[0].toggle_init is True
 
-        chosen = run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
+        # The pick may merge tiles: its floor counts its own transfers.
+        chosen = lower(run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg)))
+        floor = latency_lower_bound(collect_stats(base, chosen), cfg, LadderRung.VEC_MT_DB)
         _check(chosen, spec, cfg, inputs, reference, floor)
 
 
@@ -134,7 +137,8 @@ def _forced(base, cfg, candidate):
         (gelu(n=1 << 16, tile_elems=1024), CFG, True),
         (gelu(n=1 << 22, tile_elems=1024), CFG, True),
         # Memory-bound: the channel bounds every candidate, and one pipeline
-        # over whole tiles moves the fewest transfers with no fork/join.
+        # over tiles merged in pairs, the largest whose ping/pong fits, moves
+        # the fewest transfers with no fork/join.
         (vec_add_2d(), MachineConfig(dma_bandwidth=1), False),
         (gelu(n=5 * 16384), MachineConfig(lanes=8, threads=4), True),  # 49,500 vs 194,720
     ],
@@ -152,14 +156,16 @@ def test_selection_rule(spec, cfg, expected):
 
 def test_vec_add_splits_tiles_that_do_not_fit_tcm():
     # Per-thread ping/pong over whole 8-row tiles needs 12 MiB of 8 MiB TCM;
-    # 2-row sub-tiles fit, and pay one fork/join in place of eight.
+    # 2-row sub-tiles fit, and pay one fork/join in place of eight.  One
+    # pipeline fits over tiles merged in pairs, but not in fours.
     base = build_kernel(vec_add_2d(), tcm_capacity=CFG.tcm_capacity)
     spec = PipelineSpec(LadderRung.VEC_MT_DB, CFG)
-    splits = [(8, 0), (4, 0), (4, 1), (2, 0), (2, 1), (1, 0), (1, 1)]
+    splits = [(16, 0), (8, 0), (4, 0), (4, 1), (2, 0), (2, 1), (1, 0), (1, 1)]
     assert [(c.rows, c.forks) for c in compositions(base, spec)] == splits
     assert choose_composition(base, spec) == Composition(2, 35948, 1)
     roomy = replace(spec, machine=replace(CFG, tcm_capacity=2 * CFG.tcm_capacity))
-    assert [(c.rows, c.forks) for c in compositions(base, roomy)] == [(8, 0), (8, 1), *splits[1:]]
+    more = [(32, 0), (16, 0), (8, 0), (8, 1), *splits[2:]]
+    assert [(c.rows, c.forks) for c in compositions(base, roomy)] == more
     m = run_pipeline(base, spec)
     regions = _regions(m)
     assert len(regions) == 4
@@ -182,7 +188,7 @@ def test_five_tile_gelu_splits_its_tiles_for_balance():
 
 # Ties on this machine: two 1-row tiles cost 2,075 cycles with no fork and
 # with per-thread pipelines; 64 2-row tiles cost 3,078 as per-thread
-# pipelines over whole tiles and over 1-row halves.
+# pipelines over whole tiles and over tiles merged in pairs.
 TIE_CFG = MachineConfig(
     lanes=8, threads=2, dma_startup=1, dma_bandwidth=1024, fork_cost=100, join_cost=824
 )
@@ -192,7 +198,7 @@ TIE_CFG = MachineConfig(
     "spec, expected",
     [
         (vec_add_2d(rows=2, cols=2048, tile_rows=1), False),  # no fork beats one
-        (vec_add_2d(rows=128, cols=64, tile_rows=2), True),  # whole tiles beat halves
+        (vec_add_2d(rows=128, cols=64, tile_rows=2), True),  # merged pairs beat whole tiles
     ],
 )
 def test_a_tie_goes_to_fewer_forks(spec, expected):
@@ -203,7 +209,7 @@ def test_a_tie_goes_to_fewer_forks(spec, expected):
     choice = choose_composition(base, spec_db)
     tied = [c for c in candidates if c.cycles == choice.cycles]
     assert len(tied) == 2 and choice == min(tied, key=lambda c: (c.forks, -c.rows))
-    assert (choice.rows, choice.forks) == (spec.tile_rows, int(expected))
+    assert (choice.rows, choice.forks) == ((4, 1) if expected else (1, 0))
     m = run_pipeline(base, spec_db)
     forks = sum(1 for _, op in walk_module(m) if isinstance(op, AsyncExecute))
     assert forks == (TIE_CFG.threads if expected else 0)
@@ -338,22 +344,29 @@ def test_merged_tiles_keep_the_schedule_floor_certified(spec, cfg, rows, cycles,
 @pytest.mark.parametrize(
     "spec, cfg, before, after",
     [
-        # Memory-bound: the per-thread fork buys nothing on the saturated channel.
-        (vec_add_2d(41, 160, 1), MachineConfig(lanes=8, threads=2), 8418, 8132),
-        # Whole GELU tiles on per-thread pipelines, against halves.
-        (gelu(7 * 4096, 4096), MachineConfig(lanes=64, threads=4), 3212, 3052),
+        # Memory-bound: one pipeline over the 41 1-row tiles merged into one
+        # pays the transfer start-up once per operand.
+        (vec_add_2d(41, 160, 1), MachineConfig(lanes=8, threads=2), 8418, 3628),
+        # Seven GELU tiles merged into four, one per thread, against the
+        # seven whole tiles on four threads.
+        (gelu(7 * 4096, 4096), MachineConfig(lanes=64, threads=4), 3212, 3028),
         # One pipeline over whole tiles, against one over 1-row sub-tiles,
         # which overlaps all but one row's first load and last store.
         (vec_add_2d(), MachineConfig(threads=1), 134336, 131648),
         # A single tile and a peeled tail: one pipeline over 3-way splits.
         (vec_add_2d(4, 1056, 3), MachineConfig(lanes=16, threads=4), 1542, 1494),
+        # The design grid's GELU anchor: per-thread pipelines over its 8-row
+        # tiles split in two, against the 4-way split that a closed form
+        # priced lower (10,472 cycles).
+        (gelu(16 * 4096, 4096), MachineConfig(), 10604, 10588),
     ],
 )
 def test_cost_model_picks(spec, cfg, before, after):
     """vec-mt-db cycles of the composition the cost model picks (`after`) and
     of the one an earlier rule picked (`before`): the busiest-thread row
-    count, or the cost model before GELU tiles could split and before one
-    pipeline could run over split tiles."""
+    count, or the cost model before GELU tiles could split, before one
+    pipeline could run over split tiles, and before it priced pipelines by
+    replay and could merge tiles."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     candidates = compositions(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
     inputs = make_inputs(spec)
@@ -364,6 +377,19 @@ def test_cost_model_picks(spec, cfg, before, after):
     assert before in cycles.values()
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == after
     assert after == min(cycles.values())
+
+
+def test_the_cost_model_offers_no_tiling_that_vectorize_refuses():
+    # A 6x6 tile at 32 lanes: its vector body of 32 elements ends mid-row.
+    spec, cfg = vec_add_2d(29, 6, 6), MachineConfig(lanes=32, threads=4)
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    with pytest.raises(PassError, match="cannot split epilogue"):
+        vectorize(base, cfg.lanes)
+    for rung in (LadderRung.VEC_MT, LadderRung.VEC_MT_DB):
+        assert 6 not in {c.rows for c in compositions(base, PipelineSpec(rung, cfg))}
+    # One pipeline over the loop's 24 rows in 4-row tiles.
+    run = run_rung(spec, LadderRung.VEC_MT_DB, cfg, make_inputs(spec))
+    assert run.timing.total_cycles == 1516
 
 
 @pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])
