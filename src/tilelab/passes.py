@@ -59,12 +59,10 @@ class PassError(ValueError):
     """A pass precondition does not hold for the given module."""
 
 
-# Size floor below which multi-threading is declined: fewer parallel tiles
-# than MT_MIN_TILES, or fewer written elements in all of them together than
-# MT_MIN_ELEMENTS.  vec-mt counts the kernel's whole tiles, vec-mt-db its
-# re-tiled tiles, split or merged.  A one-thread machine declines every fork.
+# Fewer parallel tiles than this leave nothing to fork: both MT rungs count
+# the re-tiled tiles, split or merged.  A one-thread machine declines every
+# fork; any other fork that cannot pay is declined by its price.
 MT_MIN_TILES = 2
-MT_MIN_ELEMENTS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,13 +244,12 @@ def form_virtual_threads(
     m: TileModule, threads: int, tcm_capacity: int = MachineConfig().tcm_capacity
 ) -> TileModule:
     """Rewrites the tiled loop into an explicitly parallel forall over
-    `threads` unless there is one thread or the loop is below the
-    MT_MIN_TILES / MT_MIN_ELEMENTS size floor, which returns the module
-    unchanged.  The threads' copies of the loop body are live at once and
-    must fit `tcm_capacity` together.  Run before double buffering, each
-    thread later pipelines its own block of tiles.  Only a flat loop body
-    forks: a double-buffered loop, which carries a toggle, or a body holding
-    a loop, a toggle or an async region raises PassError."""
+    `threads` unless the fork is declined (see _declines_fork), which
+    returns the module unchanged.  The threads' copies of the loop body are
+    live at once and must fit `tcm_capacity` together.  Run before double
+    buffering, each thread later pipelines its own block of tiles.  Only a
+    flat loop body forks: a double-buffered loop, which carries a toggle, or
+    a body holding a loop, a toggle or an async region raises PassError."""
     loops = [(i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles)]
     if not loops:
         raise PassError("no top-level tiled loop to parallelize")
@@ -261,10 +258,9 @@ def form_virtual_threads(
         raise PassError("cannot parallelize a loop with a carried toggle")
     _require_flat(loop.body)
 
-    views = _written_ddr_views(m, loop.body)
-    if _declines_fork(loop.tile_count, sum(v.elems for v in views), threads):
+    if _declines_fork(loop.tile_count, threads):
         return m
-    for view in views:
+    for view in _written_ddr_views(m, loop.body):
         if abs(view.row_scale) < view.row_count:
             raise PassError(
                 f"cross-thread dependence: output view of @{view.base} overlaps"
@@ -276,11 +272,11 @@ def form_virtual_threads(
     return replace(m, body=m.body[:index] + (forall,) + m.body[index + 1 :])
 
 
-def _declines_fork(parallel: int, elems_each: int, threads: int) -> bool:
-    """The profitability floor: one thread, which a fork cannot pay for;
-    fewer than MT_MIN_TILES parallel units; or fewer than MT_MIN_ELEMENTS
-    written elements in all of them together."""
-    return threads < 2 or parallel < MT_MIN_TILES or parallel * elems_each < MT_MIN_ELEMENTS
+def _declines_fork(tiles: int, threads: int) -> bool:
+    """Whether a loop of `tiles` tiles is not forked at all: one thread, or
+    fewer than MT_MIN_TILES tiles.  Both MT rungs price every other fork
+    (see compositions)."""
+    return threads < 2 or tiles < MT_MIN_TILES
 
 
 def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
@@ -466,13 +462,13 @@ def _tilings(desc: NormalFormDescriptor, cfg: MachineConfig) -> Iterator[tuple]:
 
 def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     """The vec-mt or vec-mt-db candidates of an untransformed module over the
-    tilings of _tilings, in order; no pass runs.  With T the threads, N the
-    kernel's tiles and n a tiling's: vec-mt offers the unforked loop over the
-    N tiles, so a fork that cannot pay is declined, and, where the tile fork
-    forks the N tiles, per-thread loops over each tiling with n >= min(T, N)
-    whose min(T, n) loop bodies fit the scratchpad.  vec-mt-db offers one
-    pipeline over each tiling whose ping/pong fits, and per-thread pipelines
-    where the tile fork forks the n tiles and 2 * min(T, n) copies fit.
+    tilings of _tilings, in order; no pass runs.  Over each tiling of n
+    tiles both rungs offer one loop (vec-mt) or one pipeline (vec-mt-db), so
+    a fork that cannot pay is declined by its price, and, unless the tile
+    fork declines n tiles (see _declines_fork), per-thread loops or
+    pipelines over them.  Each is offered where its live copies of the loop
+    body fit the scratchpad: one per loop and two per pipeline, of which a
+    fork over T threads runs min(T, n).
 
     A price is the candidate's steps replayed as the simulator runs them (see
     _replay), plus the peeled tail, which the control context runs alone.
@@ -490,9 +486,8 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     cfg, threads = spec.machine, spec.machine.threads
     db = spec.rung is LadderRung.VEC_MT_DB
     out_view, out = desc.output
-    tiles, body_bytes = desc.loop.tile_count, _loop_body_bytes(desc.loop)
+    body_bytes = _loop_body_bytes(desc.loop)
     forkable = abs(out_view.row_scale) >= out_view.row_count  # output tiles do not overlap
-    mt_forks = forkable and not _declines_fork(tiles, out_view.elems, threads)
     tail = 0  # the copies and computes outside the loop, on an idle channel
     for op in m.body[: desc.loop_index] + m.body[desc.loop_index + 1 :]:
         if isinstance(op, Copy):
@@ -504,11 +499,7 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     for rows, n, x_ins, cs, x_out in _tilings(desc, cfg):
         x_in, c = sum(x_ins), sum(cs)
         head, per_tile = (x_in + x_out, c) if db else (0, x_in + c + x_out)
-        if db:
-            fork_ok = forkable and not _declines_fork(n, out_view.elems * rows // out.rows, threads)
-        else:
-            fork_ok = mt_forks and n >= min(threads, tiles)
-        for forks, ok in ((0, db or rows == out.rows), (1, fork_ok)):
+        for forks, ok in ((0, True), (1, forkable and not _declines_fork(n, threads))):
             used = min(threads, n) if forks else 1
             if not ok or (1 + db) * used * body_bytes * rows // out.rows > cfg.tcm_capacity:
                 continue

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tilelab.bench import (
+    DEFAULT_SWEEP_SIZES,
     BenchError,
     HARDWARE_REFERENCE_LADDER,
     HARDWARE_REFERENCE_SWEEP_POINT,
@@ -127,13 +128,16 @@ def test_sweep_rejects_bad_arguments():
 def test_degenerate_single_tile_ladder():
     report = run_ladder(vec_add_2d(rows=8, tile_rows=8), CFG)
     by_rung = {r.rung: r.latency_us for r in report.rows}
-    # MT profitability declines on one tile, so the rungs coincide.
-    assert by_rung["vec"] == by_rung["vec-mt"]
+    # The one tile is split by rows and forked, which pays even at one tile.
+    assert by_rung["vec-mt"] == 7.276 < by_rung["vec"] == 19.648
 
 
-def test_sweep_point_below_threshold_has_unit_speedup():
-    report = run_sweep(gelu(), (4096,), CFG)
-    assert report.points[0].speedup == 1.0
+def test_default_sweep_speedups_are_pinned():
+    # The three single-tile points (4,096 to 16,384 elements) split their
+    # tile and fork it too, so fork/join is amortized from the smallest size.
+    report = run_sweep(gelu(), DEFAULT_SWEEP_SIZES, CFG)
+    speedups = [p.speedup for p in report.points]
+    assert speedups == [1.941, 2.591, 3.136, 3.484, 3.681, 3.788, 3.844, 3.887, 3.924]
 
 
 def test_gelu_ladder_passes_the_functional_gate():

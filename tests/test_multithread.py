@@ -71,11 +71,14 @@ def test_below_min_tiles_unchanged():
     assert form_virtual_threads(base, THREADS) is base
 
 
-def test_below_min_elements_unchanged():
-    base = _build(4)  # 4 tiles x 16384 elements each, but floor on tiles holds
+def test_a_fork_is_declined_only_at_one_thread_or_one_tile():
+    # However few elements the tiles hold, the fork is the cost model's to
+    # decline by its price: the pass declines only one thread or one tile.
     small = build_vec_add_2d(vec_add_2d(rows=4, cols=8, tile_rows=1))  # 32 elements
-    assert form_virtual_threads(small, THREADS) is small
-    assert isinstance(form_virtual_threads(base, THREADS).body[0], Forall)
+    one_tile = build_vec_add_2d(vec_add_2d(rows=4, cols=8, tile_rows=4))
+    assert isinstance(form_virtual_threads(small, THREADS).body[0], Forall)
+    assert form_virtual_threads(small, 1) is small
+    assert form_virtual_threads(one_tile, THREADS) is one_tile
 
 
 def test_overlapping_outputs_rejected():
@@ -126,13 +129,15 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
     inputs = make_inputs(spec)
     vec = run_rung(spec, LadderRung.VEC, cfg, inputs).timing.total_cycles
     assert vec == 992
-    # vec-mt declines its fork: the loops over 4- and 8-way splits fit, but
-    # cost more than the unforked loop.
+    # vec-mt declines its fork: unforked loops over whole and split tiles fit,
+    # and so do forked loops over 4- and 8-way splits, but each costs more
+    # than the unforked loop over whole tiles.
     spec_mt = PipelineSpec(LadderRung.VEC_MT, cfg)
-    assert [(c.rows, c.forks) for c in compositions(base, spec_mt)] == [(8, 0), (2, 1), (1, 1)]
+    offered = [(c.rows, c.forks) for c in compositions(base, spec_mt)]
+    assert offered == [(8, 0), (4, 0), (2, 0), (2, 1), (1, 0), (1, 1)]
     assert choose_composition(base, spec_mt).forks == 0
     assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == vec
-    four_way = next(c for c in compositions(base, spec_mt) if c.rows == 2)
+    four_way = next(c for c in compositions(base, spec_mt) if (c.rows, c.forks) == (2, 1))
     with mock.patch.object(passes, "choose_composition", lambda m, s: four_way):
         forked = run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles
     assert forked == 1932
@@ -166,7 +171,7 @@ def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
 )
 def test_vec_mt_cost_model_picks(spec, cfg, before, after):
     """vec-mt cycles of the candidate the cost model picks (`after`) and of
-    the whole-tile fork the size floor alone took (`before`); the pick is
+    the whole-tile fork a size floor alone used to take (`before`); the pick is
     the fastest candidate, each forced through the stage table."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     inputs = make_inputs(spec)

@@ -127,13 +127,26 @@ def test_every_rung_runs_or_gives_a_reason(arm_order, case):
         assert _run(spec, rung, cfg, inputs, arm_order) == first, rung
 
 
-# Kernels large enough for the multi-threading size floor on some drawn
-# shape, on machines with threads to fork over: cases with several vec-mt
-# and vec-mt-db candidates.
+# Kernels of wide rows, on machines with threads to fork over: cases with
+# several vec-mt and vec-mt-db candidates, whose forks may or may not pay.
 forkable_cases = cases(
     st.one_of(vec_add_specs((160, 256, 512, 1000, 2048)), gelu_specs((512, 1024, 2048, 4096))),
     st.integers(2, 5),
 )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(cases())
+def test_vec_mt_offers_every_vec_mt_db_candidate(case):
+    """Both MT rungs offer the same tilings, forked by the same rule; only
+    the ping/pong copies make vec-mt-db's scratchpad test stricter."""
+    spec, cfg = case
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    keys = {
+        rung: {(c.rows, c.forks) for c in compositions(base, PipelineSpec(rung, cfg))}
+        for rung in (LadderRung.VEC_MT, LadderRung.VEC_MT_DB)
+    }
+    assert keys[LadderRung.VEC_MT] >= keys[LadderRung.VEC_MT_DB]
 
 
 def _chosen_is_the_fastest(rung, case, arm_order):
@@ -163,8 +176,9 @@ def _chosen_is_the_fastest(rung, case, arm_order):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(forkable_cases)
 # Grid draws whose closed-form pick ran slowest against the fastest forced
-# candidate: one pipeline over 11-row tiles runs 1,521 cycles where the pick
-# ran 10,725, and per-thread pipelines over whole tiles 1,976 against 2,092.
+# candidate: per-thread pipelines over 11-row tiles run 1,305 cycles where
+# the pick ran 10,725, and per-thread pipelines over whole tiles 1,976
+# against 2,092.
 @example((vec_add_2d(55, 30, 1, seed=1), MachineConfig(lanes=5, threads=4)))
 @example((gelu(8192, 2048, seed=1), MachineConfig(lanes=32, threads=4)))
 def test_the_chosen_composition_is_the_fastest(arm_order, case):
@@ -189,5 +203,11 @@ def test_the_chosen_composition_is_the_fastest(arm_order, case):
 # Priced by the lower bound alone, the 4-row merge (3,159) would win and run
 # 3,700, 10.3% over.
 @example((vec_add_2d(20, 512, 2, seed=0), MachineConfig(32, 3, 3, 3, 812, 174, 199, 115, 110592)))
+# Draws that a vec-mt-only rule kept unforked over the kernel's tiles: one
+# GELU tile split into 2-row tiles and forked runs 3,224 cycles against
+# 10,112, and 55 1-row tiles merged into five 11-row tiles and forked run
+# 1,502 against 12,045.
+@example((gelu(16384, 16384), MachineConfig()))
+@example((vec_add_2d(55, 30, 1, seed=1), MachineConfig(lanes=5, threads=4)))
 def test_the_chosen_vec_mt_composition_is_the_fastest(arm_order, case):
     _chosen_is_the_fastest(LadderRung.VEC_MT, case, arm_order)

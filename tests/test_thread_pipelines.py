@@ -63,7 +63,7 @@ def _tags(body):
 
 
 def _specs(tiles):
-    # 2,048-element tiles: two of them reach the multi-threading size floor.
+    # `tiles` tiles of 2,048 elements each.
     yield gelu(n=tiles * 2048, tile_elems=2048)
     yield vec_add_2d(rows=tiles * 4, cols=512, tile_rows=4)
     yield vec_add_2d(rows=tiles * 4 + 3, cols=512, tile_rows=4)  # peeled tail
@@ -322,17 +322,18 @@ def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floo
     "spec, cfg, rows, cycles, floor, kernel_floor",
     [
         (vec_add_2d(48, 572, 2, seed=1), MachineConfig(lanes=16, threads=2), 24, 4592, 3432, 5252),
-        (vec_add_2d(64, 1305, 1, seed=1), MachineConfig(lanes=16, threads=3), 16, 13020, 6960, 14246),
-        (vec_add_2d(15, 448, 1, seed=1), MachineConfig(lanes=64, threads=4), 3, 1434, 1118, 3038),
+        (vec_add_2d(64, 1305, 1, seed=1), MachineConfig(lanes=16, threads=3), 32, 12695, 6960, 14246),
+        (vec_add_2d(15, 448, 1, seed=1), MachineConfig(lanes=64, threads=4), 15, 771, 350, 3038),
         (vec_add_2d(54, 1840, 2, seed=8), MachineConfig(lanes=32, threads=4), 6, 5950, 4057, 7513),
     ],
     ids=["48x572-2", "64x1305-1", "15x448-1", "54x1840-2"],
 )
 def test_merged_tiles_keep_the_schedule_floor_certified(spec, cfg, rows, cycles, floor, kernel_floor):
     """Design-grid draws whose vec-mt merges the kernel's tiles into tiles
-    of `rows` rows: the merged schedule pays the transfer start-up fewer
-    times than the kernel's tiles would, so it beats a floor that counts the
-    kernel's transfers, but not the floor of its own schedule."""
+    of `rows` rows, forked or not (15x448 runs one unforked loop over one
+    tile): the merged schedule pays the transfer start-up fewer times than
+    the kernel's tiles would, so it beats a floor that counts the kernel's
+    transfers, but not the floor of its own schedule."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     assert choose_composition(base, PipelineSpec(LadderRung.VEC_MT, cfg)).rows == rows
     run = run_rung(spec, LadderRung.VEC_MT, cfg, make_inputs(spec))
