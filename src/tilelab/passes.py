@@ -1,13 +1,15 @@
 """Rewrite passes over tile modules and the rung-keyed pipeline driver.
 
-Six transformations: vectorize, retile (the loop's tiles split or merged by
-rows), form_virtual_threads (the tile fork: a structured parallel loop),
-form_async_threads (fork-join lowering), and the two double-buffering stages
+Seven transformations: vectorize, retile (the loop's tiles split or merged
+by rows), form_virtual_threads (the tile fork: a structured parallel loop),
+form_async_threads (fork-join lowering), retile_threads (each forked
+thread's loop re-tiles its own block), and the two double-buffering stages
 (structural pipelining, then asynchronous DMA).  The driver runs them as the
 named stages of _STAGES, `vectorize`, `pipeline-threads` (retile and the
 tile fork, as choose_composition picks, pricing both multi-threaded rungs'
 candidates by one exact replay of their steps on the simulator's channel
-rules), `pipeline-async-threads`, `db-stage1` and `db-stage2`, in the order
+rules), `pipeline-async-threads`, `retile-threads` (per-thread tile sizes,
+priced by the same replay), `db-stage1` and `db-stage2`, in the order
 _RUNG_STAGES gives each rung.  Every pass takes a module and returns a new
 one, or its input when it has nothing to do; inputs are never mutated.
 """
@@ -136,8 +138,9 @@ def _loop_body_bytes(loop: ForTiles) -> int:
     return sum(op.decl.nbytes for op in loop.body if isinstance(op, AllocTcm))
 
 
-def _require_tcm(what: str, copies: int, loop: ForTiles, tcm_capacity: int) -> None:
-    need = copies * _loop_body_bytes(loop)
+def _require_tcm(what: str, copies: int, need: int, tcm_capacity: int) -> None:
+    """Raises PassError unless `need` bytes, the live copies of the loop
+    bodies together, fit the scratchpad."""
     if need > tcm_capacity:
         raise PassError(
             f"{what} needs {need} bytes of tcm for {copies} live copies of the loop body"
@@ -266,7 +269,8 @@ def form_virtual_threads(
                 f"cross-thread dependence: output view of @{view.base} overlaps"
                 f" across iterations (stride {view.row_scale} < {view.row_count} rows)"
             )
-    _require_tcm("the tile fork", min(threads, loop.tile_count), loop, tcm_capacity)
+    copies = min(threads, loop.tile_count)
+    _require_tcm("the tile fork", copies, copies * _loop_body_bytes(loop), tcm_capacity)
 
     forall = Forall(loop.iv, loop.tile_count, threads, loop.body)
     return replace(m, body=m.body[:index] + (forall,) + m.body[index + 1 :])
@@ -300,14 +304,23 @@ def _contiguous_tiles(operands: tuple[Operand, ...], rows: int) -> bool:
 
 
 def retile(m: TileModule, rows: int) -> TileModule:
-    """The normal-form loop over tiles of `rows` whole rows: the loop's rows,
-    its tiles times the rows of one, dealt out `rows` at a time, each body
-    rebuilt by normal_form_tile with views and buffers of that many rows.
-    Fewer rows than the kernel's tile split it, more merge consecutive tiles;
-    a peeled tail tile is untouched.  `rows` must divide the loop's rows and
-    every DDR view must be a contiguous whole-row tile (see
-    _contiguous_tiles).  The rows of the kernel's tile return the module."""
-    desc, reason = match_block_explain(m.body, {d.id for d in m.buffers})
+    """The module with its normal-form loop re-tiled into tiles of `rows`
+    whole rows (see _retile_block); the rows of the kernel's tile return the
+    module."""
+    body = _retile_block(m.body, {d.id for d in m.buffers}, rows)
+    return m if body is m.body else replace(m, body=body)
+
+
+def _retile_block(block: tuple[Op, ...], ddr: set[str], rows: int) -> tuple[Op, ...]:
+    """The block with its normal-form loop over tiles of `rows` whole rows
+    (`ddr` names the module buffers): the loop's rows, its tiles times the
+    rows of one, dealt out `rows` at a time from the same first row, each
+    body rebuilt by normal_form_tile with views and buffers of that many
+    rows.  Fewer rows than the loop's tile split it, more merge consecutive
+    tiles; a peeled tail tile is untouched.  `rows` must divide the loop's
+    rows and every DDR view must be a contiguous whole-row tile (see
+    _contiguous_tiles).  The rows of the loop's tile return the block."""
+    desc, reason = match_block_explain(block, ddr)
     if desc is None:
         raise PassError(f"re-tiling requires the single-buffered normal form: {reason}")
     tile_rows = desc.output[1].rows
@@ -315,7 +328,7 @@ def retile(m: TileModule, rows: int) -> TileModule:
     if rows < 1 or loop_rows % rows:
         raise PassError(f"cannot re-tile {loop_rows} loop rows into tiles of {rows} rows")
     if rows == tile_rows:
-        return m
+        return block
     if not _contiguous_tiles((*desc.inputs, desc.output), tile_rows):
         raise PassError(
             f"cannot re-tile into {rows}-row tiles: a view is not a contiguous whole-row tile"
@@ -329,7 +342,7 @@ def retile(m: TileModule, rows: int) -> TileModule:
     body = normal_form_tile(ins, out, desc.compute.expr, desc.compute.vector_factor)
     loop = ForTiles(desc.loop.iv, loop_rows // rows, body)
     index = desc.loop_index
-    return replace(m, body=m.body[:index] + (loop,) + m.body[index + 1 :])
+    return block[:index] + (loop,) + block[index + 1 :]
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,17 +401,21 @@ def _steps(db: bool, n: int, x_ins: tuple, cs: tuple, x_out: int, region: int) -
     yield from ((_WAIT, 0, (region, 2 * k + p)) for p in range(min(n, 2)))
 
 
-def _replay(cfg: MachineConfig, control: Iterator) -> int:
+def _replay(cfg: MachineConfig, control: Iterator, cutoff: float = float("inf")) -> int:
     """The cycle the control context's steps end, replayed as the simulator
     runs them: one heap of events in (time, order scheduled).  Each copy and
     DMA queues on the one FIFO channel as it is requested, and a copy blocks
     its context until it ends; a DMA's end wakes the contexts waiting on its
-    tag; the await resumes join_cost after the last region ends."""
+    tag; the await resumes join_cost after the last region ends.  Events
+    come in time order, so the replay stops at the first at or after
+    `cutoff` and returns its time, which the end is not below."""
     heap, order = [(0, 0, control, None)], itertools.count(1)
     channel = live = t = 0
     pending, waiters, awaiting = set(), {}, None
     while heap:
         t, _, ctx, arg = heapq.heappop(heap)
+        if t >= cutoff:
+            return t
         if ctx is None:  # the DMA tagged `arg` ends
             pending.discard(arg)
             for waiter in waiters.pop(arg, ()):
@@ -460,6 +477,53 @@ def _tilings(desc: NormalFormDescriptor, cfg: MachineConfig) -> Iterator[tuple]:
         yield rows, loop_rows // rows, x_ins, cs, x_out
 
 
+def _tail_cycles(cfg: MachineConfig, ops: tuple[Op, ...]) -> int:
+    """Cycles of the copies and computes among `ops`, one after another on an
+    idle channel: the peeled tail, which the control context runs alone
+    outside the loop or the fork."""
+    tail = 0
+    for op in ops:
+        if isinstance(op, Copy):
+            tail += transfer_cycles(cfg, op.src.elems * ELEM_DTYPE.itemsize)
+        elif isinstance(op, Compute):
+            tail += sum(_vectorized_cycles(cfg, op.output.elems, ops_per_element(op.expr)))
+    return tail
+
+
+def _bound(cfg: MachineConfig, db: bool, regions: tuple, forks: int) -> int:
+    """A certified lower bound on the cycles of `regions`, (n, input
+    transfer, compute and output transfer cycles of one tile) per loop or
+    pipeline in fork order, without the tail.  With Xin, C and Xout one
+    tile's input transfers, computes and output transfer, region j (from 0)
+    of n tiles is forked (j + 1) * fork in (no fork: one region, fork = join
+    = 0), and the bound is
+        max(latest region end, fork + sum of n*(Xin + Xout)) + join, where
+        region end = (j + 1)*fork + n*(Xin + C + Xout) for a loop, and
+                     (j + 1)*fork + Xin + n*C + Xout for a pipeline."""
+    fork, join = (cfg.fork_cost, cfg.join_cost) if forks else (0, 0)
+    latest = channel = 0
+    for j, (n, x_ins, cs, x_out) in enumerate(regions):
+        x_in, c = sum(x_ins), sum(cs)
+        end = x_in + n * c + x_out if db else n * (x_in + c + x_out)
+        latest = max(latest, (j + 1) * fork + end)
+        channel += n * (x_in + x_out)
+    return max(latest, fork + channel) + join
+
+
+def _price(
+    cfg: MachineConfig, db: bool, regions: tuple, forks: int, cutoff: float = float("inf")
+) -> int:
+    """The cycles the simulator runs `regions` in (as _bound reads them),
+    without the tail: one loop or pipeline in the control context, or each
+    forked in order and then awaited (see _replay, which may stop at
+    `cutoff`)."""
+    steps = [_steps(db, *region, j) for j, region in enumerate(regions)]
+    if not forks:
+        return _replay(cfg, steps[0], cutoff)
+    forked = [*((_BUSY, cfg.fork_cost, g) for g in steps), (_AWAIT, 0, None)]
+    return _replay(cfg, iter(forked), cutoff)
+
+
 def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     """The vec-mt or vec-mt-db candidates of an untransformed module over the
     tilings of _tilings, in order; no pass runs.  Over each tiling of n
@@ -471,15 +535,9 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     fork over T threads runs min(T, n).
 
     A price is the candidate's steps replayed as the simulator runs them (see
-    _replay), plus the peeled tail, which the control context runs alone.
-    Candidates are replayed in order of a certified lower bound; one whose
-    bound exceeds the cheapest replay so far is priced at its bound.  With
-    Xin, C and Xout one tile's input transfers, computes and output transfer,
-    region j (from 0) of b tiles is forked (j + 1) * fork in (no fork: one
-    region, fork = join = 0), and the bound is
-        max(latest region end, fork + n*(Xin + Xout)) + join + tail, where
-        region end = (j + 1)*fork + b*(Xin + C + Xout) for a loop, and
-                     (j + 1)*fork + Xin + b*C + Xout for a pipeline."""
+    _price), plus the peeled tail (see _tail_cycles).  Candidates are
+    replayed in order of a certified lower bound (see _bound); one whose
+    bound exceeds the cheapest replay so far is priced at its bound."""
     desc = match_normal_form(m)
     if desc is None:
         return ()
@@ -488,35 +546,23 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     out_view, out = desc.output
     body_bytes = _loop_body_bytes(desc.loop)
     forkable = abs(out_view.row_scale) >= out_view.row_count  # output tiles do not overlap
-    tail = 0  # the copies and computes outside the loop, on an idle channel
-    for op in m.body[: desc.loop_index] + m.body[desc.loop_index + 1 :]:
-        if isinstance(op, Copy):
-            tail += transfer_cycles(cfg, op.src.elems * ELEM_DTYPE.itemsize)
-        elif isinstance(op, Compute):
-            tail += sum(_vectorized_cycles(cfg, op.output.elems, ops_per_element(op.expr)))
+    tail = _tail_cycles(cfg, m.body[: desc.loop_index] + m.body[desc.loop_index + 1 :])
 
-    offered = []  # (bound, rows, forks, n, regions, one tile)
-    for rows, n, x_ins, cs, x_out in _tilings(desc, cfg):
-        x_in, c = sum(x_ins), sum(cs)
-        head, per_tile = (x_in + x_out, c) if db else (0, x_in + c + x_out)
+    offered = []  # (bound, rows, forks, regions)
+    for rows, n, *tile in _tilings(desc, cfg):
         for forks, ok in ((0, True), (1, forkable and not _declines_fork(n, threads))):
             used = min(threads, n) if forks else 1
             if not ok or (1 + db) * used * body_bytes * rows // out.rows > cfg.tcm_capacity:
                 continue
-            fork, join = (cfg.fork_cost, cfg.join_cost) if forks else (0, 0)
-            q, r = divmod(n, used)
-            latest = max(used * fork + q * per_tile, r * fork + (q + 1) * per_tile if r else 0)
-            bound = max(head + latest, fork + n * (x_in + x_out)) + join + tail
-            offered.append((bound, rows, forks, n, used, (x_ins, cs, x_out)))
+            regions = [(len(block), *tile) for block in partition_tiles(n, used)]
+            offered.append((_bound(cfg, db, regions, forks) + tail, rows, forks, regions))
 
     prices, best = {}, float("inf")
-    for bound, rows, forks, n, used, tile in sorted(offered, key=lambda o: o[:3]):
+    for bound, rows, forks, regions in sorted(offered, key=lambda o: o[:3]):
         if bound > best:
             prices[rows, forks] = Composition(rows, bound, forks, exact=False)
             continue
-        regions = [_steps(db, len(b), *tile, j) for j, b in enumerate(partition_tiles(n, used))]
-        forked = [*((_BUSY, cfg.fork_cost, g) for g in regions), (_AWAIT, 0, None)]
-        cycles = _replay(cfg, iter(forked) if forks else regions[0]) + tail
+        cycles = _price(cfg, db, regions, forks) + tail
         prices[rows, forks] = Composition(rows, cycles, forks)
         best = min(best, cycles)
     return tuple(prices[o[1:3]] for o in offered)
@@ -531,6 +577,83 @@ def choose_composition(m: TileModule, spec: PipelineSpec) -> Composition | None:
     if not candidates:
         return None
     return min(candidates, key=lambda c: (c.cycles, c.forks, -c.rows))
+
+
+@dataclass(frozen=True, slots=True)
+class ThreadTiling:
+    """The rows of each forked region's tiles, in fork order, and the cycles
+    the simulator runs the module in (see thread_tiling)."""
+
+    rows: tuple[int, ...]
+    cycles: int
+
+
+def thread_tiling(m: TileModule, spec: PipelineSpec) -> ThreadTiling | None:
+    """Per-thread tile sizes for a module forked into per-thread loops, as
+    vec-mt runs them: each async region may re-tile its own block of rows
+    into any tiling of _tilings.  A coordinate descent from the regions' own
+    tiles visits the regions in fork order and tries every tiling of each.
+    A trial is replayed (see _price, plus the tail) only where the regions'
+    live loop bodies fit the scratchpad together and its bound (see _bound)
+    is below the cheapest price so far; the replay stops once it reaches
+    that price, and the trial is kept only when it is strictly cheaper.
+    Rounds repeat until one keeps nothing.  None for an unforked module, or
+    where a region is not a normal-form loop over a tiling of _tilings."""
+    ddr = {d.id for d in m.buffers}
+    descs = [match_block_explain(op.body, ddr)[0] for op in m.body if isinstance(op, AsyncExecute)]
+    if not descs or None in descs:
+        return None
+    cfg = spec.machine
+    # Per region, each tiling as (rows, its loop as _bound reads it, TCM
+    # bytes of its loop body), and the region's own tiling.
+    options = [
+        [(rows, loop, _loop_body_bytes(d.loop) * rows // d.output[1].rows)
+         for rows, *loop in _tilings(d, cfg)]
+        for d in descs
+    ]
+    pick = tuple(
+        next((k for k, o in enumerate(opts) if o[0] == d.output[1].rows), None)
+        for opts, d in zip(options, descs)
+    )
+    if None in pick:
+        return None
+    tail = _tail_cycles(cfg, m.body)
+
+    def chosen(pick: tuple[int, ...]) -> tuple:
+        """(rows, loops, body bytes) of the regions' tilings `pick`."""
+        return tuple(zip(*(options[j][k] for j, k in enumerate(pick))))
+
+    best, kept = _price(cfg, False, chosen(pick)[1], 1) + tail, True
+    # A trial seen before cannot be strictly cheaper than the best price now:
+    # it was refused, kept and since bettered, or it is the pick.
+    seen = {pick}
+    while kept:
+        kept = False
+        for j, opts in enumerate(options):
+            for k in range(len(opts)):
+                trial = (*pick[:j], k, *pick[j + 1 :])
+                if trial in seen:
+                    continue
+                seen.add(trial)
+                _, loops, need = chosen(trial)
+                if sum(need) <= cfg.tcm_capacity and _bound(cfg, False, loops, 1) + tail < best:
+                    cycles = _price(cfg, False, loops, 1, best - tail) + tail
+                    if cycles < best:
+                        best, pick, kept = cycles, trial, True
+    return ThreadTiling(chosen(pick)[0], best)
+
+
+def retile_threads(m: TileModule, spec: PipelineSpec) -> TileModule:
+    """Re-tiles each async region's loop of a forked vec-mt module into the
+    tiles thread_tiling picks for it (see _retile_block).  A module it
+    leaves as it is (unforked, or with every region's tiles kept) is
+    returned."""
+    tiling = thread_tiling(m, spec)
+    if tiling is None:
+        return m
+    ddr, rows = {d.id for d in m.buffers}, iter(tiling.rows)
+    body = _per_pipeline(m.body, lambda block: _retile_block(block, ddr, next(rows)))
+    return m if body == m.body else replace(m, body=body)
 
 
 # --------------------------------------------------------------------------- #
@@ -610,19 +733,21 @@ def db_stage1(m: TileModule, tcm_capacity: int = MachineConfig().tcm_capacity) -
     synchronous copies (see _ping_pong).  A forked module pipelines the loop
     of every async region, each over its own block of tiles; otherwise the
     module body holds the one loop.  The ping and pong copies of every
-    pipeline's loop body are live at once and must fit `tcm_capacity`
+    pipeline's own loop body are live at once and must fit `tcm_capacity`
     together."""
     ddr = {d.id for d in m.buffers}
-    copies = 2 * max(1, sum(isinstance(op, AsyncExecute) for op in m.body))
+    body_bytes = []
 
     def pipeline(block: tuple[Op, ...]) -> tuple[Op, ...]:
         desc, reason = match_block_explain(block, ddr)
         if desc is None:
             raise PassError(f"double buffering requires the single-buffered normal form: {reason}")
-        _require_tcm("double buffering", copies, desc.loop, tcm_capacity)
+        body_bytes.append(_loop_body_bytes(desc.loop))
         return block[: desc.loop_index] + _ping_pong(desc) + block[desc.loop_index + 1 :]
 
-    return replace(m, body=_per_pipeline(m.body, pipeline))
+    body = _per_pipeline(m.body, pipeline)
+    _require_tcm("double buffering", 2 * len(body_bytes), 2 * sum(body_bytes), tcm_capacity)
+    return replace(m, body=body)
 
 
 def db_stage2(m: TileModule) -> TileModule:
@@ -798,6 +923,8 @@ _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     "pipeline-threads": lambda m, spec: _pipeline_threads(m, spec, choose_composition(m, spec)),
     # An unforked pick leaves fork-join lowering nothing to do.
     "pipeline-async-threads": lambda m, spec: form_async_threads(m),
+    # vec-mt: each thread's loop re-tiles its own block, as thread_tiling picks.
+    "retile-threads": lambda m, spec: retile_threads(m, spec),
     "db-stage1": lambda m, spec: db_stage1(m, spec.machine.tcm_capacity),
     "db-stage2": lambda m, spec: db_stage2(m),
 }
@@ -814,11 +941,13 @@ def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | N
 
 
 # vec-mt and vec-mt-db fork in the first two stages; an unforked loop or one
-# pipeline leaves the second stage nothing to do.
+# pipeline leaves the second stage, and vec-mt's third, nothing to do.
 _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.SCALAR: (),
     LadderRung.VEC: ("vectorize",),
-    LadderRung.VEC_MT: ("pipeline-threads", "pipeline-async-threads", "vectorize"),
+    LadderRung.VEC_MT: (
+        "pipeline-threads", "pipeline-async-threads", "retile-threads", "vectorize"
+    ),
     LadderRung.VEC_MT_DB: (
         "pipeline-threads", "pipeline-async-threads", "db-stage1", "db-stage2", "vectorize"
     ),

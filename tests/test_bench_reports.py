@@ -128,16 +128,19 @@ def test_sweep_rejects_bad_arguments():
 def test_degenerate_single_tile_ladder():
     report = run_ladder(vec_add_2d(rows=8, tile_rows=8), CFG)
     by_rung = {r.rung: r.latency_us for r in report.rows}
-    # The one tile is split by rows and forked, which pays even at one tile.
-    assert by_rung["vec-mt"] == 7.276 < by_rung["vec"] == 19.648
+    # The one tile is split by rows and forked, which pays even at one tile;
+    # each thread then re-tiles its own rows, so the threads stop queueing
+    # for the channel in lockstep.
+    assert by_rung["vec-mt"] == 6.956 < by_rung["vec"] == 19.648
 
 
 def test_default_sweep_speedups_are_pinned():
     # The three single-tile points (4,096 to 16,384 elements) split their
     # tile and fork it too, so fork/join is amortized from the smallest size.
+    # From 131,072 elements the threads' loops re-tile their own blocks.
     report = run_sweep(gelu(), DEFAULT_SWEEP_SIZES, CFG)
     speedups = [p.speedup for p in report.points]
-    assert speedups == [1.941, 2.591, 3.136, 3.484, 3.681, 3.788, 3.844, 3.887, 3.924]
+    assert speedups == [1.941, 2.591, 3.136, 3.484, 3.681, 3.811, 3.891, 3.939, 3.968]
 
 
 def test_gelu_ladder_passes_the_functional_gate():

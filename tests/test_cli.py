@@ -165,6 +165,7 @@ def test_repeat_flag_checks_identity(tmp_path):
         "initial",
         "pipeline-threads",
         "pipeline-async-threads",
+        "retile-threads",
         "db-stage1",
         "db-stage2",
         "vectorize",
@@ -185,6 +186,26 @@ def test_a_stage_in_no_rung_is_no_choice(stage):
         build_parser().parse_args(
             ["dump-ir", "--kernel", "vec-add-2d", "--rung", "vec-mt", "--stage", stage]
         )
+
+
+def test_stage_lists_per_rung():
+    # Only vec-mt re-tiles each thread's block after the fork is lowered.
+    assert {rung.value: pipeline_stage_names(rung) for rung in LadderRung} == {
+        "scalar": (),
+        "vec": ("vectorize",),
+        "vec-mt": ("pipeline-threads", "pipeline-async-threads", "retile-threads", "vectorize"),
+        "vec-mt-db": (
+            "pipeline-threads", "pipeline-async-threads", "db-stage1", "db-stage2", "vectorize"
+        ),
+    }
+
+
+def test_dump_ir_of_a_stage_outside_the_rung_is_an_error(capsys):
+    args = ["dump-ir", "--kernel", "gelu", "--stage", "retile-threads", "--rung"]
+    assert main([*args, "vec-mt"]) == 0
+    assert capsys.readouterr().out.startswith("buffer @")
+    assert main([*args, "vec-mt-db"]) == 2
+    assert "not part of the vec-mt-db pipeline" in capsys.readouterr().err
 
 
 def test_stage_names_are_static_and_duplicate_free():

@@ -46,7 +46,7 @@ GOLDEN = {
     ("vec-add", "vec-mt-db"): (35948, 35.948, 131072, 30720, 7080, 600, (33728, 34268, 34808, 35348)),
     ("gelu", "scalar"): (19947520, 19947.52, 19922944, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec"): (647168, 647.168, 622592, 24576, 24576, 0, (0, 0, 0, 0)),
-    ("gelu", "vec-mt"): (164908, 164.908, 622592, 20480, 28520, 600, (161088, 161628, 164088, 164308)),
+    ("gelu", "vec-mt"): (163116, 163.116, 622592, 19840, 23400, 600, (160768, 162716, 160184, 162324)),
     ("gelu", "vec-mt-db"): (156508, 156.508, 622592, 81920, 840, 600, (155808, 155868, 155848, 155908)),
     ("gelu-fine", "scalar"): (1254400, 1254.4, 1245184, 9216, 9216, 0, (0, 0, 0, 0)),
     ("gelu-fine", "vec"): (48128, 48.128, 38912, 9216, 9216, 0, (0, 0, 0, 0)),
@@ -54,7 +54,7 @@ GOLDEN = {
     ("gelu-fine", "vec-mt-db"): (10588, 10.588, 38912, 5120, 840, 600, (9888, 9948, 9928, 9988)),
     ("vec-add-anchor", "scalar"): (528896, 528.896, 524288, 4608, 4608, 0, (0, 0, 0, 0)),
     ("vec-add-anchor", "vec"): (20992, 20.992, 16384, 4608, 4608, 0, (0, 0, 0, 0)),
-    ("vec-add-anchor", "vec-mt"): (7276, 7.276, 16384, 3840, 9000, 600, (6016, 6236, 6456, 6676)),
+    ("vec-add-anchor", "vec-mt"): (6956, 6.956, 16384, 4224, 7592, 600, (5440, 6236, 5944, 6356)),
     ("vec-add-anchor", "vec-mt-db"): (6124, 6.124, 16384, 4608, 4008, 600, (4672, 4956, 5240, 5524)),
 }
 
@@ -90,6 +90,7 @@ GOLDEN_IR = {
         ("initial", "1de75a2bc474d3ec"),
         ("pipeline-threads", "9267f9adff5afcf5"),
         ("pipeline-async-threads", "d2dbdab6b67c52dd"),
+        ("retile-threads", "d2dbdab6b67c52dd"),
         ("vectorize", "d7366d923ba7dddf"),
     ),
     ("vec-add", "vec-mt-db"): (
@@ -111,7 +112,8 @@ GOLDEN_IR = {
         ("initial", "7a47c4ba35d7c422"),
         ("pipeline-threads", "57e5c02a247bdc8c"),
         ("pipeline-async-threads", "c98c142e050927f7"),
-        ("vectorize", "75ad4f1cb2c17918"),
+        ("retile-threads", "f46832f952312c80"),
+        ("vectorize", "4e09b664b3d259f1"),
     ),
     ("gelu", "vec-mt-db"): (
         ("initial", "7a47c4ba35d7c422"),
@@ -132,6 +134,7 @@ GOLDEN_IR = {
         ("initial", "bd97a6592f32b7ef"),
         ("pipeline-threads", "26a568ace1d7f7cd"),
         ("pipeline-async-threads", "dc9297f9cb95b9cb"),
+        ("retile-threads", "dc9297f9cb95b9cb"),
         ("vectorize", "520911ba052ada6c"),
     ),
     ("gelu-fine", "vec-mt-db"): (
@@ -153,7 +156,8 @@ GOLDEN_IR = {
         ("initial", "9e518f2423292b27"),
         ("pipeline-threads", "292a8574ef001856"),
         ("pipeline-async-threads", "cdfd6eb5458a7ca7"),
-        ("vectorize", "8c17944e8046c623"),
+        ("retile-threads", "974e722ebdad9afe"),
+        ("vectorize", "8a1ccc9ebebdc3b4"),
     ),
     ("vec-add-anchor", "vec-mt-db"): (
         ("initial", "9e518f2423292b27"),
@@ -174,7 +178,8 @@ GOLDEN_IR = {
         ("initial", "7f24fa145afb9f54"),
         ("pipeline-threads", "c96c7b9c28eef020"),
         ("pipeline-async-threads", "30fe4a50ae8a11e3"),
-        ("vectorize", "58a9fbeb0ec59084"),
+        ("retile-threads", "b0f1d2e0563075a5"),
+        ("vectorize", "256b395a5f97a39d"),
     ),
     ("vec-add-tail", "vec-mt-db"): (
         ("initial", "7f24fa145afb9f54"),

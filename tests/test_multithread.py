@@ -1,5 +1,6 @@
 """Multi-threading passes: structured forall forming and fork-join lowering."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -120,6 +121,15 @@ def test_a_double_buffered_loop_does_not_fork():
         form_virtual_threads(pipelined, THREADS)
 
 
+@contextmanager
+def _forced_vec_mt(candidate):
+    """vec-mt runs `candidate` through pipeline-threads and
+    pipeline-async-threads alone: retile-threads keeps its tiles."""
+    with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
+        with mock.patch.object(passes, "retile_threads", lambda m, s: m):
+            yield
+
+
 def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
     # Two 8x256 vec-add tiles (three 8 KiB buffers each) on a 24 KiB
     # scratchpad: neither a fork nor a ping/pong over whole tiles fits.
@@ -138,7 +148,7 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
     assert choose_composition(base, spec_mt).forks == 0
     assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == vec
     four_way = next(c for c in compositions(base, spec_mt) if (c.rows, c.forks) == (2, 1))
-    with mock.patch.object(passes, "choose_composition", lambda m, s: four_way):
+    with _forced_vec_mt(four_way):
         forked = run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles
     assert forked == 1932
     # vec-mt-db runs one pipeline over 2-way splits, whose ping/pong fits.
@@ -172,12 +182,14 @@ def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
 def test_vec_mt_cost_model_picks(spec, cfg, before, after):
     """vec-mt cycles of the candidate the cost model picks (`after`) and of
     the whole-tile fork a size floor alone used to take (`before`); the pick is
-    the fastest candidate, each forced through the stage table."""
+    the fastest candidate, each forced through pipeline-threads and
+    pipeline-async-threads alone (retile-threads keeps its tiles), and no
+    thread of these re-tiles its block."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     inputs = make_inputs(spec)
     cycles = {}
     for candidate in compositions(base, PipelineSpec(LadderRung.VEC_MT, cfg)):
-        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
+        with _forced_vec_mt(candidate):
             run = run_rung(spec, LadderRung.VEC_MT, cfg, inputs)
         cycles[candidate.rows, candidate.forks] = run.timing.total_cycles
     assert cycles[8, 1] == before

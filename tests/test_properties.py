@@ -13,7 +13,10 @@ one the cost model prices by replay costs exactly the cycles it simulates,
 and each one priced at its lower bound no more; and the one the cost model
 picks compiles whenever another does, and is the fastest.  Both gates pin
 draws that a closed-form price mispriced, so a price that regresses on them
-fails here.  Every run is checked against the floor of its own schedule,
+fails here.  A candidate is forced through pipeline-threads and
+pipeline-async-threads alone; a third gate checks what retile-threads then
+makes of the pick at vec-mt: its replayed price is the simulated cycles and
+at most the pick's.  Every run is checked against the floor of its own schedule,
 whose transfers re-tiling changes (see collect_stats)."""
 
 from unittest import mock
@@ -47,6 +50,8 @@ from tilelab.passes import (
     choose_composition,
     compositions,
     run_pipeline,
+    run_pipeline_stages,
+    thread_tiling,
 )
 from tilelab.printer import print_module
 from tilelab.sim import simulate_timed
@@ -150,14 +155,19 @@ def test_vec_mt_offers_every_vec_mt_db_candidate(case):
 
 
 def _chosen_is_the_fastest(rung, case, arm_order):
-    """Forces every candidate of the rung through the stage table."""
+    """Forces every candidate of the rung through the stage table:
+    through pipeline-threads and pipeline-async-threads alone, as
+    retile-threads keeps the tiles of every thread."""
     spec, cfg = case
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     spec_rung = PipelineSpec(rung, cfg)
     inputs = make_inputs(spec)
     cycles = {}
     for candidate in compositions(base, spec_rung):
-        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
+        with (
+            mock.patch.object(passes, "choose_composition", lambda m, s: candidate),
+            mock.patch.object(passes, "retile_threads", lambda m, s: m),
+        ):
             try:
                 _, _, timing = _run(spec, rung, cfg, inputs, arm_order)
             except PassError as exc:
@@ -211,3 +221,33 @@ def test_the_chosen_composition_is_the_fastest(arm_order, case):
 @example((vec_add_2d(55, 30, 1, seed=1), MachineConfig(lanes=5, threads=4)))
 def test_the_chosen_vec_mt_composition_is_the_fastest(arm_order, case):
     _chosen_is_the_fastest(LadderRung.VEC_MT, case, arm_order)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(forkable_cases)
+# The design grid's vec-add anchor: four threads of one 16-row tile each
+# queue for the channel in lockstep (7,276 cycles); re-tiled, they run 6,956.
+@example((vec_add_2d(64, 2048, 8), MachineConfig()))
+# Five 11-row tiles forked over four threads (1,502 cycles): the first
+# thread merges its two into one 22-row tile and runs 1,176.
+@example((vec_add_2d(55, 30, 1, seed=1), MachineConfig(lanes=5, threads=4)))
+def test_retiled_threads_are_priced_exactly(arm_order, case):
+    """Every refined vec-mt module (see retile_threads) runs exactly the
+    cycles thread_tiling replays for it, no more than the stage-1 pick, and
+    not below its schedule floor (checked in _run); an unforked pick is left
+    as it is."""
+    spec, cfg = case
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    spec_mt = PipelineSpec(LadderRung.VEC_MT, cfg)
+    try:
+        _, _, timing = _run(spec, LadderRung.VEC_MT, cfg, make_inputs(spec), arm_order)
+    except PassError as exc:
+        assert str(exc)
+        return
+    stages = dict(run_pipeline_stages(base, spec_mt))
+    forked = stages["pipeline-async-threads"]
+    tiling = thread_tiling(forked, spec_mt)
+    if tiling is None:
+        assert stages["retile-threads"] is forked
+        return
+    assert tiling.cycles == timing.total_cycles <= choose_composition(base, spec_mt).cycles

@@ -35,7 +35,10 @@ from tilelab.passes import (
     form_async_threads,
     form_virtual_threads,
     retile,
+    retile_threads,
     run_pipeline,
+    run_pipeline_stages,
+    thread_tiling,
     vectorize,
 )
 from tilelab.sim import simulate_timed
@@ -122,6 +125,60 @@ def test_thread_pipelines_agree_with_the_reference(tiles, threads):
         chosen = lower(run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg)))
         floor = latency_lower_bound(collect_stats(base, chosen), cfg, LadderRung.VEC_MT_DB)
         _check(chosen, spec, cfg, inputs, reference, floor)
+
+
+def _region_tiles(m):
+    """(tiles, rows of one tile) of each async region's loop."""
+    return [(r.body[0].tile_count, r.body[0].body[0].decl.rows) for r in _regions(m)]
+
+
+def _retiled_anchor():
+    """The design grid's vec-add anchor after retile-threads, and its stages."""
+    spec = vec_add_2d(64, 2048, 8)
+    base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
+    stages = dict(run_pipeline_stages(base, PipelineSpec(LadderRung.VEC_MT, CFG)))
+    return spec, stages
+
+
+def test_each_thread_re_tiles_its_own_block():
+    # Four threads of one 16-row tile each request the channel in lockstep
+    # and queue behind each other; the first two threads split theirs into
+    # two 8-row tiles, whose transfers interleave with the others'.
+    spec, stages = _retiled_anchor()
+    forked, m = stages["pipeline-async-threads"], stages["retile-threads"]
+    assert _region_tiles(forked) == [(1, 16)] * 4
+    assert _region_tiles(m) == [(2, 8), (2, 8), (1, 16), (1, 16)]
+    assert thread_tiling(forked, PipelineSpec(LadderRung.VEC_MT, CFG)).rows == (8, 8, 16, 16)
+    inputs = make_inputs(spec)
+    reference = reference_output(spec, inputs)
+    before = _check(vectorize(forked, CFG.lanes), spec, CFG, inputs, reference, 0)
+    after = _check(stages["vectorize"], spec, CFG, inputs, reference, 0)
+    assert (before.total_cycles, after.total_cycles) == (7276, 6956)
+
+
+def test_retile_threads_leaves_an_unforked_module():
+    cfg = MachineConfig(lanes=64, threads=4)  # one unforked loop over one 15-row tile
+    base = build_kernel(vec_add_2d(15, 448, 1, seed=1), tcm_capacity=cfg.tcm_capacity)
+    m = run_pipeline_stages(base, PipelineSpec(LadderRung.VEC_MT, cfg))[2][1]
+    assert not _regions(m)
+    assert thread_tiling(m, PipelineSpec(LadderRung.VEC_MT, cfg)) is None
+    assert retile_threads(m, PipelineSpec(LadderRung.VEC_MT, cfg)) is m
+
+
+def test_double_buffering_sums_the_ping_pong_of_every_region():
+    """Regions of different tile rows need the ping and pong copies of each
+    region's own loop body: the anchor's 8-, 8-, 16- and 16-row bodies (48
+    rows of three 2,048-float buffers) need 2 x 48 x 24 KiB, not 2 x 4 x the
+    16-row body, and the verifier accepts them at exactly that scratchpad."""
+    spec, stages = _retiled_anchor()
+    m = stages["retile-threads"]
+    need = 2 * 48 * 3 * 2048 * 4
+    with pytest.raises(PassError, match=f"double buffering needs {need} bytes of tcm for 8 live"):
+        db_stage1(m, need - 1)
+    cfg = replace(CFG, tcm_capacity=need)
+    piped = vectorize(db_stage2(db_stage1(m, need)), cfg.lanes)
+    inputs = make_inputs(spec)
+    _check(piped, spec, cfg, inputs, reference_output(spec, inputs), 0)
 
 
 def _forced(base, cfg, candidate):
@@ -322,7 +379,7 @@ def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floo
     "spec, cfg, rows, cycles, floor, kernel_floor",
     [
         (vec_add_2d(48, 572, 2, seed=1), MachineConfig(lanes=16, threads=2), 24, 4592, 3432, 5252),
-        (vec_add_2d(64, 1305, 1, seed=1), MachineConfig(lanes=16, threads=3), 32, 12695, 6960, 14246),
+        (vec_add_2d(64, 1305, 1, seed=1), MachineConfig(lanes=16, threads=3), 32, 12597, 6960, 14246),
         (vec_add_2d(15, 448, 1, seed=1), MachineConfig(lanes=64, threads=4), 15, 771, 350, 3038),
         (vec_add_2d(54, 1840, 2, seed=8), MachineConfig(lanes=32, threads=4), 6, 5950, 4057, 7513),
     ],
@@ -331,7 +388,8 @@ def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floo
 def test_merged_tiles_keep_the_schedule_floor_certified(spec, cfg, rows, cycles, floor, kernel_floor):
     """Design-grid draws whose vec-mt merges the kernel's tiles into tiles
     of `rows` rows, forked or not (15x448 runs one unforked loop over one
-    tile): the merged schedule pays the transfer start-up fewer times than
+    tile; 64x1305's first thread then splits its own block into 16-row
+    tiles, see retile_threads): the merged schedule pays the transfer start-up fewer times than
     the kernel's tiles would, so it beats a floor that counts the kernel's
     transfers, but not the floor of its own schedule."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
