@@ -219,20 +219,15 @@ def walk(
 class HazardTracker:
     """Transfers whose regions may not be touched yet, as (tag, src, dst,
     done) entries.  The interpreter adds DMA entries with done None and
-    clears them at dma.wait; the simulator adds every transfer with its
-    completion cycle and removes it at completion."""
+    clears them at dma.wait; the simulator adds every transfer at issue with
+    the cycle it ends and expires it by that cycle: `check` skips an ended
+    entry, and the simulator drops ended entries as new ones enter."""
 
     __slots__ = ("entries", "error")
 
     def __init__(self, error: type[Exception]):
         self.entries: list[tuple[int | None, Region, Region, int | None]] = []
         self.error = error
-
-    def pending(self, tag: int) -> bool:
-        for entry in self.entries:
-            if entry[0] == tag:
-                return True
-        return False
 
     def clear(self, tag: int) -> None:
         self.entries = [e for e in self.entries if e[0] != tag]

@@ -7,9 +7,9 @@ thread's loop re-tiles its own block), and the two double-buffering stages
 (structural pipelining, then asynchronous DMA).  The driver runs them as the
 named stages of _STAGES, `vectorize`, `pipeline-threads` (retile and the
 tile fork, as choose_composition picks, pricing both multi-threaded rungs'
-candidates by one exact replay of their steps on the simulator's channel
-rules), `pipeline-async-threads`, `retile-threads` (per-thread tile sizes,
-priced by the same replay), `db-stage1` and `db-stage2`, in the order
+candidates by timing their steps on the simulator's own event core, see
+timing.Core), `pipeline-async-threads`, `retile-threads` (per-thread tile
+sizes, priced the same way), `db-stage1` and `db-stage2`, in the order
 _RUNG_STAGES gives each rung.  Every pass takes a module and returns a new
 one, or its input when it has nothing to do; inputs are never mutated.
 """
@@ -17,7 +17,6 @@ one, or its input when it has nothing to do; inputs are never mutated.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
@@ -55,6 +54,7 @@ from .normal_form import (
     match_normal_form,
     normal_form_tile,
 )
+from .timing import ADD, AWAIT, BUSY, COPY, DMA, FORK, WAIT, Core
 
 
 class PassError(ValueError):
@@ -371,85 +371,29 @@ def _vectorized_cycles(cfg: MachineConfig, elems: int, per_element: int) -> tupl
     return (vector, compute_cycles(cfg, rest, per_element, 1)) if rest else (vector,)
 
 
-# The steps of a replayed context, (kind, cycles, tag): busy for `cycles`
-# (a compute, or a fork whose region `tag` then starts), a synchronous copy,
-# a DMA start, a DMA wait, and the await of the forked regions.
-_BUSY, _COPY, _DMA, _WAIT, _AWAIT = range(5)
-
-
 def _steps(db: bool, n: int, x_ins: tuple, cs: tuple, x_out: int, region: int) -> Iterator:
-    """One loop over n tiles (see normal_form_tile) or, with `db`, _ping_pong's
-    pipeline with DMA and tags (region, k): arm i waits for its inputs,
-    prefetches tile i + 1, waits for the storeback of tile i - 2, computes
-    and stores back; each arm that ran waits for its last storeback."""
-    computes = [(_BUSY, c, None) for c in cs]
+    """The event core's steps of one loop over n tiles (see normal_form_tile)
+    or, with `db`, of _ping_pong's pipeline with DMA and tags (region, k):
+    arm i waits for its inputs, prefetches tile i + 1, waits for the
+    storeback of tile i - 2, computes and stores back; each arm that ran
+    waits for its last storeback."""
+    computes = [(BUSY, c, None) for c in cs]
     if not db:
-        tile = [*((_COPY, x, None) for x in x_ins), *computes, (_COPY, x_out, None)]
+        tile = [*((COPY, x, None) for x in x_ins), *computes, (COPY, x_out, None)]
         for _ in range(n):
             yield from tile
         return
     k = len(x_ins)
-    loads = [[(_DMA, x, (region, 2 * j + p)) for j, x in enumerate(x_ins)] for p in (0, 1)]
+    loads = [[(DMA, x, (region, 2 * j + p)) for j, x in enumerate(x_ins)] for p in (0, 1)]
     yield from loads[0]
     for i in range(n):
         p = i % 2
-        yield from ((_WAIT, 0, (region, 2 * j + p)) for j in range(k))
+        yield from ((WAIT, 0, (region, 2 * j + p)) for j in range(k))
         yield from loads[1 - p] if i < n - 1 else ()
-        yield from [(_WAIT, 0, (region, 2 * k + p))] if i >= 2 else ()
+        yield from [(WAIT, 0, (region, 2 * k + p))] if i >= 2 else ()
         yield from computes
-        yield _DMA, x_out, (region, 2 * k + p)
-    yield from ((_WAIT, 0, (region, 2 * k + p)) for p in range(min(n, 2)))
-
-
-def _replay(cfg: MachineConfig, control: Iterator, cutoff: float = float("inf")) -> int:
-    """The cycle the control context's steps end, replayed as the simulator
-    runs them: one heap of events in (time, order scheduled).  Each copy and
-    DMA queues on the one FIFO channel as it is requested, and a copy blocks
-    its context until it ends; a DMA's end wakes the contexts waiting on its
-    tag; the await resumes join_cost after the last region ends.  Events
-    come in time order, so the replay stops at the first at or after
-    `cutoff` and returns its time, which the end is not below."""
-    heap, order = [(0, 0, control, None)], itertools.count(1)
-    channel = live = t = 0
-    pending, waiters, awaiting = set(), {}, None
-    while heap:
-        t, _, ctx, arg = heapq.heappop(heap)
-        if t >= cutoff:
-            return t
-        if ctx is None:  # the DMA tagged `arg` ends
-            pending.discard(arg)
-            for waiter in waiters.pop(arg, ()):
-                heapq.heappush(heap, (t, next(order), waiter, None))
-            continue
-        if arg is not None:  # a fork lands: region `arg` starts
-            live += 1
-            heapq.heappush(heap, (t, next(order), arg, None))
-        for kind, cycles, tag in ctx:
-            if kind == _BUSY:
-                heapq.heappush(heap, (t + cycles, next(order), ctx, tag))
-            elif kind == _WAIT:
-                if tag not in pending:
-                    continue
-                waiters.setdefault(tag, []).append(ctx)
-            elif kind == _AWAIT:
-                if live:
-                    awaiting = ctx
-                else:
-                    heapq.heappush(heap, (t + cfg.join_cost, next(order), ctx, None))
-            else:
-                channel = max(t, channel) + cycles
-                if kind == _DMA:
-                    pending.add(tag)
-                    heapq.heappush(heap, (channel, next(order), None, tag))
-                    continue
-                heapq.heappush(heap, (channel, next(order), ctx, None))
-            break
-        else:  # the context ends
-            if ctx is not control:
-                live -= 1
-                if not live and awaiting is not None:
-                    heapq.heappush(heap, (t + cfg.join_cost, next(order), awaiting, None))
-    return t
+        yield DMA, x_out, (region, 2 * k + p)
+    yield from ((WAIT, 0, (region, 2 * k + p)) for p in range(min(n, 2)))
 
 
 def _tilings(desc: NormalFormDescriptor, cfg: MachineConfig) -> Iterator[tuple]:
@@ -515,13 +459,16 @@ def _price(
 ) -> int:
     """The cycles the simulator runs `regions` in (as _bound reads them),
     without the tail: one loop or pipeline in the control context, or each
-    forked in order and then awaited (see _replay, which may stop at
+    forked in order into one group and then awaited, timed by the
+    simulator's own event core (see timing.Core.run, which may stop at
     `cutoff`)."""
     steps = [_steps(db, *region, j) for j, region in enumerate(regions)]
     if not forks:
-        return _replay(cfg, steps[0], cutoff)
-    forked = [*((_BUSY, cfg.fork_cost, g) for g in steps), (_AWAIT, 0, None)]
-    return _replay(cfg, iter(forked), cutoff)
+        return Core(cfg).run(steps[0], cutoff)
+    forked = []
+    for j, region in enumerate(steps):
+        forked += [(FORK, cfg.fork_cost, (j, region)), (ADD, 0, (j, 0))]
+    return Core(cfg).run(iter([*forked, (AWAIT, 0, 0)]), cutoff)
 
 
 def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
@@ -534,10 +481,10 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
     body fit the scratchpad: one per loop and two per pipeline, of which a
     fork over T threads runs min(T, n).
 
-    A price is the candidate's steps replayed as the simulator runs them (see
-    _price), plus the peeled tail (see _tail_cycles).  Candidates are
-    replayed in order of a certified lower bound (see _bound); one whose
-    bound exceeds the cheapest replay so far is priced at its bound."""
+    A price is the candidate's steps timed by the simulator's event core
+    (see _price), plus the peeled tail (see _tail_cycles).  Candidates are
+    timed in order of a certified lower bound (see _bound); one whose bound
+    exceeds the cheapest price so far is priced at its bound."""
     desc = match_normal_form(m)
     if desc is None:
         return ()
@@ -593,9 +540,9 @@ def thread_tiling(m: TileModule, spec: PipelineSpec) -> ThreadTiling | None:
     vec-mt runs them: each async region may re-tile its own block of rows
     into any tiling of _tilings.  A coordinate descent from the regions' own
     tiles visits the regions in fork order and tries every tiling of each.
-    A trial is replayed (see _price, plus the tail) only where the regions'
+    A trial is timed (see _price, plus the tail) only where the regions'
     live loop bodies fit the scratchpad together and its bound (see _bound)
-    is below the cheapest price so far; the replay stops once it reaches
+    is below the cheapest price so far; the timing stops once it reaches
     that price, and the trial is kept only when it is strictly cheaper.
     Rounds repeat until one keeps nothing.  None for an unforked module, or
     where a region is not a normal-form loop over a tiling of _tilings."""

@@ -1,6 +1,7 @@
-"""The package runs on numpy alone."""
+"""The package runs on numpy alone, and keeps one clock."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,14 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_event_core_keeps_a_clock():
+    # One event loop times both the simulator and the cost model's prices.
+    package = Path(tilelab.__file__).parent
+    importers = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"^\s*(import|from)\s+heapq\b", path.read_text(), re.MULTILINE)
+    )
+    assert importers == ["timing.py"]

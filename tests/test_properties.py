@@ -9,13 +9,13 @@ its tile before it prefetches the next (see conftest._check_arm_order).
 
 At vec-mt and at vec-mt-db every composition candidate is also forced
 through the stage table: each one that compiles passes the same checks; each
-one the cost model prices by replay costs exactly the cycles it simulates,
-and each one priced at its lower bound no more; and the one the cost model
-picks compiles whenever another does, and is the fastest.  Both gates pin
-draws that a closed-form price mispriced, so a price that regresses on them
-fails here.  A candidate is forced through pipeline-threads and
+one the cost model times on the simulator's own event core costs exactly
+the cycles it simulates, and each one priced at its lower bound no more;
+and the one the cost model picks compiles whenever another does, and is the
+fastest.  Both gates pin draws that a closed-form price mispriced, so a
+price that regresses on them fails here.  A candidate is forced through pipeline-threads and
 pipeline-async-threads alone; a third gate checks what retile-threads then
-makes of the pick at vec-mt: its replayed price is the simulated cycles and
+makes of the pick at vec-mt: its price is the simulated cycles and
 at most the pick's.  Every run is checked against the floor of its own schedule,
 whose transfers re-tiling changes (see collect_stats)."""
 
@@ -199,7 +199,7 @@ def test_the_chosen_composition_is_the_fastest(arm_order, case):
 @given(forkable_cases)
 # Draws of forkable_cases whose pick the closed form
 # max(F(n, Xin, Xin + C + Xout) - Xin, fork + n*(Xin + Xout) + min(C, Xout)) + join
-# put 5.1% to 7.3% over the fastest candidate; the channel replay picks the fastest.
+# put 5.1% to 7.3% over the fastest candidate; the exact price picks the fastest.
 @example((vec_add_2d(21, 512, 10, seed=8), MachineConfig(8, 5, 3, 3, 633, 127, 199, 227, 614400)))
 @example((vec_add_2d(18, 512, 8, seed=7), MachineConfig(16, 2, 2, 4, 18, 116, 7, 116, 540672)))
 @example((gelu(8192, 1024, GeluVariant.ERF, 4), MachineConfig(64, 5, 1, 3, 34, 3, 16, 249, 73728)))
@@ -233,7 +233,7 @@ def test_the_chosen_vec_mt_composition_is_the_fastest(arm_order, case):
 @example((vec_add_2d(55, 30, 1, seed=1), MachineConfig(lanes=5, threads=4)))
 def test_retiled_threads_are_priced_exactly(arm_order, case):
     """Every refined vec-mt module (see retile_threads) runs exactly the
-    cycles thread_tiling replays for it, no more than the stage-1 pick, and
+    cycles thread_tiling prices for it, no more than the stage-1 pick, and
     not below its schedule floor (checked in _run); an unforked pick is left
     as it is."""
     spec, cfg = case

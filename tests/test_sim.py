@@ -35,7 +35,7 @@ from tilelab.passes import (
     run_pipeline,
     vectorize,
 )
-from tilelab.sim import DeadlockError, simulate_timed
+from tilelab.sim import DeadlockError, SimulationError, simulate_timed
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -209,6 +209,12 @@ def test_self_awaiting_region_deadlocks():
         simulate_timed(m, {}, CFG)
 
 
+def test_adding_a_token_not_forked_yet_is_an_error():
+    m = TileModule("early-add", (), (AddToGroup("t0", "g"), AsyncExecute("t0", ()), AwaitAll("g")))
+    with pytest.raises(SimulationError, match="add_to_group of unknown token %t0"):
+        simulate_timed(m, {}, CFG)
+
+
 def test_timing_report_invariants():
     for kind in ("vec-add-2d", "gelu"):
         spec = vec_add_2d() if kind == "vec-add-2d" else gelu(n=262144)
@@ -241,6 +247,14 @@ def test_regions_beyond_the_workers_queue_for_a_free_one():
         reports.append(report)
     assert len({r.compute_busy_cycles for r in reports}) == 1
     assert [r.total_cycles for r in reports] == [10828, 20556, 40492]
+    # A freed worker takes the next queued region; the lowest-numbered idle
+    # worker takes a new one.
+    assert [r.stall_cycles for r in reports] == [1800, 1340, 1280]
+    assert [r.per_thread_busy for r in reports] == [
+        (10048, 10188, 10248, 10228),
+        (20096, 20156),
+        (40192,),
+    ]
 
 
 def test_a_group_already_done_at_the_await_joins_at_once():

@@ -34,6 +34,7 @@ from tilelab.passes import (
     db_stage2,
     form_async_threads,
     form_virtual_threads,
+    partition_tiles,
     retile,
     retile_threads,
     run_pipeline,
@@ -436,6 +437,24 @@ def test_cost_model_picks(spec, cfg, before, after):
     assert before in cycles.values()
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == after
     assert after == min(cycles.values())
+
+
+@pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])
+@pytest.mark.parametrize("spec", [vec_add_2d(), gelu()])
+def test_a_price_cut_off_below_it_reaches_the_cutoff(spec, rung):
+    """The cutoff thread_tiling's descent relies on: a price p cut off at
+    c <= p is at least c, and cut off past p it is p."""
+    base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
+    tilings = {rows: tile for rows, *tile in passes._tilings(match_normal_form(base), CFG)}
+    db = rung is LadderRung.VEC_MT_DB
+    for c in compositions(base, PipelineSpec(rung, CFG)):
+        n, *tile = tilings[c.rows]
+        blocks = partition_tiles(n, min(CFG.threads, n) if c.forks else 1)
+        regions = [(len(block), *tile) for block in blocks]
+        p = passes._price(CFG, db, regions, c.forks)
+        for cutoff in (p - 1, p, p + 1):
+            got = passes._price(CFG, db, regions, c.forks, cutoff)
+            assert got >= cutoff if cutoff <= p else got == p, (c, cutoff, got)
 
 
 def test_the_cost_model_offers_no_tiling_that_vectorize_refuses():
