@@ -9,9 +9,10 @@ named stages of _STAGES, `vectorize`, `pipeline-threads` (retile and the
 tile fork, as choose_composition picks, pricing both multi-threaded rungs'
 candidates by timing their steps on the simulator's own event core, see
 timing.Core), `pipeline-async-threads`, `retile-threads` (per-thread tile
-sizes, priced the same way), `db-stage1` and `db-stage2`, in the order
-_RUNG_STAGES gives each rung.  Every pass takes a module and returns a new
-one, or its input when it has nothing to do; inputs are never mutated.
+sizes at both rungs, priced the same way), `db-stage1` and `db-stage2`, in
+the order _RUNG_STAGES gives each rung.  Every pass takes a module and
+returns a new one, or its input when it has nothing to do; inputs are never
+mutated.
 """
 
 from __future__ import annotations
@@ -371,29 +372,49 @@ def _vectorized_cycles(cfg: MachineConfig, elems: int, per_element: int) -> tupl
     return (vector, compute_cycles(cfg, rest, per_element, 1)) if rest else (vector,)
 
 
-def _steps(db: bool, n: int, x_ins: tuple, cs: tuple, x_out: int, region: int) -> Iterator:
+def _steps(
+    db: bool, n: int, x_ins: tuple, cs: tuple, x_out: int, region: int, join: int
+) -> Iterator:
     """The event core's steps of one loop over n tiles (see normal_form_tile)
     or, with `db`, of _ping_pong's pipeline with DMA and tags (region, k):
     arm i waits for its inputs, prefetches tile i + 1, waits for the
     storeback of tile i - 2, computes and stores back; each arm that ran
-    waits for its last storeback."""
-    computes = [(BUSY, c, None) for c in cs]
+    waits for its last storeback.  Each compute carries a certified lower
+    bound on the cycles the run still needs after it (see timing.Core.run):
+    the context's remaining computes and, for a loop, its own remaining
+    synchronous copies, or, for a pipeline, only its final storeback, plus
+    `join`, the join a forked region's end still waits for; the tail is
+    left out."""
+    per_tile = sum(cs) + (0 if db else sum(x_ins) + x_out)  # a later tile's share
+    after = [sum(cs[k + 1 :]) + x_out + join for k in range(len(cs))]
+    rest = n * per_tile
     if not db:
-        tile = [*((COPY, x, None) for x in x_ins), *computes, (COPY, x_out, None)]
+        ins, out = [(COPY, x, None) for x in x_ins], (COPY, x_out, None)
         for _ in range(n):
-            yield from tile
+            rest -= per_tile
+            yield from ins
+            for c, a in zip(cs, after):
+                yield BUSY, c, rest + a
+            yield out
         return
     k = len(x_ins)
     loads = [[(DMA, x, (region, 2 * j + p)) for j, x in enumerate(x_ins)] for p in (0, 1)]
+    waits = [[(WAIT, 0, (region, 2 * j + p)) for j in range(k)] for p in (0, 1)]
+    stored = [(WAIT, 0, (region, 2 * k + p)) for p in (0, 1)]
+    stores = [(DMA, x_out, (region, 2 * k + p)) for p in (0, 1)]
     yield from loads[0]
     for i in range(n):
         p = i % 2
-        yield from ((WAIT, 0, (region, 2 * j + p)) for j in range(k))
-        yield from loads[1 - p] if i < n - 1 else ()
-        yield from [(WAIT, 0, (region, 2 * k + p))] if i >= 2 else ()
-        yield from computes
-        yield DMA, x_out, (region, 2 * k + p)
-    yield from ((WAIT, 0, (region, 2 * k + p)) for p in range(min(n, 2)))
+        rest -= per_tile
+        yield from waits[p]
+        if i < n - 1:
+            yield from loads[1 - p]
+        if i >= 2:
+            yield stored[p]
+        for c, a in zip(cs, after):
+            yield BUSY, c, rest + a
+        yield stores[p]
+    yield from stored[: min(n, 2)]
 
 
 def _tilings(desc: NormalFormDescriptor, cfg: MachineConfig) -> Iterator[tuple]:
@@ -461,8 +482,9 @@ def _price(
     without the tail: one loop or pipeline in the control context, or each
     forked in order into one group and then awaited, timed by the
     simulator's own event core (see timing.Core.run, which may stop at
-    `cutoff`)."""
-    steps = [_steps(db, *region, j) for j, region in enumerate(regions)]
+    `cutoff` and then returns a value from cutoff up to the cycles)."""
+    join = cfg.join_cost if forks else 0
+    steps = [_steps(db, *region, j, join) for j, region in enumerate(regions)]
     if not forks:
         return Core(cfg).run(steps[0], cutoff)
     forked = []
@@ -537,24 +559,28 @@ class ThreadTiling:
 
 def thread_tiling(m: TileModule, spec: PipelineSpec) -> ThreadTiling | None:
     """Per-thread tile sizes for a module forked into per-thread loops, as
-    vec-mt runs them: each async region may re-tile its own block of rows
-    into any tiling of _tilings.  A coordinate descent from the regions' own
-    tiles visits the regions in fork order and tries every tiling of each.
-    A trial is timed (see _price, plus the tail) only where the regions'
-    live loop bodies fit the scratchpad together and its bound (see _bound)
-    is below the cheapest price so far; the timing stops once it reaches
-    that price, and the trial is kept only when it is strictly cheaper.
-    Rounds repeat until one keeps nothing.  None for an unforked module, or
-    where a region is not a normal-form loop over a tiling of _tilings."""
+    the rung runs them: vec-mt as loops, vec-mt-db as the pipelines
+    double buffering makes of them.  Each async region may re-tile its own
+    block of rows into any tiling of _tilings.  A coordinate descent from
+    the regions' own tiles visits the regions in fork order and tries every
+    tiling of each.  A trial is timed (see _price, plus the tail) only where
+    the regions' live loop bodies fit the scratchpad together (each
+    region's ping and pong at vec-mt-db, as db_stage1 counts them) and its
+    bound (see _bound) is below the cheapest price so far; the timing stops
+    once it cannot end below that price, and the trial is kept only when it
+    is strictly cheaper.  Rounds repeat until one keeps nothing.  None for
+    an unforked module, or where a region is not a normal-form loop over a
+    tiling of _tilings."""
     ddr = {d.id for d in m.buffers}
     descs = [match_block_explain(op.body, ddr)[0] for op in m.body if isinstance(op, AsyncExecute)]
     if not descs or None in descs:
         return None
     cfg = spec.machine
+    db = spec.rung is LadderRung.VEC_MT_DB
     # Per region, each tiling as (rows, its loop as _bound reads it, TCM
-    # bytes of its loop body), and the region's own tiling.
+    # bytes of its live loop bodies), and the region's own tiling.
     options = [
-        [(rows, loop, _loop_body_bytes(d.loop) * rows // d.output[1].rows)
+        [(rows, loop, (1 + db) * _loop_body_bytes(d.loop) * rows // d.output[1].rows)
          for rows, *loop in _tilings(d, cfg)]
         for d in descs
     ]
@@ -570,7 +596,7 @@ def thread_tiling(m: TileModule, spec: PipelineSpec) -> ThreadTiling | None:
         """(rows, loops, body bytes) of the regions' tilings `pick`."""
         return tuple(zip(*(options[j][k] for j, k in enumerate(pick))))
 
-    best, kept = _price(cfg, False, chosen(pick)[1], 1) + tail, True
+    best, kept = _price(cfg, db, chosen(pick)[1], 1) + tail, True
     # A trial seen before cannot be strictly cheaper than the best price now:
     # it was refused, kept and since bettered, or it is the pick.
     seen = {pick}
@@ -583,18 +609,18 @@ def thread_tiling(m: TileModule, spec: PipelineSpec) -> ThreadTiling | None:
                     continue
                 seen.add(trial)
                 _, loops, need = chosen(trial)
-                if sum(need) <= cfg.tcm_capacity and _bound(cfg, False, loops, 1) + tail < best:
-                    cycles = _price(cfg, False, loops, 1, best - tail) + tail
+                if sum(need) <= cfg.tcm_capacity and _bound(cfg, db, loops, 1) + tail < best:
+                    cycles = _price(cfg, db, loops, 1, best - tail) + tail
                     if cycles < best:
                         best, pick, kept = cycles, trial, True
     return ThreadTiling(chosen(pick)[0], best)
 
 
 def retile_threads(m: TileModule, spec: PipelineSpec) -> TileModule:
-    """Re-tiles each async region's loop of a forked vec-mt module into the
-    tiles thread_tiling picks for it (see _retile_block).  A module it
-    leaves as it is (unforked, or with every region's tiles kept) is
-    returned."""
+    """Re-tiles each async region's loop of a forked vec-mt or vec-mt-db
+    module, before double buffering, into the tiles thread_tiling picks for
+    it (see _retile_block).  A module it leaves as it is (unforked, or with
+    every region's tiles kept) is returned."""
     tiling = thread_tiling(m, spec)
     if tiling is None:
         return m
@@ -870,7 +896,7 @@ _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     "pipeline-threads": lambda m, spec: _pipeline_threads(m, spec, choose_composition(m, spec)),
     # An unforked pick leaves fork-join lowering nothing to do.
     "pipeline-async-threads": lambda m, spec: form_async_threads(m),
-    # vec-mt: each thread's loop re-tiles its own block, as thread_tiling picks.
+    # Each thread's loop re-tiles its own block, as thread_tiling picks.
     "retile-threads": lambda m, spec: retile_threads(m, spec),
     "db-stage1": lambda m, spec: db_stage1(m, spec.machine.tcm_capacity),
     "db-stage2": lambda m, spec: db_stage2(m),
@@ -887,8 +913,9 @@ def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | N
     return form_virtual_threads(m, cfg.threads, cfg.tcm_capacity) if choice.forks else m
 
 
-# vec-mt and vec-mt-db fork in the first two stages; an unforked loop or one
-# pipeline leaves the second stage, and vec-mt's third, nothing to do.
+# vec-mt and vec-mt-db fork in the first two stages and re-tile each thread's
+# block in the third; an unforked loop leaves the second and third nothing to
+# do.  The rungs differ only by the two double-buffering stages.
 _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.SCALAR: (),
     LadderRung.VEC: ("vectorize",),
@@ -896,7 +923,8 @@ _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
         "pipeline-threads", "pipeline-async-threads", "retile-threads", "vectorize"
     ),
     LadderRung.VEC_MT_DB: (
-        "pipeline-threads", "pipeline-async-threads", "db-stage1", "db-stage2", "vectorize"
+        "pipeline-threads", "pipeline-async-threads", "retile-threads", "db-stage1",
+        "db-stage2", "vectorize",
     ),
 }
 

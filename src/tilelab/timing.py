@@ -3,7 +3,10 @@
 A context is an iterator of (kind, cycles, arg) steps, drawn one at a time
 at the cycle the core reaches it:
 
-    BUSY   runs for `cycles` (a compute);
+    BUSY   runs for `cycles` (a compute); an `arg` that is not None is a
+           certified lower bound on the cycles the run still needs after the
+           step ends, so the run stops at once where it cannot end below
+           the cutoff (see Core.run);
     COPY   queues `cycles` on the channel and blocks until the transfer ends;
     DMA    queues `cycles` on the channel under tag `arg` and goes on;
     WAIT   blocks until no DMA tagged `arg` is in flight;
@@ -64,8 +67,8 @@ class Core:
         self.started: list = [None] * cfg.threads  # a worker's region began; None: idle
         self.busy = [0] * cfg.threads
         self.queued: deque[_Context] = deque()
-        self.tokens: dict = {}  # token -> [ended, group]
-        self.members: dict = {}  # group -> its tokens
+        self.tokens: dict = {}  # token -> [ended, group of its last add, groups it is in]
+        self.live: dict = {}  # group -> its regions that have not ended
         self.awaiting: dict = {}  # group -> the context awaiting it
         self.compute_busy = self.dma_busy = self.stall = self.overhead = 0
         self.control: _Context | None = None  # None once the control context ends
@@ -76,7 +79,11 @@ class Core:
     def run(self, control: Iterator[tuple], cutoff: float = float("inf")) -> int:
         """The cycle the last event runs at.  Events come in time order, so
         the run stops at the first at or after `cutoff` and returns its
-        time, which the end is not below."""
+        time, which the end is not below.  It also stops where a BUSY step
+        ending at e carries a bound b with e + b >= cutoff, and returns
+        e + b: the end is not below that either (a branch-and-bound cut, as
+        Land and Doig's).  Either way a cut run returns a value in
+        [cutoff, the end]."""
         heap, order, push, pop = self.heap, self.order, heapq.heappush, heapq.heappop
         in_flight, waiters, join = {}, {}, self.cfg.join_cost  # in_flight: DMA tag -> count
         compute = dma = stall = overhead = t = 0
@@ -104,6 +111,10 @@ class Core:
             for kind, cycles, arg in ctx.steps:
                 if kind == BUSY:
                     compute += cycles
+                    if arg is not None and t + cycles + arg >= cutoff:
+                        heap.clear()
+                        t += cycles + arg
+                        break
                     push(heap, (t + cycles, next(order), _RESUME, ctx))
                     break
                 if kind == COPY or kind == DMA:
@@ -127,11 +138,7 @@ class Core:
                     push(heap, (t + cycles, next(order), _FORKED, (ctx, region)))
                     break
                 elif kind == ADD:
-                    state = self.tokens.get(arg[0])
-                    if state is None:
-                        raise SimulationError(f"add_to_group of unknown token %{arg[0]}")
-                    state[1] = arg[1]
-                    self.members.setdefault(arg[1], set()).add(arg[0])
+                    self._add(*arg)
                 else:  # AWAIT
                     if self._ended(arg):
                         overhead += join
@@ -144,7 +151,7 @@ class Core:
         self.compute_busy, self.dma_busy, self.stall, self.overhead = compute, dma, stall, overhead
         if t >= cutoff:
             return t
-        stuck = [token for token, (ended, _) in self.tokens.items() if not ended]
+        stuck = [token for token, (ended, _, _) in self.tokens.items() if not ended]
         if self.control is not None or stuck:
             raise DeadlockError(
                 "simulation deadlocked: no runnable context and the program is"
@@ -160,8 +167,16 @@ class Core:
 
     def _fork(self, region: _Context) -> None:
         """A fork lands: the region starts on the lowest-numbered idle
-        worker, or queues for the next one free."""
-        self.tokens[region.token] = [False, None]
+        worker, or queues for the next one free.  A token forked again is
+        live again in every group it is in, and in no group until added."""
+        state = self.tokens.get(region.token)
+        if state is None:
+            self.tokens[region.token] = [False, None, []]
+        else:
+            if state[0]:
+                for group in state[2]:
+                    self.live[group] += 1
+            state[0], state[1] = False, None
         for w, since in enumerate(self.started):
             if since is None:
                 self._start(w, region)
@@ -173,8 +188,20 @@ class Core:
         region.worker = w
         self._push(self.now, _RESUME, region)
 
+    def _add(self, token, group) -> None:
+        """Puts the region `token` into `group`: once per group however often
+        it is added, and counted live there unless it has ended."""
+        state = self.tokens.get(token)
+        if state is None:
+            raise SimulationError(f"add_to_group of unknown token %{token}")
+        state[1] = group
+        if group not in state[2]:
+            state[2].append(group)
+            if not state[0]:
+                self.live[group] = self.live.get(group, 0) + 1
+
     def _ended(self, group) -> bool:
-        return all(self.tokens[token][0] for token in self.members.get(group, ()))
+        return not self.live.get(group)
 
     def _finish(self, ctx: _Context) -> None:
         if ctx is self.control:
@@ -183,7 +210,10 @@ class Core:
         w = ctx.worker
         self.busy[w] += self.now - self.started[w]
         state = self.tokens[ctx.token]
-        state[0] = True
+        if not state[0]:
+            state[0] = True
+            for group in state[2]:
+                self.live[group] -= 1
         waiter = self.awaiting.get(state[1])
         if waiter is not None and self._ended(state[1]):
             del self.awaiting[state[1]]

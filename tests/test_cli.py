@@ -189,23 +189,25 @@ def test_a_stage_in_no_rung_is_no_choice(stage):
 
 
 def test_stage_lists_per_rung():
-    # Only vec-mt re-tiles each thread's block after the fork is lowered.
+    # Both MT rungs re-tile each thread's block after the fork is lowered;
+    # they differ only by the two double-buffering stages.
     assert {rung.value: pipeline_stage_names(rung) for rung in LadderRung} == {
         "scalar": (),
         "vec": ("vectorize",),
         "vec-mt": ("pipeline-threads", "pipeline-async-threads", "retile-threads", "vectorize"),
         "vec-mt-db": (
-            "pipeline-threads", "pipeline-async-threads", "db-stage1", "db-stage2", "vectorize"
+            "pipeline-threads", "pipeline-async-threads", "retile-threads", "db-stage1",
+            "db-stage2", "vectorize",
         ),
     }
 
 
 def test_dump_ir_of_a_stage_outside_the_rung_is_an_error(capsys):
-    args = ["dump-ir", "--kernel", "gelu", "--stage", "retile-threads", "--rung"]
-    assert main([*args, "vec-mt"]) == 0
+    args = ["dump-ir", "--kernel", "gelu", "--stage", "db-stage1", "--rung"]
+    assert main([*args, "vec-mt-db"]) == 0
     assert capsys.readouterr().out.startswith("buffer @")
-    assert main([*args, "vec-mt-db"]) == 2
-    assert "not part of the vec-mt-db pipeline" in capsys.readouterr().err
+    assert main([*args, "vec-mt"]) == 2
+    assert "not part of the vec-mt pipeline" in capsys.readouterr().err
 
 
 def test_stage_names_are_static_and_duplicate_free():

@@ -5,15 +5,18 @@ IR after every pipeline stage of every rung.
 The vec-add and GELU rows are the ROADMAP baseline ladders: vec-add's
 vec-mt runs per-thread loops over its 8-row tiles split into single rows,
 and its vec-mt-db per-thread pipelines over 2-row sub-tiles, which fit the
-scratchpad where whole tiles do not; GELU's vec-mt runs per-thread loops
-over its 8-row tiles merged in pairs, and its vec-mt-db per-thread
-pipelines over its 8-row tiles split into single rows.  The fine-tile GELU
-row exercises many small tiles: vec-mt merges its 64 tiles into four, one
-per thread, so each thread pays the transfer start-up once per operand,
-and vec-mt-db merges them in pairs and pipelines the 32 on every thread.  The vec-add anchor of
-the benchmark's design grid runs four per-thread pipelines that share one
-memory-bound channel, and four per-thread loops over its 8-row tiles
-merged in pairs.  The IR table adds a vec-add with a peeled tail tile,
+scratchpad where whole tiles do not, of which the first two threads split
+theirs again into single rows; GELU's vec-mt runs per-thread loops over
+its 8-row tiles merged in pairs, and its vec-mt-db per-thread pipelines
+over its 8-row tiles split into single rows.  The fine-tile GELU row
+exercises many small tiles: vec-mt merges its 64 tiles into four, one per
+thread, so each thread pays the transfer start-up once per operand, and
+vec-mt-db pipelines them merged in pairs, eight per thread, where the
+first and last threads split their blocks back into 16 whole tiles.
+The vec-add anchor of the benchmark's design grid runs four per-thread
+pipelines that share one memory-bound channel, the second over its two
+8-row tiles split into four 4-row tiles, and four per-thread loops over
+its 8-row tiles merged in pairs.  The IR table adds a vec-add with a peeled tail tile,
 whose vec-mt and vec-mt-db split its two tiles into 2-row and 1-row
 sub-tiles.  Any change to these numbers or hashes is a behaviour change.
 """
@@ -43,7 +46,7 @@ GOLDEN = {
     ("vec-add", "scalar"): (4220416, 4220.416, 4194304, 26112, 26112, 0, (0, 0, 0, 0)),
     ("vec-add", "vec"): (157184, 157.184, 131072, 26112, 26112, 0, (0, 0, 0, 0)),
     ("vec-add", "vec-mt"): (46956, 46.956, 131072, 36864, 51048, 600, (44800, 45084, 45880, 46356)),
-    ("vec-add", "vec-mt-db"): (35948, 35.948, 131072, 30720, 7080, 600, (33728, 34268, 34808, 35348)),
+    ("vec-add", "vec-mt-db"): (35500, 35.5, 131072, 33792, 7336, 600, (34304, 34780, 34424, 34900)),
     ("gelu", "scalar"): (19947520, 19947.52, 19922944, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec"): (647168, 647.168, 622592, 24576, 24576, 0, (0, 0, 0, 0)),
     ("gelu", "vec-mt"): (163116, 163.116, 622592, 19840, 23400, 600, (160768, 162716, 160184, 162324)),
@@ -51,11 +54,11 @@ GOLDEN = {
     ("gelu-fine", "scalar"): (1254400, 1254.4, 1245184, 9216, 9216, 0, (0, 0, 0, 0)),
     ("gelu-fine", "vec"): (48128, 48.128, 38912, 9216, 9216, 0, (0, 0, 0, 0)),
     ("gelu-fine", "vec-mt"): (10988, 10.988, 38912, 1536, 2088, 600, (10112, 10204, 10296, 10388)),
-    ("gelu-fine", "vec-mt-db"): (10588, 10.588, 38912, 5120, 840, 600, (9888, 9948, 9928, 9988)),
+    ("gelu-fine", "vec-mt-db"): (10556, 10.556, 38912, 7168, 760, 600, (9872, 9932, 9912, 9956)),
     ("vec-add-anchor", "scalar"): (528896, 528.896, 524288, 4608, 4608, 0, (0, 0, 0, 0)),
     ("vec-add-anchor", "vec"): (20992, 20.992, 16384, 4608, 4608, 0, (0, 0, 0, 0)),
     ("vec-add-anchor", "vec-mt"): (6956, 6.956, 16384, 4224, 7592, 600, (5440, 6236, 5944, 6356)),
-    ("vec-add-anchor", "vec-mt-db"): (6124, 6.124, 16384, 4608, 4008, 600, (4672, 4956, 5240, 5524)),
+    ("vec-add-anchor", "vec-mt-db"): (5996, 5.996, 16384, 4992, 4136, 600, (4672, 5340, 5112, 5396)),
 }
 
 
@@ -97,9 +100,10 @@ GOLDEN_IR = {
         ("initial", "1de75a2bc474d3ec"),
         ("pipeline-threads", "8c3db69bc640e49d"),
         ("pipeline-async-threads", "e37ab05c50e61611"),
-        ("db-stage1", "58cd56db65d0942e"),
-        ("db-stage2", "192417ee42580719"),
-        ("vectorize", "696daa4b33c5c10a"),
+        ("retile-threads", "9a61b80557ad1111"),
+        ("db-stage1", "85947a92038f25a3"),
+        ("db-stage2", "781ff8f52720b234"),
+        ("vectorize", "96d6763af7ad4257"),
     ),
     ("gelu", "scalar"): (
         ("initial", "7a47c4ba35d7c422"),
@@ -119,6 +123,7 @@ GOLDEN_IR = {
         ("initial", "7a47c4ba35d7c422"),
         ("pipeline-threads", "c9b9889bbc9f88c7"),
         ("pipeline-async-threads", "0f53a3d2175646b1"),
+        ("retile-threads", "0f53a3d2175646b1"),
         ("db-stage1", "a4c951041d5c79c4"),
         ("db-stage2", "db224968b9bd72ee"),
         ("vectorize", "bcb29d13588fbab7"),
@@ -141,9 +146,10 @@ GOLDEN_IR = {
         ("initial", "bd97a6592f32b7ef"),
         ("pipeline-threads", "930facd2cb391d1d"),
         ("pipeline-async-threads", "7311e380e57be38f"),
-        ("db-stage1", "88bd0d5d4a8f3235"),
-        ("db-stage2", "1d1f0ccb3a402261"),
-        ("vectorize", "6c65f6306653c422"),
+        ("retile-threads", "109ee695e26fd2d8"),
+        ("db-stage1", "9725069ac4985a26"),
+        ("db-stage2", "5b950dcaffe31f7a"),
+        ("vectorize", "111e3c975d0fc4f5"),
     ),
     ("vec-add-anchor", "scalar"): (
         ("initial", "9e518f2423292b27"),
@@ -163,9 +169,10 @@ GOLDEN_IR = {
         ("initial", "9e518f2423292b27"),
         ("pipeline-threads", "3a7a66fc1af9f797"),
         ("pipeline-async-threads", "c97642d70438ff75"),
-        ("db-stage1", "21c4748111c87fe4"),
-        ("db-stage2", "37af0ce5cc1ffa56"),
-        ("vectorize", "7de3191deb7d33c1"),
+        ("retile-threads", "cd5d8987694d6419"),
+        ("db-stage1", "639b99ea3a3d8859"),
+        ("db-stage2", "1a8d3440f71c7075"),
+        ("vectorize", "d44e3de25edf1185"),
     ),
     ("vec-add-tail", "scalar"): (
         ("initial", "7f24fa145afb9f54"),
@@ -185,6 +192,7 @@ GOLDEN_IR = {
         ("initial", "7f24fa145afb9f54"),
         ("pipeline-threads", "9fb75190a9691204"),
         ("pipeline-async-threads", "3b39c6534fdd5166"),
+        ("retile-threads", "3b39c6534fdd5166"),
         ("db-stage1", "dc39347a781aba00"),
         ("db-stage2", "ede25ccba99c00d8"),
         ("vectorize", "18346a350f47f7d3"),

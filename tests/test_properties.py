@@ -15,12 +15,13 @@ and the one the cost model picks compiles whenever another does, and is the
 fastest.  Both gates pin draws that a closed-form price mispriced, so a
 price that regresses on them fails here.  A candidate is forced through pipeline-threads and
 pipeline-async-threads alone; a third gate checks what retile-threads then
-makes of the pick at vec-mt: its price is the simulated cycles and
+makes of the pick at both rungs: its price is the simulated cycles and
 at most the pick's.  Every run is checked against the floor of its own schedule,
 whose transfers re-tiling changes (see collect_stats)."""
 
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tilelab import passes
@@ -191,6 +192,26 @@ def _chosen_is_the_fastest(rung, case, arm_order):
 # against 2,092.
 @example((vec_add_2d(55, 30, 1, seed=1), MachineConfig(lanes=5, threads=4)))
 @example((gelu(8192, 2048, seed=1), MachineConfig(lanes=32, threads=4)))
+# Survey draws that the deleted closed forms mispriced: per-thread pipelines
+# whose first tile queues behind the regions forked before them, and one
+# pipeline over split tiles.  The fastest forced candidates run 15,262, 208
+# and 1,656 cycles.
+@example(
+    (
+        vec_add_2d(19, 512, 6),
+        MachineConfig(lanes=16, threads=2, dma_bandwidth=9, vector_unit_cost=5),
+    )
+)
+@example(
+    (
+        gelu(512, 512),
+        MachineConfig(
+            lanes=64, threads=4, scalar_unit_cost=3, dma_bandwidth=117, dma_startup=19,
+            tcm_capacity=12288,
+        ),
+    )
+)
+@example((gelu(5120, 1024), MachineConfig(lanes=64, threads=4, fork_cost=275)))
 def test_the_chosen_composition_is_the_fastest(arm_order, case):
     _chosen_is_the_fastest(LadderRung.VEC_MT_DB, case, arm_order)
 
@@ -223,31 +244,53 @@ def test_the_chosen_vec_mt_composition_is_the_fastest(arm_order, case):
     _chosen_is_the_fastest(LadderRung.VEC_MT, case, arm_order)
 
 
+@pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(forkable_cases)
 # The design grid's vec-add anchor: four threads of one 16-row tile each
 # queue for the channel in lockstep (7,276 cycles); re-tiled, they run 6,956.
+# At vec-mt-db, four pipelines over two 8-row tiles each run 6,124; the
+# second thread splits its tiles in two, and they run 5,996.
 @example((vec_add_2d(64, 2048, 8), MachineConfig()))
 # Five 11-row tiles forked over four threads (1,502 cycles): the first
 # thread merges its two into one 22-row tile and runs 1,176.
 @example((vec_add_2d(55, 30, 1, seed=1), MachineConfig(lanes=5, threads=4)))
-def test_retiled_threads_are_priced_exactly(arm_order, case):
-    """Every refined vec-mt module (see retile_threads) runs exactly the
-    cycles thread_tiling prices for it, no more than the stage-1 pick, and
-    not below its schedule floor (checked in _run); an unforked pick is left
-    as it is."""
+# Two pipelines over two 2-row tiles each fill the 4 KiB scratchpad; one
+# 4-row tile would be cheaper, but its ping and pong do not fit beside the
+# other thread's.
+@example(
+    (
+        gelu(512, 512),
+        MachineConfig(
+            lanes=1, threads=2, dma_bandwidth=769, dma_startup=169, fork_cost=209,
+            join_cost=266, tcm_capacity=4096,
+        ),
+    )
+)
+def test_retiled_threads_are_priced_exactly(arm_order, rung, case):
+    """Every refined module of both MT rungs (see retile_threads) runs
+    exactly the cycles thread_tiling prices for it, no more than the
+    stage-1 pick, and not below its schedule floor (checked in _run); an
+    unforked pick is left as it is, and a rung that refuses the refined
+    module refuses the pick too."""
     spec, cfg = case
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    spec_mt = PipelineSpec(LadderRung.VEC_MT, cfg)
+    spec_rung = PipelineSpec(rung, cfg)
+    inputs = make_inputs(spec)
     try:
-        _, _, timing = _run(spec, LadderRung.VEC_MT, cfg, make_inputs(spec), arm_order)
+        _, _, timing = _run(spec, rung, cfg, inputs, arm_order)
     except PassError as exc:
         assert str(exc)
+        with (
+            mock.patch.object(passes, "retile_threads", lambda m, s: m),
+            pytest.raises(PassError),
+        ):
+            _run(spec, rung, cfg, inputs, arm_order)
         return
-    stages = dict(run_pipeline_stages(base, spec_mt))
+    stages = dict(run_pipeline_stages(base, spec_rung))
     forked = stages["pipeline-async-threads"]
-    tiling = thread_tiling(forked, spec_mt)
+    tiling = thread_tiling(forked, spec_rung)
     if tiling is None:
         assert stages["retile-threads"] is forked
         return
-    assert tiling.cycles == timing.total_cycles <= choose_composition(base, spec_mt).cycles
+    assert tiling.cycles == timing.total_cycles <= choose_composition(base, spec_rung).cycles

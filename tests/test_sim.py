@@ -36,6 +36,7 @@ from tilelab.passes import (
     vectorize,
 )
 from tilelab.sim import DeadlockError, SimulationError, simulate_timed
+from tilelab.timing import ADD, AWAIT, BUSY, FORK, Core
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -131,7 +132,7 @@ def test_simulator_equals_interpreter(kind, rung):
 
 @pytest.mark.parametrize(
     "cfg, cycles, floor",
-    [(CFG, 1352, 608), (MachineConfig(lanes=8, threads=3), 4220, 3243)],
+    [(CFG, 1344, 608), (MachineConfig(lanes=8, threads=3), 4184, 3243)],
 )
 def test_db_mt_floor_uses_the_rows_it_forks_over(cfg, cycles, floor):
     # One GELU tile of 8 rows: vec-mt-db may split it into up to 8 sub-tiles
@@ -213,6 +214,38 @@ def test_adding_a_token_not_forked_yet_is_an_error():
     m = TileModule("early-add", (), (AddToGroup("t0", "g"), AsyncExecute("t0", ()), AwaitAll("g")))
     with pytest.raises(SimulationError, match="add_to_group of unknown token %t0"):
         simulate_timed(m, {}, CFG)
+
+
+def _region(cycles):
+    return iter([(BUSY, cycles, None)])
+
+
+@pytest.mark.parametrize(
+    "steps, cycles",
+    [
+        # Added after it ended (at 110): the await joins at once, 150 + join.
+        (lambda: [(FORK, 100, ("t0", _region(10))), (BUSY, 50, None), (ADD, 0, ("t0", "g"))], 350),
+        # Added twice: the group waits for its one region (ends at 600) once.
+        (
+            lambda: [
+                (FORK, 100, ("t0", _region(500))), (ADD, 0, ("t0", "g")), (ADD, 0, ("t0", "g")),
+            ],
+            800,
+        ),
+        # Forked again after its group was joined (at 310): live again, so
+        # the second await waits for the second run (ends at 420).
+        (
+            lambda: [
+                (FORK, 100, ("t0", _region(10))), (ADD, 0, ("t0", "g")), (AWAIT, 0, "g"),
+                (FORK, 100, ("t0", _region(10))), (ADD, 0, ("t0", "g")),
+            ],
+            620,
+        ),
+    ],
+    ids=["added-after-it-ended", "added-twice", "forked-again"],
+)
+def test_a_group_waits_for_each_live_region_once(steps, cycles):
+    assert Core(CFG).run(iter([*steps(), (AWAIT, 0, "g")])) == cycles  # fork 100, join 200
 
 
 def test_timing_report_invariants():

@@ -23,11 +23,12 @@ from tilelab.machine import (
     collect_stats,
     latency_lower_bound,
 )
-from tilelab.normal_form import match_normal_form
+from tilelab.normal_form import match_block_explain, match_normal_form
 from tilelab.passes import (
     Composition,
     PipelineSpec,
     PassError,
+    ThreadTiling,
     choose_composition,
     compositions,
     db_stage1,
@@ -133,11 +134,11 @@ def _region_tiles(m):
     return [(r.body[0].tile_count, r.body[0].body[0].decl.rows) for r in _regions(m)]
 
 
-def _retiled_anchor():
-    """The design grid's vec-add anchor after retile-threads, and its stages."""
+def _retiled_anchor(rung=LadderRung.VEC_MT):
+    """The design grid's vec-add anchor and its stages at `rung`."""
     spec = vec_add_2d(64, 2048, 8)
     base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
-    stages = dict(run_pipeline_stages(base, PipelineSpec(LadderRung.VEC_MT, CFG)))
+    stages = dict(run_pipeline_stages(base, PipelineSpec(rung, CFG)))
     return spec, stages
 
 
@@ -183,8 +184,12 @@ def test_double_buffering_sums_the_ping_pong_of_every_region():
 
 
 def _forced(base, cfg, candidate):
-    """The vec-mt-db module of `candidate`, whatever the cost model picks."""
-    with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
+    """The vec-mt-db module of `candidate`, whatever the cost model picks,
+    with every thread's tiles kept (see retile_threads)."""
+    with (
+        mock.patch.object(passes, "choose_composition", lambda m, spec: candidate),
+        mock.patch.object(passes, "retile_threads", lambda m, spec: m),
+    ):
         return run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
 
 
@@ -215,7 +220,8 @@ def test_selection_rule(spec, cfg, expected):
 def test_vec_add_splits_tiles_that_do_not_fit_tcm():
     # Per-thread ping/pong over whole 8-row tiles needs 12 MiB of 8 MiB TCM;
     # 2-row sub-tiles fit, and pay one fork/join in place of eight.  One
-    # pipeline fits over tiles merged in pairs, but not in fours.
+    # pipeline fits over tiles merged in pairs, but not in fours.  The first
+    # two threads then split their blocks into 1-row tiles.
     base = build_kernel(vec_add_2d(), tcm_capacity=CFG.tcm_capacity)
     spec = PipelineSpec(LadderRung.VEC_MT_DB, CFG)
     splits = [(16, 0), (8, 0), (4, 0), (4, 1), (2, 0), (2, 1), (1, 0), (1, 1)]
@@ -227,8 +233,9 @@ def test_vec_add_splits_tiles_that_do_not_fit_tcm():
     m = run_pipeline(base, spec)
     regions = _regions(m)
     assert len(regions) == 4
-    assert [op.tile_count for op in regions[0].body if isinstance(op, ForTiles)] == [8]
-    assert simulate_timed(m, make_inputs(vec_add_2d()), CFG)[1].total_cycles == 35948
+    loops = [[op.tile_count for op in r.body if isinstance(op, ForTiles)] for r in regions]
+    assert loops == [[16], [16], [8], [8]]
+    assert simulate_timed(m, make_inputs(vec_add_2d()), CFG)[1].total_cycles == 35500
 
 
 def test_five_tile_gelu_splits_its_tiles_for_balance():
@@ -426,35 +433,89 @@ def test_cost_model_picks(spec, cfg, before, after):
     of the one an earlier rule picked (`before`): the busiest-thread row
     count, or the cost model before GELU tiles could split, before one
     pipeline could run over split tiles, and before it priced pipelines by
-    replay and could merge tiles."""
+    replay and could merge tiles.  Each forked thread may then re-tile its
+    own block, which is never slower (see
+    test_each_thread_re_tiles_its_own_pipeline)."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    candidates = compositions(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
+    spec_db = PipelineSpec(LadderRung.VEC_MT_DB, cfg)
     inputs = make_inputs(spec)
     cycles = {
         c: simulate_timed(_forced(base, cfg, c), inputs, cfg)[1].total_cycles
-        for c in candidates
+        for c in compositions(base, spec_db)
     }
     assert before in cycles.values()
+    assert cycles[choose_composition(base, spec_db)] == after == min(cycles.values())
+    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles <= after
+
+
+@pytest.mark.parametrize(
+    "spec, cfg, tiles, rows, before, after",
+    [
+        # One 14-row tile per thread: the second and third threads split
+        # theirs into 2-row tiles, the fourth into 7-row tiles.
+        (gelu(7 * 4096, 4096), MachineConfig(lanes=64, threads=4), 14, (14, 2, 2, 7), 3028, 2948),
+        # The design grid's GELU anchor: eight 4-row tiles per thread, of
+        # which the first and last threads split theirs in two.
+        (gelu(16 * 4096, 4096), MachineConfig(), 4, (2, 4, 4, 2), 10588, 10556),
+    ],
+)
+def test_each_thread_re_tiles_its_own_pipeline(spec, cfg, tiles, rows, before, after):
+    """vec-mt-db's per-thread pipelines over the pick's tiles of `tiles` rows
+    run `before`; re-tiled as thread_tiling prices them, they run `after`."""
+    base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
+    spec_db = PipelineSpec(LadderRung.VEC_MT_DB, cfg)
+    forked = dict(run_pipeline_stages(base, spec_db))["pipeline-async-threads"]
+    assert {r for _, r in _region_tiles(forked)} == {tiles}
+    assert thread_tiling(forked, spec_db) == ThreadTiling(rows, after)
+    inputs = make_inputs(spec)
+    pick = choose_composition(base, spec_db)
+    assert simulate_timed(_forced(base, cfg, pick), inputs, cfg)[1].total_cycles == before
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == after
-    assert after == min(cycles.values())
+
+
+def _cut_prices(db, regions, forks):
+    """The full price of `regions`, after checking it cut off at 1 and at
+    half of it (both stop the run mid-way), just below it, at it and just
+    past it: cut off at c <= p it is from c up to p, and past p it is p."""
+    p = passes._price(CFG, db, regions, forks)
+    for cutoff in (1, p // 2, p - 1, p, p + 1):
+        got = passes._price(CFG, db, regions, forks, cutoff)
+        assert cutoff <= got <= p if cutoff <= p else got == p, (regions, cutoff, got)
+    return p
 
 
 @pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])
 @pytest.mark.parametrize("spec", [vec_add_2d(), gelu()])
 def test_a_price_cut_off_below_it_reaches_the_cutoff(spec, rung):
-    """The cutoff thread_tiling's descent relies on: a price p cut off at
-    c <= p is at least c, and cut off past p it is p."""
+    """The cutoff thread_tiling's descent relies on, over every candidate."""
     base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
     tilings = {rows: tile for rows, *tile in passes._tilings(match_normal_form(base), CFG)}
     db = rung is LadderRung.VEC_MT_DB
     for c in compositions(base, PipelineSpec(rung, CFG)):
         n, *tile = tilings[c.rows]
         blocks = partition_tiles(n, min(CFG.threads, n) if c.forks else 1)
-        regions = [(len(block), *tile) for block in blocks]
-        p = passes._price(CFG, db, regions, c.forks)
-        for cutoff in (p - 1, p, p + 1):
-            got = passes._price(CFG, db, regions, c.forks, cutoff)
-            assert got >= cutoff if cutoff <= p else got == p, (c, cutoff, got)
+        _cut_prices(db, [(len(block), *tile) for block in blocks], c.forks)
+
+
+@pytest.mark.parametrize(
+    "rung, rows, cycles",
+    [(LadderRung.VEC_MT, (8, 8, 16, 16), 6956), (LadderRung.VEC_MT_DB, (8, 4, 8, 8), 5996)],
+)
+def test_a_price_of_re_tiled_threads_cut_off_reaches_the_cutoff(rung, rows, cycles):
+    """The same over regions of different tiles: the vec-add anchor's
+    threads as thread_tiling re-tiles them at each MT rung."""
+    _, stages = _retiled_anchor(rung)
+    m = stages["retile-threads"]
+    ddr = {d.id for d in m.buffers}
+    regions = []
+    for region in _regions(m):
+        desc = match_block_explain(region.body, ddr)[0]
+        own = desc.output[1].rows
+        regions.append(next(tuple(t) for r, *t in passes._tilings(desc, CFG) if r == own))
+    assert tuple(region[0] for region in regions) == tuple(16 // r for r in rows)
+    spec = PipelineSpec(rung, CFG)
+    assert thread_tiling(stages["pipeline-async-threads"], spec) == ThreadTiling(rows, cycles)
+    assert _cut_prices(rung is LadderRung.VEC_MT_DB, regions, 1) == cycles
 
 
 def test_the_cost_model_offers_no_tiling_that_vectorize_refuses():
