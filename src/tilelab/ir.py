@@ -4,8 +4,9 @@ copies, asynchronous DMA, fork-join ops, and elementwise compute regions.
 Modules are built programmatically (there is no parser), are immutable after
 construction, and print to a stable line-oriented text form (see printer).
 Control flow is deliberately static: loop trip counts are constants, the only
-conditionals are the loop-carried ping/pong toggle and integer bounds tests on
-the induction variable, so every module has exactly one dynamic schedule.
+conditionals are a double-buffered loop's choice of arm by the parity of its
+iteration and integer bounds tests on the induction variable, so every module
+has exactly one dynamic schedule.
 """
 
 from __future__ import annotations
@@ -152,9 +153,9 @@ class ForTiles:
     iv: str
     tile_count: int
     body: tuple["Op", ...]
-    # A non-None value enables the loop-carried ping/pong toggle;
-    # True means "ping is current" on the first iteration.
-    toggle_init: bool | None = None
+    # A double-buffered loop's second arm: even iterations run `body` (ping),
+    # odd ones `pong`.  None: every iteration runs `body`.
+    pong: tuple["Op", ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,17 +227,6 @@ class Compute:
     vector_factor: int = 1
 
 
-@dataclass(frozen=True, slots=True)
-class IfToggle:
-    then_body: tuple["Op", ...]
-    else_body: tuple["Op", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class FlipToggle:
-    """Flips the innermost toggled loop's ping/pong state."""
-
-
 Op = Union[
     ForTiles,
     Forall,
@@ -249,8 +239,6 @@ Op = Union[
     DmaStart,
     DmaWait,
     Compute,
-    IfToggle,
-    FlipToggle,
 ]
 
 # The op classes; lowering dispatches on the exact class of an op.
@@ -273,16 +261,16 @@ class TileModule:
 
 def op_regions(op: Op) -> tuple[tuple[str, tuple[Op, ...]], ...]:
     """Named sub-regions of an op, for structural walks."""
+    if isinstance(op, ForTiles) and op.pong is not None:
+        return (("body", op.body), ("pong", op.pong))
     if isinstance(op, (ForTiles, Forall, AsyncExecute)):
         return (("body", op.body),)
-    if isinstance(op, IfToggle):
-        return (("then", op.then_body), ("else", op.else_body))
     return ()
 
 
 def walk(body: tuple[Op, ...], prefix: str = "body") -> Iterator[tuple[str, Op]]:
     """Pre-order walk yielding (position, op); positions look like
-    ``body[2].then[0]`` and give diagnostics a stable order."""
+    ``body[2].pong[0]`` and give diagnostics a stable order."""
     for i, op in enumerate(body):
         path = f"{prefix}[{i}]"
         yield path, op
@@ -298,10 +286,10 @@ def dynamic_schedule(
     m: TileModule | Schedule,
 ) -> Iterator[tuple[Op, tuple[tuple[str, int], ...]]]:
     """The module's single dynamic execution order: (op, iv_bindings) for
-    every op instance that executes, with loops iterated, toggle state
-    tracked, guards applied, and async regions inline in creation order.
-    A view over the walker of the lowered schedule that both executors run;
-    takes the module or its schedule."""
+    every op instance that executes, with loops iterated, each
+    double-buffered loop's arm picked by parity, guards applied, and async
+    regions inline in creation order.  A view over the walker of the lowered
+    schedule that both executors run; takes the module or its schedule."""
     from .lower import lower, walk  # lower builds on this module
 
     for step, ivs in walk(lower(m).body):

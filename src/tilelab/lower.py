@@ -4,9 +4,10 @@
 row_base, rows, cols) tuples, transfers carry their byte count, guarded ops
 their iv bounds, async regions their sub-schedule, and a compute step its
 expression as a closure over the functions of `ir.EXPR_OPS`, compiled on
-first execution.  Loops stay loops.  `walk` is the one control-flow walker
-(loops, toggles, guards); `ArrayStore` and `HazardTracker` are the buffer
-state and the in-flight transfer model both executors share.
+first execution.  Loops stay loops, a double-buffered loop with both its
+arms.  `walk` is the one control-flow walker (loops, arms, guards);
+`ArrayStore` and `HazardTracker` are the buffer state and the in-flight
+transfer model both executors share.
 
 A rung run lowers its transformed module once and hands the schedule to the
 verifier's tag-balance walk and to both executors.  `lower` returns a
@@ -52,14 +53,13 @@ class Step:
 @dataclass(slots=True, eq=False)
 class Loop(Step):
     count: int
-    toggle: bool | None  # initial ping/pong state; None: no toggle
-    body: tuple[Step, ...]
+    body: tuple[Step, ...]  # even iterations' arm: ping
+    pong: tuple[Step, ...] | None  # odd iterations' arm; None: `body`
 
 
 @dataclass(slots=True, eq=False)
-class Branch(Step):
-    body: tuple[Step, ...]  # an async region, or the then-arm of if_toggle
-    orelse: tuple[Step, ...] = ()
+class Async(Step):
+    body: tuple[Step, ...]  # the region's sub-schedule
 
 
 @dataclass(slots=True, eq=False)
@@ -130,7 +130,6 @@ def _guard(op: ir.Op) -> tuple[float, float] | None:
 
 
 _PLAIN = {
-    ir.FlipToggle: "flip",
     ir.AddToGroup: "add_to_group",
     ir.AwaitAll: "await",
     ir.AllocTcm: "alloc",
@@ -164,31 +163,26 @@ def lower(m: ir.TileModule | Schedule) -> Schedule:
             cost = (op.output.elems, op.vector_factor, ir.ops_per_element(op.expr))
             return Compute(op, "compute", None, ins, out, *cost)
         if cls is ir.ForTiles or cls is ir.Forall:
-            toggle = op.toggle_init if cls is ir.ForTiles else None
-            return Loop(op, "loop", None, op.tile_count, toggle, block(op.body))
-        if cls is ir.IfToggle:
-            return Branch(op, "if_toggle", None, block(op.then_body), block(op.else_body))
+            pong = op.pong if cls is ir.ForTiles else None
+            arms = block(op.body), None if pong is None else block(pong)
+            return Loop(op, "loop", None, op.tile_count, *arms)
         if cls is ir.AsyncExecute:
-            return Branch(op, "async", None, block(op.body))
+            return Async(op, "async", None, block(op.body))
         raise ValueError(f"unknown op {op!r}")
 
     body = block(m.body)
     return Schedule(m, tuple(d.id for d in m.buffers if d.id in written), body)
 
 
-def walk(
-    block: tuple[Step, ...], ivs: Ivs = (), toggles: list[bool] | None = None, inline: bool = True
-) -> Iterator[tuple[Step, Ivs]]:
+def walk(block: tuple[Step, ...], ivs: Ivs = (), inline: bool = True) -> Iterator[tuple[Step, Ivs]]:
     """The single dynamic execution order of a block.
 
     Yields (step, ivs) for every step instance that executes, with loops
-    iterated, the innermost toggle in `toggles` tracked, and guards applied.
-    With `inline`, async regions are walked in place in creation order;
-    otherwise their bodies are left to the caller (the simulator spawns a
-    context over each).
+    iterated (a double-buffered loop runs its ping arm on even iterations and
+    its pong arm on odd ones) and guards applied.  With `inline`, async
+    regions are walked in place in creation order; otherwise their bodies are
+    left to the caller (the simulator spawns a context over each).
     """
-    if toggles is None:
-        toggles = []
     iv = ivs[-1][1] if ivs else None
     for step in block:
         guard = step.guard
@@ -197,23 +191,12 @@ def walk(
         yield step, ivs
         kind = step.kind
         if kind == "loop":
-            if step.toggle is not None:
-                toggles.append(step.toggle)
             name = step.op.iv
+            arms = (step.body, step.body if step.pong is None else step.pong)
             for v in range(step.count):
-                yield from walk(step.body, ivs + ((name, v),), toggles, inline)
-            if step.toggle is not None:
-                toggles.pop()
-        elif kind == "if_toggle":
-            if not toggles:
-                raise ValueError("if_toggle outside a toggled loop")
-            yield from walk(step.body if toggles[-1] else step.orelse, ivs, toggles, inline)
-        elif kind == "flip":
-            if not toggles:
-                raise ValueError("flip_toggle outside a toggled loop")
-            toggles[-1] = not toggles[-1]
+                yield from walk(arms[v & 1], ivs + ((name, v),), inline)
         elif kind == "async" and inline:
-            yield from walk(step.body, ivs, toggles, inline)
+            yield from walk(step.body, ivs, inline)
 
 
 class HazardTracker:

@@ -5,8 +5,8 @@ builders emit and the double-buffering rewrite consumes.
 pair, the output alloc, one compute over whole buffers, the copy-out, then
 the deallocs in allocation order.  The matcher reads the operands off a loop
 body and accepts it only when `normal_form_tile` rebuilds that body exactly,
-so a module that has already been pipelined (alternating ping/pong
-sub-kernels) deliberately fails to match.  The loop may sit in the module
+so a module that has already been pipelined (a loop with ping and pong
+arms) deliberately fails to match.  The loop may sit in the module
 body or in any other block, such as the body of one thread's async region.
 """
 
@@ -86,7 +86,7 @@ def match_block_explain(
     if len(loops) != 1:
         return None, f"expected exactly one top-level tiled loop, found {len(loops)}"
     loop_index, loop = loops[0]
-    if loop.toggle_init is not None:
+    if loop.pong is not None:
         return None, "top-level loop already carries a ping/pong toggle"
 
     body = loop.body

@@ -35,10 +35,8 @@ from .ir import (
     DmaWait,
     ELEM_DTYPE,
     Expr,
-    FlipToggle,
     Forall,
     ForTiles,
-    IfToggle,
     Op,
     TileModule,
     ViewRef,
@@ -103,15 +101,10 @@ def _rewrite(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
     for op in body:
         repl = fn(op)
         if repl is None:
-            if isinstance(op, (ForTiles, Forall, AsyncExecute)):
-                inner = _rewrite(op.body, fn)
-                repl = (op,) if inner is op.body else (replace(op, body=inner),)
-            elif isinstance(op, IfToggle):
-                then, other = _rewrite(op.then_body, fn), _rewrite(op.else_body, fn)
-                same = then is op.then_body and other is op.else_body
-                repl = (op,) if same else (replace(op, then_body=then, else_body=other),)
-            else:
-                repl = (op,)
+            regions = op_regions(op)
+            inner = {name: _rewrite(region, fn) for name, region in regions}
+            same = all(inner[name] is region for name, region in regions)
+            repl = (op,) if same else (replace(op, **inner),)
         changed = changed or len(repl) != 1 or repl[0] is not op
         out.extend(repl)
     return tuple(out) if changed else body
@@ -234,10 +227,10 @@ def partition_tiles(tile_count: int, threads: int) -> tuple[tuple[int, ...], ...
 
 
 def _require_flat(body: tuple[Op, ...]) -> None:
-    """The tile fork forks only loop bodies without a loop, a toggle or an
-    async region."""
+    """The tile fork forks only loop bodies without a loop or an async
+    region."""
     for op in body:
-        if isinstance(op, (ForTiles, Forall, IfToggle, FlipToggle, AsyncExecute)):
+        if isinstance(op, (ForTiles, Forall, AsyncExecute)):
             raise PassError(
                 f"cannot parallelize a loop whose body holds a {type(op).__name__}:"
                 " the tile fork forks only flat loop bodies"
@@ -252,13 +245,13 @@ def form_virtual_threads(
     returns the module unchanged.  The threads' copies of the loop body are
     live at once and must fit `tcm_capacity` together.  Run before double
     buffering, each thread later pipelines its own block of tiles.  Only a
-    flat loop body forks: a double-buffered loop, which carries a toggle, or
-    a body holding a loop, a toggle or an async region raises PassError."""
+    flat loop body forks: a double-buffered loop, which carries a pong arm,
+    or a body holding a loop or an async region raises PassError."""
     loops = [(i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles)]
     if not loops:
         raise PassError("no top-level tiled loop to parallelize")
     index, loop = loops[0]
-    if loop.toggle_init is not None:
+    if loop.pong is not None:
         raise PassError("cannot parallelize a loop with a carried toggle")
     _require_flat(loop.body)
 
@@ -761,7 +754,7 @@ def _per_pipeline(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
 def _ping_pong(desc: NormalFormDescriptor, first_tag: int | None = None) -> tuple[Op, ...]:
     """The ping/pong pipeline that replaces a normal-form loop in its block.
     A prologue allocates a ping and a pong copy of every buffer and
-    prefetches the first tile into ping; each arm of the toggled loop
+    prefetches the first tile into ping; each arm of the ping/pong loop
     prefetches the next tile into the opposite buffers, computes on the
     current ones and stores back; an epilogue frees the buffers.
 
@@ -830,8 +823,7 @@ def _pipeline(
     for v, d in inputs:
         first = ViewRef(v.base, 0, v.row_base, v.row_count, v.col_count)
         ops.append(move(first, whole[ping[d.id].id]))
-    body = (IfToggle(arm(ping, pong), arm(pong, ping)), FlipToggle())
-    ops.append(ForTiles(iv, tiles, body, toggle_init=True))
+    ops.append(ForTiles(iv, tiles, arm(ping, pong), arm(pong, ping)))
     runs = ((ping, (tiles + 1) // 2), (pong, tiles // 2))
     ops.extend(DmaWait(tag[buffers[out.id].id]) for buffers, n in runs if n and tag)
     ops.extend(DeallocTcm(buffers[d.id].id) for d in decls for buffers in (ping, pong))
@@ -840,17 +832,13 @@ def _pipeline(
 
 def _read_pipeline(block: tuple[Op, ...]) -> NormalFormDescriptor:
     """The normal-form loop db_stage1 would have built the block's pipeline
-    from, at the position of the toggled loop: the operands read off its
+    from, at the position of the ping/pong loop: the operands read off its
     ping arm and the prologue's ping allocs."""
-    loops = [
-        i for i, op in enumerate(block) if isinstance(op, ForTiles) and op.toggle_init is not None
-    ]
+    loops = [i for i, op in enumerate(block) if isinstance(op, ForTiles) and op.pong is not None]
     if len(loops) != 1:
         raise PassError(f"async DMA stage requires one toggled loop, found {len(loops)}")
     index, loop = loops[0], block[loops[0]]
-    toggle = loop.body[0] if loop.body else None
-    arm = toggle.then_body if isinstance(toggle, IfToggle) else ()
-    prefetches, (compute, storeback) = arm[:-2], (None, None, *arm)[-2:]
+    prefetches, (compute, storeback) = loop.body[:-2], (None, None, *loop.body)[-2:]
     shaped = isinstance(compute, Compute) and isinstance(storeback, Copy)
     if not shaped or not all(isinstance(op, Copy) for op in prefetches):
         raise PassError("async DMA stage: the ping arm is not prefetches, compute and storeback")

@@ -22,10 +22,8 @@ from .ir import (
     DmaStart,
     DmaWait,
     Expr,
-    FlipToggle,
     Forall,
     ForTiles,
-    IfToggle,
     Input,
     Op,
     TileModule,
@@ -84,11 +82,12 @@ def _emit(lines: list[str], body: tuple[Op, ...], depth: int, iv: str | None) ->
         return
     for op in body:
         if isinstance(op, ForTiles):
-            toggle = ""
-            if op.toggle_init is not None:
-                toggle = f" toggle={'ping' if op.toggle_init else 'pong'}"
-            lines.append(f"{pad}for_tiles %{op.iv} in 0..{op.tile_count}{toggle} {{")
+            ping = "" if op.pong is None else " ping"
+            lines.append(f"{pad}for_tiles %{op.iv} in 0..{op.tile_count}{ping} {{")
             _emit(lines, op.body, depth + 1, op.iv)
+            if op.pong is not None:
+                lines.append(f"{pad}}} pong {{")
+                _emit(lines, op.pong, depth + 1, op.iv)
             lines.append(f"{pad}}}")
         elif isinstance(op, Forall):
             lines.append(f"{pad}forall %{op.iv} in 0..{op.tile_count} threads={op.threads} {{")
@@ -119,14 +118,6 @@ def _emit(lines: list[str], body: tuple[Op, ...], depth: int, iv: str | None) ->
             ins = ", ".join(_view(v, iv) for v in op.inputs)
             out = _view(op.output, iv)
             lines.append(f"{pad}compute {_expr(op.expr)} [{ins}] -> {out} vf={op.vector_factor}")
-        elif isinstance(op, IfToggle):
-            lines.append(f"{pad}if_toggle {{")
-            _emit(lines, op.then_body, depth + 1, iv)
-            lines.append(f"{pad}}} else {{")
-            _emit(lines, op.else_body, depth + 1, iv)
-            lines.append(f"{pad}}}")
-        elif isinstance(op, FlipToggle):
-            lines.append(f"{pad}flip_toggle")
         else:
             raise TypeError(f"unknown op: {op!r}")
 

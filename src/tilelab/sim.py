@@ -31,14 +31,13 @@ __all__ = ["DeadlockError", "SimulationError", "simulate_timed"]
 
 
 def _context(
-    core: Core, store: ArrayStore, hazards: HazardTracker, block: tuple[Step, ...], ivs: Ivs,
-    toggles: list[bool],
+    core: Core, store: ArrayStore, hazards: HazardTracker, block: tuple[Step, ...], ivs: Ivs
 ) -> Iterator[tuple]:
     """The core's steps of one context's walk over `block`.  A transfer
     enters the hazards at issue with the cycle it will end, and entries
     that have ended are dropped as the next one enters."""
     cfg = core.cfg
-    for step, ivs in walk(block, ivs, toggles, inline=False):
+    for step, ivs in walk(block, ivs, inline=False):
         kind = step.kind
         if kind == "compute":
             store.compute(step, ivs, hazards, core.now)
@@ -58,7 +57,7 @@ def _context(
         elif kind == "dealloc":
             store.dealloc(step.op)
         elif kind == "async":
-            region = _context(core, store, hazards, step.body, ivs, list(toggles))
+            region = _context(core, store, hazards, step.body, ivs)
             yield FORK, cfg.fork_cost, (step.op.token, region)
         elif kind == "add_to_group":
             yield ADD, 0, (step.op.token, step.op.group)
@@ -75,5 +74,5 @@ def simulate_timed(
     sched = lower(m)
     store = ArrayStore(sched, inputs)
     core = Core(cfg)
-    core.run(_context(core, store, HazardTracker(SimulationError), sched.body, (), []))
+    core.run(_context(core, store, HazardTracker(SimulationError), sched.body, ()))
     return store.outputs(), core.report()

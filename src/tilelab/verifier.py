@@ -23,10 +23,8 @@ from .ir import (
     Copy,
     DeallocTcm,
     DmaStart,
-    FlipToggle,
     Forall,
     ForTiles,
-    IfToggle,
     Input,
     MemSpace,
     Op,
@@ -34,6 +32,7 @@ from .ir import (
     Unary,
     ViewRef,
     expr_nodes,
+    op_regions,
 )
 from .lower import Schedule, lower, walk
 from .machine import MachineConfig
@@ -69,7 +68,7 @@ class _Checker:
         self.tokens: dict[str, str | None] = {}  # token -> group (None until added)
         self.groups_awaited: set[str] = set()
         self.tag_sites: dict[int, str] = {}  # tag -> dst base of its first dma.start
-        # False once a fault that lowering or the walker raises on is reported.
+        # False once a fault that lowering raises on is reported.
         self.walkable = True
 
     def err(self, path: str, msg: str) -> None:
@@ -113,21 +112,14 @@ class _Checker:
                 )
                 break
 
-    # -- scopes: loop bodies, async regions and toggle arms ----------------- #
+    # -- scopes: loop arms and async regions ------------------------------ #
 
-    def check_scope(
-        self,
-        body: tuple[Op, ...],
-        prefix: str,
-        loop: int | None,
-        toggled: bool,
-        leak: str,
-    ) -> int:
+    def check_scope(self, body: tuple[Op, ...], prefix: str, loop: int | None, leak: str) -> int:
         """Checks a region that must free every TCM buffer it allocates:
         reports `leak` at the region's path when it does not, restores the
         live set either way, and returns the region's peak TCM byte count."""
         saved = dict(self.live_tcm), self.live_bytes
-        peak = self.check_body(body, prefix, loop, toggled)
+        peak = self.check_body(body, prefix, loop)
         if set(self.live_tcm) != set(saved[0]):
             self.err(prefix, leak)
         self.live_tcm, self.live_bytes = saved
@@ -135,13 +127,7 @@ class _Checker:
 
     # -- main walk --------------------------------------------------------- #
 
-    def check_body(
-        self,
-        body: tuple[Op, ...],
-        prefix: str,
-        loop: int | None,
-        toggled: bool,
-    ) -> int:
+    def check_body(self, body: tuple[Op, ...], prefix: str, loop: int | None) -> int:
         """Checks a region inside a loop of `loop` tiles (None outside any
         loop); returns the peak concurrent TCM byte count seen."""
         peak = self.live_bytes
@@ -226,18 +212,17 @@ class _Checker:
             elif isinstance(op, ForTiles):
                 if op.tile_count < 1:
                     self.err(path, f"loop tile_count must be >= 1, got {op.tile_count}")
-                inner_toggled = toggled or op.toggle_init is not None
+                # A double-buffered loop's ping and pong arms are each a scope.
                 leak = "loop body must free every tcm buffer it allocates"
-                peak = max(
-                    peak,
-                    self.check_scope(op.body, f"{path}.body", op.tile_count, inner_toggled, leak),
-                )
+                for name, arm in op_regions(op):
+                    arm_peak = self.check_scope(arm, f"{path}.{name}", op.tile_count, leak)
+                    peak = max(peak, arm_peak)
             elif isinstance(op, Forall):
                 if op.tile_count < 1:
                     self.err(path, f"forall tile_count must be >= 1, got {op.tile_count}")
                 if op.threads < 1:
                     self.err(path, f"forall threads must be >= 1, got {op.threads}")
-                peak = max(peak, self.check_body(op.body, f"{path}.body", op.tile_count, toggled))
+                peak = max(peak, self.check_body(op.body, f"{path}.body", op.tile_count))
             elif isinstance(op, AsyncExecute):
                 if op.token in self.tokens:
                     self.err(path, f"duplicate async token %{op.token}")
@@ -254,7 +239,7 @@ class _Checker:
                             self.err(subpath, f"duplicate async token %{sub.token}")
                         self.tokens.setdefault(sub.token, None)
                         leak = "async region leaks tcm allocations past its end"
-                        peak_in = self.check_scope(sub.body, f"{subpath}.body", loop, toggled, leak)
+                        peak_in = self.check_scope(sub.body, f"{subpath}.body", loop, leak)
                         cluster_extra += peak_in - self.live_bytes
                     else:
                         self._check_add_to_group(sub, subpath)
@@ -273,18 +258,6 @@ class _Checker:
                 self._check_add_to_group(op, path)
             elif isinstance(op, AwaitAll):
                 self.groups_awaited.add(op.group)
-            elif isinstance(op, IfToggle):
-                if not toggled:
-                    self.err(path, "if_toggle outside a loop with a carried toggle")
-                    self.walkable = False
-                leak = "if_toggle arm must free every tcm buffer it allocates"
-                for arm, arm_body in (("then", op.then_body), ("else", op.else_body)):
-                    arm_peak = self.check_scope(arm_body, f"{path}.{arm}", loop, toggled, leak)
-                    peak = max(peak, arm_peak)
-            elif isinstance(op, FlipToggle):
-                if not toggled:
-                    self.err(path, "flip_toggle outside a loop with a carried toggle")
-                    self.walkable = False
             i += 1
         return peak
 
@@ -313,7 +286,7 @@ class _Checker:
         if top_loops > 1:
             self.err("body", f"expected at most one top-level tile loop, found {top_loops}")
 
-        self.check_body(self.m.body, "body", None, toggled=False)
+        self.check_body(self.m.body, "body", None)
 
         for d in self.live_tcm.values():
             self.err("body", f"tcm buffer @{d.id} is never deallocated")
@@ -347,6 +320,6 @@ class _Checker:
 def verify_module(m: TileModule | Schedule, machine: MachineConfig) -> list[str]:
     """All structural violations in the module, empty when valid.  Given a
     schedule, checks its module and walks its steps for tag balance.  A
-    fault that lowering or the walker raises on is reported at its op, and
-    such a module gets no tag-balance walk."""
+    fault that lowering raises on is reported at its op, and such a module
+    gets no tag-balance walk."""
     return _Checker(m, machine).check_module()

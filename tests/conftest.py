@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tilelab.interp import interpret_functional
-from tilelab.ir import Compute, Copy, DmaStart, DmaWait, IfToggle, walk_module
+from tilelab.ir import Compute, Copy, DmaStart, DmaWait, ForTiles, walk_module
 from tilelab.lower import lower
 from tilelab.sim import simulate_timed
 from tilelab.verifier import verify_module
@@ -91,8 +91,8 @@ def _check_arm_order(m):
     """Asserts that every ping/pong arm of m is, in this order and nothing
     else: a wait on each input tile the compute reads, the prefetch of the
     next tile into the opposite buffers, the wait on the storeback issued
-    two tiles back, the compute, and its storeback.  Returns the number of
-    arms."""
+    two tiles back, the compute (or its vector body and scalar epilogue, see
+    vectorize), and its storeback.  Returns the number of arms."""
     ddr = {d.id for d in m.buffers}
     starts = [op for _, op in walk_module(m) if isinstance(op, DmaStart)]
     dma_roles = {op.tag: _arm_role(op, ddr, {}) for op in starts}
@@ -100,17 +100,19 @@ def _check_arm_order(m):
     arms = [
         arm
         for _, op in walk_module(m)
-        if isinstance(op, IfToggle)
-        for arm in (op.then_body, op.else_body)
+        if isinstance(op, ForTiles) and op.pong is not None
+        for arm in (op.body, op.pong)
     ]
     for arm in arms:
-        compute = arm[-2]
-        reads = list(dict.fromkeys(v.base for v in compute.inputs))
+        computes = [op for op in arm if isinstance(op, Compute)]
+        reads = list(dict.fromkeys(v.base for v in computes[0].inputs))
         n = len(reads)
         assert [_arm_role(op, ddr, dma_roles) for op in arm] == (
             ["prefetch wait"] * n
             + ["prefetch"] * n
-            + ["storeback wait", "compute", "storeback"]
+            + ["storeback wait"]
+            + ["compute"] * len(computes)
+            + ["storeback"]
         )
         assert [op.tag for op in arm[:n]] == [tag_of[base] for base in reads]
         prefetches = arm[n : 2 * n]
@@ -118,7 +120,7 @@ def _check_arm_order(m):
         assert not {op.dst.base for op in prefetches} & set(reads)
         wait, store = arm[2 * n], arm[-1]
         assert wait.tag == store.tag and wait.only_if_iv_ge == 2
-        assert compute.output.base == store.src.base
+        assert {op.output.base for op in computes} == {store.src.base}
     return len(arms)
 
 

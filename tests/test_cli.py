@@ -97,7 +97,7 @@ def test_dump_ir_initial_and_final(capsys):
     assert "dma.start" in final and "async.execute" in final
     assert main(["dump-ir", "--kernel", "vec-add-2d", "--rung", "vec-mt-db", "--stage", "db-stage1"]) == 0
     stage1 = capsys.readouterr().out
-    assert "toggle=ping" in stage1 and "dma.start" not in stage1
+    assert " ping {" in stage1 and "} pong {" in stage1 and "dma.start" not in stage1
 
 
 def test_dump_ir_stage_not_in_pipeline(capsys):

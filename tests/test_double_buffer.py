@@ -9,17 +9,24 @@ import pytest
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
     AllocTcm,
+    Binary,
+    BufferDecl,
     Compute,
     Copy,
+    DeallocTcm,
     DmaStart,
     DmaWait,
     ForTiles,
-    IfToggle,
+    Input,
     MemSpace,
+    TileModule,
+    ViewRef,
     dynamic_schedule,
+    full_view,
     walk_module,
 )
 from tilelab.kernels import build_vec_add_2d, make_inputs, reference_output, vec_add_2d
+from tilelab.lower import lower, walk
 from tilelab.machine import LadderRung, MachineConfig
 from tilelab.passes import (
     PassError,
@@ -29,6 +36,7 @@ from tilelab.passes import (
     run_pipeline,
 )
 from tilelab.printer import print_module
+from tilelab.sim import simulate_timed
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -41,6 +49,44 @@ def _build(tiles):
 def _is_prefetch(m, op):
     """A copy from a DDR buffer of m into TCM."""
     return isinstance(op, Copy) and op.dst.base not in {d.id for d in m.buffers}
+
+
+# -- the ping/pong loop ------------------------------------------------------- #
+
+
+def _ping_pong_loop(tiles):
+    """A ping/pong loop over `tiles` one-row tiles of X into Y: the ping arm
+    doubles its tile, the pong arm squares it."""
+
+    def arm(op):
+        t, u = (BufferDecl(name, MemSpace.TCM, 1, 8) for name in ("t", "u"))
+        return (
+            AllocTcm(t),
+            Copy(ViewRef("X", 1, 0, 1, 8), full_view(t)),
+            AllocTcm(u),
+            Compute((full_view(t),), full_view(u), Binary(op, Input(0), Input(0))),
+            Copy(full_view(u), ViewRef("Y", 1, 0, 1, 8)),
+            DeallocTcm("t"),
+            DeallocTcm("u"),
+        )
+
+    ddr = tuple(BufferDecl(name, MemSpace.DDR, tiles, 8) for name in ("X", "Y"))
+    return TileModule("ping-pong", ddr, (ForTiles("i", tiles, arm("add"), arm("mul")),))
+
+
+@pytest.mark.parametrize("tiles", [1, 2, 3, 5])
+def test_a_ping_pong_loop_runs_ping_on_even_tiles_and_pong_on_odd_ones(verify, tiles):
+    m = _ping_pong_loop(tiles)
+    loop = m.body[0]
+    computes = [(s.op, ivs) for s, ivs in walk(lower(m).body) if s.kind == "compute"]
+    arms = (loop.body, loop.pong)
+    assert computes == [(arms[i % 2][3], (("i", i),)) for i in range(tiles)]
+    assert verify(m, CFG) == []
+    x = np.arange(tiles * 8, dtype=np.float32).reshape(tiles, 8)
+    got = interpret_functional(m, {"X": x})["Y"]
+    assert got.tobytes() == simulate_timed(m, {"X": x}, CFG)[0]["Y"].tobytes()
+    odd = np.arange(tiles)[:, None] % 2 == 1
+    assert np.array_equal(got, np.where(odd, x * x, x + x))
 
 
 # -- stage 1 ------------------------------------------------------------------ #
@@ -80,8 +126,8 @@ def test_each_stage1_arm_copies_in_computes_and_copies_out():
     m = db_stage1(_build(8))
     allocs = [op.decl for _, op in walk_module(m) if isinstance(op, AllocTcm)]
     space = {d.id: d.space for d in (*m.buffers, *allocs)}
-    toggles = [op for _, op in walk_module(m) if isinstance(op, IfToggle)]
-    arms = [arm for op in toggles for arm in (op.then_body, op.else_body)]
+    loops = [op for _, op in walk_module(m) if isinstance(op, ForTiles) and op.pong is not None]
+    arms = [arm for op in loops for arm in (op.body, op.pong)]
     assert len(arms) == 2
 
     def direction(op):
@@ -183,9 +229,9 @@ def test_ping_pong_refuses_what_overflows_tcm():
 # tiles -> first 16 hex digits of sha256(print_module) after db-stage1 and
 # db-stage2, for one pipeline over 1-row tiles of a 64-column vec-add.
 ONE_PIPELINE_IR = {
-    1: ("0c2a72cab74f08ca", "53815d64a9c8eee8"),
-    2: ("52b96ff13a7e1ad9", "c7595b498255174d"),
-    3: ("25aa2565c7db5cb7", "bc1ada619ebe1eb2"),
+    1: ("5eebffd4e992a80d", "003883988a654308"),
+    2: ("ca0f39d164679ff0", "521e701e957821a1"),
+    3: ("ee52adeffac43b3e", "4996d100923d82fa"),
 }
 
 
@@ -207,14 +253,10 @@ def test_one_pipeline_ir_is_pinned(tiles):
 def test_stage2_refuses_an_edited_pipeline():
     m = db_stage1(_build(8))
     index, loop = next((i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles))
-    toggle = loop.body[0]
-    assert isinstance(toggle, IfToggle) and isinstance(toggle.else_body[2], Compute)
+    assert isinstance(loop.pong[2], Compute)
     # The pong arm computes into the ping output buffer.
-    compute = toggle.else_body[2]
-    wrong = dataclasses.replace(compute, output=toggle.then_body[2].output)
-    arm = toggle.else_body[:2] + (wrong,) + toggle.else_body[3:]
-    edited = dataclasses.replace(toggle, else_body=arm)
-    loop = dataclasses.replace(loop, body=(edited,) + loop.body[1:])
+    wrong = dataclasses.replace(loop.pong[2], output=loop.body[2].output)
+    loop = dataclasses.replace(loop, pong=loop.pong[:2] + (wrong,) + loop.pong[3:])
     m = dataclasses.replace(m, body=m.body[:index] + (loop,) + m.body[index + 1 :])
-    with pytest.raises(PassError, match=rf"body\[{index}\]\.body\[0\]\.else\[2\] \(Compute\)"):
+    with pytest.raises(PassError, match=rf"body\[{index}\]\.pong\[2\] \(Compute\)"):
         db_stage2(m)

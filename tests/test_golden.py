@@ -101,9 +101,9 @@ GOLDEN_IR = {
         ("pipeline-threads", "8c3db69bc640e49d"),
         ("pipeline-async-threads", "e37ab05c50e61611"),
         ("retile-threads", "9a61b80557ad1111"),
-        ("db-stage1", "85947a92038f25a3"),
-        ("db-stage2", "781ff8f52720b234"),
-        ("vectorize", "96d6763af7ad4257"),
+        ("db-stage1", "37829460c3d5de83"),
+        ("db-stage2", "569835679115c992"),
+        ("vectorize", "246e4a92db99daf8"),
     ),
     ("gelu", "scalar"): (
         ("initial", "7a47c4ba35d7c422"),
@@ -124,9 +124,9 @@ GOLDEN_IR = {
         ("pipeline-threads", "c9b9889bbc9f88c7"),
         ("pipeline-async-threads", "0f53a3d2175646b1"),
         ("retile-threads", "0f53a3d2175646b1"),
-        ("db-stage1", "a4c951041d5c79c4"),
-        ("db-stage2", "db224968b9bd72ee"),
-        ("vectorize", "bcb29d13588fbab7"),
+        ("db-stage1", "a9861b56f3133e98"),
+        ("db-stage2", "a123bf01f459608a"),
+        ("vectorize", "7fe91b303b4b299e"),
     ),
     ("gelu-fine", "scalar"): (
         ("initial", "bd97a6592f32b7ef"),
@@ -147,9 +147,9 @@ GOLDEN_IR = {
         ("pipeline-threads", "930facd2cb391d1d"),
         ("pipeline-async-threads", "7311e380e57be38f"),
         ("retile-threads", "109ee695e26fd2d8"),
-        ("db-stage1", "9725069ac4985a26"),
-        ("db-stage2", "5b950dcaffe31f7a"),
-        ("vectorize", "111e3c975d0fc4f5"),
+        ("db-stage1", "a9066a819b2f5059"),
+        ("db-stage2", "d23fe00dc3a450a5"),
+        ("vectorize", "5842a35616e98d68"),
     ),
     ("vec-add-anchor", "scalar"): (
         ("initial", "9e518f2423292b27"),
@@ -170,9 +170,9 @@ GOLDEN_IR = {
         ("pipeline-threads", "3a7a66fc1af9f797"),
         ("pipeline-async-threads", "c97642d70438ff75"),
         ("retile-threads", "cd5d8987694d6419"),
-        ("db-stage1", "639b99ea3a3d8859"),
-        ("db-stage2", "1a8d3440f71c7075"),
-        ("vectorize", "d44e3de25edf1185"),
+        ("db-stage1", "bd8f019021990a21"),
+        ("db-stage2", "3cd6c457b06902a3"),
+        ("vectorize", "339fca46870107c0"),
     ),
     ("vec-add-tail", "scalar"): (
         ("initial", "7f24fa145afb9f54"),
@@ -193,9 +193,9 @@ GOLDEN_IR = {
         ("pipeline-threads", "9fb75190a9691204"),
         ("pipeline-async-threads", "3b39c6534fdd5166"),
         ("retile-threads", "3b39c6534fdd5166"),
-        ("db-stage1", "dc39347a781aba00"),
-        ("db-stage2", "ede25ccba99c00d8"),
-        ("vectorize", "18346a350f47f7d3"),
+        ("db-stage1", "f0788453c8934efc"),
+        ("db-stage2", "7f6b3e1fdb56b31a"),
+        ("vectorize", "0e3c6ddbdd9a694b"),
     ),
 }
 

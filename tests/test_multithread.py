@@ -115,7 +115,7 @@ def test_a_loop_whose_body_holds_a_loop_does_not_fork():
 
 
 def test_a_double_buffered_loop_does_not_fork():
-    # The ping/pong loop carries its toggle from one tile to the next.
+    # The ping/pong loop alternates its two arms from one tile to the next.
     pipelined = vectorize(db_stage2(db_stage1(_build(8, tile_rows=2))), 32)
     with pytest.raises(PassError, match="cannot parallelize a loop with a carried toggle"):
         form_virtual_threads(pipelined, THREADS)

@@ -121,7 +121,7 @@ def test_thread_pipelines_agree_with_the_reference(tiles, threads):
             assert not tags & seen
             seen |= tags
             loops = [op for op in region.body if isinstance(op, ForTiles)]
-            assert len(loops) == 1 and loops[0].toggle_init is True
+            assert len(loops) == 1 and loops[0].pong is not None
 
         # The pick may merge tiles: its floor counts its own transfers.
         chosen = lower(run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg)))

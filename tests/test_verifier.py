@@ -13,9 +13,7 @@ from tilelab.ir import (
     DeallocTcm,
     DmaStart,
     DmaWait,
-    FlipToggle,
     ForTiles,
-    IfToggle,
     Input,
     MemSpace,
     TileModule,
@@ -134,17 +132,6 @@ def test_transfer_shape_mismatch(verify):
     assert any("shape mismatch" in d for d in diags)
 
 
-def test_toggle_ops_require_carried_toggle(verify):
-    m = TileModule(
-        "toggle",
-        (),
-        (ForTiles("i", 2, (IfToggle((), ()), FlipToggle())),),
-    )
-    diags = verify(m, CFG)
-    assert any("if_toggle" in d for d in diags)
-    assert any("flip_toggle" in d for d in diags)
-
-
 def test_guard_outside_any_loop_flagged(verify):
     t = TCM("t", 1, 16)
     m = TileModule(
@@ -248,46 +235,38 @@ def test_diagnostics_are_ordered_and_deterministic(verify):
     assert len(first) >= 3
 
 
-def test_tcm_allocated_in_a_toggle_arm_must_be_freed(verify):
-    # The arm's allocation outlives the arm, so the loop's second iteration
-    # allocates @u again; both executors fail there.
+def _check_arm_leak(verify, leaking_arm):
+    """A ping/pong loop over 4 tiles whose `leaking_arm` ("body" or "pong")
+    also allocates @u and never frees it.  The allocation outlives the arm,
+    so the arm's second run (the loop's third or fourth iteration) allocates
+    @u again; both executors fail there."""
     t, u = TCM("t", 1, 8), TCM("u", 1, 8)
-    m = TileModule(
-        "arm-leak",
-        (DDR("X", 4, 8), DDR("Y", 4, 8)),
-        (
-            ForTiles(
-                "i",
-                4,
-                (
-                    AllocTcm(t),
-                    Copy(src=ViewRef("X", 1, 0, 1, 8), dst=full_view(t)),
-                    IfToggle((AllocTcm(u),), ()),
-                    FlipToggle(),
-                    Copy(src=full_view(t), dst=ViewRef("Y", 1, 0, 1, 8)),
-                    DeallocTcm("t"),
-                ),
-                toggle_init=True,
-            ),
-        ),
+    arm = (
+        AllocTcm(t),
+        Copy(src=ViewRef("X", 1, 0, 1, 8), dst=full_view(t)),
+        Copy(src=full_view(t), dst=ViewRef("Y", 1, 0, 1, 8)),
+        DeallocTcm("t"),
     )
+    leak = arm[:2] + (AllocTcm(u),) + arm[2:]
+    ping, pong = (leak, arm) if leaking_arm == "body" else (arm, leak)
+    m = TileModule("arm-leak", (DDR("X", 4, 8), DDR("Y", 4, 8)), (ForTiles("i", 4, ping, pong),))
     assert verify(m, CFG) == [
-        "body[0].body[2].then: if_toggle arm must free every tcm buffer it allocates"
+        f"body[0].{leaking_arm}: loop body must free every tcm buffer it allocates"
     ]
     with pytest.raises(InterpError, match="buffer @u already live"):
         interpret_functional(m, {"X": np.zeros((4, 8), np.float32)})
+
+
+def test_tcm_allocated_in_a_toggle_arm_must_be_freed(verify):
+    """The ping arm: the loop's even iterations."""
+    _check_arm_leak(verify, "body")
+
+
+def test_tcm_allocated_in_the_pong_arm_must_be_freed(verify):
+    _check_arm_leak(verify, "pong")
 
 
 def test_a_non_op_in_a_body_is_an_unknown_op():
     m = TileModule("x", (), (Input(0),))
     assert verify_module(m, CFG) == ["body[0]: unknown op Input(index=0)"]
 
-
-def test_an_if_toggle_outside_a_toggled_loop_is_reported_once(verify):
-    m = TileModule("x", (), (ForTiles("i", 2, (IfToggle((), ()),)),))
-    assert verify(m, CFG) == ["body[0].body[0]: if_toggle outside a loop with a carried toggle"]
-
-
-def test_a_top_level_flip_toggle_is_reported_once(verify):
-    m = TileModule("x", (), (FlipToggle(),))
-    assert verify(m, CFG) == ["body[0]: flip_toggle outside a loop with a carried toggle"]
