@@ -1,12 +1,14 @@
 """The single-buffered tiled-loop normal form: the loop body the kernel
-builders emit and the double-buffering rewrite consumes.
+builders emit, and the one loop the tile fork, fork-join lowering,
+re-tiling and double buffering consume.
 
 `normal_form_tile` is its one definition: per input an alloc + copy-in
 pair, the output alloc, one compute over whole buffers, the copy-out, then
-the deallocs in allocation order.  The matcher reads the operands off a loop
-body and accepts it only when `normal_form_tile` rebuilds that body exactly,
-so a module that has already been pipelined (a loop with ping and pong
-arms) deliberately fails to match.  The loop may sit in the module
+the deallocs in allocation order.  The builders, re-tiling and fork-join
+lowering build every such loop body with it.  The matcher reads the
+operands off a loop body and accepts it only when `normal_form_tile`
+rebuilds that body exactly, so a module that has already been pipelined (a
+ping/pong loop) deliberately fails to match.  The loop may sit in the module
 body or in any other block, such as the body of one thread's async region.
 """
 
@@ -87,7 +89,7 @@ def match_block_explain(
         return None, f"expected exactly one top-level tiled loop, found {len(loops)}"
     loop_index, loop = loops[0]
     if loop.pong is not None:
-        return None, "top-level loop already carries a ping/pong toggle"
+        return None, "top-level loop is already a ping/pong loop"
 
     body = loop.body
 

@@ -12,7 +12,11 @@ timing.Core), `pipeline-async-threads`, `retile-threads` (per-thread tile
 sizes at both rungs, priced the same way), `db-stage1` and `db-stage2`, in
 the order _RUNG_STAGES gives each rung.  Every pass takes a module and
 returns a new one, or its input when it has nothing to do; inputs are never
-mutated.
+mutated.  Passes build loops rather than patch them: every loop a pass emits
+is built by normal_form_tile (re-tiling, fork-join lowering) or _pipeline
+(double buffering) from the operands of a matched normal-form loop, and the
+cost model prices the computes vectorize makes by the same rule,
+_vector_parts.
 """
 
 from __future__ import annotations
@@ -148,12 +152,12 @@ def _require_tcm(what: str, copies: int, need: int, tcm_capacity: int) -> None:
 
 
 def vectorize(m: TileModule, lanes: int) -> TileModule:
-    """Sets every compute region's vector factor to `lanes`; a region whose
-    element count is not a multiple of lanes is split into a vector body over
-    the largest multiple plus a scalar epilogue over the remainder.  The
-    split is by rows, so it raises PassError (`cannot split epilogue`)
-    unless the vector body ends on a row boundary of every view; ROADMAP
-    item 1 holds the fix."""
+    """Splits every compute region into the parts of _vector_parts: at
+    vector factor `lanes`, a region whose element count is not a multiple of
+    lanes becomes a vector body over the largest multiple plus a scalar
+    epilogue over the remainder.  The split is by rows, so it raises
+    PassError (`cannot split epilogue`) unless the vector body ends on a row
+    boundary of every view; ROADMAP item 1 holds the fix."""
     if lanes < 1:
         raise PassError(f"lanes must be >= 1, got {lanes}")
 
@@ -167,45 +171,41 @@ def vectorize(m: TileModule, lanes: int) -> TileModule:
     return _rewrite_module(m, fn)
 
 
-def _gets_epilogue(elems: int, lanes: int) -> bool:
-    """Whether vectorize splits a compute of `elems` elements into a vector
-    body and a scalar epilogue: it spans more than one vector, and lanes do
-    not divide it."""
-    return elems > lanes and elems % lanes != 0
-
-
-def _cannot_split_epilogue(elems: int, cols: int, lanes: int) -> bool:
-    """Whether vectorize refuses a compute of `elems` elements over a view of
-    `cols` columns: it gets an epilogue, and the vector body does not end on
-    a row boundary of the view (the split is by rows)."""
-    return _gets_epilogue(elems, lanes) and (elems - elems % lanes) % cols != 0
+def _vector_parts(elems: int, lanes: int) -> tuple[tuple[int, int], ...]:
+    """(elements, vector factor) of each compute vectorize makes of one over
+    `elems` elements, in order: one scalar part with one lane or below one
+    vector, else the largest multiple of lanes at `lanes` and any remainder
+    as a scalar epilogue.  The cost model prices these parts (see _tilings
+    and _tail_cycles)."""
+    if lanes == 1 or elems < lanes:
+        return ((elems, 1),)
+    rest = elems % lanes
+    return ((elems - rest, lanes), (rest, 1)) if rest else ((elems, lanes),)
 
 
 def _vectorize_compute(op: Compute, lanes: int) -> tuple[Op, ...]:
-    total = op.output.elems
-    if lanes == 1 or total < lanes:
-        return (op,)  # one lane, or smaller than one vector: stays scalar
-    if not _gets_epilogue(total, lanes):
-        return (replace(op, vector_factor=lanes),)
-    main = (total // lanes) * lanes
+    parts = _vector_parts(op.output.elems, lanes)
+    if len(parts) == 1:
+        factor = parts[0][1]
+        return (op,) if factor == 1 else (replace(op, vector_factor=factor),)
+    (main, factor), (_, scalar) = parts
     for view in (*op.inputs, op.output):
-        if _cannot_split_epilogue(total, view.col_count, lanes):
+        if main % view.col_count:
             raise PassError(
                 f"cannot split epilogue: {main} elements is not a whole number"
                 f" of rows of @{view.base} ({view.col_count} cols)"
             )
 
     def head(view: ViewRef) -> ViewRef:
-        rows = main // view.col_count
-        return replace(view, row_count=rows)
+        return replace(view, row_count=main // view.col_count)
 
     def tail(view: ViewRef) -> ViewRef:
         rows = main // view.col_count
         return replace(view, row_base=view.row_base + rows, row_count=view.row_count - rows)
 
     return (
-        replace(_map_views(op, head), vector_factor=lanes),
-        replace(_map_views(op, tail), vector_factor=1),
+        replace(_map_views(op, head), vector_factor=factor),
+        replace(_map_views(op, tail), vector_factor=scalar),
     )
 
 
@@ -226,47 +226,35 @@ def partition_tiles(tile_count: int, threads: int) -> tuple[tuple[int, ...], ...
     return tuple(tuple(range(starts[t], starts[t + 1])) for t in range(threads))
 
 
-def _require_flat(body: tuple[Op, ...]) -> None:
-    """The tile fork forks only loop bodies without a loop or an async
-    region."""
-    for op in body:
-        if isinstance(op, (ForTiles, Forall, AsyncExecute)):
-            raise PassError(
-                f"cannot parallelize a loop whose body holds a {type(op).__name__}:"
-                " the tile fork forks only flat loop bodies"
-            )
-
-
 def form_virtual_threads(
     m: TileModule, threads: int, tcm_capacity: int = MachineConfig().tcm_capacity
 ) -> TileModule:
-    """Rewrites the tiled loop into an explicitly parallel forall over
+    """Rewrites the normal-form loop into an explicitly parallel forall over
     `threads` unless the fork is declined (see _declines_fork), which
     returns the module unchanged.  The threads' copies of the loop body are
     live at once and must fit `tcm_capacity` together.  Run before double
-    buffering, each thread later pipelines its own block of tiles.  Only a
-    flat loop body forks: a double-buffered loop, which carries a pong arm,
-    or a body holding a loop or an async region raises PassError."""
-    loops = [(i, op) for i, op in enumerate(m.body) if isinstance(op, ForTiles)]
-    if not loops:
-        raise PassError("no top-level tiled loop to parallelize")
-    index, loop = loops[0]
-    if loop.pong is not None:
-        raise PassError("cannot parallelize a loop with a carried toggle")
-    _require_flat(loop.body)
-
+    buffering, each thread later pipelines its own block of tiles.  Only the
+    single-buffered normal form forks: any other module, a ping/pong loop
+    among them, raises PassError with the reason it does not match."""
+    if threads < 1:
+        raise PassError(f"threads must be >= 1, got {threads}")
+    desc, reason = match_block_explain(m.body, {d.id for d in m.buffers})
+    if desc is None:
+        raise PassError(f"the tile fork requires the single-buffered normal form: {reason}")
+    loop = desc.loop
     if _declines_fork(loop.tile_count, threads):
         return m
-    for view in _written_ddr_views(m, loop.body):
-        if abs(view.row_scale) < view.row_count:
-            raise PassError(
-                f"cross-thread dependence: output view of @{view.base} overlaps"
-                f" across iterations (stride {view.row_scale} < {view.row_count} rows)"
-            )
+    view = desc.output[0]
+    if abs(view.row_scale) < view.row_count:
+        raise PassError(
+            f"cross-thread dependence: output view of @{view.base} overlaps"
+            f" across iterations (stride {view.row_scale} < {view.row_count} rows)"
+        )
     copies = min(threads, loop.tile_count)
     _require_tcm("the tile fork", copies, copies * _loop_body_bytes(loop), tcm_capacity)
 
     forall = Forall(loop.iv, loop.tile_count, threads, loop.body)
+    index = desc.loop_index
     return replace(m, body=m.body[:index] + (forall,) + m.body[index + 1 :])
 
 
@@ -275,17 +263,6 @@ def _declines_fork(tiles: int, threads: int) -> bool:
     fewer than MT_MIN_TILES tiles.  Both MT rungs price every other fork
     (see compositions)."""
     return threads < 2 or tiles < MT_MIN_TILES
-
-
-def _written_ddr_views(m: TileModule, body: tuple[Op, ...]) -> list[ViewRef]:
-    """DDR views written by the ops of a flat loop body."""
-    ddr = {d.id for d in m.buffers}
-    written = (
-        op.output if isinstance(op, Compute) else op.dst
-        for op in body
-        if isinstance(op, (Copy, DmaStart, Compute))
-    )
-    return [view for view in written if view.base in ddr]
 
 
 def _contiguous_tiles(operands: tuple[Operand, ...], rows: int) -> bool:
@@ -355,16 +332,6 @@ class Composition:
     exact: bool = True
 
 
-def _vectorized_cycles(cfg: MachineConfig, elems: int, per_element: int) -> tuple[int, ...]:
-    """Cycles of each compute vectorize makes of one over `elems` elements:
-    the vector body and any scalar epilogue, or all scalar below one vector."""
-    if cfg.lanes == 1 or elems < cfg.lanes:
-        return (compute_cycles(cfg, elems, per_element, 1),)
-    rest = elems % cfg.lanes
-    vector = compute_cycles(cfg, elems - rest, per_element, cfg.lanes)
-    return (vector, compute_cycles(cfg, rest, per_element, 1)) if rest else (vector,)
-
-
 def _steps(
     db: bool, n: int, x_ins: tuple, cs: tuple, x_out: int, region: int, join: int
 ) -> Iterator:
@@ -414,24 +381,25 @@ def _tilings(desc: NormalFormDescriptor, cfg: MachineConfig) -> Iterator[tuple]:
     """(rows, n, input transfer, compute and output transfer cycles) of one
     tile of each tiling the loop may be re-tiled into, most rows first: every
     whole number of rows that divides the loop's rows, each a contiguous
-    whole-row tile (see _contiguous_tiles) with no scalar epilogue (see
-    _gets_epilogue), and the kernel's own tile unless vectorize refuses its
-    compute; n is the tiles of the loop."""
+    whole-row tile (see _contiguous_tiles) whose compute vectorize leaves
+    one part (see _vector_parts), and the kernel's own tile unless vectorize
+    refuses its compute; n is the tiles of the loop, and the compute cycles
+    are those of the parts."""
     compute, (_, out) = desc.compute, desc.output
     tile_rows, cols = out.rows, out.cols
     loop_rows = desc.loop.tile_count * tile_rows
     per_element = ops_per_element(compute.expr)
     contiguous = _contiguous_tiles((*desc.inputs, desc.output), tile_rows)
     for rows in range(loop_rows, 0, -1):
-        if loop_rows % rows or (
-            _cannot_split_epilogue(rows * cols, cols, cfg.lanes)
-            if rows == tile_rows
-            else not contiguous or _gets_epilogue(rows * cols, cfg.lanes)
-        ):
+        if loop_rows % rows:
+            continue
+        parts = _vector_parts(rows * cols, cfg.lanes)
+        # The kernel's own tile is refused where its vector part ends mid-row.
+        if (parts[0][0] % cols) if rows == tile_rows else (not contiguous or len(parts) > 1):
             continue
         x_ins = tuple(transfer_cycles(cfg, d.nbytes * rows // tile_rows) for _, d in desc.inputs)
         x_out = transfer_cycles(cfg, out.nbytes * rows // tile_rows)
-        cs = _vectorized_cycles(cfg, rows * cols, per_element)
+        cs = tuple(compute_cycles(cfg, e, per_element, v) for e, v in parts)
         yield rows, loop_rows // rows, x_ins, cs, x_out
 
 
@@ -444,7 +412,9 @@ def _tail_cycles(cfg: MachineConfig, ops: tuple[Op, ...]) -> int:
         if isinstance(op, Copy):
             tail += transfer_cycles(cfg, op.src.elems * ELEM_DTYPE.itemsize)
         elif isinstance(op, Compute):
-            tail += sum(_vectorized_cycles(cfg, op.output.elems, ops_per_element(op.expr)))
+            per_element = ops_per_element(op.expr)
+            parts = _vector_parts(op.output.elems, cfg.lanes)
+            tail += sum(compute_cycles(cfg, e, per_element, v) for e, v in parts)
     return tail
 
 
@@ -631,62 +601,49 @@ def form_async_threads(m: TileModule) -> TileModule:
     """Lowers every forall to the canonical fork-join skeleton: one async
     region per thread of the forall over its assigned tiles, tokens collected
     into a group, and an await-all barrier.  A module without a forall is
-    returned as it is."""
+    returned as it is.  A forall body must be a single-buffered normal-form
+    tile (see normal_form_tile), which each thread's loop is rebuilt from."""
+    ddr = {d.id for d in m.buffers}
     counter = itertools.count()
 
     def fn(op: Op):
         if isinstance(op, Forall):
-            return _lower_forall(op, next(counter))
+            return _lower_forall(op, next(counter), ddr)
         return None
 
     return _rewrite_module(m, fn)
 
 
-def _lower_forall(forall: Forall, index: int) -> tuple[Op, ...]:
+def _lower_forall(forall: Forall, index: int, ddr: set[str]) -> tuple[Op, ...]:
+    """One async region per thread with tiles: a loop over its block whose
+    body normal_form_tile builds from the forall body's operands, the DDR
+    views shifted to the block's first tile and the TCM buffers renamed
+    `_w{t}`, since the regions run concurrently."""
     threads = forall.threads
     if threads < 1:
         raise PassError(f"forall threads must be >= 1, got {threads}")
-    _require_flat(forall.body)
-    sets = partition_tiles(forall.tile_count, threads)
-    # Regions run concurrently, so per-tile scratch allocations need
-    # per-thread buffer identities.
-    owned = {op.decl.id for op in forall.body if isinstance(op, AllocTcm)}
+    loop = ForTiles(forall.iv, forall.tile_count, forall.body)
+    desc, reason = match_block_explain((loop,), ddr)
+    if desc is None:
+        raise PassError(f"fork-join lowering requires the single-buffered normal form: {reason}")
     group = f"g{index}"
     ops: list[Op] = []
-    for t, tiles in enumerate(sets):
+    for t, tiles in enumerate(partition_tiles(forall.tile_count, threads)):
         if not tiles:
             continue
-        body = _thread_body(forall.body, tiles[0], owned, f"_w{t}")
+
+        def own(operand: Operand) -> Operand:
+            view, decl = operand
+            row_base = view.row_scale * tiles[0] + view.row_base
+            return replace(view, row_base=row_base), replace(decl, id=f"{decl.id}_w{t}")
+
+        ins, out = tuple(own(op) for op in desc.inputs), own(desc.output)
+        body = normal_form_tile(ins, out, desc.compute.expr, desc.compute.vector_factor)
         token = f"{group}t{t}"
         ops.append(AsyncExecute(token, (ForTiles(f"{forall.iv}{t}", len(tiles), body),)))
         ops.append(AddToGroup(token, group))
     ops.append(AwaitAll(group))
     return tuple(ops)
-
-
-def _thread_body(body: tuple[Op, ...], start: int, owned: set[str], suffix: str) -> tuple[Op, ...]:
-    """One thread's copy of a flat forall body: iv -> start + j in every
-    view, and `suffix` on every TCM buffer in `owned` (allocated within the
-    body)."""
-
-    def view_of(view: ViewRef) -> ViewRef:
-        if view.base in owned:
-            view = replace(view, base=view.base + suffix)
-        return replace(view, row_base=view.row_scale * start + view.row_base)
-
-    def one(op: Op) -> Op:
-        if isinstance(op, AllocTcm) and op.decl.id in owned:
-            return replace(op, decl=replace(op.decl, id=op.decl.id + suffix))
-        if isinstance(op, DeallocTcm) and op.buffer_id in owned:
-            return replace(op, buffer_id=op.buffer_id + suffix)
-        if isinstance(op, (Copy, DmaStart, DmaWait)) and (
-            op.only_if_iv_lt is not None or op.only_if_iv_ge is not None
-        ):
-            raise PassError("cannot lower a guarded op inside a forall body")
-        mapped = _map_views(op, view_of)
-        return op if mapped is None else mapped
-
-    return tuple(one(op) for op in body)
 
 
 # --------------------------------------------------------------------------- #
@@ -836,7 +793,7 @@ def _read_pipeline(block: tuple[Op, ...]) -> NormalFormDescriptor:
     ping arm and the prologue's ping allocs."""
     loops = [i for i, op in enumerate(block) if isinstance(op, ForTiles) and op.pong is not None]
     if len(loops) != 1:
-        raise PassError(f"async DMA stage requires one toggled loop, found {len(loops)}")
+        raise PassError(f"async DMA stage requires one ping/pong loop, found {len(loops)}")
     index, loop = loops[0], block[loops[0]]
     prefetches, (compute, storeback) = loop.body[:-2], (None, None, *loop.body)[-2:]
     shaped = isinstance(compute, Compute) and isinstance(storeback, Copy)

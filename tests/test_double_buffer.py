@@ -203,8 +203,8 @@ def test_tag_balance_on_the_dynamic_path(tiles):
     assert verify_module(m, CFG) == []
 
 
-def test_stage2_requires_a_toggled_loop():
-    with pytest.raises(PassError, match="requires one toggled loop, found 0"):
+def test_stage2_requires_a_ping_pong_loop():
+    with pytest.raises(PassError, match="requires one ping/pong loop, found 0"):
         db_stage2(_build(8))
 
 

@@ -27,7 +27,9 @@ import pytest
 
 from tilelab.interp import interpret_functional
 from tilelab.kernels import build_kernel, gelu, make_inputs, vec_add_2d
-from tilelab.machine import MachineConfig, RUNG_ORDER, TimingReport
+from tilelab.normal_form import match_block_explain
+from tilelab.ir import AsyncExecute
+from tilelab.machine import LadderRung, MachineConfig, RUNG_ORDER, TimingReport
 from tilelab.passes import PipelineSpec, run_pipeline, run_pipeline_stages
 from tilelab.printer import print_module
 from tilelab.sim import simulate_timed
@@ -210,3 +212,17 @@ def test_golden_ir(kernel):
             for name, m in stages
         )
         assert got == GOLDEN_IR[(kernel, rung.value)], rung
+
+
+@pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])
+@pytest.mark.parametrize("kernel", list(IR_KERNELS))
+def test_every_forked_region_is_a_normal_form_loop(kernel, rung):
+    """Fork-join lowering builds each thread's loop with normal_form_tile."""
+    base = build_kernel(IR_KERNELS[kernel], tcm_capacity=CFG.tcm_capacity)
+    forked = dict(run_pipeline_stages(base, PipelineSpec(rung, CFG)))["pipeline-async-threads"]
+    regions = [op for op in forked.body if isinstance(op, AsyncExecute)]
+    assert regions
+    ddr = {d.id for d in base.buffers}
+    for region in regions:
+        desc, reason = match_block_explain(region.body, ddr)
+        assert desc is not None, reason

@@ -109,7 +109,8 @@ def test_a_loop_whose_body_holds_a_loop_does_not_fork():
     nested = replace(loop, body=(ForTiles("j", 2, loop.body),))
     with pytest.raises(
         PassError,
-        match="loop whose body holds a ForTiles: the tile fork forks only flat loop bodies",
+        match="the tile fork requires the single-buffered normal form:"
+        " loop body op 0: ForTiles differs from the normal form",
     ):
         form_virtual_threads(replace(base, body=(nested,)), THREADS)
 
@@ -117,8 +118,18 @@ def test_a_loop_whose_body_holds_a_loop_does_not_fork():
 def test_a_double_buffered_loop_does_not_fork():
     # The ping/pong loop alternates its two arms from one tile to the next.
     pipelined = vectorize(db_stage2(db_stage1(_build(8, tile_rows=2))), 32)
-    with pytest.raises(PassError, match="cannot parallelize a loop with a carried toggle"):
+    with pytest.raises(
+        PassError,
+        match="the tile fork requires the single-buffered normal form:"
+        " top-level loop is already a ping/pong loop",
+    ):
         form_virtual_threads(pipelined, THREADS)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_a_thread_count_below_one_is_refused(threads):
+    with pytest.raises(PassError, match=f"threads must be >= 1, got {threads}"):
+        form_virtual_threads(_build(8), threads)
 
 
 @contextmanager
@@ -266,6 +277,19 @@ def test_single_thread_degenerate_fork_join():
 def test_more_threads_than_tiles_skips_empty_regions():
     m = form_async_threads(form_virtual_threads(_build(2), THREADS))
     assert _thread_tile_sets(m) == [(0,), (1,)]
+
+
+def test_fork_join_lowering_refuses_a_body_outside_the_normal_form():
+    # A hand-built forall whose tile body leaves its output buffer live.
+    base = _build(8)
+    loop = base.body[0]
+    forall = Forall(loop.iv, loop.tile_count, THREADS, loop.body[:-1])
+    with pytest.raises(
+        PassError,
+        match="fork-join lowering requires the single-buffered normal form:"
+        " loop body op 9: end of body differs from the normal form",
+    ):
+        form_async_threads(replace(base, body=(forall,)))
 
 
 def test_no_forall_returns_input():

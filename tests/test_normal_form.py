@@ -99,7 +99,7 @@ def test_a_vectorized_loop_is_double_buffered(kernel):
 def test_stage1_output_does_not_match():
     desc, reason = _explain(db_stage1(build_vec_add_2d(vec_add_2d())))
     assert desc is None
-    assert reason == "top-level loop already carries a ping/pong toggle"
+    assert reason == "top-level loop is already a ping/pong loop"
 
 
 def test_copy_before_alloc_does_not_match():

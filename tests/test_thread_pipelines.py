@@ -13,7 +13,17 @@ import pytest
 from tilelab import passes
 from tilelab.bench import outputs_match, run_rung
 from tilelab.interp import interpret_functional
-from tilelab.ir import AsyncExecute, Copy, DmaStart, DmaWait, ForTiles, walk, walk_module
+from tilelab.ir import (
+    AsyncExecute,
+    Compute,
+    Copy,
+    DmaStart,
+    DmaWait,
+    ForTiles,
+    ops_per_element,
+    walk,
+    walk_module,
+)
 from tilelab.kernels import build_kernel, gelu, make_inputs, reference_output, vec_add_2d
 from tilelab.lower import lower
 from tilelab.machine import (
@@ -21,6 +31,7 @@ from tilelab.machine import (
     LadderRung,
     RUNG_ORDER,
     collect_stats,
+    compute_cycles,
     latency_lower_bound,
 )
 from tilelab.normal_form import match_block_explain, match_normal_form
@@ -350,7 +361,7 @@ def _overlapping():
             lambda: db_stage1(build_kernel(TAILED)),
             2,
             "re-tiling requires the single-buffered normal form:"
-            " top-level loop already carries a ping/pong toggle",
+            " top-level loop is already a ping/pong loop",
         ),
     ],
     ids=["3-rows", "0-rows", "gelu-3-rows", "overlapping", "db-stage1"],
@@ -529,6 +540,37 @@ def test_the_cost_model_offers_no_tiling_that_vectorize_refuses():
     # One pipeline over the loop's 24 rows in 4-row tiles.
     run = run_rung(spec, LadderRung.VEC_MT_DB, cfg, make_inputs(spec))
     assert run.timing.total_cycles == 1516
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 4, 8, 32])
+@pytest.mark.parametrize("cols", [1, 4, 6, 8])
+def test_the_cost_model_prices_the_computes_vectorize_emits(cols, lanes):
+    """Over loops of 1 to 3 tiles of 1 to 4 rows: the kernel's own tile is
+    offered exactly where vectorize accepts it, and every offered tiling is
+    priced by the computes vectorize makes of its loop: a single part, or a
+    vector body and a scalar epilogue split on or off a row boundary."""
+    cfg = MachineConfig(lanes=lanes)
+    for tile_rows in range(1, 5):
+        for tiles in range(1, 4):
+            base = build_kernel(vec_add_2d(tiles * tile_rows, cols, tile_rows))
+            desc = match_normal_form(base)
+            tilings = {rows: cs for rows, _, _, cs, _ in passes._tilings(desc, cfg)}
+            try:
+                vectorize(base, lanes)
+            except PassError:
+                assert tile_rows not in tilings
+            else:
+                assert tile_rows in tilings
+            for rows, cs in tilings.items():
+                m = vectorize(retile(base, rows), lanes)
+                loop = next(op for op in m.body if isinstance(op, ForTiles))
+                computes = [op for op in loop.body if isinstance(op, Compute)]
+                got = [(c.output.elems, c.vector_factor) for c in computes]
+                assert got == list(passes._vector_parts(rows * cols, lanes))
+                assert cs == tuple(
+                    compute_cycles(cfg, c.output.elems, ops_per_element(c.expr), c.vector_factor)
+                    for c in computes
+                ), (tile_rows, tiles, rows)
 
 
 @pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])

@@ -257,7 +257,7 @@ def _check_arm_leak(verify, leaking_arm):
         interpret_functional(m, {"X": np.zeros((4, 8), np.float32)})
 
 
-def test_tcm_allocated_in_a_toggle_arm_must_be_freed(verify):
+def test_tcm_allocated_in_the_ping_arm_must_be_freed(verify):
     """The ping arm: the loop's even iterations."""
     _check_arm_leak(verify, "body")
 
