@@ -98,12 +98,15 @@ def round3(value: float) -> float:
 
 
 def outputs_match(kind: KernelKind, got: dict, want: dict) -> bool:
-    """Exact equality for vec-add; GELU within GELU_RTOL.  GELU tries exact
-    equality first, which accepts the same pairs as allclose alone: both
+    """Same names and shapes, then exact equality for vec-add and GELU within
+    GELU_RTOL.  The shape check keeps allclose from broadcasting.  GELU tries
+    exact equality first, which accepts the same pairs as allclose alone: both
     reject NaN, and allclose accepts any array equal to its counterpart."""
     if set(got) != set(want):
         return False
     for name in want:
+        if np.shape(got[name]) != np.shape(want[name]):
+            return False
         if np.array_equal(got[name], want[name]):
             continue
         if kind is KernelKind.VEC_ADD_2D or not np.allclose(
@@ -155,28 +158,35 @@ def run_rung(
 
 def run_ladder(kernel: KernelSpec, cfg: MachineConfig) -> LadderReport:
     """All four rungs on one kernel, gated on functional equivalence with the
-    scalar rung."""
+    scalar rung.  Each later rung is compared with the scalar outputs once it
+    is simulated, then dropped, so two rungs' outputs are live, not four.  The
+    first divergence is raised after the loop, so a later rung's failure wins."""
     inputs = make_inputs(kernel)
-    runs: list[RungRun] = []
+    scalar_outputs = diverged = None
+    timings: list[TimingReport] = []
     for rung in RUNG_ORDER:
         try:
-            runs.append(run_rung(kernel, rung, cfg, inputs))
+            run = run_rung(kernel, rung, cfg, inputs)
         except Exception as exc:
             raise BenchError(f"rung {rung.value} failed: {exc}") from exc
-    scalar_outputs = runs[0].outputs
-    for run in runs[1:]:
-        if not outputs_match(kernel.kind, run.outputs, scalar_outputs):
-            raise BenchError(
-                f"rung {run.rung.value}: outputs diverge from the scalar rung; report aborted"
-            )
-    scalar_us = runs[0].timing.total_us
+        timings.append(run.timing)
+        if scalar_outputs is None:
+            scalar_outputs = run.outputs
+        elif diverged is None and not outputs_match(kernel.kind, run.outputs, scalar_outputs):
+            diverged = rung
+        del run  # else its outputs stay live through the next rung's run
+    if diverged is not None:
+        raise BenchError(
+            f"rung {diverged.value}: outputs diverge from the scalar rung; report aborted"
+        )
+    scalar_us = timings[0].total_us
     rows = tuple(
         LadderRow(
-            rung=run.rung.value,
-            latency_us=run.timing.total_us,
-            speedup_vs_scalar=round3(scalar_us / run.timing.total_us),
+            rung=rung.value,
+            latency_us=timing.total_us,
+            speedup_vs_scalar=round3(scalar_us / timing.total_us),
         )
-        for run in runs
+        for rung, timing in zip(RUNG_ORDER, timings)
     )
     return LadderReport(kernel, cfg, rows, HARDWARE_REFERENCE_LADDER)
 
@@ -189,23 +199,25 @@ def run_sweep(kernel: KernelSpec, sizes: tuple[int, ...], cfg: MachineConfig) ->
         raise BenchError("sweep sizes must be nonempty")
     if list(sizes) != sorted(set(sizes)):
         raise BenchError("sweep sizes must be strictly ascending")
-    points: list[SweepPoint] = []
-    for n in sizes:
-        spec_n = replace(kernel, cols=n)
-        inputs = make_inputs(spec_n)
-        single = run_rung(spec_n, LadderRung.VEC, cfg, inputs)
-        multi = run_rung(spec_n, LadderRung.VEC_MT, cfg, inputs)
-        if not outputs_match(kernel.kind, multi.outputs, single.outputs):
-            raise BenchError(f"sweep point {n}: multi-thread outputs diverge; report aborted")
-        single_us = single.timing.total_us
-        multi_us = multi.timing.total_us
-        points.append(SweepPoint(n, single_us, multi_us, round3(single_us / multi_us)))
-    return SweepReport(kernel, cfg, tuple(points), HARDWARE_REFERENCE_SWEEP_POINT)
+    points = tuple(_sweep_point(replace(kernel, cols=n), cfg) for n in sizes)
+    return SweepReport(kernel, cfg, points, HARDWARE_REFERENCE_SWEEP_POINT)
+
+
+def _sweep_point(kernel: KernelSpec, cfg: MachineConfig) -> SweepPoint:
+    """One sweep point, whose arrays die before the next point's are drawn."""
+    inputs = make_inputs(kernel)
+    single = run_rung(kernel, LadderRung.VEC, cfg, inputs)
+    multi = run_rung(kernel, LadderRung.VEC_MT, cfg, inputs)
+    if not outputs_match(kernel.kind, multi.outputs, single.outputs):
+        raise BenchError(f"sweep point {kernel.cols}: multi-thread outputs diverge; report aborted")
+    single_us, multi_us = single.timing.total_us, multi.timing.total_us
+    return SweepPoint(kernel.cols, single_us, multi_us, round3(single_us / multi_us))
 
 
 def functional_check(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -> list[str]:
     """End-to-end equivalence for one (kernel, rung): interpreter vs timed
-    simulator vs double-precision reference.  Returns failure descriptions."""
+    simulator vs double-precision reference.  Returns failure descriptions.
+    The interpreter's outputs are dropped once compared, before the reference."""
     failures: list[str] = []
     _, sched, diagnostics = _compile(kernel, rung, cfg)
     if diagnostics:
@@ -213,9 +225,11 @@ def functional_check(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -
     inputs = make_inputs(kernel)
     interp_out = interpret_functional(sched, inputs)
     sim_out, _ = simulate_timed(sched, inputs, cfg)
+    differ = {name for name in sim_out if not np.array_equal(interp_out[name], sim_out[name])}
+    del interp_out
     ref = reference_output(kernel, inputs)
     for name in ref:
-        if not np.array_equal(interp_out[name], sim_out[name]):
+        if name in differ:
             failures.append(f"@{name}: interpreter and simulator outputs differ")
         if not outputs_match(kernel.kind, {name: sim_out[name]}, {name: ref[name]}):
             failures.append(f"@{name}: simulator output diverges from the reference")

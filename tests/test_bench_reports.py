@@ -1,22 +1,27 @@
 """Bench harness and report emitters."""
 
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from tilelab import bench
 from tilelab.bench import (
     DEFAULT_SWEEP_SIZES,
     BenchError,
+    RungRun,
     HARDWARE_REFERENCE_LADDER,
     HARDWARE_REFERENCE_SWEEP_POINT,
+    functional_check,
     outputs_match,
     round3,
     run_ladder,
     run_sweep,
 )
-from tilelab.kernels import KernelKind, gelu, vec_add_2d
-from tilelab.machine import MachineConfig
+from tilelab.kernels import KernelKind, gelu, make_inputs, vec_add_2d
+from tilelab.machine import RUNG_ORDER, LadderRung, MachineConfig
 from tilelab.reports import emit_csv, emit_json, emit_svg, ladder_svg, sweep_latency_svg
 
 CFG = MachineConfig()
@@ -187,3 +192,171 @@ def test_outputs_match_vec_add_is_exact():
     got = want.copy()
     got[0, 1] = np.nextafter(got[0, 1], np.float32(np.inf))
     assert not outputs_match(KernelKind.VEC_ADD_2D, {"C": got}, {"C": want})
+
+
+def test_outputs_match_rejects_a_shape_mismatch():
+    row = np.linspace(-4.0, 4.0, 4, dtype=np.float32)
+    pairs = [
+        (row.reshape(1, 4), np.stack([row, row])),
+        (row, np.stack([row, row])),
+        (np.float32(0.5), np.full((2, 4), 0.5, dtype=np.float32)),
+    ]
+    for kind in KernelKind:
+        for got, want in pairs:
+            assert not outputs_match(kind, {"Y": got}, {"Y": want})
+            assert not outputs_match(kind, {"Y": want}, {"Y": got})
+
+
+# --------------------------------------------------------------------------- #
+# Error paths: which failure a check reports, and in which order
+# --------------------------------------------------------------------------- #
+
+SMALL_GELU = gelu(n=1024, tile_elems=256)
+
+
+def _fake_rungs(monkeypatch, outputs_of):
+    """Replaces run_rung with one that returns outputs_of(kernel, rung), or
+    raises it when it is an exception."""
+
+    def run_rung(kernel, rung, cfg, inputs=None):
+        out = outputs_of(kernel, rung)
+        if isinstance(out, Exception):
+            raise out
+        return RungRun(rung, out, SimpleNamespace(total_us=1.0), 0)
+
+    monkeypatch.setattr(bench, "run_rung", run_rung)
+
+
+def test_ladder_reports_a_failed_rung_over_an_earlier_divergence(monkeypatch):
+    zeros, ones = np.zeros((1, 4), np.float32), np.ones((1, 4), np.float32)
+    outputs = {
+        LadderRung.SCALAR: {"Y": zeros},
+        LadderRung.VEC: {"Y": ones},
+        LadderRung.VEC_MT: {"Y": zeros},
+        LadderRung.VEC_MT_DB: RuntimeError("boom"),
+    }
+    _fake_rungs(monkeypatch, lambda kernel, rung: outputs[rung])
+    with pytest.raises(BenchError, match=r"^rung vec-mt-db failed: boom$"):
+        run_ladder(SMALL_GELU, CFG)
+
+
+def test_ladder_names_the_first_diverging_rung(monkeypatch):
+    zeros, ones = np.zeros((1, 4), np.float32), np.ones((1, 4), np.float32)
+    outputs = {LadderRung.SCALAR: zeros, LadderRung.VEC: ones, LadderRung.VEC_MT: ones}
+    _fake_rungs(monkeypatch, lambda kernel, rung: {"Y": outputs.get(rung, zeros)})
+    with pytest.raises(BenchError) as info:
+        run_ladder(SMALL_GELU, CFG)
+    assert str(info.value) == "rung vec: outputs diverge from the scalar rung; report aborted"
+
+
+def test_sweep_names_the_diverging_point(monkeypatch):
+    def outputs_of(kernel, rung):
+        y = np.zeros((1, kernel.cols), np.float32)
+        if kernel.cols == 8192 and rung is LadderRung.VEC_MT:
+            y[0, 3] = 1.0
+        return {"Y": y}
+
+    _fake_rungs(monkeypatch, outputs_of)
+    with pytest.raises(BenchError) as info:
+        run_sweep(gelu(), (4096, 8192, 16384), CFG)
+    assert str(info.value) == "sweep point 8192: multi-thread outputs diverge; report aborted"
+
+
+def _fake_executors(monkeypatch, interp, sim, ref):
+    """interp, sim and ref map an output name to an offset added to the input."""
+    calls = []
+
+    def outputs(offsets, inputs):
+        return {name: inputs["X"] + np.float32(k) for name, k in offsets.items()}
+
+    def interpret_functional(sched, inputs):
+        calls.append("interp")
+        if isinstance(interp, Exception):
+            raise interp
+        return outputs(interp, inputs)
+
+    def simulate_timed(sched, inputs, cfg):
+        calls.append("sim")
+        return outputs(sim, inputs), None
+
+    def reference_output(kernel, inputs):
+        calls.append("ref")
+        return outputs(ref, inputs)
+
+    monkeypatch.setattr(bench, "interpret_functional", interpret_functional)
+    monkeypatch.setattr(bench, "simulate_timed", simulate_timed)
+    monkeypatch.setattr(bench, "reference_output", reference_output)
+    return calls
+
+
+DIFFER = "interpreter and simulator outputs differ"
+DIVERGES = "simulator output diverges from the reference"
+
+
+@pytest.mark.parametrize(
+    "interp, ref, want",
+    [
+        ({"Y": 1, "Z": 0}, {"Y": 0, "Z": 0}, ["@Y: " + DIFFER]),
+        ({"Y": 0, "Z": 0}, {"Y": 0, "Z": 1}, ["@Z: " + DIVERGES]),
+        (
+            {"Y": 2, "Z": 2},
+            {"Y": 1, "Z": 1},
+            ["@Y: " + DIFFER, "@Y: " + DIVERGES, "@Z: " + DIFFER, "@Z: " + DIVERGES],
+        ),
+    ],
+    ids=["interp-sim", "sim-reference", "both"],
+)
+def test_functional_check_failure_lists(monkeypatch, interp, ref, want):
+    calls = _fake_executors(monkeypatch, interp, {"Y": 0, "Z": 0}, ref)
+    assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == want
+    assert calls == ["interp", "sim", "ref"]
+
+
+def test_functional_check_raises_the_interpreter_error_before_simulating(monkeypatch):
+    calls = _fake_executors(monkeypatch, ValueError("interp broke"), {"Y": 0}, {"Y": 0})
+    with pytest.raises(ValueError, match="interp broke"):
+        functional_check(SMALL_GELU, LadderRung.VEC, CFG)
+    assert calls == ["interp"]
+
+
+# --------------------------------------------------------------------------- #
+# Host memory: a check holds its inputs and the two results it compares
+# --------------------------------------------------------------------------- #
+
+# Both kernels have 16 MiB outputs; 65536-element GELU tiles keep the traced
+# runs short.
+MEMORY_KERNELS = [gelu(1 << 22, 65536), vec_add_2d(1024, 4096, 16)]
+SLACK = 8 << 20
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _two_results_bound(kernel) -> int:
+    inputs = make_inputs(kernel)
+    output_bytes = 4 * kernel.rows * kernel.cols
+    return sum(a.nbytes for a in inputs.values()) + 2 * output_bytes + SLACK
+
+
+@pytest.mark.parametrize("kernel", MEMORY_KERNELS, ids=lambda k: k.kind.value)
+def test_ladder_holds_the_inputs_and_two_outputs(kernel):
+    assert _traced_peak(lambda: run_ladder(kernel, CFG)) <= _two_results_bound(kernel)
+
+
+@pytest.mark.parametrize("kernel", MEMORY_KERNELS, ids=lambda k: k.kind.value)
+def test_functional_check_holds_the_inputs_and_two_outputs(kernel):
+    bound = _two_results_bound(kernel)
+    for rung in RUNG_ORDER:
+        assert _traced_peak(lambda: functional_check(kernel, rung, CFG)) <= bound, rung
+
+
+def test_sweep_point_holds_the_inputs_and_two_outputs():
+    n = 1 << 22
+    bound = _two_results_bound(gelu(n))
+    assert _traced_peak(lambda: run_sweep(gelu(), (n // 2, n), CFG)) <= bound
