@@ -162,7 +162,9 @@ class ForTiles:
 class Forall:
     iv: str
     tile_count: int
-    threads: int
+    # Each thread's tile rows, in thread order: thread t runs its block of
+    # the tiles (see passes.partition_tiles) in tiles of threads[t] rows.
+    threads: tuple[int, ...]
     body: tuple["Op", ...]
 
 

@@ -1,22 +1,22 @@
 """Rewrite passes over tile modules and the rung-keyed pipeline driver.
 
-Seven transformations: vectorize, retile (the loop's tiles split or merged
-by rows), form_virtual_threads (the tile fork: a structured parallel loop),
-form_async_threads (fork-join lowering), retile_threads (each forked
-thread's loop re-tiles its own block), and the two double-buffering stages
-(structural pipelining, then asynchronous DMA).  The driver runs them as the
-named stages of _STAGES, `vectorize`, `pipeline-threads` (retile and the
-tile fork, as choose_composition picks, pricing both multi-threaded rungs'
-candidates by timing their steps on the simulator's own event core, see
-timing.Core), `pipeline-async-threads`, `retile-threads` (per-thread tile
-sizes at both rungs, priced the same way), `db-stage1` and `db-stage2`, in
-the order _RUNG_STAGES gives each rung.  Every pass takes a module and
-returns a new one, or its input when it has nothing to do; inputs are never
-mutated.  Passes build loops rather than patch them: every loop a pass emits
-is built by normal_form_tile (re-tiling, fork-join lowering) or _pipeline
-(double buffering) from the operands of a matched normal-form loop, and the
-cost model prices the computes vectorize makes by the same rule,
-_vector_parts.
+Six transformations: vectorize, retile (the loop's tiles split or merged
+by rows), form_virtual_threads (the tile fork: a structured parallel loop
+that carries each thread's tile rows), form_async_threads (fork-join
+lowering: each thread's loop over its own block, in its own tiles), and the
+two double-buffering stages (structural pipelining, then asynchronous DMA).
+The driver runs them as the named stages of _STAGES, `vectorize`,
+`pipeline-threads` (retile and the tile fork, as the plan choose_composition
+makes says: one search that prices both multi-threaded rungs' candidates by
+timing their steps on the simulator's own event core, see timing.Core, and
+then each forked thread's tile rows), `pipeline-async-threads`, `db-stage1`
+and `db-stage2`, in the order _RUNG_STAGES gives each rung.  Every pass
+takes a module and returns a new one, or its input when it has nothing to
+do; inputs are never mutated.  Passes build loops rather than patch them:
+every loop a pass emits is built by normal_form_tile (re-tiling, fork-join
+lowering, see _tile_loop) or _pipeline (double buffering) from the operands
+of a matched normal-form loop, and the cost model prices the computes
+vectorize makes by the same rule, _vector_parts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .ir import (
     AddToGroup,
@@ -227,22 +227,30 @@ def partition_tiles(tile_count: int, threads: int) -> tuple[tuple[int, ...], ...
 
 
 def form_virtual_threads(
-    m: TileModule, threads: int, tcm_capacity: int = MachineConfig().tcm_capacity
+    m: TileModule,
+    threads: int | tuple[int, ...],
+    tcm_capacity: int = MachineConfig().tcm_capacity,
 ) -> TileModule:
-    """Rewrites the normal-form loop into an explicitly parallel forall over
-    `threads` unless the fork is declined (see _declines_fork), which
-    returns the module unchanged.  The threads' copies of the loop body are
-    live at once and must fit `tcm_capacity` together.  Run before double
-    buffering, each thread later pipelines its own block of tiles.  Only the
+    """Rewrites the normal-form loop into an explicitly parallel forall
+    unless the fork is declined (see _declines_fork), which returns the
+    module unchanged.  `threads` is each thread's tile rows, one entry per
+    thread, or a thread count: that many threads, at most one per tile, each
+    at the loop's own tile rows.  Each thread runs its block of the loop's
+    tiles (see partition_tiles) in tiles of its own rows (see
+    form_async_threads); the threads' copies of their loop bodies are live
+    at once and must fit `tcm_capacity` together.  Run before double
+    buffering, each thread later pipelines its own block.  Only the
     single-buffered normal form forks: any other module, a ping/pong loop
     among them, raises PassError with the reason it does not match."""
-    if threads < 1:
+    if isinstance(threads, int) and threads < 1:
         raise PassError(f"threads must be >= 1, got {threads}")
     desc, reason = match_block_explain(m.body, {d.id for d in m.buffers})
     if desc is None:
         raise PassError(f"the tile fork requires the single-buffered normal form: {reason}")
-    loop = desc.loop
-    if _declines_fork(loop.tile_count, threads):
+    loop, tile_rows = desc.loop, desc.output[1].rows
+    if isinstance(threads, int):
+        threads = (tile_rows,) * min(threads, loop.tile_count)
+    if _declines_fork(loop.tile_count, len(threads)):
         return m
     view = desc.output[0]
     if abs(view.row_scale) < view.row_count:
@@ -250,8 +258,8 @@ def form_virtual_threads(
             f"cross-thread dependence: output view of @{view.base} overlaps"
             f" across iterations (stride {view.row_scale} < {view.row_count} rows)"
         )
-    copies = min(threads, loop.tile_count)
-    _require_tcm("the tile fork", copies, copies * _loop_body_bytes(loop), tcm_capacity)
+    need = sum(_loop_body_bytes(loop) * rows // tile_rows for rows in threads)
+    _require_tcm("the tile fork", len(threads), need, tcm_capacity)
 
     forall = Forall(loop.iv, loop.tile_count, threads, loop.body)
     index = desc.loop_index
@@ -276,60 +284,73 @@ def _contiguous_tiles(operands: tuple[Operand, ...], rows: int) -> bool:
 
 def retile(m: TileModule, rows: int) -> TileModule:
     """The module with its normal-form loop re-tiled into tiles of `rows`
-    whole rows (see _retile_block); the rows of the kernel's tile return the
-    module."""
-    body = _retile_block(m.body, {d.id for d in m.buffers}, rows)
-    return m if body is m.body else replace(m, body=body)
-
-
-def _retile_block(block: tuple[Op, ...], ddr: set[str], rows: int) -> tuple[Op, ...]:
-    """The block with its normal-form loop over tiles of `rows` whole rows
-    (`ddr` names the module buffers): the loop's rows, its tiles times the
-    rows of one, dealt out `rows` at a time from the same first row, each
-    body rebuilt by normal_form_tile with views and buffers of that many
-    rows.  Fewer rows than the loop's tile split it, more merge consecutive
-    tiles; a peeled tail tile is untouched.  `rows` must divide the loop's
-    rows and every DDR view must be a contiguous whole-row tile (see
-    _contiguous_tiles).  The rows of the loop's tile return the block."""
-    desc, reason = match_block_explain(block, ddr)
+    whole rows (see _tile_loop): fewer rows than the loop's tile split it,
+    more merge consecutive tiles; a peeled tail tile is untouched.  The rows
+    of the kernel's tile return the module."""
+    desc, reason = match_block_explain(m.body, {d.id for d in m.buffers})
     if desc is None:
         raise PassError(f"re-tiling requires the single-buffered normal form: {reason}")
+    if rows == desc.output[1].rows:
+        return m
+    loop = _tile_loop(desc, range(desc.loop.tile_count), rows, desc.loop.iv)
+    index = desc.loop_index
+    return replace(m, body=m.body[:index] + (loop,) + m.body[index + 1 :])
+
+
+def _tile_loop(
+    desc: NormalFormDescriptor, tiles: Sequence[int], rows: int, iv: str, suffix: str = "",
+    who: str = "",
+) -> ForTiles:
+    """A loop `iv` over the rows of the matched loop's consecutive `tiles`,
+    in tiles of `rows` whole rows: each body rebuilt by normal_form_tile
+    from the loop's operands, each DDR view shifted to the first tile's rows
+    and each TCM buffer renamed with `suffix`, both resized to `rows` when
+    that is not the loop's tile rows.  `rows` must divide the tiles' rows
+    and, to resize, every DDR view must be a contiguous whole-row tile (see
+    _contiguous_tiles); otherwise PassError, its message led by `who`."""
     tile_rows = desc.output[1].rows
-    loop_rows = desc.loop.tile_count * tile_rows
+    loop_rows = len(tiles) * tile_rows
     if rows < 1 or loop_rows % rows:
-        raise PassError(f"cannot re-tile {loop_rows} loop rows into tiles of {rows} rows")
-    if rows == tile_rows:
-        return block
-    if not _contiguous_tiles((*desc.inputs, desc.output), tile_rows):
+        raise PassError(f"{who}cannot re-tile {loop_rows} loop rows into tiles of {rows} rows")
+    resize = rows != tile_rows
+    if resize and not _contiguous_tiles((*desc.inputs, desc.output), tile_rows):
         raise PassError(
-            f"cannot re-tile into {rows}-row tiles: a view is not a contiguous whole-row tile"
+            f"{who}cannot re-tile into {rows}-row tiles: a view is not a contiguous whole-row tile"
         )
 
-    def resize(operand: Operand) -> Operand:
+    def own(operand: Operand) -> Operand:
         view, decl = operand
-        return replace(view, row_scale=rows, row_count=rows), replace(decl, rows=rows)
+        view = replace(view, row_base=view.row_scale * tiles[0] + view.row_base)
+        decl = replace(decl, id=decl.id + suffix)
+        if resize:
+            return replace(view, row_scale=rows, row_count=rows), replace(decl, rows=rows)
+        return view, decl
 
-    ins, out = tuple(resize(op) for op in desc.inputs), resize(desc.output)
+    ins, out = tuple(own(op) for op in desc.inputs), own(desc.output)
     body = normal_form_tile(ins, out, desc.compute.expr, desc.compute.vector_factor)
-    loop = ForTiles(desc.loop.iv, loop_rows // rows, body)
-    index = desc.loop_index
-    return block[:index] + (loop,) + block[index + 1 :]
+    return ForTiles(iv, loop_rows // rows, body)
 
 
 @dataclass(frozen=True, slots=True)
 class Composition:
-    """One vec-mt or vec-mt-db candidate and its cost: the loop re-tiled into
+    """One vec-mt or vec-mt-db plan and its cost: the loop re-tiled into
     tiles of `rows` rows (see retile; the kernel's tile rows keep its tiles),
-    then run by one loop or one pipeline over them all (`forks` 0), or
-    forked so each thread runs a block of them through its own loop or
-    pipeline (`forks` 1: one fork/join per run).  `cycles` are those the
-    simulator runs or, when not `exact`, a lower bound on them that already
-    exceeds another candidate's (see compositions)."""
+    then run by one loop or one pipeline over them all (`threads` empty), or
+    forked so each thread runs a block of them (see partition_tiles) through
+    its own loop or pipeline, thread t in tiles of threads[t] rows (one
+    fork/join per run).  `cycles` are those the simulator runs or, when not
+    `exact`, a lower bound on them that already exceeds another candidate's
+    (see compositions)."""
 
     rows: int
     cycles: int
-    forks: int
+    threads: tuple[int, ...] = ()
     exact: bool = True
+
+    @property
+    def forks(self) -> int:
+        """Fork/joins per run: 1 for a forked plan, else 0."""
+        return 1 if self.threads else 0
 
 
 def _steps(
@@ -491,105 +512,72 @@ def compositions(m: TileModule, spec: PipelineSpec) -> tuple[Composition, ...]:
 
     prices, best = {}, float("inf")
     for bound, rows, forks, regions in sorted(offered, key=lambda o: o[:3]):
+        threads = (rows,) * len(regions) if forks else ()
         if bound > best:
-            prices[rows, forks] = Composition(rows, bound, forks, exact=False)
+            prices[rows, forks] = Composition(rows, bound, threads, exact=False)
             continue
         cycles = _price(cfg, db, regions, forks) + tail
-        prices[rows, forks] = Composition(rows, cycles, forks)
+        prices[rows, forks] = Composition(rows, cycles, threads)
         best = min(best, cycles)
     return tuple(prices[o[1:3]] for o in offered)
 
 
 def choose_composition(m: TileModule, spec: PipelineSpec) -> Composition | None:
-    """The cheapest candidate of the rung (see compositions); a tie goes to
-    fewer fork/joins, then to more rows per tile, which moves fewer
-    transfers.  None when there is no candidate: outside the normal form,
-    or at vec-mt-db where none fits the scratchpad."""
+    """The rung's plan: the cheapest candidate (see compositions), a tie
+    going to fewer fork/joins, then to more rows per tile, which moves fewer
+    transfers; a forked pick then with each thread's tile rows refined (see
+    _refine).  None when there is no candidate: outside the normal form, or
+    at vec-mt-db where none fits the scratchpad."""
     candidates = compositions(m, spec)
     if not candidates:
         return None
-    return min(candidates, key=lambda c: (c.cycles, c.forks, -c.rows))
+    pick = min(candidates, key=lambda c: (c.cycles, c.forks, -c.rows))
+    return _refine(m, spec, pick) if pick.forks else pick
 
 
-@dataclass(frozen=True, slots=True)
-class ThreadTiling:
-    """The rows of each forked region's tiles, in fork order, and the cycles
-    the simulator runs the module in (see thread_tiling)."""
-
-    rows: tuple[int, ...]
-    cycles: int
-
-
-def thread_tiling(m: TileModule, spec: PipelineSpec) -> ThreadTiling | None:
-    """Per-thread tile sizes for a module forked into per-thread loops, as
-    the rung runs them: vec-mt as loops, vec-mt-db as the pipelines
-    double buffering makes of them.  Each async region may re-tile its own
-    block of rows into any tiling of _tilings.  A coordinate descent from
-    the regions' own tiles visits the regions in fork order and tries every
-    tiling of each.  A trial is timed (see _price, plus the tail) only where
-    the regions' live loop bodies fit the scratchpad together (each
-    region's ping and pong at vec-mt-db, as db_stage1 counts them) and its
-    bound (see _bound) is below the cheapest price so far; the timing stops
-    once it cannot end below that price, and the trial is kept only when it
-    is strictly cheaper.  Rounds repeat until one keeps nothing.  None for
-    an unforked module, or where a region is not a normal-form loop over a
-    tiling of _tilings."""
-    ddr = {d.id for d in m.buffers}
-    descs = [match_block_explain(op.body, ddr)[0] for op in m.body if isinstance(op, AsyncExecute)]
-    if not descs or None in descs:
-        return None
+def _refine(m: TileModule, spec: PipelineSpec, pick: Composition) -> Composition:
+    """The forked pick with each thread's tile rows, as the rung runs them:
+    vec-mt as loops, vec-mt-db as the pipelines double buffering makes of
+    them.  Each thread may re-tile its block of the pick's tiles (see
+    partition_tiles) into any tiling of _tilings.  A coordinate descent from
+    the pick visits the threads in fork order and tries every tiling of
+    each.  A trial is timed (see _price, plus the tail) only where the
+    threads' live loop bodies fit the scratchpad together (each thread's
+    ping and pong at vec-mt-db, as db_stage1 counts them) and its bound (see
+    _bound) is below the cheapest price so far; the timing stops once it
+    cannot end below that price, and the trial is kept only when it is
+    strictly cheaper.  Rounds repeat until one keeps nothing."""
     cfg = spec.machine
     db = spec.rung is LadderRung.VEC_MT_DB
-    # Per region, each tiling as (rows, its loop as _bound reads it, TCM
-    # bytes of its live loop bodies), and the region's own tiling.
-    options = [
-        [(rows, loop, (1 + db) * _loop_body_bytes(d.loop) * rows // d.output[1].rows)
-         for rows, *loop in _tilings(d, cfg)]
-        for d in descs
-    ]
-    pick = tuple(
-        next((k for k, o in enumerate(opts) if o[0] == d.output[1].rows), None)
-        for opts, d in zip(options, descs)
-    )
-    if None in pick:
-        return None
-    tail = _tail_cycles(cfg, m.body)
-
-    def chosen(pick: tuple[int, ...]) -> tuple:
-        """(rows, loops, body bytes) of the regions' tilings `pick`."""
-        return tuple(zip(*(options[j][k] for j, k in enumerate(pick))))
-
-    best, kept = _price(cfg, db, chosen(pick)[1], 1) + tail, True
+    desc = match_normal_form(retile(m, pick.rows))
+    body_bytes = (1 + db) * _loop_body_bytes(desc.loop)
+    # Per thread, each tiling's rows -> (its loop as _bound reads it, TCM
+    # bytes of its live loop bodies).
+    options = []
+    for block in partition_tiles(desc.loop.tile_count, len(pick.threads)):
+        region = replace(desc, loop=replace(desc.loop, tile_count=len(block)))
+        tilings = _tilings(region, cfg)
+        options.append({rows: (loop, body_bytes * rows // pick.rows) for rows, *loop in tilings})
+    tail = _tail_cycles(cfg, m.body[: desc.loop_index] + m.body[desc.loop_index + 1 :])
+    # The cheapest candidate is never priced at its bound (see compositions).
+    plan, best, kept = pick.threads, pick.cycles, True
     # A trial seen before cannot be strictly cheaper than the best price now:
     # it was refused, kept and since bettered, or it is the pick.
-    seen = {pick}
+    seen = {plan}
     while kept:
         kept = False
         for j, opts in enumerate(options):
-            for k in range(len(opts)):
-                trial = (*pick[:j], k, *pick[j + 1 :])
+            for rows in opts:
+                trial = (*plan[:j], rows, *plan[j + 1 :])
                 if trial in seen:
                     continue
                 seen.add(trial)
-                _, loops, need = chosen(trial)
+                loops, need = zip(*(options[t][r] for t, r in enumerate(trial)))
                 if sum(need) <= cfg.tcm_capacity and _bound(cfg, db, loops, 1) + tail < best:
                     cycles = _price(cfg, db, loops, 1, best - tail) + tail
                     if cycles < best:
-                        best, pick, kept = cycles, trial, True
-    return ThreadTiling(chosen(pick)[0], best)
-
-
-def retile_threads(m: TileModule, spec: PipelineSpec) -> TileModule:
-    """Re-tiles each async region's loop of a forked vec-mt or vec-mt-db
-    module, before double buffering, into the tiles thread_tiling picks for
-    it (see _retile_block).  A module it leaves as it is (unforked, or with
-    every region's tiles kept) is returned."""
-    tiling = thread_tiling(m, spec)
-    if tiling is None:
-        return m
-    ddr, rows = {d.id for d in m.buffers}, iter(tiling.rows)
-    body = _per_pipeline(m.body, lambda block: _retile_block(block, ddr, next(rows)))
-    return m if body == m.body else replace(m, body=body)
+                        best, plan, kept = cycles, trial, True
+    return replace(pick, cycles=best, threads=plan)
 
 
 # --------------------------------------------------------------------------- #
@@ -599,10 +587,11 @@ def retile_threads(m: TileModule, spec: PipelineSpec) -> TileModule:
 
 def form_async_threads(m: TileModule) -> TileModule:
     """Lowers every forall to the canonical fork-join skeleton: one async
-    region per thread of the forall over its assigned tiles, tokens collected
-    into a group, and an await-all barrier.  A module without a forall is
-    returned as it is.  A forall body must be a single-buffered normal-form
-    tile (see normal_form_tile), which each thread's loop is rebuilt from."""
+    region per thread of the forall, running its block of tiles in tiles of
+    its own rows, tokens collected into a group, and an await-all barrier.
+    A module without a forall is returned as it is.  A forall body must be a
+    single-buffered normal-form tile (see normal_form_tile), which each
+    thread's loop is rebuilt from."""
     ddr = {d.id for d in m.buffers}
     counter = itertools.count()
 
@@ -615,32 +604,26 @@ def form_async_threads(m: TileModule) -> TileModule:
 
 
 def _lower_forall(forall: Forall, index: int, ddr: set[str]) -> tuple[Op, ...]:
-    """One async region per thread with tiles: a loop over its block whose
-    body normal_form_tile builds from the forall body's operands, the DDR
-    views shifted to the block's first tile and the TCM buffers renamed
-    `_w{t}`, since the regions run concurrently."""
-    threads = forall.threads
-    if threads < 1:
-        raise PassError(f"forall threads must be >= 1, got {threads}")
-    loop = ForTiles(forall.iv, forall.tile_count, forall.body)
+    """One async region per thread: a loop over its block (see
+    partition_tiles) in tiles of the thread's rows, whose body
+    normal_form_tile builds from the forall body's operands (see
+    _tile_loop), the TCM buffers renamed `_w{t}`, since the regions run
+    concurrently.  PassError names a thread whose rows do not divide its
+    block's rows."""
+    tiles, threads = forall.tile_count, len(forall.threads)
+    if not 1 <= threads <= tiles:
+        raise PassError(f"a forall over {tiles} tiles needs 1 to {tiles} threads, got {threads}")
+    loop = ForTiles(forall.iv, tiles, forall.body)
     desc, reason = match_block_explain((loop,), ddr)
     if desc is None:
         raise PassError(f"fork-join lowering requires the single-buffered normal form: {reason}")
     group = f"g{index}"
     ops: list[Op] = []
-    for t, tiles in enumerate(partition_tiles(forall.tile_count, threads)):
-        if not tiles:
-            continue
-
-        def own(operand: Operand) -> Operand:
-            view, decl = operand
-            row_base = view.row_scale * tiles[0] + view.row_base
-            return replace(view, row_base=row_base), replace(decl, id=f"{decl.id}_w{t}")
-
-        ins, out = tuple(own(op) for op in desc.inputs), own(desc.output)
-        body = normal_form_tile(ins, out, desc.compute.expr, desc.compute.vector_factor)
+    blocks = partition_tiles(tiles, threads)
+    for t, (block, rows) in enumerate(zip(blocks, forall.threads)):
+        loop = _tile_loop(desc, block, rows, f"{forall.iv}{t}", f"_w{t}", f"forall thread {t}: ")
         token = f"{group}t{t}"
-        ops.append(AsyncExecute(token, (ForTiles(f"{forall.iv}{t}", len(tiles), body),)))
+        ops.append(AsyncExecute(token, (loop,)))
         ops.append(AddToGroup(token, group))
     ops.append(AwaitAll(group))
     return tuple(ops)
@@ -836,40 +819,37 @@ STAGE_INITIAL = "initial"
 # globals at call time, so a rebinding of a pass (for tracing) takes effect.
 _STAGES: dict[str, Callable[[TileModule, PipelineSpec], TileModule]] = {
     "vectorize": lambda m, spec: vectorize(m, spec.machine.lanes),
-    # vec-mt and vec-mt-db: the loop is re-tiled as the cost model's pick
-    # says and, for a fork, each thread gets a block of its tiles to run.
+    # vec-mt and vec-mt-db: the loop is re-tiled as the cost model's plan
+    # says and, for a fork, each thread gets a block of its tiles to run in
+    # tiles of its own rows.
     "pipeline-threads": lambda m, spec: _pipeline_threads(m, spec, choose_composition(m, spec)),
-    # An unforked pick leaves fork-join lowering nothing to do.
+    # An unforked plan leaves fork-join lowering nothing to do.
     "pipeline-async-threads": lambda m, spec: form_async_threads(m),
-    # Each thread's loop re-tiles its own block, as thread_tiling picks.
-    "retile-threads": lambda m, spec: retile_threads(m, spec),
     "db-stage1": lambda m, spec: db_stage1(m, spec.machine.tcm_capacity),
     "db-stage2": lambda m, spec: db_stage2(m),
 }
 
 
 def _pipeline_threads(m: TileModule, spec: PipelineSpec, choice: Composition | None) -> TileModule:
-    """The loop re-tiled as `choice` says, then forked by the tile fork when
-    it forks; the module itself when there is no candidate."""
+    """The loop re-tiled as `choice` says, then forked by the tile fork into
+    its threads' tile rows when it forks; the module itself when there is
+    no candidate."""
     if choice is None:
         return m
     m = retile(m, choice.rows)
     cfg = spec.machine
-    return form_virtual_threads(m, cfg.threads, cfg.tcm_capacity) if choice.forks else m
+    return form_virtual_threads(m, choice.threads, cfg.tcm_capacity) if choice.forks else m
 
 
-# vec-mt and vec-mt-db fork in the first two stages and re-tile each thread's
-# block in the third; an unforked loop leaves the second and third nothing to
-# do.  The rungs differ only by the two double-buffering stages.
+# vec-mt and vec-mt-db fork in the first two stages, each thread in its own
+# tiles; an unforked loop leaves the second nothing to do.  The rungs differ
+# only by the two double-buffering stages.
 _RUNG_STAGES: dict[LadderRung, tuple[str, ...]] = {
     LadderRung.SCALAR: (),
     LadderRung.VEC: ("vectorize",),
-    LadderRung.VEC_MT: (
-        "pipeline-threads", "pipeline-async-threads", "retile-threads", "vectorize"
-    ),
+    LadderRung.VEC_MT: ("pipeline-threads", "pipeline-async-threads", "vectorize"),
     LadderRung.VEC_MT_DB: (
-        "pipeline-threads", "pipeline-async-threads", "retile-threads", "db-stage1",
-        "db-stage2", "vectorize",
+        "pipeline-threads", "pipeline-async-threads", "db-stage1", "db-stage2", "vectorize"
     ),
 }
 

@@ -90,7 +90,8 @@ def _emit(lines: list[str], body: tuple[Op, ...], depth: int, iv: str | None) ->
                 _emit(lines, op.pong, depth + 1, op.iv)
             lines.append(f"{pad}}}")
         elif isinstance(op, Forall):
-            lines.append(f"{pad}forall %{op.iv} in 0..{op.tile_count} threads={op.threads} {{")
+            rows = ", ".join(map(str, op.threads))
+            lines.append(f"{pad}forall %{op.iv} in 0..{op.tile_count} thread_rows=[{rows}] {{")
             _emit(lines, op.body, depth + 1, op.iv)
             lines.append(f"{pad}}}")
         elif isinstance(op, AsyncExecute):

@@ -220,8 +220,15 @@ class _Checker:
             elif isinstance(op, Forall):
                 if op.tile_count < 1:
                     self.err(path, f"forall tile_count must be >= 1, got {op.tile_count}")
-                if op.threads < 1:
-                    self.err(path, f"forall threads must be >= 1, got {op.threads}")
+                if not op.threads:
+                    self.err(path, "forall has no threads")
+                elif len(op.threads) > op.tile_count:
+                    self.err(
+                        path, f"forall has {len(op.threads)} threads for {op.tile_count} tiles"
+                    )
+                for t, rows in enumerate(op.threads):
+                    if rows < 1:
+                        self.err(path, f"forall thread {t} tile rows must be >= 1, got {rows}")
                 peak = max(peak, self.check_body(op.body, f"{path}.body", op.tile_count))
             elif isinstance(op, AsyncExecute):
                 if op.token in self.tokens:

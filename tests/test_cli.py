@@ -165,7 +165,6 @@ def test_repeat_flag_checks_identity(tmp_path):
         "initial",
         "pipeline-threads",
         "pipeline-async-threads",
-        "retile-threads",
         "db-stage1",
         "db-stage2",
         "vectorize",
@@ -189,17 +188,36 @@ def test_a_stage_in_no_rung_is_no_choice(stage):
 
 
 def test_stage_lists_per_rung():
-    # Both MT rungs re-tile each thread's block after the fork is lowered;
-    # they differ only by the two double-buffering stages.
+    # Both MT rungs fork in pipeline-threads, each thread at its own tile
+    # rows, and lower the fork; they differ only by the two double-buffering
+    # stages.
     assert {rung.value: pipeline_stage_names(rung) for rung in LadderRung} == {
         "scalar": (),
         "vec": ("vectorize",),
-        "vec-mt": ("pipeline-threads", "pipeline-async-threads", "retile-threads", "vectorize"),
+        "vec-mt": ("pipeline-threads", "pipeline-async-threads", "vectorize"),
         "vec-mt-db": (
-            "pipeline-threads", "pipeline-async-threads", "retile-threads", "db-stage1",
-            "db-stage2", "vectorize",
+            "pipeline-threads", "pipeline-async-threads", "db-stage1", "db-stage2", "vectorize"
         ),
     }
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(name in rest for name in short)
+
+
+def test_stage_lists_nest():
+    """Each rung adds its mechanism's stages to the rung below: vec-mt-db is
+    vec-mt with the two double-buffering stages inserted before vectorize,
+    and vec's one stage runs, in order, in both MT rungs."""
+    vec, mt, db = (
+        pipeline_stage_names(rung)
+        for rung in (LadderRung.VEC, LadderRung.VEC_MT, LadderRung.VEC_MT_DB)
+    )
+    at = mt.index("vectorize")
+    assert db == (*mt[:at], "db-stage1", "db-stage2", *mt[at:])
+    assert pipeline_stage_names(LadderRung.SCALAR) == ()
+    assert _is_subsequence(vec, mt) and _is_subsequence(vec, db)
 
 
 def test_dump_ir_of_a_stage_outside_the_rung_is_an_error(capsys):

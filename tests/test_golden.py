@@ -18,7 +18,9 @@ pipelines that share one memory-bound channel, the second over its two
 8-row tiles split into four 4-row tiles, and four per-thread loops over
 its 8-row tiles merged in pairs.  The IR table adds a vec-add with a peeled tail tile,
 whose vec-mt and vec-mt-db split its two tiles into 2-row and 1-row
-sub-tiles.  Any change to these numbers or hashes is a behaviour change.
+sub-tiles.  Each thread's own tile rows are the plan's: pipeline-threads
+prints them on the forall, and pipeline-async-threads builds each thread's
+loop in them.  Any change to these numbers or hashes is a behaviour change.
 """
 
 import hashlib
@@ -93,16 +95,14 @@ GOLDEN_IR = {
     ),
     ("vec-add", "vec-mt"): (
         ("initial", "1de75a2bc474d3ec"),
-        ("pipeline-threads", "9267f9adff5afcf5"),
+        ("pipeline-threads", "4b23665e443c39db"),
         ("pipeline-async-threads", "d2dbdab6b67c52dd"),
-        ("retile-threads", "d2dbdab6b67c52dd"),
         ("vectorize", "d7366d923ba7dddf"),
     ),
     ("vec-add", "vec-mt-db"): (
         ("initial", "1de75a2bc474d3ec"),
-        ("pipeline-threads", "8c3db69bc640e49d"),
-        ("pipeline-async-threads", "e37ab05c50e61611"),
-        ("retile-threads", "9a61b80557ad1111"),
+        ("pipeline-threads", "6a0aa4666fb47dc5"),
+        ("pipeline-async-threads", "9a61b80557ad1111"),
         ("db-stage1", "37829460c3d5de83"),
         ("db-stage2", "569835679115c992"),
         ("vectorize", "246e4a92db99daf8"),
@@ -116,16 +116,14 @@ GOLDEN_IR = {
     ),
     ("gelu", "vec-mt"): (
         ("initial", "7a47c4ba35d7c422"),
-        ("pipeline-threads", "57e5c02a247bdc8c"),
-        ("pipeline-async-threads", "c98c142e050927f7"),
-        ("retile-threads", "f46832f952312c80"),
+        ("pipeline-threads", "06aac2767e8a4887"),
+        ("pipeline-async-threads", "f46832f952312c80"),
         ("vectorize", "4e09b664b3d259f1"),
     ),
     ("gelu", "vec-mt-db"): (
         ("initial", "7a47c4ba35d7c422"),
-        ("pipeline-threads", "c9b9889bbc9f88c7"),
+        ("pipeline-threads", "667ef5e667ae1e41"),
         ("pipeline-async-threads", "0f53a3d2175646b1"),
-        ("retile-threads", "0f53a3d2175646b1"),
         ("db-stage1", "a9861b56f3133e98"),
         ("db-stage2", "a123bf01f459608a"),
         ("vectorize", "7fe91b303b4b299e"),
@@ -139,16 +137,14 @@ GOLDEN_IR = {
     ),
     ("gelu-fine", "vec-mt"): (
         ("initial", "bd97a6592f32b7ef"),
-        ("pipeline-threads", "26a568ace1d7f7cd"),
+        ("pipeline-threads", "cfa75c4f8fa7c939"),
         ("pipeline-async-threads", "dc9297f9cb95b9cb"),
-        ("retile-threads", "dc9297f9cb95b9cb"),
         ("vectorize", "520911ba052ada6c"),
     ),
     ("gelu-fine", "vec-mt-db"): (
         ("initial", "bd97a6592f32b7ef"),
-        ("pipeline-threads", "930facd2cb391d1d"),
-        ("pipeline-async-threads", "7311e380e57be38f"),
-        ("retile-threads", "109ee695e26fd2d8"),
+        ("pipeline-threads", "09832675c2a60645"),
+        ("pipeline-async-threads", "109ee695e26fd2d8"),
         ("db-stage1", "a9066a819b2f5059"),
         ("db-stage2", "d23fe00dc3a450a5"),
         ("vectorize", "5842a35616e98d68"),
@@ -162,16 +158,14 @@ GOLDEN_IR = {
     ),
     ("vec-add-anchor", "vec-mt"): (
         ("initial", "9e518f2423292b27"),
-        ("pipeline-threads", "292a8574ef001856"),
-        ("pipeline-async-threads", "cdfd6eb5458a7ca7"),
-        ("retile-threads", "974e722ebdad9afe"),
+        ("pipeline-threads", "8b3f8b2051f5fe82"),
+        ("pipeline-async-threads", "974e722ebdad9afe"),
         ("vectorize", "8a1ccc9ebebdc3b4"),
     ),
     ("vec-add-anchor", "vec-mt-db"): (
         ("initial", "9e518f2423292b27"),
-        ("pipeline-threads", "3a7a66fc1af9f797"),
-        ("pipeline-async-threads", "c97642d70438ff75"),
-        ("retile-threads", "cd5d8987694d6419"),
+        ("pipeline-threads", "480e18889734a4f9"),
+        ("pipeline-async-threads", "cd5d8987694d6419"),
         ("db-stage1", "bd8f019021990a21"),
         ("db-stage2", "3cd6c457b06902a3"),
         ("vectorize", "339fca46870107c0"),
@@ -185,16 +179,14 @@ GOLDEN_IR = {
     ),
     ("vec-add-tail", "vec-mt"): (
         ("initial", "7f24fa145afb9f54"),
-        ("pipeline-threads", "c96c7b9c28eef020"),
-        ("pipeline-async-threads", "30fe4a50ae8a11e3"),
-        ("retile-threads", "b0f1d2e0563075a5"),
+        ("pipeline-threads", "59ae850dd84be96b"),
+        ("pipeline-async-threads", "b0f1d2e0563075a5"),
         ("vectorize", "256b395a5f97a39d"),
     ),
     ("vec-add-tail", "vec-mt-db"): (
         ("initial", "7f24fa145afb9f54"),
-        ("pipeline-threads", "9fb75190a9691204"),
+        ("pipeline-threads", "07001dbafbbd9b7e"),
         ("pipeline-async-threads", "3b39c6534fdd5166"),
-        ("retile-threads", "3b39c6534fdd5166"),
         ("db-stage1", "f0788453c8934efc"),
         ("db-stage2", "7f6b3e1fdb56b31a"),
         ("vectorize", "0e3c6ddbdd9a694b"),

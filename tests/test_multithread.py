@@ -52,10 +52,11 @@ def _build(rows, tile_rows=1):
 
 
 def test_even_tiles_pick_block():
+    # A thread count forks that many threads, each at the loop's tile rows.
     m = form_virtual_threads(_build(8), THREADS)
     forall = m.body[0]
     assert isinstance(forall, Forall)
-    assert forall.threads == 4
+    assert forall.threads == (1, 1, 1, 1)
 
 
 def test_uneven_tiles_pick_block_cyclic():
@@ -64,7 +65,35 @@ def test_uneven_tiles_pick_block_cyclic():
     m = form_virtual_threads(_build(10), THREADS)
     forall = m.body[0]
     assert isinstance(forall, Forall)
-    assert forall.threads == 4
+    assert forall.threads == (1, 1, 1, 1)
+
+
+def test_a_fork_carries_each_threads_tile_rows():
+    # Ten 1-row tiles on four threads: blocks of 3, 3, 2 and 2 rows, the
+    # first and last threads each in one tile, the others in 1-row tiles.
+    spec = vec_add_2d(rows=10, tile_rows=1)
+    base = build_vec_add_2d(spec)
+    m = form_virtual_threads(base, (3, 1, 1, 2))
+    assert m.body[0].threads == (3, 1, 1, 2)
+    lowered = form_async_threads(m)
+    loops = [op.body[0] for op in lowered.body if isinstance(op, AsyncExecute)]
+    assert [(loop.tile_count, loop.body[0].decl.rows) for loop in loops] == [
+        (1, 3), (3, 1), (2, 1), (1, 2)
+    ]
+    out_rows = [
+        tuple(op.dst.row_offset_at(j) for j in range(loop.tile_count))
+        for loop in loops
+        for op in loop.body
+        if getattr(op, "dst", None) is not None and op.dst.base == "C"
+    ]
+    assert out_rows == [(0,), (3, 4, 5), (6, 7), (8,)]
+    inputs = make_inputs(spec)
+    out = interpret_functional(vectorize(lowered, 32), inputs)
+    assert np.array_equal(out["C"], reference_output(spec, inputs)["C"])
+    # Their live loop bodies add up: 3 + 1 + 1 + 2 rows of three buffers.
+    need = 7 * 3 * 16384 * 4
+    with pytest.raises(PassError, match=f"the tile fork needs {need} bytes .* 4 live copies"):
+        form_virtual_threads(base, (3, 1, 1, 2), need - 1)
 
 
 def test_below_min_tiles_unchanged():
@@ -134,11 +163,9 @@ def test_a_thread_count_below_one_is_refused(threads):
 
 @contextmanager
 def _forced_vec_mt(candidate):
-    """vec-mt runs `candidate` through pipeline-threads and
-    pipeline-async-threads alone: retile-threads keeps its tiles."""
+    """vec-mt runs `candidate`'s plan, whatever the cost model picks."""
     with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
-        with mock.patch.object(passes, "retile_threads", lambda m, s: m):
-            yield
+        yield
 
 
 def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
@@ -193,9 +220,9 @@ def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
 def test_vec_mt_cost_model_picks(spec, cfg, before, after):
     """vec-mt cycles of the candidate the cost model picks (`after`) and of
     the whole-tile fork a size floor alone used to take (`before`); the pick is
-    the fastest candidate, each forced through pipeline-threads and
-    pipeline-async-threads alone (retile-threads keeps its tiles), and no
-    thread of these re-tiles its block."""
+    the fastest candidate, each forced as compositions offers it, with every
+    thread at the candidate's tile rows, and no thread of these re-tiles its
+    block."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     inputs = make_inputs(spec)
     cycles = {}
@@ -283,12 +310,31 @@ def test_fork_join_lowering_refuses_a_body_outside_the_normal_form():
     # A hand-built forall whose tile body leaves its output buffer live.
     base = _build(8)
     loop = base.body[0]
-    forall = Forall(loop.iv, loop.tile_count, THREADS, loop.body[:-1])
+    forall = Forall(loop.iv, loop.tile_count, (1,) * THREADS, loop.body[:-1])
     with pytest.raises(
         PassError,
         match="fork-join lowering requires the single-buffered normal form:"
         " loop body op 9: end of body differs from the normal form",
     ):
+        form_async_threads(replace(base, body=(forall,)))
+
+
+@pytest.mark.parametrize(
+    "threads, reason",
+    [
+        # Blocks of 3, 3, 2 and 2 rows: thread 1's 2-row tiles leave a row over.
+        ((1, 2, 1, 1), "forall thread 1: cannot re-tile 3 loop rows into tiles of 2 rows"),
+        ((1, 1, 1, 0), "forall thread 3: cannot re-tile 2 loop rows into tiles of 0 rows"),
+        ((), "a forall over 10 tiles needs 1 to 10 threads, got 0"),
+        ((1,) * 11, "a forall over 10 tiles needs 1 to 10 threads, got 11"),
+    ],
+    ids=["rows-do-not-divide", "zero-rows", "no-thread", "more-threads-than-tiles"],
+)
+def test_fork_join_lowering_refuses_threads_it_cannot_tile(threads, reason):
+    base = _build(10)
+    loop = base.body[0]
+    forall = Forall(loop.iv, loop.tile_count, threads, loop.body)
+    with pytest.raises(PassError, match=reason):
         form_async_threads(replace(base, body=(forall,)))
 
 

@@ -14,11 +14,12 @@ one the cost model times on the simulator's own event core costs exactly
 the cycles it simulates, and each one priced at its lower bound no more;
 and the one the cost model picks compiles whenever another does, and is the
 fastest.  Both gates pin draws that a closed-form price mispriced, so a
-price that regresses on them fails here.  A candidate is forced through pipeline-threads and
-pipeline-async-threads alone; a third gate checks what retile-threads then
-makes of the pick at both rungs: its price is the simulated cycles and
-at most the pick's.  Every run is checked against the floor of its own schedule,
-whose transfers re-tiling changes (see collect_stats)."""
+price that regresses on them fails here.  A candidate is forced by
+patching choose_composition alone, every thread at the candidate's tile
+rows; a third gate checks the plan the cost model makes of the pick at both
+rungs, each forked thread at its own tile rows: its price is the simulated
+cycles and at most the pick's.  Every run is checked against the floor of
+its own schedule, whose transfers re-tiling changes (see collect_stats)."""
 
 from unittest import mock
 
@@ -52,8 +53,6 @@ from tilelab.passes import (
     choose_composition,
     compositions,
     run_pipeline,
-    run_pipeline_stages,
-    thread_tiling,
 )
 from tilelab.printer import print_module
 from tilelab.sim import simulate_timed
@@ -187,20 +186,28 @@ def test_vec_mt_offers_every_vec_mt_db_candidate(case):
     assert keys[LadderRung.VEC_MT] >= keys[LadderRung.VEC_MT_DB]
 
 
+def _pick(base, spec):
+    """The cost model's plan, and the candidate of compositions it refines:
+    the one at the plan's rows and fork, every thread at those rows (None
+    for both when there is no candidate)."""
+    plan = choose_composition(base, spec)
+    if plan is None:
+        return None, None
+    key = (plan.rows, plan.forks)
+    return plan, next(c for c in compositions(base, spec) if (c.rows, c.forks) == key)
+
+
 def _chosen_is_the_fastest(rung, case, arm_order):
-    """Forces every candidate of the rung through the stage table:
-    through pipeline-threads and pipeline-async-threads alone, as
-    retile-threads keeps the tiles of every thread."""
+    """Forces every candidate of the rung through the stage table, every
+    thread at the candidate's tile rows: the candidate the cost model's plan
+    refines is the fastest."""
     spec, cfg = case
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     spec_rung = PipelineSpec(rung, cfg)
     inputs = make_inputs(spec)
     cycles = {}
     for candidate in compositions(base, spec_rung):
-        with (
-            mock.patch.object(passes, "choose_composition", lambda m, s: candidate),
-            mock.patch.object(passes, "retile_threads", lambda m, s: m),
-        ):
+        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
             try:
                 _, _, timing = _run(spec, rung, cfg, inputs, arm_order)
             except PassError as exc:
@@ -211,7 +218,7 @@ def _chosen_is_the_fastest(rung, case, arm_order):
             assert candidate.cycles == timing.total_cycles, candidate
         else:
             assert candidate.cycles <= timing.total_cycles, candidate
-    chosen = choose_composition(base, spec_rung)
+    _, chosen = _pick(base, spec_rung)
     if cycles:
         assert cycles.get(chosen) == min(cycles.values()), (chosen, cycles)
 
@@ -300,29 +307,26 @@ def test_the_chosen_vec_mt_composition_is_the_fastest(arm_order, case):
     )
 )
 def test_retiled_threads_are_priced_exactly(arm_order, rung, case):
-    """Every refined module of both MT rungs (see retile_threads) runs
-    exactly the cycles thread_tiling prices for it, no more than the
-    stage-1 pick, and not below its schedule floor (checked in _run); an
-    unforked pick is left as it is, and a rung that refuses the refined
-    module refuses the pick too."""
+    """Every plan of both MT rungs (see choose_composition) runs exactly the
+    cycles it is priced at, no more than the pick it refines, and not below
+    its schedule floor (checked in _run); an unforked pick is left as it
+    is, and a rung that refuses the plan refuses the pick too."""
     spec, cfg = case
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     spec_rung = PipelineSpec(rung, cfg)
     inputs = make_inputs(spec)
+    plan, pick = _pick(base, spec_rung)
     try:
         _, _, timing = _run(spec, rung, cfg, inputs, arm_order)
     except PassError as exc:
         assert str(exc)
         with (
-            mock.patch.object(passes, "retile_threads", lambda m, s: m),
+            mock.patch.object(passes, "choose_composition", lambda m, s: pick),
             pytest.raises(PassError),
         ):
             _run(spec, rung, cfg, inputs, arm_order)
         return
-    stages = dict(run_pipeline_stages(base, spec_rung))
-    forked = stages["pipeline-async-threads"]
-    tiling = thread_tiling(forked, spec_rung)
-    if tiling is None:
-        assert stages["retile-threads"] is forked
+    if plan is None or not plan.forks:
+        assert plan == pick
         return
-    assert tiling.cycles == timing.total_cycles <= choose_composition(base, spec_rung).cycles
+    assert plan.cycles == timing.total_cycles <= pick.cycles

@@ -39,7 +39,6 @@ from tilelab.passes import (
     Composition,
     PipelineSpec,
     PassError,
-    ThreadTiling,
     choose_composition,
     compositions,
     db_stage1,
@@ -48,10 +47,8 @@ from tilelab.passes import (
     form_virtual_threads,
     partition_tiles,
     retile,
-    retile_threads,
     run_pipeline,
     run_pipeline_stages,
-    thread_tiling,
     vectorize,
 )
 from tilelab.sim import simulate_timed
@@ -153,15 +150,28 @@ def _retiled_anchor(rung=LadderRung.VEC_MT):
     return spec, stages
 
 
+def _uniform(base, spec):
+    """The candidate the cost model's plan refines: the one compositions
+    offers at the plan's rows and fork, every thread at those rows."""
+    plan = choose_composition(base, spec)
+    return next(c for c in compositions(base, spec) if (c.rows, c.forks) == (plan.rows, plan.forks))
+
+
 def test_each_thread_re_tiles_its_own_block():
     # Four threads of one 16-row tile each request the channel in lockstep
     # and queue behind each other; the first two threads split theirs into
     # two 8-row tiles, whose transfers interleave with the others'.
     spec, stages = _retiled_anchor()
-    forked, m = stages["pipeline-async-threads"], stages["retile-threads"]
+    mt = PipelineSpec(LadderRung.VEC_MT, CFG)
+    base = stages["initial"]
+    uniform = _uniform(base, mt)
+    assert uniform == Composition(16, 7276, (16, 16, 16, 16))
+    assert choose_composition(base, mt) == Composition(16, 6956, (8, 8, 16, 16))
+    with mock.patch.object(passes, "choose_composition", lambda m, spec: uniform):
+        forked = dict(run_pipeline_stages(base, mt))["pipeline-async-threads"]
+    m = stages["pipeline-async-threads"]
     assert _region_tiles(forked) == [(1, 16)] * 4
     assert _region_tiles(m) == [(2, 8), (2, 8), (1, 16), (1, 16)]
-    assert thread_tiling(forked, PipelineSpec(LadderRung.VEC_MT, CFG)).rows == (8, 8, 16, 16)
     inputs = make_inputs(spec)
     reference = reference_output(spec, inputs)
     before = _check(vectorize(forked, CFG.lanes), spec, CFG, inputs, reference, 0)
@@ -169,13 +179,16 @@ def test_each_thread_re_tiles_its_own_block():
     assert (before.total_cycles, after.total_cycles) == (7276, 6956)
 
 
-def test_retile_threads_leaves_an_unforked_module():
+def test_an_unforked_plan_leaves_the_fork_nothing_to_do():
     cfg = MachineConfig(lanes=64, threads=4)  # one unforked loop over one 15-row tile
     base = build_kernel(vec_add_2d(15, 448, 1, seed=1), tcm_capacity=cfg.tcm_capacity)
-    m = run_pipeline_stages(base, PipelineSpec(LadderRung.VEC_MT, cfg))[2][1]
-    assert not _regions(m)
-    assert thread_tiling(m, PipelineSpec(LadderRung.VEC_MT, cfg)) is None
-    assert retile_threads(m, PipelineSpec(LadderRung.VEC_MT, cfg)) is m
+    spec = PipelineSpec(LadderRung.VEC_MT, cfg)
+    plan = choose_composition(base, spec)
+    assert (plan.rows, plan.threads, plan.forks) == (15, (), 0)
+    assert plan in compositions(base, spec)
+    stages = dict(run_pipeline_stages(base, spec))
+    assert not _regions(stages["pipeline-threads"])
+    assert stages["pipeline-async-threads"] is stages["pipeline-threads"]
 
 
 def test_double_buffering_sums_the_ping_pong_of_every_region():
@@ -184,7 +197,7 @@ def test_double_buffering_sums_the_ping_pong_of_every_region():
     rows of three 2,048-float buffers) need 2 x 48 x 24 KiB, not 2 x 4 x the
     16-row body, and the verifier accepts them at exactly that scratchpad."""
     spec, stages = _retiled_anchor()
-    m = stages["retile-threads"]
+    m = stages["pipeline-async-threads"]
     need = 2 * 48 * 3 * 2048 * 4
     with pytest.raises(PassError, match=f"double buffering needs {need} bytes of tcm for 8 live"):
         db_stage1(m, need - 1)
@@ -195,12 +208,9 @@ def test_double_buffering_sums_the_ping_pong_of_every_region():
 
 
 def _forced(base, cfg, candidate):
-    """The vec-mt-db module of `candidate`, whatever the cost model picks,
-    with every thread's tiles kept (see retile_threads)."""
-    with (
-        mock.patch.object(passes, "choose_composition", lambda m, spec: candidate),
-        mock.patch.object(passes, "retile_threads", lambda m, spec: m),
-    ):
+    """The vec-mt-db module of `candidate`'s plan, whatever the cost model
+    picks."""
+    with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
         return run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
 
 
@@ -237,7 +247,8 @@ def test_vec_add_splits_tiles_that_do_not_fit_tcm():
     spec = PipelineSpec(LadderRung.VEC_MT_DB, CFG)
     splits = [(16, 0), (8, 0), (4, 0), (4, 1), (2, 0), (2, 1), (1, 0), (1, 1)]
     assert [(c.rows, c.forks) for c in compositions(base, spec)] == splits
-    assert choose_composition(base, spec) == Composition(2, 35948, 1)
+    assert _uniform(base, spec) == Composition(2, 35948, (2, 2, 2, 2))
+    assert choose_composition(base, spec) == Composition(2, 35500, (1, 1, 2, 2))
     roomy = replace(spec, machine=replace(CFG, tcm_capacity=2 * CFG.tcm_capacity))
     more = [(32, 0), (16, 0), (8, 0), (8, 1), *splits[2:]]
     assert [(c.rows, c.forks) for c in compositions(base, roomy)] == more
@@ -408,9 +419,10 @@ def test_merged_tiles_keep_the_schedule_floor_certified(spec, cfg, rows, cycles,
     """Design-grid draws whose vec-mt merges the kernel's tiles into tiles
     of `rows` rows, forked or not (15x448 runs one unforked loop over one
     tile; 64x1305's first thread then splits its own block into 16-row
-    tiles, see retile_threads): the merged schedule pays the transfer start-up fewer times than
-    the kernel's tiles would, so it beats a floor that counts the kernel's
-    transfers, but not the floor of its own schedule."""
+    tiles, see choose_composition): the merged schedule pays the transfer
+    start-up fewer times than the kernel's tiles would, so it beats a floor
+    that counts the kernel's transfers, but not the floor of its own
+    schedule."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     assert choose_composition(base, PipelineSpec(LadderRung.VEC_MT, cfg)).rows == rows
     run = run_rung(spec, LadderRung.VEC_MT, cfg, make_inputs(spec))
@@ -444,8 +456,9 @@ def test_cost_model_picks(spec, cfg, before, after):
     of the one an earlier rule picked (`before`): the busiest-thread row
     count, or the cost model before GELU tiles could split, before one
     pipeline could run over split tiles, and before it priced pipelines by
-    replay and could merge tiles.  Each forked thread may then re-tile its
-    own block, which is never slower (see
+    replay and could merge tiles, each candidate forced with every thread at
+    its tile rows.  The plan then lets each forked thread re-tile its own
+    block, which is never slower (see
     test_each_thread_re_tiles_its_own_pipeline)."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     spec_db = PipelineSpec(LadderRung.VEC_MT_DB, cfg)
@@ -455,7 +468,7 @@ def test_cost_model_picks(spec, cfg, before, after):
         for c in compositions(base, spec_db)
     }
     assert before in cycles.values()
-    assert cycles[choose_composition(base, spec_db)] == after == min(cycles.values())
+    assert cycles[_uniform(base, spec_db)] == after == min(cycles.values())
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles <= after
 
 
@@ -472,14 +485,13 @@ def test_cost_model_picks(spec, cfg, before, after):
 )
 def test_each_thread_re_tiles_its_own_pipeline(spec, cfg, tiles, rows, before, after):
     """vec-mt-db's per-thread pipelines over the pick's tiles of `tiles` rows
-    run `before`; re-tiled as thread_tiling prices them, they run `after`."""
+    run `before`; re-tiled as the plan prices them, they run `after`."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     spec_db = PipelineSpec(LadderRung.VEC_MT_DB, cfg)
-    forked = dict(run_pipeline_stages(base, spec_db))["pipeline-async-threads"]
-    assert {r for _, r in _region_tiles(forked)} == {tiles}
-    assert thread_tiling(forked, spec_db) == ThreadTiling(rows, after)
+    pick = _uniform(base, spec_db)
+    assert set(pick.threads) == {tiles}
+    assert choose_composition(base, spec_db) == replace(pick, cycles=after, threads=rows)
     inputs = make_inputs(spec)
-    pick = choose_composition(base, spec_db)
     assert simulate_timed(_forced(base, cfg, pick), inputs, cfg)[1].total_cycles == before
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == after
 
@@ -498,7 +510,8 @@ def _cut_prices(db, regions, forks):
 @pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])
 @pytest.mark.parametrize("spec", [vec_add_2d(), gelu()])
 def test_a_price_cut_off_below_it_reaches_the_cutoff(spec, rung):
-    """The cutoff thread_tiling's descent relies on, over every candidate."""
+    """The cutoff the plan's per-thread descent relies on, over every
+    candidate."""
     base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
     tilings = {rows: tile for rows, *tile in passes._tilings(match_normal_form(base), CFG)}
     db = rung is LadderRung.VEC_MT_DB
@@ -514,9 +527,9 @@ def test_a_price_cut_off_below_it_reaches_the_cutoff(spec, rung):
 )
 def test_a_price_of_re_tiled_threads_cut_off_reaches_the_cutoff(rung, rows, cycles):
     """The same over regions of different tiles: the vec-add anchor's
-    threads as thread_tiling re-tiles them at each MT rung."""
+    threads as the plan re-tiles them at each MT rung."""
     _, stages = _retiled_anchor(rung)
-    m = stages["retile-threads"]
+    m = stages["pipeline-async-threads"]
     ddr = {d.id for d in m.buffers}
     regions = []
     for region in _regions(m):
@@ -524,8 +537,8 @@ def test_a_price_of_re_tiled_threads_cut_off_reaches_the_cutoff(rung, rows, cycl
         own = desc.output[1].rows
         regions.append(next(tuple(t) for r, *t in passes._tilings(desc, CFG) if r == own))
     assert tuple(region[0] for region in regions) == tuple(16 // r for r in rows)
-    spec = PipelineSpec(rung, CFG)
-    assert thread_tiling(stages["pipeline-async-threads"], spec) == ThreadTiling(rows, cycles)
+    plan = choose_composition(stages["initial"], PipelineSpec(rung, CFG))
+    assert (plan.threads, plan.cycles) == (rows, cycles)
     assert _cut_prices(rung is LadderRung.VEC_MT_DB, regions, 1) == cycles
 
 

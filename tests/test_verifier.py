@@ -13,6 +13,7 @@ from tilelab.ir import (
     DeallocTcm,
     DmaStart,
     DmaWait,
+    Forall,
     ForTiles,
     Input,
     MemSpace,
@@ -211,6 +212,23 @@ def test_concurrent_async_regions_share_capacity(verify):
     diags = verify(m, small)
     assert any("concurrent async regions" in d for d in diags)
     assert verify_module(m, MachineConfig(tcm_capacity=8_388_608)) == []
+
+
+@pytest.mark.parametrize(
+    "threads, diag",
+    [
+        ((), "forall has no threads"),
+        ((1, 0, 1, 1), "forall thread 1 tile rows must be >= 1, got 0"),
+        ((1,) * 9, "forall has 9 threads for 8 tiles"),
+    ],
+    ids=["no-thread", "zero-rows", "more-threads-than-tiles"],
+)
+def test_a_forall_needs_a_thread_per_block_of_tiles(verify, threads, diag):
+    base = build_vec_add_2d(vec_add_2d(rows=8, tile_rows=1))
+    loop = base.body[0]
+    m = TileModule(base.name, base.buffers, (Forall(loop.iv, 8, threads, loop.body),))
+    assert verify(m, CFG) == [f"body[0]: {diag}"]
+    assert verify_module(form_virtual_threads(base, 4), CFG) == []
 
 
 def test_two_top_level_loops_rejected(verify):
