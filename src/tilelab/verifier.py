@@ -36,6 +36,7 @@ from .ir import (
 )
 from .lower import Schedule, lower, walk
 from .machine import MachineConfig
+from .passes import partition_tiles
 
 
 def _iv_range(op: Op, loop: int | None) -> tuple[int, int] | None:
@@ -226,9 +227,20 @@ class _Checker:
                     self.err(
                         path, f"forall has {len(op.threads)} threads for {op.tile_count} tiles"
                     )
-                for t, rows in enumerate(op.threads):
+                # Thread t runs its block of the tiles, at the rows the body's
+                # compute writes, in tiles of its own rows (see passes._tile_loop).
+                computes = [c for c in op.body if isinstance(c, Compute)]
+                tile_rows = computes[0].output.row_count if computes else 0
+                blocks = partition_tiles(max(op.tile_count, 0), max(len(op.threads), 1))
+                for t, (block, rows) in enumerate(zip(blocks, op.threads)):
                     if rows < 1:
                         self.err(path, f"forall thread {t} tile rows must be >= 1, got {rows}")
+                    elif len(block) * tile_rows % rows:
+                        self.err(
+                            path,
+                            f"forall thread {t}: cannot re-tile {len(block) * tile_rows}"
+                            f" loop rows into tiles of {rows} rows",
+                        )
                 peak = max(peak, self.check_body(op.body, f"{path}.body", op.tile_count))
             elif isinstance(op, AsyncExecute):
                 if op.token in self.tokens:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tilelab import bench
 from tilelab.interp import interpret_functional
 from tilelab.ir import Compute, Copy, DmaStart, DmaWait, ForTiles, walk_module
 from tilelab.lower import lower
@@ -47,6 +48,14 @@ def _outcome(run):
         return type(exc).__name__, str(exc)
     outputs, timing = result if isinstance(result, tuple) else (result, None)
     return {name: array.tobytes() for name, array in outputs.items()}, timing
+
+
+@pytest.fixture(autouse=True)
+def _fresh_bench_memos():
+    """Each test starts with bench's one-entry memos empty, so what it counts
+    or patches does not depend on the test run before it."""
+    bench._compile.clear()
+    bench._inputs.clear()
 
 
 @pytest.fixture

@@ -360,3 +360,67 @@ def test_sweep_point_holds_the_inputs_and_two_outputs():
     n = 1 << 22
     bound = _two_results_bound(gelu(n))
     assert _traced_peak(lambda: run_sweep(gelu(), (n // 2, n), CFG)) <= bound
+
+
+# --------------------------------------------------------------------------- #
+# One-entry memos: a check right after a run reuses its compile and inputs
+# --------------------------------------------------------------------------- #
+
+
+def _counted(monkeypatch):
+    """Counts the calls bench makes to build_kernel, run_pipeline and
+    make_inputs."""
+    calls = dict.fromkeys(("build_kernel", "run_pipeline", "make_inputs"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _real=getattr(bench, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, counting)
+    return calls
+
+
+def test_a_check_right_after_a_run_reuses_its_compile_and_inputs(monkeypatch):
+    calls = _counted(monkeypatch)
+    bench.run_rung(SMALL_GELU, LadderRung.VEC_MT, CFG)
+    assert functional_check(SMALL_GELU, LadderRung.VEC_MT, CFG) == []
+    assert calls == {"build_kernel": 1, "run_pipeline": 1, "make_inputs": 1}
+
+
+@pytest.mark.parametrize(
+    "between, draws",
+    [((SMALL_GELU, LadderRung.VEC_MT), 1), ((gelu(n=2048, tile_elems=256), LadderRung.VEC), 3)],
+    ids=["other-rung", "other-kernel"],
+)
+def test_each_memo_holds_one_entry(monkeypatch, between, draws):
+    calls = _counted(monkeypatch)
+    bench.run_rung(SMALL_GELU, LadderRung.VEC, CFG)
+    bench.run_rung(*between, CFG)
+    assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
+    assert calls == {"build_kernel": 3, "run_pipeline": 3, "make_inputs": draws}
+
+
+def test_a_ladder_draws_its_inputs_once_for_its_rungs_and_checks(monkeypatch):
+    calls = _counted(monkeypatch)
+    run_ladder(SMALL_GELU, CFG)
+    for rung in RUNG_ORDER:
+        assert functional_check(SMALL_GELU, rung, CFG) == [], rung
+    assert calls["make_inputs"] == 1
+
+
+def test_the_inputs_bench_draws_are_read_only(monkeypatch):
+    drawn = []
+    real = bench.make_inputs
+    monkeypatch.setattr(bench, "make_inputs", lambda kernel: drawn.append(real(kernel)) or drawn[-1])
+    bench.run_rung(SMALL_GELU, LadderRung.VEC, CFG)
+    (inputs,) = drawn
+    with pytest.raises(ValueError, match="read-only"):
+        inputs["X"][0, 0] = 1.0
+
+
+def test_make_inputs_still_returns_writable_arrays():
+    bench.run_rung(SMALL_GELU, LadderRung.VEC, CFG)
+    inputs = make_inputs(SMALL_GELU)
+    inputs["X"][0, 0] = 1.0
+    assert make_inputs(SMALL_GELU)["X"][0, 0] != 1.0

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tilelab import passes
+from tilelab import bench, passes
 from tilelab.bench import run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
@@ -163,9 +163,20 @@ def test_a_thread_count_below_one_is_refused(threads):
 
 @contextmanager
 def _forced_vec_mt(candidate):
-    """vec-mt runs `candidate`'s plan, whatever the cost model picks."""
-    with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
-        yield
+    """vec-mt runs `candidate`'s plan, whatever the cost model picks.  bench's
+    one-entry memos are emptied on entry and on exit, so no run reuses a
+    schedule compiled under the other plan."""
+    _forget_bench_memos()
+    try:
+        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
+            yield
+    finally:
+        _forget_bench_memos()
+
+
+def _forget_bench_memos():
+    bench._compile.clear()
+    bench._inputs.clear()
 
 
 def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():

@@ -21,12 +21,13 @@ rungs, each forked thread at its own tile rows: its price is the simulated
 cycles and at most the pick's.  Every run is checked against the floor of
 its own schedule, whose transfers re-tiling changes (see collect_stats)."""
 
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tilelab import passes
+from tilelab import bench, passes
 from tilelab.bench import outputs_match
 from tilelab.interp import interpret_functional
 from tilelab.ir import AsyncExecute, Compute, walk_module
@@ -197,6 +198,24 @@ def _pick(base, spec):
     return plan, next(c for c in compositions(base, spec) if (c.rows, c.forks) == key)
 
 
+@contextmanager
+def _forced_plan(candidate):
+    """Every MT rung runs `candidate`'s plan, whatever the cost model picks.
+    bench's one-entry memos are emptied on entry and on exit, so no run
+    reuses a schedule compiled under the other plan."""
+    _forget_bench_memos()
+    try:
+        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
+            yield
+    finally:
+        _forget_bench_memos()
+
+
+def _forget_bench_memos():
+    bench._compile.clear()
+    bench._inputs.clear()
+
+
 def _chosen_is_the_fastest(rung, case, arm_order):
     """Forces every candidate of the rung through the stage table, every
     thread at the candidate's tile rows: the candidate the cost model's plan
@@ -207,7 +226,7 @@ def _chosen_is_the_fastest(rung, case, arm_order):
     inputs = make_inputs(spec)
     cycles = {}
     for candidate in compositions(base, spec_rung):
-        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
+        with _forced_plan(candidate):
             try:
                 _, _, timing = _run(spec, rung, cfg, inputs, arm_order)
             except PassError as exc:
@@ -321,7 +340,7 @@ def test_retiled_threads_are_priced_exactly(arm_order, rung, case):
     except PassError as exc:
         assert str(exc)
         with (
-            mock.patch.object(passes, "choose_composition", lambda m, s: pick),
+            _forced_plan(pick),
             pytest.raises(PassError),
         ):
             _run(spec, rung, cfg, inputs, arm_order)

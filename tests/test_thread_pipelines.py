@@ -5,12 +5,13 @@ cannot hold whole tiles or overlaps better over smaller ones, and merges
 them for vec-mt's per-thread loops; the floor of a re-tiled schedule; and
 the cost model that picks a composition."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
 import pytest
 
-from tilelab import passes
+from tilelab import bench, passes
 from tilelab.bench import outputs_match, run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
@@ -167,7 +168,7 @@ def test_each_thread_re_tiles_its_own_block():
     uniform = _uniform(base, mt)
     assert uniform == Composition(16, 7276, (16, 16, 16, 16))
     assert choose_composition(base, mt) == Composition(16, 6956, (8, 8, 16, 16))
-    with mock.patch.object(passes, "choose_composition", lambda m, spec: uniform):
+    with _forced_plan(uniform):
         forked = dict(run_pipeline_stages(base, mt))["pipeline-async-threads"]
     m = stages["pipeline-async-threads"]
     assert _region_tiles(forked) == [(1, 16)] * 4
@@ -207,10 +208,28 @@ def test_double_buffering_sums_the_ping_pong_of_every_region():
     _check(piped, spec, cfg, inputs, reference_output(spec, inputs), 0)
 
 
+@contextmanager
+def _forced_plan(candidate):
+    """Every MT rung runs `candidate`'s plan, whatever the cost model picks.
+    bench's one-entry memos are emptied on entry and on exit, so no run
+    reuses a schedule compiled under the other plan."""
+    _forget_bench_memos()
+    try:
+        with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
+            yield
+    finally:
+        _forget_bench_memos()
+
+
+def _forget_bench_memos():
+    bench._compile.clear()
+    bench._inputs.clear()
+
+
 def _forced(base, cfg, candidate):
     """The vec-mt-db module of `candidate`'s plan, whatever the cost model
     picks."""
-    with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
+    with _forced_plan(candidate):
         return run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
 
 

@@ -24,7 +24,13 @@ from tilelab.ir import (
 )
 from tilelab.kernels import build_gelu, build_vec_add_2d, gelu, vec_add_2d, vec_add_expr
 from tilelab.machine import MachineConfig, RUNG_ORDER
-from tilelab.passes import PipelineSpec, form_async_threads, form_virtual_threads, run_pipeline
+from tilelab.passes import (
+    PassError,
+    PipelineSpec,
+    form_async_threads,
+    form_virtual_threads,
+    run_pipeline,
+)
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -229,6 +235,29 @@ def test_a_forall_needs_a_thread_per_block_of_tiles(verify, threads, diag):
     m = TileModule(base.name, base.buffers, (Forall(loop.iv, 8, threads, loop.body),))
     assert verify(m, CFG) == [f"body[0]: {diag}"]
     assert verify_module(form_virtual_threads(base, 4), CFG) == []
+
+
+@pytest.mark.parametrize(
+    "threads, diags",
+    [
+        ((1, 2, 1, 1), ["body[0]: forall thread 1: cannot re-tile 3 loop rows into tiles of 2 rows"]),
+        ((3, 1, 2, 1), []),
+    ],
+    ids=["rows-not-dividing-a-block", "rows-dividing-every-block"],
+)
+def test_each_forall_thread_re_tiles_its_own_block(verify, threads, diags):
+    """Ten one-row tiles dealt to four threads in blocks of 3, 3, 2 and 2
+    rows: the verifier accepts a forall exactly when fork-join lowering
+    does, and names the same thread."""
+    base = build_vec_add_2d(vec_add_2d(10, 64, 1))
+    loop = base.body[0]
+    m = TileModule(base.name, base.buffers, (Forall(loop.iv, 10, threads, loop.body),))
+    assert verify(m, CFG) == diags
+    if diags:
+        with pytest.raises(PassError, match=diags[0].removeprefix("body[0]: ")):
+            form_async_threads(m)
+    else:
+        assert verify_module(form_async_threads(m), CFG) == []
 
 
 def test_two_top_level_loops_rejected(verify):
