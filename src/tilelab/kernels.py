@@ -10,7 +10,7 @@ their temporaries stay small at any array size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
 
@@ -62,15 +62,9 @@ class KernelSpec:
     seed: int = 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "rows": self.rows,
-            "cols": self.cols,
-            "tile_rows": self.tile_rows,
-            "tile_elems": self.tile_elems,
-            "gelu_variant": self.gelu_variant.value,
-            "seed": self.seed,
-        }
+        """Every field in declaration order, an enum as its value."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.value if isinstance(v, Enum) else v for k, v in values.items()}
 
 
 def vec_add_2d(rows: int = 64, cols: int = 16384, tile_rows: int = 8, seed: int = 1) -> KernelSpec:

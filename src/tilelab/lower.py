@@ -5,9 +5,11 @@ row_base, rows, cols) tuples, transfers carry their byte count, guarded ops
 their iv bounds, async regions their sub-schedule, and a compute step its
 expression as a closure over the functions of `ir.EXPR_OPS`, compiled on
 first execution.  Loops stay loops, a double-buffered loop with both its
-arms.  `walk` is the one control-flow walker (loops, arms, guards);
-`ArrayStore` and `HazardTracker` are the buffer state and the in-flight
-transfer model both executors share.
+arms.  A forall is the tile fork's plan, not a program: `lower` refuses
+it, since fork-join lowering (`passes.form_async_threads`) is the one
+reader of its threads.  `walk` is the one control-flow walker (loops,
+arms, guards); `ArrayStore` and `HazardTracker` are the buffer state and
+the in-flight transfer model both executors share.
 
 A rung run lowers its transformed module once and hands the schedule to the
 verifier's tag-balance walk and to both executors.  `lower` returns a
@@ -162,12 +164,16 @@ def lower(m: ir.TileModule | Schedule) -> Schedule:
             ins, out = tuple([_view(v) for v in op.inputs]), _view(op.output)
             cost = (op.output.elems, op.vector_factor, ir.ops_per_element(op.expr))
             return Compute(op, "compute", None, ins, out, *cost)
-        if cls is ir.ForTiles or cls is ir.Forall:
-            pong = op.pong if cls is ir.ForTiles else None
-            arms = block(op.body), None if pong is None else block(pong)
-            return Loop(op, "loop", None, op.tile_count, *arms)
+        if cls is ir.ForTiles:
+            pong = None if op.pong is None else block(op.pong)
+            return Loop(op, "loop", None, op.tile_count, block(op.body), pong)
         if cls is ir.AsyncExecute:
             return Async(op, "async", None, block(op.body))
+        if cls is ir.Forall:
+            raise ValueError(
+                f"forall %{op.iv} does not run: fork-join lowering"
+                " (form_async_threads) turns it into async regions first"
+            )
         raise ValueError(f"unknown op {op!r}")
 
     body = block(m.body)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import Decimal, ROUND_HALF_EVEN
 from enum import Enum
 from pathlib import Path
@@ -31,19 +31,6 @@ class LadderRung(str, Enum):
 
 
 RUNG_ORDER = (LadderRung.SCALAR, LadderRung.VEC, LadderRung.VEC_MT, LadderRung.VEC_MT_DB)
-
-_CONFIG_FIELDS = (
-    "lanes",
-    "threads",
-    "scalar_unit_cost",
-    "vector_unit_cost",
-    "dma_bandwidth",
-    "dma_startup",
-    "fork_cost",
-    "join_cost",
-    "tcm_capacity",
-    "clock_hz",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +61,7 @@ class MachineConfig:
     clock_hz: float = 1e9
 
     def __post_init__(self) -> None:
-        for name in _CONFIG_FIELDS:
+        for name in [f.name for f in fields(self)]:
             value = getattr(self, name)
             if name == "clock_hz":
                 # An int past the float range is not finite once converted.
@@ -100,7 +87,7 @@ class MachineConfig:
 
 
 def machine_config_from_dict(data: Mapping) -> MachineConfig:
-    unknown = sorted(set(data) - set(_CONFIG_FIELDS))
+    unknown = sorted(set(data) - {f.name for f in fields(MachineConfig)})
     if unknown:
         raise ValueError(f"unknown machine config keys: {', '.join(unknown)}")
     return MachineConfig(**data)

@@ -3,7 +3,9 @@
 Returns a list of diagnostics (empty means valid) rather than raising, so
 callers can report every violation at once.  Diagnostics are ordered by op
 position; tag-balance findings, which are whole-module properties, come last
-in tag order.
+in tag order.  What lowering refuses is reported at its op: an unknown op,
+and a forall, which runs only once fork-join lowering has turned it into
+async regions (that pass alone checks its threads).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .ir import (
 )
 from .lower import Schedule, lower, walk
 from .machine import MachineConfig
-from .passes import partition_tiles
 
 
 def _iv_range(op: Op, loop: int | None) -> tuple[int, int] | None:
@@ -218,30 +219,9 @@ class _Checker:
                 for name, arm in op_regions(op):
                     arm_peak = self.check_scope(arm, f"{path}.{name}", op.tile_count, leak)
                     peak = max(peak, arm_peak)
-            elif isinstance(op, Forall):
-                if op.tile_count < 1:
-                    self.err(path, f"forall tile_count must be >= 1, got {op.tile_count}")
-                if not op.threads:
-                    self.err(path, "forall has no threads")
-                elif len(op.threads) > op.tile_count:
-                    self.err(
-                        path, f"forall has {len(op.threads)} threads for {op.tile_count} tiles"
-                    )
-                # Thread t runs its block of the tiles, at the rows the body's
-                # compute writes, in tiles of its own rows (see passes._tile_loop).
-                computes = [c for c in op.body if isinstance(c, Compute)]
-                tile_rows = computes[0].output.row_count if computes else 0
-                blocks = partition_tiles(max(op.tile_count, 0), max(len(op.threads), 1))
-                for t, (block, rows) in enumerate(zip(blocks, op.threads)):
-                    if rows < 1:
-                        self.err(path, f"forall thread {t} tile rows must be >= 1, got {rows}")
-                    elif len(block) * tile_rows % rows:
-                        self.err(
-                            path,
-                            f"forall thread {t}: cannot re-tile {len(block) * tile_rows}"
-                            f" loop rows into tiles of {rows} rows",
-                        )
-                peak = max(peak, self.check_body(op.body, f"{path}.body", op.tile_count))
+            elif isinstance(op, Forall):  # lowering rejects it: nothing is walked
+                self.err(path, "forall does not run until fork-join lowering (form_async_threads)")
+                self.walkable = False
             elif isinstance(op, AsyncExecute):
                 if op.token in self.tokens:
                     self.err(path, f"duplicate async token %{op.token}")

@@ -1,7 +1,10 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from tilelab import bench
+from tilelab import bench, passes
 from tilelab.interp import interpret_functional
 from tilelab.ir import Compute, Copy, DmaStart, DmaWait, ForTiles, walk_module
 from tilelab.lower import lower
@@ -50,12 +53,35 @@ def _outcome(run):
     return {name: array.tobytes() for name, array in outputs.items()}, timing
 
 
+def _forget_bench_memos():
+    bench._compile.clear()
+    bench._inputs.clear()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_bench_memos():
     """Each test starts with bench's one-entry memos empty, so what it counts
     or patches does not depend on the test run before it."""
-    bench._compile.clear()
-    bench._inputs.clear()
+    _forget_bench_memos()
+
+
+@contextmanager
+def _forced_plan(candidate):
+    """Every MT rung runs `candidate`'s plan, whatever the cost model picks.
+    bench's one-entry memos are emptied on entry and on exit, so no run
+    reuses a schedule compiled under the other plan."""
+    _forget_bench_memos()
+    try:
+        with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
+            yield
+    finally:
+        _forget_bench_memos()
+
+
+@pytest.fixture(scope="session")
+def forced_plan():
+    """The forced-plan context manager (see _forced_plan)."""
+    return _forced_plan
 
 
 @pytest.fixture
@@ -63,11 +89,16 @@ def verify():
     """verify_module(m, machine), asserting on the way that the verifier,
     the interpreter and the simulator give the same result on the module
     and on its schedule, and that lowering a schedule returns it as it is.
+    A module that lowering refuses must get at least one diagnostic.
     Inputs are ones of every declared input buffer's shape."""
 
     def check(m, machine):
         diags = verify_module(m, machine)
-        sched = lower(m)
+        try:
+            sched = lower(m)
+        except ValueError as exc:
+            assert diags, f"lowering refuses a module the verifier accepts: {exc}"
+            return diags
         assert lower(sched) is sched
         assert verify_module(sched, machine) == diags
         inputs = {

@@ -1,13 +1,10 @@
 """Multi-threading passes: structured forall forming and fork-join lowering."""
 
-from contextlib import contextmanager
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from tilelab import bench, passes
 from tilelab.bench import run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
@@ -161,25 +158,7 @@ def test_a_thread_count_below_one_is_refused(threads):
         form_virtual_threads(_build(8), threads)
 
 
-@contextmanager
-def _forced_vec_mt(candidate):
-    """vec-mt runs `candidate`'s plan, whatever the cost model picks.  bench's
-    one-entry memos are emptied on entry and on exit, so no run reuses a
-    schedule compiled under the other plan."""
-    _forget_bench_memos()
-    try:
-        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
-            yield
-    finally:
-        _forget_bench_memos()
-
-
-def _forget_bench_memos():
-    bench._compile.clear()
-    bench._inputs.clear()
-
-
-def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
+def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked(forced_plan):
     # Two 8x256 vec-add tiles (three 8 KiB buffers each) on a 24 KiB
     # scratchpad: neither a fork nor a ping/pong over whole tiles fits.
     cfg = MachineConfig(tcm_capacity=24576)
@@ -197,7 +176,7 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked():
     assert choose_composition(base, spec_mt).forks == 0
     assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == vec
     four_way = next(c for c in compositions(base, spec_mt) if (c.rows, c.forks) == (2, 1))
-    with _forced_vec_mt(four_way):
+    with forced_plan(four_way):
         forked = run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles
     assert forked == 1932
     # vec-mt-db runs one pipeline over 2-way splits, whose ping/pong fits.
@@ -228,7 +207,7 @@ def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
         (gelu(5 * 1024, 1024), MachineConfig(lanes=32, threads=4), 1804, 1508),
     ],
 )
-def test_vec_mt_cost_model_picks(spec, cfg, before, after):
+def test_vec_mt_cost_model_picks(forced_plan, spec, cfg, before, after):
     """vec-mt cycles of the candidate the cost model picks (`after`) and of
     the whole-tile fork a size floor alone used to take (`before`); the pick is
     the fastest candidate, each forced as compositions offers it, with every
@@ -238,7 +217,7 @@ def test_vec_mt_cost_model_picks(spec, cfg, before, after):
     inputs = make_inputs(spec)
     cycles = {}
     for candidate in compositions(base, PipelineSpec(LadderRung.VEC_MT, cfg)):
-        with _forced_vec_mt(candidate):
+        with forced_plan(candidate):
             run = run_rung(spec, LadderRung.VEC_MT, cfg, inputs)
         cycles[candidate.rows, candidate.forks] = run.timing.total_cycles
     assert cycles[8, 1] == before

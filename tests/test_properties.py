@@ -21,13 +21,9 @@ rungs, each forked thread at its own tile rows: its price is the simulated
 cycles and at most the pick's.  Every run is checked against the floor of
 its own schedule, whose transfers re-tiling changes (see collect_stats)."""
 
-from contextlib import contextmanager
-from unittest import mock
-
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tilelab import bench, passes
 from tilelab.bench import outputs_match
 from tilelab.interp import interpret_functional
 from tilelab.ir import AsyncExecute, Compute, walk_module
@@ -198,25 +194,7 @@ def _pick(base, spec):
     return plan, next(c for c in compositions(base, spec) if (c.rows, c.forks) == key)
 
 
-@contextmanager
-def _forced_plan(candidate):
-    """Every MT rung runs `candidate`'s plan, whatever the cost model picks.
-    bench's one-entry memos are emptied on entry and on exit, so no run
-    reuses a schedule compiled under the other plan."""
-    _forget_bench_memos()
-    try:
-        with mock.patch.object(passes, "choose_composition", lambda m, s: candidate):
-            yield
-    finally:
-        _forget_bench_memos()
-
-
-def _forget_bench_memos():
-    bench._compile.clear()
-    bench._inputs.clear()
-
-
-def _chosen_is_the_fastest(rung, case, arm_order):
+def _chosen_is_the_fastest(rung, case, arm_order, forced_plan):
     """Forces every candidate of the rung through the stage table, every
     thread at the candidate's tile rows: the candidate the cost model's plan
     refines is the fastest."""
@@ -226,7 +204,7 @@ def _chosen_is_the_fastest(rung, case, arm_order):
     inputs = make_inputs(spec)
     cycles = {}
     for candidate in compositions(base, spec_rung):
-        with _forced_plan(candidate):
+        with forced_plan(candidate):
             try:
                 _, _, timing = _run(spec, rung, cfg, inputs, arm_order)
             except PassError as exc:
@@ -270,8 +248,8 @@ def _chosen_is_the_fastest(rung, case, arm_order):
     )
 )
 @example((gelu(5120, 1024), MachineConfig(lanes=64, threads=4, fork_cost=275)))
-def test_the_chosen_composition_is_the_fastest(arm_order, case):
-    _chosen_is_the_fastest(LadderRung.VEC_MT_DB, case, arm_order)
+def test_the_chosen_composition_is_the_fastest(arm_order, forced_plan, case):
+    _chosen_is_the_fastest(LadderRung.VEC_MT_DB, case, arm_order, forced_plan)
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -298,8 +276,8 @@ def test_the_chosen_composition_is_the_fastest(arm_order, case):
 # 1,502 against 12,045.
 @example((gelu(16384, 16384), MachineConfig()))
 @example((vec_add_2d(55, 30, 1, seed=1), MachineConfig(lanes=5, threads=4)))
-def test_the_chosen_vec_mt_composition_is_the_fastest(arm_order, case):
-    _chosen_is_the_fastest(LadderRung.VEC_MT, case, arm_order)
+def test_the_chosen_vec_mt_composition_is_the_fastest(arm_order, forced_plan, case):
+    _chosen_is_the_fastest(LadderRung.VEC_MT, case, arm_order, forced_plan)
 
 
 @pytest.mark.parametrize("rung", [LadderRung.VEC_MT, LadderRung.VEC_MT_DB])
@@ -325,7 +303,7 @@ def test_the_chosen_vec_mt_composition_is_the_fastest(arm_order, case):
         ),
     )
 )
-def test_retiled_threads_are_priced_exactly(arm_order, rung, case):
+def test_retiled_threads_are_priced_exactly(arm_order, forced_plan, rung, case):
     """Every plan of both MT rungs (see choose_composition) runs exactly the
     cycles it is priced at, no more than the pick it refines, and not below
     its schedule floor (checked in _run); an unforked pick is left as it
@@ -340,7 +318,7 @@ def test_retiled_threads_are_priced_exactly(arm_order, rung, case):
     except PassError as exc:
         assert str(exc)
         with (
-            _forced_plan(pick),
+            forced_plan(pick),
             pytest.raises(PassError),
         ):
             _run(spec, rung, cfg, inputs, arm_order)

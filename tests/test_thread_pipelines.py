@@ -5,13 +5,11 @@ cannot hold whole tiles or overlaps better over smaller ones, and merges
 them for vec-mt's per-thread loops; the floor of a re-tiled schedule; and
 the cost model that picks a composition."""
 
-from contextlib import contextmanager
 from dataclasses import replace
-from unittest import mock
 
 import pytest
 
-from tilelab import bench, passes
+from tilelab import passes
 from tilelab.bench import outputs_match, run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
@@ -158,7 +156,7 @@ def _uniform(base, spec):
     return next(c for c in compositions(base, spec) if (c.rows, c.forks) == (plan.rows, plan.forks))
 
 
-def test_each_thread_re_tiles_its_own_block():
+def test_each_thread_re_tiles_its_own_block(forced_plan):
     # Four threads of one 16-row tile each request the channel in lockstep
     # and queue behind each other; the first two threads split theirs into
     # two 8-row tiles, whose transfers interleave with the others'.
@@ -168,7 +166,7 @@ def test_each_thread_re_tiles_its_own_block():
     uniform = _uniform(base, mt)
     assert uniform == Composition(16, 7276, (16, 16, 16, 16))
     assert choose_composition(base, mt) == Composition(16, 6956, (8, 8, 16, 16))
-    with _forced_plan(uniform):
+    with forced_plan(uniform):
         forked = dict(run_pipeline_stages(base, mt))["pipeline-async-threads"]
     m = stages["pipeline-async-threads"]
     assert _region_tiles(forked) == [(1, 16)] * 4
@@ -208,28 +206,10 @@ def test_double_buffering_sums_the_ping_pong_of_every_region():
     _check(piped, spec, cfg, inputs, reference_output(spec, inputs), 0)
 
 
-@contextmanager
-def _forced_plan(candidate):
-    """Every MT rung runs `candidate`'s plan, whatever the cost model picks.
-    bench's one-entry memos are emptied on entry and on exit, so no run
-    reuses a schedule compiled under the other plan."""
-    _forget_bench_memos()
-    try:
-        with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):
-            yield
-    finally:
-        _forget_bench_memos()
-
-
-def _forget_bench_memos():
-    bench._compile.clear()
-    bench._inputs.clear()
-
-
-def _forced(base, cfg, candidate):
+def _forced(forced_plan, base, cfg, candidate):
     """The vec-mt-db module of `candidate`'s plan, whatever the cost model
     picks."""
-    with _forced_plan(candidate):
+    with forced_plan(candidate):
         return run_pipeline(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
 
 
@@ -409,12 +389,12 @@ def test_retile_refuses_with_a_reason(make, rows, reason):
         (vec_add_2d(4, 8192, 2), MachineConfig(lanes=16, threads=4), 3500, 2048, 4096),
     ],
 )
-def test_split_tiles_keep_the_floor_certified(spec, cfg, cycles, floor, old_floor):
+def test_split_tiles_keep_the_floor_certified(forced_plan, spec, cfg, cycles, floor, old_floor):
     """Two 2-row tiles split into four 1-row tiles run on four threads, where
     a floor over max(tiles, rows) = 2 contexts would be beaten."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     candidates = compositions(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
-    m = _forced(base, cfg, next(c for c in candidates if (c.rows, c.forks) == (1, 1)))
+    m = _forced(forced_plan, base, cfg, next(c for c in candidates if (c.rows, c.forks) == (1, 1)))
     assert len(_regions(m)) == 4
     stats = collect_stats(base)
     got = latency_lower_bound(stats, cfg, LadderRung.VEC_MT_DB)
@@ -470,7 +450,7 @@ def test_merged_tiles_keep_the_schedule_floor_certified(spec, cfg, rows, cycles,
         (gelu(16 * 4096, 4096), MachineConfig(), 10604, 10588),
     ],
 )
-def test_cost_model_picks(spec, cfg, before, after):
+def test_cost_model_picks(forced_plan, spec, cfg, before, after):
     """vec-mt-db cycles of the composition the cost model picks (`after`) and
     of the one an earlier rule picked (`before`): the busiest-thread row
     count, or the cost model before GELU tiles could split, before one
@@ -483,7 +463,7 @@ def test_cost_model_picks(spec, cfg, before, after):
     spec_db = PipelineSpec(LadderRung.VEC_MT_DB, cfg)
     inputs = make_inputs(spec)
     cycles = {
-        c: simulate_timed(_forced(base, cfg, c), inputs, cfg)[1].total_cycles
+        c: simulate_timed(_forced(forced_plan, base, cfg, c), inputs, cfg)[1].total_cycles
         for c in compositions(base, spec_db)
     }
     assert before in cycles.values()
@@ -502,7 +482,7 @@ def test_cost_model_picks(spec, cfg, before, after):
         (gelu(16 * 4096, 4096), MachineConfig(), 4, (2, 4, 4, 2), 10588, 10556),
     ],
 )
-def test_each_thread_re_tiles_its_own_pipeline(spec, cfg, tiles, rows, before, after):
+def test_each_thread_re_tiles_its_own_pipeline(forced_plan, spec, cfg, tiles, rows, before, after):
     """vec-mt-db's per-thread pipelines over the pick's tiles of `tiles` rows
     run `before`; re-tiled as the plan prices them, they run `after`."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
@@ -511,7 +491,7 @@ def test_each_thread_re_tiles_its_own_pipeline(spec, cfg, tiles, rows, before, a
     assert set(pick.threads) == {tiles}
     assert choose_composition(base, spec_db) == replace(pick, cycles=after, threads=rows)
     inputs = make_inputs(spec)
-    assert simulate_timed(_forced(base, cfg, pick), inputs, cfg)[1].total_cycles == before
+    assert simulate_timed(_forced(forced_plan, base, cfg, pick), inputs, cfg)[1].total_cycles == before
     assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == after
 
 

@@ -22,15 +22,24 @@ from tilelab.ir import (
     ViewRef,
     full_view,
 )
-from tilelab.kernels import build_gelu, build_vec_add_2d, gelu, vec_add_2d, vec_add_expr
+from tilelab.kernels import (
+    build_gelu,
+    build_vec_add_2d,
+    gelu,
+    make_inputs,
+    reference_output,
+    vec_add_2d,
+    vec_add_expr,
+)
+from tilelab.lower import lower
 from tilelab.machine import MachineConfig, RUNG_ORDER
 from tilelab.passes import (
-    PassError,
     PipelineSpec,
     form_async_threads,
     form_virtual_threads,
     run_pipeline,
 )
+from tilelab.sim import simulate_timed
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -220,44 +229,32 @@ def test_concurrent_async_regions_share_capacity(verify):
     assert verify_module(m, MachineConfig(tcm_capacity=8_388_608)) == []
 
 
-@pytest.mark.parametrize(
-    "threads, diag",
-    [
-        ((), "forall has no threads"),
-        ((1, 0, 1, 1), "forall thread 1 tile rows must be >= 1, got 0"),
-        ((1,) * 9, "forall has 9 threads for 8 tiles"),
-    ],
-    ids=["no-thread", "zero-rows", "more-threads-than-tiles"],
-)
-def test_a_forall_needs_a_thread_per_block_of_tiles(verify, threads, diag):
-    base = build_vec_add_2d(vec_add_2d(rows=8, tile_rows=1))
-    loop = base.body[0]
-    m = TileModule(base.name, base.buffers, (Forall(loop.iv, 8, threads, loop.body),))
-    assert verify(m, CFG) == [f"body[0]: {diag}"]
-    assert verify_module(form_virtual_threads(base, 4), CFG) == []
-
-
-@pytest.mark.parametrize(
-    "threads, diags",
-    [
-        ((1, 2, 1, 1), ["body[0]: forall thread 1: cannot re-tile 3 loop rows into tiles of 2 rows"]),
-        ((3, 1, 2, 1), []),
-    ],
-    ids=["rows-not-dividing-a-block", "rows-dividing-every-block"],
-)
-def test_each_forall_thread_re_tiles_its_own_block(verify, threads, diags):
+def test_a_forall_does_not_run(verify):
     """Ten one-row tiles dealt to four threads in blocks of 3, 3, 2 and 2
-    rows: the verifier accepts a forall exactly when fork-join lowering
-    does, and names the same thread."""
-    base = build_vec_add_2d(vec_add_2d(10, 64, 1))
+    rows, each thread at tile rows that divide its block: the verifier
+    reports the forall, lowering and both executors refuse it, and what
+    fork-join lowering makes of it runs.  The threads' rules are fork-join
+    lowering's alone (test_multithread)."""
+    spec = vec_add_2d(10, 64, 1)
+    base = build_vec_add_2d(spec)
     loop = base.body[0]
-    m = TileModule(base.name, base.buffers, (Forall(loop.iv, 10, threads, loop.body),))
-    assert verify(m, CFG) == diags
-    if diags:
-        with pytest.raises(PassError, match=diags[0].removeprefix("body[0]: ")):
-            form_async_threads(m)
-    else:
-        assert verify_module(form_async_threads(m), CFG) == []
+    m = TileModule(base.name, base.buffers, (Forall(loop.iv, 10, (3, 3, 2, 1), loop.body),))
+    diags = verify(m, CFG)
+    assert len(diags) == 1 and diags[0].startswith("body[0]: ")
+    assert "fork-join lowering" in diags[0]
+    inputs = make_inputs(spec)
+    for run in (
+        lambda: lower(m),
+        lambda: interpret_functional(m, inputs),
+        lambda: simulate_timed(m, inputs, CFG),
+    ):
+        with pytest.raises(ValueError, match="fork-join lowering"):
+            run()
+    forked = form_async_threads(m)
+    assert verify(forked, CFG) == []
+    outputs, report = simulate_timed(forked, inputs, CFG)
+    assert np.array_equal(outputs["C"], reference_output(spec, inputs)["C"])
+    assert report.total_cycles == 1662
 
 
 def test_two_top_level_loops_rejected(verify):
