@@ -3,8 +3,9 @@
 Every rung is rebuilt from the same kernel spec, transformed, lowered once,
 verified, and simulated; a report is only produced when every rung's
 outputs match the scalar rung (exactly for vec-add, within 1e-6 relative for
-GELU).  A check right after a run of the same (kernel, rung, machine) reuses
-that run's compile and inputs (see _memo_last).
+GELU).  A rung run is one memoized call (see _run), so a check right after
+a run of the same (kernel, rung, machine) reuses that run's compile, inputs
+and simulation.
 Bundled reference numbers from a hardware measurement of the same ladder
 ride along as metadata for qualitative comparison; the simulator makes no
 attempt to reproduce absolute microseconds.
@@ -19,7 +20,6 @@ from decimal import Decimal, ROUND_HALF_EVEN
 import numpy as np
 
 from .interp import interpret_functional
-from .ir import TileModule
 from .kernels import KernelKind, KernelSpec, build_kernel, make_inputs, reference_output
 from .lower import Schedule, lower
 from .machine import (
@@ -69,10 +69,6 @@ class LadderReport:
     rows: tuple[LadderRow, ...]
     hardware_reference: dict
 
-    @property
-    def machine_digest(self) -> str:
-        return self.machine.digest
-
 
 @dataclass(frozen=True, slots=True)
 class SweepPoint:
@@ -88,10 +84,6 @@ class SweepReport:
     machine: MachineConfig
     points: tuple[SweepPoint, ...]
     hardware_reference: dict
-
-    @property
-    def machine_digest(self) -> str:
-        return self.machine.digest
 
 
 def round3(value: float) -> float:
@@ -144,20 +136,6 @@ def _memo_last(fn):
 
 
 @_memo_last
-def _compile(
-    kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig
-) -> tuple[TileModule, Schedule, tuple[str, ...]]:
-    """Build -> transform -> lower -> verify, the one compilation path of a
-    rung run.  Returns the base module, which the floor's statistics read,
-    the transformed module's schedule, whose transfers the floor counts and
-    which the verifier and both executors share, and the verifier's
-    diagnostics."""
-    base = build_kernel(kernel, tcm_capacity=cfg.tcm_capacity)
-    sched = lower(run_pipeline(base, PipelineSpec(rung, cfg)))
-    return base, sched, tuple(verify_module(sched, cfg))
-
-
-@_memo_last
 def _inputs(kernel: KernelSpec) -> dict[str, np.ndarray]:
     """The kernel's inputs, read-only, so a write raises instead of
     corrupting a later check; no op writes an input (see lower.ArrayStore)."""
@@ -167,23 +145,34 @@ def _inputs(kernel: KernelSpec) -> dict[str, np.ndarray]:
     return inputs
 
 
-def run_rung(
-    kernel: KernelSpec,
-    rung: LadderRung,
-    cfg: MachineConfig,
-    inputs: dict | None = None,
-) -> RungRun:
+@_memo_last
+def _run(
+    kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig
+) -> tuple[Schedule, tuple[str, ...], RungRun | None]:
+    """Build -> transform -> lower -> verify -> simulate, the one path of a
+    rung run.  Returns the schedule, which the interpreter shares with the
+    simulator, the verifier's diagnostics, and, when there are none, the run
+    on the kernel's inputs, its outputs read-only like the inputs."""
+    base = build_kernel(kernel, tcm_capacity=cfg.tcm_capacity)
+    sched = lower(run_pipeline(base, PipelineSpec(rung, cfg)))
+    diagnostics = tuple(verify_module(sched, cfg))
+    if diagnostics:
+        return sched, diagnostics, None
+    outputs, timing = simulate_timed(sched, _inputs(kernel), cfg)
+    for array in outputs.values():
+        array.flags.writeable = False
+    floor = latency_lower_bound(collect_stats(base, sched), cfg, rung)
+    return sched, diagnostics, RungRun(rung, outputs, timing, floor)
+
+
+def run_rung(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -> RungRun:
     """Build -> transform -> lower -> verify -> simulate for one rung."""
-    base, sched, diagnostics = _compile(kernel, rung, cfg)
+    _, diagnostics, run = _run(kernel, rung, cfg)
     if diagnostics:
         raise BenchError(
             f"rung {rung.value}: transformed module failed verification: {diagnostics[0]}"
         )
-    if inputs is None:
-        inputs = _inputs(kernel)
-    outputs, timing = simulate_timed(sched, inputs, cfg)
-    floor = latency_lower_bound(collect_stats(base, sched), cfg, rung)
-    return RungRun(rung, outputs, timing, floor)
+    return run
 
 
 def run_ladder(kernel: KernelSpec, cfg: MachineConfig) -> LadderReport:
@@ -191,12 +180,11 @@ def run_ladder(kernel: KernelSpec, cfg: MachineConfig) -> LadderReport:
     scalar rung.  Each later rung is compared with the scalar outputs once it
     is simulated, then dropped, so two rungs' outputs are live, not four.  The
     first divergence is raised after the loop, so a later rung's failure wins."""
-    inputs = _inputs(kernel)
     scalar_outputs = diverged = None
     timings: list[TimingReport] = []
     for rung in RUNG_ORDER:
         try:
-            run = run_rung(kernel, rung, cfg, inputs)
+            run = run_rung(kernel, rung, cfg)
         except Exception as exc:
             raise BenchError(f"rung {rung.value} failed: {exc}") from exc
         timings.append(run.timing)
@@ -235,9 +223,8 @@ def run_sweep(kernel: KernelSpec, sizes: tuple[int, ...], cfg: MachineConfig) ->
 
 def _sweep_point(kernel: KernelSpec, cfg: MachineConfig) -> SweepPoint:
     """One sweep point, whose arrays die before the next point's are drawn."""
-    inputs = _inputs(kernel)
-    single = run_rung(kernel, LadderRung.VEC, cfg, inputs)
-    multi = run_rung(kernel, LadderRung.VEC_MT, cfg, inputs)
+    single = run_rung(kernel, LadderRung.VEC, cfg)
+    multi = run_rung(kernel, LadderRung.VEC_MT, cfg)
     if not outputs_match(kernel.kind, multi.outputs, single.outputs):
         raise BenchError(f"sweep point {kernel.cols}: multi-thread outputs diverge; report aborted")
     single_us, multi_us = single.timing.total_us, multi.timing.total_us
@@ -247,14 +234,14 @@ def _sweep_point(kernel: KernelSpec, cfg: MachineConfig) -> SweepPoint:
 def functional_check(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -> list[str]:
     """End-to-end equivalence for one (kernel, rung): interpreter vs timed
     simulator vs double-precision reference.  Returns failure descriptions.
-    The interpreter's outputs are dropped once compared, before the reference."""
+    The simulator's outputs are the rung run's (see _run); the interpreter's
+    are dropped once compared, before the reference is computed."""
     failures: list[str] = []
-    _, sched, diagnostics = _compile(kernel, rung, cfg)
+    sched, diagnostics, run = _run(kernel, rung, cfg)
     if diagnostics:
         return [f"verifier: {d}" for d in diagnostics]
-    inputs = _inputs(kernel)
+    inputs, sim_out = _inputs(kernel), run.outputs
     interp_out = interpret_functional(sched, inputs)
-    sim_out, _ = simulate_timed(sched, inputs, cfg)
     differ = {name for name in sim_out if not np.array_equal(interp_out[name], sim_out[name])}
     del interp_out
     ref = reference_output(kernel, inputs)

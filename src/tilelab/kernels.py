@@ -137,17 +137,17 @@ def uniform_f32(seed: int, count: int, offset: int = 0) -> np.ndarray:
     return out
 
 
-def make_inputs(spec: KernelSpec, seed: int | None = None) -> dict[str, np.ndarray]:
-    """Named input arrays shaped like the module's DDR declarations."""
-    seed = spec.seed if seed is None else seed
+def make_inputs(spec: KernelSpec) -> dict[str, np.ndarray]:
+    """Named input arrays shaped like the module's DDR declarations, drawn
+    from the spec's seed."""
     shape = ddr_shape(spec)
     count = shape[0] * shape[1]
     if spec.kind is KernelKind.VEC_ADD_2D:
         return {
-            "A": uniform_f32(seed, count).reshape(shape),
-            "B": uniform_f32(seed, count, offset=count).reshape(shape),
+            "A": uniform_f32(spec.seed, count).reshape(shape),
+            "B": uniform_f32(spec.seed, count, offset=count).reshape(shape),
         }
-    return {"X": uniform_f32(seed, count).reshape(shape)}
+    return {"X": uniform_f32(spec.seed, count).reshape(shape)}
 
 
 # --------------------------------------------------------------------------- #

@@ -124,7 +124,9 @@ def _view(v: ir.ViewRef) -> View:
     return (v.base, v.row_scale, v.row_base, v.row_count, v.col_count)
 
 
-def _guard(op: ir.Op) -> tuple[float, float] | None:
+def iv_guard(op: ir.Op) -> tuple[float, float] | None:
+    """The [lo, hi) bounds on the nearest enclosing iv within which a
+    guarded op runs (see walk), None when it has no guard."""
     lt, ge = op.only_if_iv_lt, op.only_if_iv_ge
     if lt is None and ge is None:
         return None
@@ -155,10 +157,10 @@ def lower(m: ir.TileModule | Schedule) -> Schedule:
             nbytes = op.src.elems * ir.ELEM_DTYPE.itemsize
             tag = op.tag if cls is ir.DmaStart else None
             written.add(op.dst.base)
-            return Transfer(op, "transfer", _guard(op), _view(op.src), _view(op.dst), nbytes, tag)
+            return Transfer(op, "transfer", iv_guard(op), _view(op.src), _view(op.dst), nbytes, tag)
         kind = _PLAIN.get(cls)
         if kind is not None:
-            return Step(op, kind, _guard(op) if cls is ir.DmaWait else None)
+            return Step(op, kind, iv_guard(op) if cls is ir.DmaWait else None)
         if cls is ir.Compute:
             written.add(op.output.base)
             ins, out = tuple([_view(v) for v in op.inputs]), _view(op.output)

@@ -53,7 +53,7 @@ def emit_json(report: LadderReport | SweepReport) -> str:
     payload: dict = {
         "kernel": report.kernel.to_json_dict(),
         "machine": report.machine.to_json_dict(),
-        "machine_digest": report.machine_digest,
+        "machine_digest": report.machine.digest,
         "hardware_reference": report.hardware_reference,
     }
     if isinstance(report, LadderReport):

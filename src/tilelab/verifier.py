@@ -36,26 +36,8 @@ from .ir import (
     expr_nodes,
     op_regions,
 )
-from .lower import Schedule, lower, walk
+from .lower import Schedule, iv_guard, lower, walk
 from .machine import MachineConfig
-
-
-def _iv_range(op: Op, loop: int | None) -> tuple[int, int] | None:
-    """Executed iv range [lo, hi) of a possibly guarded op in a loop of
-    `loop` tiles, None when the op never executes or there is no enclosing
-    loop."""
-    if loop is None:
-        return None
-    lo, hi = 0, loop
-    lt = getattr(op, "only_if_iv_lt", None)
-    ge = getattr(op, "only_if_iv_ge", None)
-    if lt is not None:
-        hi = min(hi, lt)
-    if ge is not None:
-        lo = max(lo, ge)
-    if lo >= hi:
-        return None
-    return lo, hi
 
 
 class _Checker:
@@ -94,17 +76,15 @@ class _Checker:
         if view.row_scale != 0 and loop is None:
             self.err(path, f"view of @{view.base} uses an induction variable outside any loop")
             return
+        candidates = [view.row_base]
         if loop is not None:
-            rng = _iv_range(op, loop)
-            if rng is None:
+            # The iv values the op runs at: lowering's guard within the loop.
+            guard = iv_guard(op) if isinstance(op, GUARDED_OPS) else None
+            lo, hi = (0, loop) if guard is None else (max(0, guard[0]), min(loop, guard[1]))
+            if lo >= hi:
                 return  # guarded out on every iteration: the view never resolves
-            if view.row_scale == 0:
-                candidates = [view.row_base]
-            else:
-                lo, hi = rng
+            if view.row_scale != 0:
                 candidates = [view.row_offset_at(lo), view.row_offset_at(hi - 1)]
-        else:
-            candidates = [view.row_base]
         for off in candidates:
             if off < 0 or off + view.row_count > decl.rows:
                 self.err(

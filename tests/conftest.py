@@ -54,7 +54,7 @@ def _outcome(run):
 
 
 def _forget_bench_memos():
-    bench._compile.clear()
+    bench._run.clear()
     bench._inputs.clear()
 
 

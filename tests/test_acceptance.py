@@ -5,6 +5,7 @@ summary is printed at the end of the session (see conftest).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,10 +57,10 @@ def _assert_matches_reference(spec, outputs, reference):
 def test_criterion_1_functional_equivalence():
     for spec in KERNELS:
         for seed in SEEDS:
-            inputs = make_inputs(spec, seed=seed)
-            reference = reference_output(spec, inputs)
+            seeded = replace(spec, seed=seed)
+            reference = reference_output(seeded, make_inputs(seeded))
             for rung in RUNG_ORDER:
-                run = run_rung(spec, rung, CFG, inputs)
+                run = run_rung(seeded, rung, CFG)
                 _assert_matches_reference(spec, run.outputs, reference)
 
 
@@ -90,15 +91,13 @@ def test_criterion_3_gelu_sweep():
 @pytest.mark.criterion("4", "simulated latency never beats the analytic floor; memory-bound db rides the transfer floor")
 def test_criterion_4_simulator_floor():
     for spec in KERNELS:
-        inputs = make_inputs(spec)
         for rung in RUNG_ORDER:
-            run = run_rung(spec, rung, CFG, inputs)
+            run = run_rung(spec, rung, CFG)
             assert run.timing.total_cycles >= run.lower_bound, (spec.kind, rung)
     for n in DEFAULT_SWEEP_SIZES:
         spec = gelu(n=n)
-        inputs = make_inputs(spec)
         for rung in (LadderRung.VEC, LadderRung.VEC_MT):
-            run = run_rung(spec, rung, CFG, inputs)
+            run = run_rung(spec, rung, CFG)
             assert run.timing.total_cycles >= run.lower_bound, (n, rung)
 
     memory_bound = MachineConfig(dma_bandwidth=1)

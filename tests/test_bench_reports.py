@@ -218,7 +218,7 @@ def _fake_rungs(monkeypatch, outputs_of):
     """Replaces run_rung with one that returns outputs_of(kernel, rung), or
     raises it when it is an exception."""
 
-    def run_rung(kernel, rung, cfg, inputs=None):
+    def run_rung(kernel, rung, cfg):
         out = outputs_of(kernel, rung)
         if isinstance(out, Exception):
             raise out
@@ -309,14 +309,14 @@ DIVERGES = "simulator output diverges from the reference"
 def test_functional_check_failure_lists(monkeypatch, interp, ref, want):
     calls = _fake_executors(monkeypatch, interp, {"Y": 0, "Z": 0}, ref)
     assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == want
-    assert calls == ["interp", "sim", "ref"]
+    assert calls == ["sim", "interp", "ref"]
 
 
-def test_functional_check_raises_the_interpreter_error_before_simulating(monkeypatch):
+def test_functional_check_raises_the_interpreter_error_before_the_reference(monkeypatch):
     calls = _fake_executors(monkeypatch, ValueError("interp broke"), {"Y": 0}, {"Y": 0})
     with pytest.raises(ValueError, match="interp broke"):
         functional_check(SMALL_GELU, LadderRung.VEC, CFG)
-    assert calls == ["interp"]
+    assert calls == ["sim", "interp"]
 
 
 # --------------------------------------------------------------------------- #
@@ -356,6 +356,19 @@ def test_functional_check_holds_the_inputs_and_two_outputs(kernel):
         assert _traced_peak(lambda: functional_check(kernel, rung, CFG)) <= bound, rung
 
 
+@pytest.mark.parametrize("kernel", MEMORY_KERNELS, ids=lambda k: k.kind.value)
+def test_a_ladder_and_its_checks_hold_the_inputs_and_two_outputs(kernel):
+    """One region over the whole flow, so a run the memo holds between calls
+    counts against the next call's peak."""
+
+    def ladder_then_checks():
+        run_ladder(kernel, CFG)
+        for rung in RUNG_ORDER:
+            assert functional_check(kernel, rung, CFG) == [], rung
+
+    assert _traced_peak(ladder_then_checks) <= _two_results_bound(kernel)
+
+
 def test_sweep_point_holds_the_inputs_and_two_outputs():
     n = 1 << 22
     bound = _two_results_bound(gelu(n))
@@ -363,14 +376,15 @@ def test_sweep_point_holds_the_inputs_and_two_outputs():
 
 
 # --------------------------------------------------------------------------- #
-# One-entry memos: a check right after a run reuses its compile and inputs
+# One-entry memos: a check right after a run reuses its compile, inputs and
+# simulation
 # --------------------------------------------------------------------------- #
 
 
 def _counted(monkeypatch):
-    """Counts the calls bench makes to build_kernel, run_pipeline and
-    make_inputs."""
-    calls = dict.fromkeys(("build_kernel", "run_pipeline", "make_inputs"), 0)
+    """Counts the calls bench makes to build_kernel, run_pipeline,
+    make_inputs and simulate_timed."""
+    calls = dict.fromkeys(("build_kernel", "run_pipeline", "make_inputs", "simulate_timed"), 0)
     for name in calls:
 
         def counting(*args, _name=name, _real=getattr(bench, name), **kwargs):
@@ -385,7 +399,10 @@ def test_a_check_right_after_a_run_reuses_its_compile_and_inputs(monkeypatch):
     calls = _counted(monkeypatch)
     bench.run_rung(SMALL_GELU, LadderRung.VEC_MT, CFG)
     assert functional_check(SMALL_GELU, LadderRung.VEC_MT, CFG) == []
-    assert calls == {"build_kernel": 1, "run_pipeline": 1, "make_inputs": 1}
+    assert calls == {"build_kernel": 1, "run_pipeline": 1, "make_inputs": 1, "simulate_timed": 1}
+    # A check of a fresh triple compiles and simulates once.
+    assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
+    assert calls == {"build_kernel": 2, "run_pipeline": 2, "make_inputs": 1, "simulate_timed": 2}
 
 
 @pytest.mark.parametrize(
@@ -398,7 +415,12 @@ def test_each_memo_holds_one_entry(monkeypatch, between, draws):
     bench.run_rung(SMALL_GELU, LadderRung.VEC, CFG)
     bench.run_rung(*between, CFG)
     assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
-    assert calls == {"build_kernel": 3, "run_pipeline": 3, "make_inputs": draws}
+    assert calls == {
+        "build_kernel": 3,
+        "run_pipeline": 3,
+        "make_inputs": draws,
+        "simulate_timed": 3,
+    }
 
 
 def test_a_ladder_draws_its_inputs_once_for_its_rungs_and_checks(monkeypatch):
@@ -417,6 +439,12 @@ def test_the_inputs_bench_draws_are_read_only(monkeypatch):
     (inputs,) = drawn
     with pytest.raises(ValueError, match="read-only"):
         inputs["X"][0, 0] = 1.0
+
+
+def test_a_runs_outputs_are_read_only():
+    run = bench.run_rung(SMALL_GELU, LadderRung.VEC, CFG)
+    with pytest.raises(ValueError, match="read-only"):
+        run.outputs["Y"][0, 0] = 1.0
 
 
 def test_make_inputs_still_returns_writable_arrays():

@@ -164,8 +164,7 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked(forced_plan):
     cfg = MachineConfig(tcm_capacity=24576)
     spec = vec_add_2d(16, 256, 8)
     base = build_vec_add_2d(spec, tcm_capacity=cfg.tcm_capacity)
-    inputs = make_inputs(spec)
-    vec = run_rung(spec, LadderRung.VEC, cfg, inputs).timing.total_cycles
+    vec = run_rung(spec, LadderRung.VEC, cfg).timing.total_cycles
     assert vec == 992
     # vec-mt declines its fork: unforked loops over whole and split tiles fit,
     # and so do forked loops over 4- and 8-way splits, but each costs more
@@ -174,15 +173,15 @@ def test_whole_tiles_that_overflow_tcm_split_or_stay_unforked(forced_plan):
     offered = [(c.rows, c.forks) for c in compositions(base, spec_mt)]
     assert offered == [(8, 0), (4, 0), (2, 0), (2, 1), (1, 0), (1, 1)]
     assert choose_composition(base, spec_mt).forks == 0
-    assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == vec
+    assert run_rung(spec, LadderRung.VEC_MT, cfg).timing.total_cycles == vec
     four_way = next(c for c in compositions(base, spec_mt) if (c.rows, c.forks) == (2, 1))
     with forced_plan(four_way):
-        forked = run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles
+        forked = run_rung(spec, LadderRung.VEC_MT, cfg).timing.total_cycles
     assert forked == 1932
     # vec-mt-db runs one pipeline over 2-way splits, whose ping/pong fits.
     choice = choose_composition(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
     assert (choice.rows, choice.forks) == (4, 0)
-    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == 920
+    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg).timing.total_cycles == 920
 
 
 def test_a_rung_with_no_candidate_that_fits_fails_in_the_pass():
@@ -214,14 +213,13 @@ def test_vec_mt_cost_model_picks(forced_plan, spec, cfg, before, after):
     thread at the candidate's tile rows, and no thread of these re-tiles its
     block."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
-    inputs = make_inputs(spec)
     cycles = {}
     for candidate in compositions(base, PipelineSpec(LadderRung.VEC_MT, cfg)):
         with forced_plan(candidate):
-            run = run_rung(spec, LadderRung.VEC_MT, cfg, inputs)
+            run = run_rung(spec, LadderRung.VEC_MT, cfg)
         cycles[candidate.rows, candidate.forks] = run.timing.total_cycles
     assert cycles[8, 1] == before
-    assert run_rung(spec, LadderRung.VEC_MT, cfg, inputs).timing.total_cycles == after
+    assert run_rung(spec, LadderRung.VEC_MT, cfg).timing.total_cycles == after
     assert after == min(cycles.values())
 
 

@@ -152,7 +152,7 @@ def test_mt_floor_uses_the_rows_it_forks_over():
     # contexts; by the tile count, the floor would be 9,728.
     spec = gelu(n=32768)
     base = build_kernel(spec, tcm_capacity=CFG.tcm_capacity)
-    run = run_rung(spec, LadderRung.VEC_MT, CFG, make_inputs(spec))
+    run = run_rung(spec, LadderRung.VEC_MT, CFG)
     assert run.timing.total_cycles == 5804
     assert sum(busy > 0 for busy in run.timing.per_thread_busy) == 4
     assert latency_lower_bound(collect_stats(base), CFG, LadderRung.VEC_MT) == 4864
@@ -162,15 +162,14 @@ def test_mt_floor_uses_the_rows_it_forks_over():
 def test_mt_speedup_never_exceeds_thread_count():
     for rows in (8, 16, 64):
         spec = vec_add_2d(rows=rows, tile_rows=1)
-        inputs = make_inputs(spec)
-        single = run_rung(spec, LadderRung.VEC, CFG, inputs)
-        multi = run_rung(spec, LadderRung.VEC_MT, CFG, inputs)
+        single = run_rung(spec, LadderRung.VEC, CFG)
+        multi = run_rung(spec, LadderRung.VEC_MT, CFG)
         assert single.timing.total_cycles / multi.timing.total_cycles <= CFG.threads
 
 
 def test_fork_join_overhead_accounting():
     spec = vec_add_2d()
-    run = run_rung(spec, LadderRung.VEC_MT, CFG, make_inputs(spec))
+    run = run_rung(spec, LadderRung.VEC_MT, CFG)
     # 4 regions forked once plus one barrier.
     assert run.timing.overhead_cycles == 4 * CFG.fork_cost + CFG.join_cost
     assert len(run.timing.per_thread_busy) == CFG.threads
@@ -252,7 +251,7 @@ def test_timing_report_invariants():
     for kind in ("vec-add-2d", "gelu"):
         spec = vec_add_2d() if kind == "vec-add-2d" else gelu(n=262144)
         for rung in RUNG_ORDER:
-            run = run_rung(spec, rung, CFG, make_inputs(spec))
+            run = run_rung(spec, rung, CFG)
             rep = run.timing
             assert rep.total_us > 0
             assert rep.dma_busy_cycles <= rep.total_cycles

@@ -268,7 +268,7 @@ def test_five_tile_gelu_splits_its_tiles_for_balance():
     choice = choose_composition(base, PipelineSpec(LadderRung.VEC_MT_DB, cfg))
     assert (choice.rows, choice.forks) == (1, 1)
     inputs = make_inputs(spec)
-    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == 49500
+    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg).timing.total_cycles == 49500
     assert simulate_timed(_thread_pipelines(base, cfg), inputs, cfg)[1].total_cycles == 78508
 
 
@@ -424,7 +424,7 @@ def test_merged_tiles_keep_the_schedule_floor_certified(spec, cfg, rows, cycles,
     schedule."""
     base = build_kernel(spec, tcm_capacity=cfg.tcm_capacity)
     assert choose_composition(base, PipelineSpec(LadderRung.VEC_MT, cfg)).rows == rows
-    run = run_rung(spec, LadderRung.VEC_MT, cfg, make_inputs(spec))
+    run = run_rung(spec, LadderRung.VEC_MT, cfg)
     assert (run.timing.total_cycles, run.lower_bound) == (cycles, floor)
     assert run.timing.total_cycles >= run.lower_bound
     assert latency_lower_bound(collect_stats(base), cfg, LadderRung.VEC_MT) == kernel_floor > cycles
@@ -468,7 +468,7 @@ def test_cost_model_picks(forced_plan, spec, cfg, before, after):
     }
     assert before in cycles.values()
     assert cycles[_uniform(base, spec_db)] == after == min(cycles.values())
-    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles <= after
+    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg).timing.total_cycles <= after
 
 
 @pytest.mark.parametrize(
@@ -492,7 +492,7 @@ def test_each_thread_re_tiles_its_own_pipeline(forced_plan, spec, cfg, tiles, ro
     assert choose_composition(base, spec_db) == replace(pick, cycles=after, threads=rows)
     inputs = make_inputs(spec)
     assert simulate_timed(_forced(forced_plan, base, cfg, pick), inputs, cfg)[1].total_cycles == before
-    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg, inputs).timing.total_cycles == after
+    assert run_rung(spec, LadderRung.VEC_MT_DB, cfg).timing.total_cycles == after
 
 
 def _cut_prices(db, regions, forks):
@@ -550,7 +550,7 @@ def test_the_cost_model_offers_no_tiling_that_vectorize_refuses():
     for rung in (LadderRung.VEC_MT, LadderRung.VEC_MT_DB):
         assert 6 not in {c.rows for c in compositions(base, PipelineSpec(rung, cfg))}
     # One pipeline over the loop's 24 rows in 4-row tiles.
-    run = run_rung(spec, LadderRung.VEC_MT_DB, cfg, make_inputs(spec))
+    run = run_rung(spec, LadderRung.VEC_MT_DB, cfg)
     assert run.timing.total_cycles == 1516
 
 
@@ -597,6 +597,5 @@ def test_one_thread_declines_every_fork(spec, rung):
 
 def test_default_gelu_ladder_is_strictly_monotone():
     spec = gelu()
-    inputs = make_inputs(spec)
-    cycles = [run_rung(spec, rung, CFG, inputs).timing.total_cycles for rung in RUNG_ORDER]
+    cycles = [run_rung(spec, rung, CFG).timing.total_cycles for rung in RUNG_ORDER]
     assert cycles == sorted(cycles, reverse=True) and len(set(cycles)) == len(cycles), cycles

@@ -35,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import case_label, grid_draw  # noqa: E402
 from tilelab import bench  # noqa: E402
-from tilelab.kernels import build_kernel, gelu, make_inputs, vec_add_2d  # noqa: E402
+from tilelab.kernels import build_kernel, gelu, vec_add_2d  # noqa: E402
 from tilelab.machine import RUNG_ORDER, MachineConfig  # noqa: E402
 from tilelab.passes import PassError, PipelineSpec, run_pipeline_stages  # noqa: E402
 from tilelab.printer import print_module  # noqa: E402
@@ -90,7 +90,7 @@ def survey_run(spec, cfg, rung) -> dict:
     record["stages"] = {name: _sha(print_module(m).encode()) for name, m in stages}
     record["final"] = _sha(print_module(stages[-1][1]).encode())
     try:
-        run = bench.run_rung(spec, rung, cfg, make_inputs(spec))
+        run = bench.run_rung(spec, rung, cfg)
     except bench.BenchError as exc:
         return {**record, "error": str(exc)}
     outputs = b"".join(n.encode() + run.outputs[n].tobytes() for n in sorted(run.outputs))
