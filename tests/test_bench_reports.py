@@ -1,7 +1,10 @@
 """Bench harness and report emitters."""
 
+import importlib.util
 import json
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -376,15 +379,23 @@ def test_sweep_point_holds_the_inputs_and_two_outputs():
 
 
 # --------------------------------------------------------------------------- #
-# One-entry memos: a check right after a run reuses its compile, inputs and
-# simulation
+# One-entry memos and records: a check reads the run that made its number
 # --------------------------------------------------------------------------- #
 
+COUNTED = (
+    "build_kernel",
+    "run_pipeline",
+    "verify_module",
+    "make_inputs",
+    "simulate_timed",
+    "interpret_functional",
+    "collect_stats",
+)
 
-def _counted(monkeypatch):
-    """Counts the calls bench makes to build_kernel, run_pipeline,
-    make_inputs and simulate_timed."""
-    calls = dict.fromkeys(("build_kernel", "run_pipeline", "make_inputs", "simulate_timed"), 0)
+
+def _counted(monkeypatch, names=COUNTED):
+    """Counts the calls bench makes to each of `names`."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
 
         def counting(*args, _name=name, _real=getattr(bench, name), **kwargs):
@@ -395,14 +406,36 @@ def _counted(monkeypatch):
     return calls
 
 
+def _counts(**calls) -> dict:
+    """What _counted reads after `calls`: 0 for every name not given."""
+    assert set(calls) <= set(COUNTED)
+    return {name: calls.get(name, 0) for name in COUNTED}
+
+
 def test_a_check_right_after_a_run_reuses_its_compile_and_inputs(monkeypatch):
     calls = _counted(monkeypatch)
+    # A check with no run before it (the CLI's verify) compiles and
+    # simulates once, and computes no floor.
+    assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
+    assert calls == _counts(
+        build_kernel=1,
+        run_pipeline=1,
+        verify_module=1,
+        make_inputs=1,
+        simulate_timed=1,
+        interpret_functional=1,
+    )
     bench.run_rung(SMALL_GELU, LadderRung.VEC_MT, CFG)
     assert functional_check(SMALL_GELU, LadderRung.VEC_MT, CFG) == []
-    assert calls == {"build_kernel": 1, "run_pipeline": 1, "make_inputs": 1, "simulate_timed": 1}
-    # A check of a fresh triple compiles and simulates once.
-    assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
-    assert calls == {"build_kernel": 2, "run_pipeline": 2, "make_inputs": 1, "simulate_timed": 2}
+    assert calls == _counts(
+        build_kernel=2,
+        run_pipeline=2,
+        verify_module=2,
+        make_inputs=1,
+        simulate_timed=2,
+        interpret_functional=2,
+        collect_stats=1,
+    )
 
 
 @pytest.mark.parametrize(
@@ -411,16 +444,21 @@ def test_a_check_right_after_a_run_reuses_its_compile_and_inputs(monkeypatch):
     ids=["other-rung", "other-kernel"],
 )
 def test_each_memo_holds_one_entry(monkeypatch, between, draws):
+    """The run between drops the first from the slot, and the check reads
+    the first's record: neither compiles nor simulates again."""
     calls = _counted(monkeypatch)
     bench.run_rung(SMALL_GELU, LadderRung.VEC, CFG)
     bench.run_rung(*between, CFG)
     assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
-    assert calls == {
-        "build_kernel": 3,
-        "run_pipeline": 3,
-        "make_inputs": draws,
-        "simulate_timed": 3,
-    }
+    assert calls == _counts(
+        build_kernel=2,
+        run_pipeline=2,
+        verify_module=2,
+        make_inputs=draws,
+        simulate_timed=2,
+        interpret_functional=1,
+        collect_stats=2,
+    )
 
 
 def test_a_ladder_draws_its_inputs_once_for_its_rungs_and_checks(monkeypatch):
@@ -428,7 +466,121 @@ def test_a_ladder_draws_its_inputs_once_for_its_rungs_and_checks(monkeypatch):
     run_ladder(SMALL_GELU, CFG)
     for rung in RUNG_ORDER:
         assert functional_check(SMALL_GELU, rung, CFG) == [], rung
-    assert calls["make_inputs"] == 1
+    # Each check reads its rung's record: one compile and simulation a rung.
+    assert calls == _counts(
+        build_kernel=4,
+        run_pipeline=4,
+        verify_module=4,
+        make_inputs=1,
+        simulate_timed=4,
+        interpret_functional=4,
+        collect_stats=4,
+    )
+    assert bench._records == {}
+
+
+def _with_x(monkeypatch, value):
+    """make_inputs with X[0, 0] set to `value`."""
+    real = bench.make_inputs
+
+    def make_inputs(kernel):
+        inputs = real(kernel)
+        inputs["X"][0, 0] = value
+        return inputs
+
+    monkeypatch.setattr(bench, "make_inputs", make_inputs)
+
+
+def _interpreter_then(monkeypatch, change):
+    """interpret_functional with change() applied to its output Y."""
+    real = bench.interpret_functional
+
+    def interpret_functional(sched, inputs):
+        outputs = real(sched, inputs)
+        return {**outputs, "Y": change(outputs["Y"])}
+
+    monkeypatch.setattr(bench, "interpret_functional", interpret_functional)
+
+
+def _one_ulp_up(y):
+    y = y.copy()
+    y[0, 0] = np.nextafter(y[0, 0], np.float32(np.inf))
+    return y
+
+
+def test_a_check_after_a_ladder_reports_a_planted_divergence(monkeypatch):
+    run_ladder(SMALL_GELU, CFG)
+    _interpreter_then(monkeypatch, _one_ulp_up)
+    calls = _counted(monkeypatch)
+    assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == ["@Y: " + DIFFER]
+    # The digests differ, so the record's schedule is simulated once more.
+    assert calls == _counts(simulate_timed=1, interpret_functional=1)
+
+
+def test_a_check_after_a_ladder_reports_the_same_nan_in_both_outputs(monkeypatch):
+    _with_x(monkeypatch, np.nan)
+    with pytest.raises(BenchError, match="diverge from the scalar rung"):
+        run_ladder(SMALL_GELU, CFG)
+    calls = _counted(monkeypatch)
+    for rung in RUNG_ORDER:
+        assert functional_check(SMALL_GELU, rung, CFG) == ["@Y: " + DIFFER, "@Y: " + DIVERGES]
+    # Equal digests: the outputs are bit for bit the same, NaN included.
+    assert calls == _counts(interpret_functional=4)
+
+
+def test_a_check_after_a_ladder_accepts_a_zero_of_the_other_sign(monkeypatch):
+    _with_x(monkeypatch, 0.0)
+    run_ladder(SMALL_GELU, CFG)
+    _interpreter_then(monkeypatch, lambda y: np.where(y == 0, -y, y))
+    calls = _counted(monkeypatch)
+    assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
+    # -0.0 hashes apart from +0.0, so the simulator runs again, and the
+    # exact comparison accepts them as equal.
+    assert calls == _counts(simulate_timed=1, interpret_functional=1)
+
+
+def test_a_check_of_a_record_past_the_bound_makes_a_fresh_run(monkeypatch):
+    run_ladder(SMALL_GELU, CFG)
+    others = [(gelu(n=256 * k, tile_elems=256), rung) for k in range(5, 13) for rung in RUNG_ORDER]
+    for kernel, rung in others[: bench.RECORDS - 3]:
+        bench.run_rung(kernel, rung, CFG)
+    calls = _counted(monkeypatch)
+    # The ladder's four runs and all but the last of these are recorded,
+    # RECORDS in all; the check records the last, so the oldest record, the
+    # scalar rung's, is dropped and the vec rung's is not.
+    assert functional_check(SMALL_GELU, LadderRung.SCALAR, CFG) == []
+    assert len(bench._records) == bench.RECORDS
+    assert calls == _counts(
+        build_kernel=1,
+        run_pipeline=1,
+        verify_module=1,
+        make_inputs=1,
+        simulate_timed=1,
+        interpret_functional=1,
+    )
+    assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
+    assert calls == _counts(
+        build_kernel=1,
+        run_pipeline=1,
+        verify_module=1,
+        make_inputs=1,
+        simulate_timed=1,
+        interpret_functional=2,
+    )
+
+
+def test_a_paper_reports_pass_runs_each_checked_rung_once(monkeypatch):
+    """The benchmark's paper_reports workload, imported read-only: its two
+    ladders and its sweep run 26 rungs, and each check reads its rung's
+    record, so no rung is compiled or simulated twice in a pass."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    calls = _counted(monkeypatch, ("run_pipeline", "simulate_timed", "interpret_functional"))
+    assert workloads.paper_reports(1).run_pass().outcomes == {"ok": 26}
+    assert calls == {"run_pipeline": 26, "simulate_timed": 26, "interpret_functional": 26}
 
 
 def test_the_inputs_bench_draws_are_read_only(monkeypatch):
