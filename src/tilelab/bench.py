@@ -3,12 +3,13 @@
 Every rung is rebuilt from the same kernel spec, transformed, lowered once,
 verified, and simulated; a report is only produced when every rung's
 outputs match the scalar rung (exactly for vec-add, within 1e-6 relative for
-GELU).  A rung run is one memoized call (see _run), so a check right after
-a run of the same (kernel, rung, machine) reuses that run's compile, inputs
-and simulation.  A run that leaves the memo unchecked, as a ladder's or a
-sweep's earlier rungs do, leaves a record of its schedule and a digest of
-its outputs, from which its later check needs no second compile or, when
-the interpreter agrees, simulation (see functional_check).
+GELU).  Each clean rung run leaves a record in one table of runs (see
+_records), which the check of the same (kernel, rung, machine) reads in
+place of a second compile.  The newest record keeps the simulator's
+outputs, so a check right after its run compares them as they are; an
+older one keeps their digest, so a check after a ladder or a sweep
+simulates again only when the interpreter's outputs hash apart from it
+(see functional_check).
 Bundled reference numbers from a hardware measurement of the same ladder
 ride along as metadata for qualitative comparison; the simulator makes no
 attempt to reproduce absolute microseconds.
@@ -16,7 +17,6 @@ attempt to reproduce absolute microseconds.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, replace
 from decimal import Decimal, ROUND_HALF_EVEN
@@ -71,7 +71,6 @@ class LadderReport:
     kernel: KernelSpec
     machine: MachineConfig
     rows: tuple[LadderRow, ...]
-    hardware_reference: dict
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +86,6 @@ class SweepReport:
     kernel: KernelSpec
     machine: MachineConfig
     points: tuple[SweepPoint, ...]
-    hardware_reference: dict
 
 
 def round3(value: float) -> float:
@@ -122,52 +120,31 @@ class RungRun:
     lower_bound: int
 
 
-def _memo_last(dropped=lambda args, result: None):
-    """A one-entry memo of a pure function: a call with the last call's
-    arguments returns its result; any other first empties the slot, so two
-    results are never live together (lru_cache evicts after).  `clear`
-    empties the slot, handing what it held to `dropped`; `take` removes the
-    result of some arguments from the slot and returns it, or None, without
-    handing it on."""
-
-    def decorate(fn):
-        slot: dict = {}
-
-        def clear():
-            for item in slot.items():
-                dropped(*item)
-            slot.clear()
-
-        @functools.wraps(fn)
-        def memo(*args):
-            if args not in slot:
-                clear()
-                slot[args] = fn(*args)
-            return slot[args]
-
-        memo.clear = clear
-        memo.take = lambda *args: slot.pop(args, None)
-        return memo
-
-    return decorate
+_last_inputs: dict[KernelSpec, dict[str, np.ndarray]] = {}
 
 
-@_memo_last()
 def _inputs(kernel: KernelSpec) -> dict[str, np.ndarray]:
     """The kernel's inputs, read-only, so a write raises instead of
-    corrupting a later check; no op writes an input (see lower.ArrayStore)."""
-    inputs = make_inputs(kernel)
-    for array in inputs.values():
-        array.flags.writeable = False
-    return inputs
+    corrupting a later check; no op writes an input (see lower.ArrayStore).
+    The last kernel's inputs are kept and dropped before another kernel's
+    are drawn, so two kernels' inputs are never live together."""
+    if kernel not in _last_inputs:
+        _last_inputs.clear()
+        inputs = make_inputs(kernel)
+        for array in inputs.values():
+            array.flags.writeable = False
+        _last_inputs[kernel] = inputs
+    return _last_inputs[kernel]
 
 
-# Records of the clean runs that left _run's slot unchecked, by
-# (kernel, rung, machine), oldest first and at most RECORDS: the schedule and
-# the digest of the outputs, which functional_check reads in place of the
-# outputs.  A ladder leaves 4 and the default sweep 18.
+# The one table of runs: the clean run_rung runs that no check has read yet,
+# by (kernel, rung, machine), oldest first and at most RECORDS.  A record
+# holds the schedule and the simulator's outputs, which only the newest
+# keeps, until bench runs or checks anything else; every other record holds
+# their digest instead (see _forget_outputs).  A ladder leaves 4 records and
+# the default sweep 18.
 RECORDS = 32
-_records: dict[tuple, tuple[Schedule, str]] = {}
+_records: dict[tuple, tuple[Schedule, dict[str, np.ndarray] | str]] = {}
 
 
 def _digest(outputs: dict[str, np.ndarray]) -> str:
@@ -180,24 +157,24 @@ def _digest(outputs: dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def _record(key: tuple, ran: tuple) -> None:
-    """Records a run as it leaves _run's slot, when it is clean."""
-    _, sched, _, sim = ran
-    if sim is None:
-        return
-    _records.pop(key, None)
-    _records[key] = (sched, _digest(sim[0]))
-    if len(_records) > RECORDS:
-        del _records[next(iter(_records))]
+def _forget_outputs() -> None:
+    """Replaces the newest record's outputs, if it still holds them, with
+    their digest, so that they are not live beside the next run's or
+    check's arrays."""
+    if _records:
+        key = next(reversed(_records))
+        sched, outputs = _records[key]
+        if not isinstance(outputs, str):
+            _records[key] = sched, _digest(outputs)
 
 
-@_memo_last(_record)
 def _run(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -> tuple:
     """Build -> transform -> lower -> verify -> simulate, the one path of a
-    rung run.  Returns the built kernel, the schedule, which the interpreter
-    shares with the simulator, the verifier's diagnostics, and, when there
-    are none, the simulator's outputs, read-only like the inputs, and
-    timing."""
+    rung run, once the newest record's outputs are forgotten.  Returns the
+    built kernel, the schedule, which the interpreter shares with the
+    simulator, the verifier's diagnostics, and, when there are none, the
+    simulator's outputs, read-only like the inputs, and timing."""
+    _forget_outputs()
     base = build_kernel(kernel, tcm_capacity=cfg.tcm_capacity)
     sched = lower(run_pipeline(base, PipelineSpec(rung, cfg)))
     diagnostics = tuple(verify_module(sched, cfg))
@@ -211,13 +188,20 @@ def _run(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -> tuple:
 
 def run_rung(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -> RungRun:
     """Build -> transform -> lower -> verify -> simulate for one rung, and
-    the floor of its schedule."""
+    the floor of its schedule.  The run is recorded, with its outputs, as
+    the newest in the table of runs (see _records); a run the verifier
+    rejects raises and leaves no record."""
     base, sched, diagnostics, sim = _run(kernel, rung, cfg)
     if diagnostics:
         raise BenchError(
             f"rung {rung.value}: transformed module failed verification: {diagnostics[0]}"
         )
     outputs, timing = sim
+    key = (kernel, rung, cfg)
+    _records.pop(key, None)
+    _records[key] = sched, outputs
+    if len(_records) > RECORDS:
+        del _records[next(iter(_records))]
     floor = latency_lower_bound(collect_stats(base, sched), cfg, rung)
     return RungRun(rung, outputs, timing, floor)
 
@@ -253,7 +237,7 @@ def run_ladder(kernel: KernelSpec, cfg: MachineConfig) -> LadderReport:
         )
         for rung, timing in zip(RUNG_ORDER, timings)
     )
-    return LadderReport(kernel, cfg, rows, HARDWARE_REFERENCE_LADDER)
+    return LadderReport(kernel, cfg, rows)
 
 
 def run_sweep(kernel: KernelSpec, sizes: tuple[int, ...], cfg: MachineConfig) -> SweepReport:
@@ -265,7 +249,7 @@ def run_sweep(kernel: KernelSpec, sizes: tuple[int, ...], cfg: MachineConfig) ->
     if list(sizes) != sorted(set(sizes)):
         raise BenchError("sweep sizes must be strictly ascending")
     points = tuple(_sweep_point(replace(kernel, cols=n), cfg) for n in sizes)
-    return SweepReport(kernel, cfg, points, HARDWARE_REFERENCE_SWEEP_POINT)
+    return SweepReport(kernel, cfg, points)
 
 
 def _sweep_point(kernel: KernelSpec, cfg: MachineConfig) -> SweepPoint:
@@ -282,32 +266,28 @@ def functional_check(kernel: KernelSpec, rung: LadderRung, cfg: MachineConfig) -
     """End-to-end equivalence for one (kernel, rung): interpreter vs timed
     simulator vs double-precision reference.  Returns failure descriptions.
 
-    The check takes the run of its triple out of bench, so a checked run is
-    never recorded.  The slot's run (see _run) gives it the simulator's
-    outputs.  Else a record of the run (see _record) gives the schedule the
-    interpreter runs, after the slot is emptied so that its outputs are not
-    live beside the check's: when the interpreter's outputs hash to the
-    record's digest they are the simulator's bit for bit, and on any other
-    digest the simulator runs the schedule again.  Else the check makes a
-    fresh run.  The interpreter's outputs are dropped once compared exactly,
-    before the reference is computed."""
-    key = (kernel, rung, cfg)
-    ran, digest = _run.take(*key), None
-    if ran is None:
-        _run.clear()  # records the slot's run and frees its outputs
-        if key in _records:
-            sched, digest = _records.pop(key)
-            ran = None, sched, (), None  # only clean runs are recorded
-        else:
-            ran = _run.__wrapped__(*key)  # a fresh run, not kept in the slot
-    _, sched, diagnostics, sim = ran
-    if diagnostics:
-        return [f"verifier: {d}" for d in diagnostics]
+    The check pops the record of its triple (see _records) and forgets the
+    newest remaining record's outputs, so that no other run's outputs are
+    live beside its own.  A record with outputs gives the simulator's
+    outputs as they are.  A record with a digest gives the schedule the
+    interpreter runs: when the interpreter's outputs hash to the digest they
+    are the simulator's bit for bit, and on any other digest the simulator
+    runs the schedule again.  With no record the check makes a fresh run,
+    which it does not record.  The interpreter's outputs are dropped once
+    compared exactly, before the reference is computed."""
+    record = _records.pop((kernel, rung, cfg), None)
+    _forget_outputs()
+    if record is None:
+        _, sched, diagnostics, sim = _run(kernel, rung, cfg)
+        if diagnostics:
+            return [f"verifier: {d}" for d in diagnostics]
+        record = sched, sim[0]
+    sched, held = record
     inputs = _inputs(kernel)
     interp_out = interpret_functional(sched, inputs)
-    if digest is None:
-        sim_out = sim[0]
-    elif _digest(interp_out) == digest:
+    if not isinstance(held, str):
+        sim_out = held
+    elif _digest(interp_out) == held:
         sim_out = interp_out  # so array_equal fails exactly where a NaN is
     else:
         sim_out = simulate_timed(sched, inputs, cfg)[0]

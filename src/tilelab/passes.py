@@ -120,16 +120,6 @@ def _rewrite_module(m: TileModule, fn) -> TileModule:
     return m if body is m.body else replace(m, body=body)
 
 
-def _map_views(op: Op, fn) -> Op | None:
-    """The op with fn applied to every view it reads or writes; None for an
-    op without views."""
-    if isinstance(op, (Copy, DmaStart)):
-        return replace(op, src=fn(op.src), dst=fn(op.dst))
-    if isinstance(op, Compute):
-        return replace(op, inputs=tuple(fn(v) for v in op.inputs), output=fn(op.output))
-    return None
-
-
 def _loop_body_bytes(loop: ForTiles) -> int:
     """TCM bytes one iteration of a tile loop allocates: what each copy of
     the loop body that is live at the same time needs."""
@@ -203,9 +193,9 @@ def _vectorize_compute(op: Compute, lanes: int) -> tuple[Op, ...]:
         rows = main // view.col_count
         return replace(view, row_base=view.row_base + rows, row_count=view.row_count - rows)
 
-    return (
-        replace(_map_views(op, head), vector_factor=factor),
-        replace(_map_views(op, tail), vector_factor=scalar),
+    return tuple(
+        replace(op, inputs=tuple(map(part, op.inputs)), output=part(op.output), vector_factor=f)
+        for part, f in ((head, factor), (tail, scalar))
     )
 
 

@@ -11,7 +11,12 @@ import json
 import math
 from pathlib import Path
 
-from .bench import LadderReport, SweepReport
+from .bench import (
+    HARDWARE_REFERENCE_LADDER,
+    HARDWARE_REFERENCE_SWEEP_POINT,
+    LadderReport,
+    SweepReport,
+)
 
 _SVG_STYLE = (
     "text{font-family:Helvetica,Arial,sans-serif;font-size:12px;fill:#222}"
@@ -54,9 +59,9 @@ def emit_json(report: LadderReport | SweepReport) -> str:
         "kernel": report.kernel.to_json_dict(),
         "machine": report.machine.to_json_dict(),
         "machine_digest": report.machine.digest,
-        "hardware_reference": report.hardware_reference,
     }
     if isinstance(report, LadderReport):
+        payload["hardware_reference"] = HARDWARE_REFERENCE_LADDER
         payload["rows"] = [
             {
                 "rung": row.rung,
@@ -66,6 +71,7 @@ def emit_json(report: LadderReport | SweepReport) -> str:
             for row in report.rows
         ]
     else:
+        payload["hardware_reference"] = HARDWARE_REFERENCE_SWEEP_POINT
         payload["points"] = [
             {
                 "n_elements": p.n_elements,

@@ -54,24 +54,23 @@ def _outcome(run):
 
 
 def _forget_bench_memos():
-    bench._run.clear()
     bench._records.clear()
-    bench._inputs.clear()
+    bench._last_inputs.clear()
 
 
 @pytest.fixture(autouse=True)
 def _fresh_bench_memos():
-    """Each test starts with bench's one-entry memos and its records empty,
-    so what it counts or patches does not depend on the test run before it."""
+    """Each test starts with bench's table of runs and its kept inputs
+    empty, so what it counts or patches does not depend on the test run
+    before it."""
     _forget_bench_memos()
 
 
 @contextmanager
 def _forced_plan(candidate):
     """Every MT rung runs `candidate`'s plan, whatever the cost model picks.
-    bench's one-entry memos and its records are emptied on entry and on
-    exit, so no run or check reuses a schedule compiled under the other
-    plan."""
+    bench's table of runs and its kept inputs are emptied on entry and on
+    exit, so no check reuses a schedule compiled under the other plan."""
     _forget_bench_memos()
     try:
         with mock.patch.object(passes, "choose_composition", lambda m, spec: candidate):

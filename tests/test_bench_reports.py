@@ -47,7 +47,7 @@ def sweep_report():
 def test_ladder_row_order_and_scalar_speedup(ladder_report):
     assert [r.rung for r in ladder_report.rows] == ["scalar", "vec", "vec-mt", "vec-mt-db"]
     assert ladder_report.rows[0].speedup_vs_scalar == 1.0
-    assert ladder_report.hardware_reference == HARDWARE_REFERENCE_LADDER
+    assert json.loads(emit_json(ladder_report))["hardware_reference"] == HARDWARE_REFERENCE_LADDER
 
 
 def test_ladder_csv_shape(ladder_report):
@@ -119,8 +119,8 @@ def test_json_carries_machine_and_kernel(ladder_report):
 
 
 def test_sweep_reference_metadata(sweep_report):
-    assert sweep_report.hardware_reference == HARDWARE_REFERENCE_SWEEP_POINT
     payload = json.loads(emit_json(sweep_report))
+    assert payload["hardware_reference"] == HARDWARE_REFERENCE_SWEEP_POINT
     assert payload["hardware_reference"]["speedup"] == 3.91
 
 
@@ -361,8 +361,8 @@ def test_functional_check_holds_the_inputs_and_two_outputs(kernel):
 
 @pytest.mark.parametrize("kernel", MEMORY_KERNELS, ids=lambda k: k.kind.value)
 def test_a_ladder_and_its_checks_hold_the_inputs_and_two_outputs(kernel):
-    """One region over the whole flow, so a run the memo holds between calls
-    counts against the next call's peak."""
+    """One region over the whole flow, so the outputs the newest record
+    holds between calls count against the next call's peak."""
 
     def ladder_then_checks():
         run_ladder(kernel, CFG)
@@ -379,7 +379,7 @@ def test_sweep_point_holds_the_inputs_and_two_outputs():
 
 
 # --------------------------------------------------------------------------- #
-# One-entry memos and records: a check reads the run that made its number
+# The table of runs: a check reads the run that made its number
 # --------------------------------------------------------------------------- #
 
 COUNTED = (
@@ -390,6 +390,7 @@ COUNTED = (
     "simulate_timed",
     "interpret_functional",
     "collect_stats",
+    "_digest",
 )
 
 
@@ -427,6 +428,7 @@ def test_a_check_right_after_a_run_reuses_its_compile_and_inputs(monkeypatch):
     )
     bench.run_rung(SMALL_GELU, LadderRung.VEC_MT, CFG)
     assert functional_check(SMALL_GELU, LadderRung.VEC_MT, CFG) == []
+    # The run's record keeps its outputs, so the check hashes nothing.
     assert calls == _counts(
         build_kernel=2,
         run_pipeline=2,
@@ -435,6 +437,7 @@ def test_a_check_right_after_a_run_reuses_its_compile_and_inputs(monkeypatch):
         simulate_timed=2,
         interpret_functional=2,
         collect_stats=1,
+        _digest=0,
     )
 
 
@@ -444,8 +447,9 @@ def test_a_check_right_after_a_run_reuses_its_compile_and_inputs(monkeypatch):
     ids=["other-rung", "other-kernel"],
 )
 def test_each_memo_holds_one_entry(monkeypatch, between, draws):
-    """The run between drops the first from the slot, and the check reads
-    the first's record: neither compiles nor simulates again."""
+    """The run between digests the first's outputs, and the check reads the
+    first's record: neither compiles nor simulates again.  The check digests
+    the outputs of the run between, then the interpreter's."""
     calls = _counted(monkeypatch)
     bench.run_rung(SMALL_GELU, LadderRung.VEC, CFG)
     bench.run_rung(*between, CFG)
@@ -458,6 +462,7 @@ def test_each_memo_holds_one_entry(monkeypatch, between, draws):
         simulate_timed=2,
         interpret_functional=1,
         collect_stats=2,
+        _digest=3,
     )
 
 
@@ -475,6 +480,7 @@ def test_a_ladder_draws_its_inputs_once_for_its_rungs_and_checks(monkeypatch):
         simulate_timed=4,
         interpret_functional=4,
         collect_stats=4,
+        _digest=8,
     )
     assert bench._records == {}
 
@@ -514,7 +520,7 @@ def test_a_check_after_a_ladder_reports_a_planted_divergence(monkeypatch):
     calls = _counted(monkeypatch)
     assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == ["@Y: " + DIFFER]
     # The digests differ, so the record's schedule is simulated once more.
-    assert calls == _counts(simulate_timed=1, interpret_functional=1)
+    assert calls == _counts(simulate_timed=1, interpret_functional=1, _digest=2)
 
 
 def test_a_check_after_a_ladder_reports_the_same_nan_in_both_outputs(monkeypatch):
@@ -525,7 +531,7 @@ def test_a_check_after_a_ladder_reports_the_same_nan_in_both_outputs(monkeypatch
     for rung in RUNG_ORDER:
         assert functional_check(SMALL_GELU, rung, CFG) == ["@Y: " + DIFFER, "@Y: " + DIVERGES]
     # Equal digests: the outputs are bit for bit the same, NaN included.
-    assert calls == _counts(interpret_functional=4)
+    assert calls == _counts(interpret_functional=4, _digest=5)
 
 
 def test_a_check_after_a_ladder_accepts_a_zero_of_the_other_sign(monkeypatch):
@@ -536,7 +542,7 @@ def test_a_check_after_a_ladder_accepts_a_zero_of_the_other_sign(monkeypatch):
     assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
     # -0.0 hashes apart from +0.0, so the simulator runs again, and the
     # exact comparison accepts them as equal.
-    assert calls == _counts(simulate_timed=1, interpret_functional=1)
+    assert calls == _counts(simulate_timed=1, interpret_functional=1, _digest=2)
 
 
 def test_a_check_of_a_record_past_the_bound_makes_a_fresh_run(monkeypatch):
@@ -545,9 +551,9 @@ def test_a_check_of_a_record_past_the_bound_makes_a_fresh_run(monkeypatch):
     for kernel, rung in others[: bench.RECORDS - 3]:
         bench.run_rung(kernel, rung, CFG)
     calls = _counted(monkeypatch)
-    # The ladder's four runs and all but the last of these are recorded,
-    # RECORDS in all; the check records the last, so the oldest record, the
-    # scalar rung's, is dropped and the vec rung's is not.
+    # The ladder's four runs and these are recorded, one more than RECORDS,
+    # so the oldest record, the scalar rung's, is dropped and the vec rung's
+    # is not; the check records nothing.
     assert functional_check(SMALL_GELU, LadderRung.SCALAR, CFG) == []
     assert len(bench._records) == bench.RECORDS
     assert calls == _counts(
@@ -557,6 +563,7 @@ def test_a_check_of_a_record_past_the_bound_makes_a_fresh_run(monkeypatch):
         make_inputs=1,
         simulate_timed=1,
         interpret_functional=1,
+        _digest=1,
     )
     assert functional_check(SMALL_GELU, LadderRung.VEC, CFG) == []
     assert calls == _counts(
@@ -566,6 +573,7 @@ def test_a_check_of_a_record_past_the_bound_makes_a_fresh_run(monkeypatch):
         make_inputs=1,
         simulate_timed=1,
         interpret_functional=2,
+        _digest=2,
     )
 
 
@@ -578,9 +586,29 @@ def test_a_paper_reports_pass_runs_each_checked_rung_once(monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
-    calls = _counted(monkeypatch, ("run_pipeline", "simulate_timed", "interpret_functional"))
+    names = ("run_pipeline", "simulate_timed", "interpret_functional", "_digest")
+    calls = _counted(monkeypatch, names)
     assert workloads.paper_reports(1).run_pass().outcomes == {"ok": 26}
-    assert calls == {"run_pipeline": 26, "simulate_timed": 26, "interpret_functional": 26}
+    assert calls == {
+        "run_pipeline": 26,
+        "simulate_timed": 26,
+        "interpret_functional": 26,
+        "_digest": 52,
+    }
+
+
+def test_a_rejected_run_leaves_no_record_and_its_check_compiles_again(monkeypatch):
+    bench.run_rung(SMALL_GELU, LadderRung.VEC, CFG)
+    monkeypatch.setattr(bench, "verify_module", lambda sched, cfg: ["planted fault"])
+    calls = _counted(monkeypatch)
+    with pytest.raises(BenchError, match="failed verification: planted fault"):
+        bench.run_rung(SMALL_GELU, LadderRung.VEC_MT, CFG)
+    assert list(bench._records) == [(SMALL_GELU, LadderRung.VEC, CFG)]
+    # The rejected run digested the clean run's outputs before it built.
+    _, held = bench._records[(SMALL_GELU, LadderRung.VEC, CFG)]
+    assert isinstance(held, str)
+    assert functional_check(SMALL_GELU, LadderRung.VEC_MT, CFG) == ["verifier: planted fault"]
+    assert calls == _counts(build_kernel=2, run_pipeline=2, verify_module=2, _digest=1)
 
 
 def test_the_inputs_bench_draws_are_read_only(monkeypatch):
