@@ -179,14 +179,10 @@ class Forall:
 
 @dataclass(frozen=True, slots=True)
 class AsyncExecute:
-    token: str
-    body: tuple["Op", ...]
+    """A forked region; the AwaitAll of `group` joins it."""
 
-
-@dataclass(frozen=True, slots=True)
-class AddToGroup:
-    token: str
     group: str
+    body: tuple["Op", ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,7 +238,6 @@ Op = Union[
     ForTiles,
     Forall,
     AsyncExecute,
-    AddToGroup,
     AwaitAll,
     AllocTcm,
     DeallocTcm,

@@ -134,7 +134,6 @@ def iv_guard(op: ir.Op) -> tuple[float, float] | None:
 
 
 _PLAIN = {
-    ir.AddToGroup: "add_to_group",
     ir.AwaitAll: "await",
     ir.AllocTcm: "alloc",
     ir.DeallocTcm: "dealloc",

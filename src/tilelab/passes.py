@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 from .ir import (
-    AddToGroup,
     AllocTcm,
     AsyncExecute,
     AwaitAll,
@@ -57,7 +56,7 @@ from .normal_form import (
     match_normal_form,
     normal_form_tile,
 )
-from .timing import ADD, AWAIT, BUSY, COPY, DMA, FORK, WAIT, Core
+from .timing import AWAIT, BUSY, COPY, DMA, FORK, WAIT, Core
 
 
 class PassError(ValueError):
@@ -461,9 +460,7 @@ def _price(
     steps = [_steps(db, *region, j, join) for j, region in enumerate(regions)]
     if not forks:
         return Core(cfg).run(steps[0], cutoff)
-    forked = []
-    for j, region in enumerate(steps):
-        forked += [(FORK, cfg.fork_cost, (j, region)), (ADD, 0, (j, 0))]
+    forked = [(FORK, cfg.fork_cost, (0, region)) for region in steps]
     return Core(cfg).run(iter([*forked, (AWAIT, 0, 0)]), cutoff)
 
 
@@ -578,7 +575,7 @@ def _refine(m: TileModule, spec: PipelineSpec, pick: Composition) -> Composition
 def form_async_threads(m: TileModule) -> TileModule:
     """Lowers every forall to the canonical fork-join skeleton: one async
     region per thread of the forall, running its block of tiles in tiles of
-    its own rows, tokens collected into a group, and an await-all barrier.
+    its own rows, each naming the group that one await-all barrier joins.
     A module without a forall is returned as it is.  A forall body must be a
     single-buffered normal-form tile (see normal_form_tile), which each
     thread's loop is rebuilt from."""
@@ -612,11 +609,8 @@ def _lower_forall(forall: Forall, index: int, ddr: set[str]) -> tuple[Op, ...]:
     blocks = partition_tiles(tiles, threads)
     for t, (block, rows) in enumerate(zip(blocks, forall.threads)):
         loop = _tile_loop(desc, block, rows, f"{forall.iv}{t}", f"_w{t}", f"forall thread {t}: ")
-        token = f"{group}t{t}"
-        ops.append(AsyncExecute(token, (loop,)))
-        ops.append(AddToGroup(token, group))
-    ops.append(AwaitAll(group))
-    return tuple(ops)
+        ops.append(AsyncExecute(group, (loop,)))
+    return (*ops, AwaitAll(group))
 
 
 # --------------------------------------------------------------------------- #
@@ -676,7 +670,7 @@ def _per_pipeline(body: tuple[Op, ...], fn) -> tuple[Op, ...]:
     if not any(isinstance(op, AsyncExecute) for op in body):
         return fn(body)
     return tuple(
-        AsyncExecute(op.token, fn(op.body)) if isinstance(op, AsyncExecute) else op
+        AsyncExecute(op.group, fn(op.body)) if isinstance(op, AsyncExecute) else op
         for op in body
     )
 

@@ -9,7 +9,6 @@ and documented in the README; there is no parser.
 from __future__ import annotations
 
 from .ir import (
-    AddToGroup,
     AllocTcm,
     AsyncExecute,
     AwaitAll,
@@ -95,11 +94,9 @@ def _emit(lines: list[str], body: tuple[Op, ...], depth: int, iv: str | None) ->
             _emit(lines, op.body, depth + 1, op.iv)
             lines.append(f"{pad}}}")
         elif isinstance(op, AsyncExecute):
-            lines.append(f"{pad}%{op.token} = async.execute {{")
+            lines.append(f"{pad}async.execute @{op.group} {{")
             _emit(lines, op.body, depth + 1, iv)
             lines.append(f"{pad}}}")
-        elif isinstance(op, AddToGroup):
-            lines.append(f"{pad}async.add_to_group %{op.token} -> @{op.group}")
         elif isinstance(op, AwaitAll):
             lines.append(f"{pad}async.await_all @{op.group}")
         elif isinstance(op, AllocTcm):

@@ -25,7 +25,7 @@ import numpy as np
 from .ir import TileModule
 from .lower import ArrayStore, HazardTracker, Ivs, Schedule, Step, lower, walk
 from .machine import MachineConfig, TimingReport, compute_cycles, transfer_cycles
-from .timing import ADD, AWAIT, BUSY, COPY, DMA, FORK, WAIT, Core, DeadlockError, SimulationError
+from .timing import AWAIT, BUSY, COPY, DMA, FORK, WAIT, Core, DeadlockError, SimulationError
 
 __all__ = ["DeadlockError", "SimulationError", "simulate_timed"]
 
@@ -58,9 +58,7 @@ def _context(
             store.dealloc(step.op)
         elif kind == "async":
             region = _context(core, store, hazards, step.body, ivs)
-            yield FORK, cfg.fork_cost, (step.op.token, region)
-        elif kind == "add_to_group":
-            yield ADD, 0, (step.op.token, step.op.group)
+            yield FORK, cfg.fork_cost, (step.op.group, region)
         elif kind == "await":
             yield AWAIT, 0, step.op.group
 

@@ -10,10 +10,10 @@ at the cycle the core reaches it:
     COPY   queues `cycles` on the channel and blocks until the transfer ends;
     DMA    queues `cycles` on the channel under tag `arg` and goes on;
     WAIT   blocks until no DMA tagged `arg` is in flight;
-    FORK   charges `cycles`, then starts region arg = (token, steps) on the
+    FORK   charges `cycles`, then starts region arg = (group, steps) on the
            lowest-numbered idle worker, or queues it for the next one free;
-    ADD    puts the forked region arg = (token, group) into a group;
-    AWAIT  blocks until group `arg`'s regions have ended, then charges join_cost.
+           the region counts as live in `group` until it ends;
+    AWAIT  blocks until group `arg` has no live region, then charges join_cost.
 
 One control context starts at cycle 0; `threads` workers run the forked
 regions.  The one transfer channel serves copies and DMA in FIFO order by
@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .machine import MachineConfig, TimingReport, cycles_to_us
 
-BUSY, COPY, DMA, WAIT, FORK, ADD, AWAIT = range(7)
+BUSY, COPY, DMA, WAIT, FORK, AWAIT = range(6)
 # What an event does: resume a context, end the DMA of a tag, start a forked
 # region (and resume its parent at once), or join an awaited group.
 _RESUME, _LANDED, _FORKED, _JOINED = range(4)
@@ -45,11 +45,11 @@ class DeadlockError(SimulationError):
 
 
 class _Context:
-    __slots__ = ("steps", "token", "worker", "since")
+    __slots__ = ("steps", "group", "worker", "since")
 
-    def __init__(self, steps: Iterator[tuple], token=None):
+    def __init__(self, steps: Iterator[tuple], group=None):
         self.steps = steps
-        self.token = token
+        self.group = group  # the group a forked region is live in
         self.worker = 0
         self.since = 0  # the cycle a wait began
 
@@ -67,8 +67,7 @@ class Core:
         self.started: list = [None] * cfg.threads  # a worker's region began; None: idle
         self.busy = [0] * cfg.threads
         self.queued: deque[_Context] = deque()
-        self.tokens: dict = {}  # token -> [ended, group of its last add, groups it is in]
-        self.live: dict = {}  # group -> its regions that have not ended
+        self.live: dict = {}  # group -> its forked regions that have not ended
         self.awaiting: dict = {}  # group -> the context awaiting it
         self.compute_busy = self.dma_busy = self.stall = self.overhead = 0
         self.control: _Context | None = None  # None once the control context ends
@@ -137,10 +136,8 @@ class Core:
                     region = _Context(arg[1], arg[0])
                     push(heap, (t + cycles, next(order), _FORKED, (ctx, region)))
                     break
-                elif kind == ADD:
-                    self._add(*arg)
                 else:  # AWAIT
-                    if self._ended(arg):
+                    if not self.live.get(arg):
                         overhead += join
                         push(heap, (t + join, next(order), _RESUME, ctx))
                     else:
@@ -151,11 +148,11 @@ class Core:
         self.compute_busy, self.dma_busy, self.stall, self.overhead = compute, dma, stall, overhead
         if t >= cutoff:
             return t
-        stuck = [token for token, (ended, _, _) in self.tokens.items() if not ended]
+        stuck = [group for group, regions in self.live.items() if regions]
         if self.control is not None or stuck:
             raise DeadlockError(
                 "simulation deadlocked: no runnable context and the program is"
-                f" incomplete (control done={self.control is None}, stuck regions={stuck})"
+                f" incomplete (control done={self.control is None}, groups still live={stuck})"
             )
         return t
 
@@ -166,17 +163,9 @@ class Core:
         )
 
     def _fork(self, region: _Context) -> None:
-        """A fork lands: the region starts on the lowest-numbered idle
-        worker, or queues for the next one free.  A token forked again is
-        live again in every group it is in, and in no group until added."""
-        state = self.tokens.get(region.token)
-        if state is None:
-            self.tokens[region.token] = [False, None, []]
-        else:
-            if state[0]:
-                for group in state[2]:
-                    self.live[group] += 1
-            state[0], state[1] = False, None
+        """A fork lands: the region is live in its group and starts on the
+        lowest-numbered idle worker, or queues for the next one free."""
+        self.live[region.group] = self.live.get(region.group, 0) + 1
         for w, since in enumerate(self.started):
             if since is None:
                 self._start(w, region)
@@ -188,36 +177,16 @@ class Core:
         region.worker = w
         self._push(self.now, _RESUME, region)
 
-    def _add(self, token, group) -> None:
-        """Puts the region `token` into `group`: once per group however often
-        it is added, and counted live there unless it has ended."""
-        state = self.tokens.get(token)
-        if state is None:
-            raise SimulationError(f"add_to_group of unknown token %{token}")
-        state[1] = group
-        if group not in state[2]:
-            state[2].append(group)
-            if not state[0]:
-                self.live[group] = self.live.get(group, 0) + 1
-
-    def _ended(self, group) -> bool:
-        return not self.live.get(group)
-
     def _finish(self, ctx: _Context) -> None:
         if ctx is self.control:
             self.control = None
             return
         w = ctx.worker
         self.busy[w] += self.now - self.started[w]
-        state = self.tokens[ctx.token]
-        if not state[0]:
-            state[0] = True
-            for group in state[2]:
-                self.live[group] -= 1
-        waiter = self.awaiting.get(state[1])
-        if waiter is not None and self._ended(state[1]):
-            del self.awaiting[state[1]]
-            self._push(self.now, _JOINED, waiter)
+        group = ctx.group
+        self.live[group] -= 1
+        if not self.live[group] and group in self.awaiting:
+            self._push(self.now, _JOINED, self.awaiting.pop(group))
         if self.queued:
             self._start(w, self.queued.popleft())
         else:

@@ -5,7 +5,9 @@ callers can report every violation at once.  Diagnostics are ordered by op
 position; tag-balance findings, which are whole-module properties, come last
 in tag order.  What lowering refuses is reported at its op: an unknown op,
 and a forall, which runs only once fork-join lowering has turned it into
-async regions (that pass alone checks its threads).
+async regions (that pass alone checks its threads).  A forked region runs
+alongside the ops after it until its group's await, so the scratchpad it
+takes counts as live until then; every forked group must be awaited.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from .ir import (
     EXPR_OPS,
     GUARDED_OPS,
     OP_TYPES,
-    AddToGroup,
     AllocTcm,
     AsyncExecute,
     AwaitAll,
@@ -49,7 +50,10 @@ class _Checker:
         self.ddr = {d.id: d for d in self.m.buffers}
         self.live_tcm: dict[str, BufferDecl] = {}
         self.live_bytes = 0
-        self.tokens: dict[str, str | None] = {}  # token -> group (None until added)
+        # group -> TCM bytes its forked regions take until its await; those
+        # bytes are in live_bytes too.
+        self.held: dict[str, int] = {}
+        self.groups_forked: dict[str, None] = {}  # in order of first fork
         self.groups_awaited: set[str] = set()
         self.tag_sites: dict[int, str] = {}  # tag -> dst base of its first dma.start
         # False once a fault that lowering raises on is reported.
@@ -99,12 +103,14 @@ class _Checker:
     def check_scope(self, body: tuple[Op, ...], prefix: str, loop: int | None, leak: str) -> int:
         """Checks a region that must free every TCM buffer it allocates:
         reports `leak` at the region's path when it does not, restores the
-        live set either way, and returns the region's peak TCM byte count."""
-        saved = dict(self.live_tcm), self.live_bytes
+        live set and the held bytes either way, and returns the region's
+        peak TCM byte count.  So a group forked in the region and awaited
+        outside it holds its bytes only to the region's end."""
+        saved = dict(self.live_tcm), self.live_bytes, dict(self.held)
         peak = self.check_body(body, prefix, loop)
         if set(self.live_tcm) != set(saved[0]):
             self.err(prefix, leak)
-        self.live_tcm, self.live_bytes = saved
+        self.live_tcm, self.live_bytes, self.held = saved
         return peak
 
     # -- main walk --------------------------------------------------------- #
@@ -113,14 +119,11 @@ class _Checker:
         """Checks a region inside a loop of `loop` tiles (None outside any
         loop); returns the peak concurrent TCM byte count seen."""
         peak = self.live_bytes
-        i = 0
-        while i < len(body):
-            op = body[i]
+        for i, op in enumerate(body):
             path = f"{prefix}[{i}]"
             if type(op) not in OP_TYPES:  # lowering rejects it: nothing is walked
                 self.err(path, f"unknown op {op!r}")
                 self.walkable = False
-                i += 1
                 continue
             if loop is None and isinstance(op, GUARDED_OPS) and (
                 op.only_if_iv_lt is not None or op.only_if_iv_ge is not None
@@ -203,50 +206,22 @@ class _Checker:
                 self.err(path, "forall does not run until fork-join lowering (form_async_threads)")
                 self.walkable = False
             elif isinstance(op, AsyncExecute):
-                if op.token in self.tokens:
-                    self.err(path, f"duplicate async token %{op.token}")
-                self.tokens[op.token] = None
-                # Sibling regions of one fork-join group run concurrently, so
-                # their scratchpad footprints add up.
-                cluster_extra = 0
-                j = i
-                while j < len(body) and type(body[j]) in (AsyncExecute, AddToGroup):
-                    sub = body[j]
-                    subpath = f"{prefix}[{j}]"
-                    if isinstance(sub, AsyncExecute):
-                        if j > i and sub.token in self.tokens:
-                            self.err(subpath, f"duplicate async token %{sub.token}")
-                        self.tokens.setdefault(sub.token, None)
-                        leak = "async region leaks tcm allocations past its end"
-                        peak_in = self.check_scope(sub.body, f"{subpath}.body", loop, leak)
-                        cluster_extra += peak_in - self.live_bytes
-                    else:
-                        self._check_add_to_group(sub, subpath)
-                    j += 1
-                if self.live_bytes + cluster_extra > self.machine.tcm_capacity:
+                self.groups_forked[op.group] = None
+                leak = "async region leaks tcm allocations past its end"
+                held = self.check_scope(op.body, f"{path}.body", loop, leak) - self.live_bytes
+                self.held[op.group] = self.held.get(op.group, 0) + held
+                self.live_bytes += held
+                peak = max(peak, self.live_bytes)
+                if self.live_bytes > self.machine.tcm_capacity:
                     self.err(
                         path,
                         f"tcm capacity exceeded across concurrent async regions:"
-                        f" {self.live_bytes + cluster_extra} bytes"
-                        f" > capacity {self.machine.tcm_capacity}",
+                        f" {self.live_bytes} bytes > capacity {self.machine.tcm_capacity}",
                     )
-                peak = max(peak, self.live_bytes + cluster_extra)
-                i = j
-                continue
-            elif isinstance(op, AddToGroup):
-                self._check_add_to_group(op, path)
             elif isinstance(op, AwaitAll):
                 self.groups_awaited.add(op.group)
-            i += 1
+                self.live_bytes -= self.held.pop(op.group, 0)
         return peak
-
-    def _check_add_to_group(self, op: AddToGroup, path: str) -> None:
-        if op.token not in self.tokens:
-            self.err(path, f"add_to_group of unknown token %{op.token}")
-        elif self.tokens[op.token] is not None:
-            self.err(path, f"token %{op.token} added to more than one group")
-        else:
-            self.tokens[op.token] = op.group
 
     # -- whole-module checks ------------------------------------------------ #
 
@@ -269,10 +244,8 @@ class _Checker:
 
         for d in self.live_tcm.values():
             self.err("body", f"tcm buffer @{d.id} is never deallocated")
-        for token, group in self.tokens.items():
-            if group is None:
-                self.err("body", f"async token %{token} never added to a group")
-            elif group not in self.groups_awaited:
+        for group in self.groups_forked:
+            if group not in self.groups_awaited:
                 self.err("body", f"async group @{group} is never awaited")
 
         self._check_tag_balance()

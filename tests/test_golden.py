@@ -96,16 +96,16 @@ GOLDEN_IR = {
     ("vec-add", "vec-mt"): (
         ("initial", "1de75a2bc474d3ec"),
         ("pipeline-threads", "4b23665e443c39db"),
-        ("pipeline-async-threads", "d2dbdab6b67c52dd"),
-        ("vectorize", "d7366d923ba7dddf"),
+        ("pipeline-async-threads", "0f4a6ccf658f1e64"),
+        ("vectorize", "cb5742bf8a5b969c"),
     ),
     ("vec-add", "vec-mt-db"): (
         ("initial", "1de75a2bc474d3ec"),
         ("pipeline-threads", "6a0aa4666fb47dc5"),
-        ("pipeline-async-threads", "9a61b80557ad1111"),
-        ("db-stage1", "37829460c3d5de83"),
-        ("db-stage2", "569835679115c992"),
-        ("vectorize", "246e4a92db99daf8"),
+        ("pipeline-async-threads", "8c08456da2a6a99e"),
+        ("db-stage1", "f3b3fc34ab7f0892"),
+        ("db-stage2", "f3e7f3235ea565b9"),
+        ("vectorize", "e8ca6dcff7031348"),
     ),
     ("gelu", "scalar"): (
         ("initial", "7a47c4ba35d7c422"),
@@ -117,16 +117,16 @@ GOLDEN_IR = {
     ("gelu", "vec-mt"): (
         ("initial", "7a47c4ba35d7c422"),
         ("pipeline-threads", "06aac2767e8a4887"),
-        ("pipeline-async-threads", "f46832f952312c80"),
-        ("vectorize", "4e09b664b3d259f1"),
+        ("pipeline-async-threads", "a705fe712af8f6e5"),
+        ("vectorize", "9a5494de2ef1f929"),
     ),
     ("gelu", "vec-mt-db"): (
         ("initial", "7a47c4ba35d7c422"),
         ("pipeline-threads", "667ef5e667ae1e41"),
-        ("pipeline-async-threads", "0f53a3d2175646b1"),
-        ("db-stage1", "a9861b56f3133e98"),
-        ("db-stage2", "a123bf01f459608a"),
-        ("vectorize", "7fe91b303b4b299e"),
+        ("pipeline-async-threads", "9fa4a783b5953958"),
+        ("db-stage1", "57400f288fbea294"),
+        ("db-stage2", "87e1d3da17ac1faa"),
+        ("vectorize", "7abfcc3b11340e4b"),
     ),
     ("gelu-fine", "scalar"): (
         ("initial", "bd97a6592f32b7ef"),
@@ -138,16 +138,16 @@ GOLDEN_IR = {
     ("gelu-fine", "vec-mt"): (
         ("initial", "bd97a6592f32b7ef"),
         ("pipeline-threads", "cfa75c4f8fa7c939"),
-        ("pipeline-async-threads", "dc9297f9cb95b9cb"),
-        ("vectorize", "520911ba052ada6c"),
+        ("pipeline-async-threads", "e01b110edc0db214"),
+        ("vectorize", "f897a5850cf3b099"),
     ),
     ("gelu-fine", "vec-mt-db"): (
         ("initial", "bd97a6592f32b7ef"),
         ("pipeline-threads", "09832675c2a60645"),
-        ("pipeline-async-threads", "109ee695e26fd2d8"),
-        ("db-stage1", "a9066a819b2f5059"),
-        ("db-stage2", "d23fe00dc3a450a5"),
-        ("vectorize", "5842a35616e98d68"),
+        ("pipeline-async-threads", "6c271e6edf445e19"),
+        ("db-stage1", "72cb2730e8179ad9"),
+        ("db-stage2", "f71ab58d74cecf61"),
+        ("vectorize", "0343e929e802ce41"),
     ),
     ("vec-add-anchor", "scalar"): (
         ("initial", "9e518f2423292b27"),
@@ -159,16 +159,16 @@ GOLDEN_IR = {
     ("vec-add-anchor", "vec-mt"): (
         ("initial", "9e518f2423292b27"),
         ("pipeline-threads", "8b3f8b2051f5fe82"),
-        ("pipeline-async-threads", "974e722ebdad9afe"),
-        ("vectorize", "8a1ccc9ebebdc3b4"),
+        ("pipeline-async-threads", "52a98f13ce88ac34"),
+        ("vectorize", "244b13d7accbf3b6"),
     ),
     ("vec-add-anchor", "vec-mt-db"): (
         ("initial", "9e518f2423292b27"),
         ("pipeline-threads", "480e18889734a4f9"),
-        ("pipeline-async-threads", "cd5d8987694d6419"),
-        ("db-stage1", "bd8f019021990a21"),
-        ("db-stage2", "3cd6c457b06902a3"),
-        ("vectorize", "339fca46870107c0"),
+        ("pipeline-async-threads", "2ef182e3360f4069"),
+        ("db-stage1", "95cab50d3b371567"),
+        ("db-stage2", "cde26e461a846b86"),
+        ("vectorize", "6bd95a6e156c71c8"),
     ),
     ("vec-add-tail", "scalar"): (
         ("initial", "7f24fa145afb9f54"),
@@ -180,16 +180,16 @@ GOLDEN_IR = {
     ("vec-add-tail", "vec-mt"): (
         ("initial", "7f24fa145afb9f54"),
         ("pipeline-threads", "59ae850dd84be96b"),
-        ("pipeline-async-threads", "b0f1d2e0563075a5"),
-        ("vectorize", "256b395a5f97a39d"),
+        ("pipeline-async-threads", "3200c10c82221d78"),
+        ("vectorize", "9cfc93d6f78ba564"),
     ),
     ("vec-add-tail", "vec-mt-db"): (
         ("initial", "7f24fa145afb9f54"),
         ("pipeline-threads", "07001dbafbbd9b7e"),
-        ("pipeline-async-threads", "3b39c6534fdd5166"),
-        ("db-stage1", "f0788453c8934efc"),
-        ("db-stage2", "7f6b3e1fdb56b31a"),
-        ("vectorize", "0e3c6ddbdd9a694b"),
+        ("pipeline-async-threads", "50ab6a9282486df4"),
+        ("db-stage1", "91b824a8aebedc04"),
+        ("db-stage2", "9179b7b0b2884a57"),
+        ("vectorize", "07b3027f72f80c55"),
     ),
 }
 

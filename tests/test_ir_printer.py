@@ -1,9 +1,31 @@
 """Printer: deterministic, line-oriented, structurally injective."""
 
+import dataclasses
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
-from tilelab.ir import ForTiles, TileModule
+from tilelab.ir import (
+    OP_TYPES,
+    AllocTcm,
+    AsyncExecute,
+    AwaitAll,
+    Binary,
+    BufferDecl,
+    Compute,
+    Const,
+    Copy,
+    DeallocTcm,
+    DmaStart,
+    DmaWait,
+    Forall,
+    ForTiles,
+    Input,
+    MemSpace,
+    TileModule,
+    Unary,
+    ViewRef,
+)
 from tilelab.kernels import build_vec_add_2d, vec_add_2d
 from tilelab.machine import LadderRung, MachineConfig
 from tilelab.passes import PipelineSpec, db_stage1, db_stage2, run_pipeline
@@ -30,9 +52,8 @@ def test_fork_join_line_order():
     m = run_pipeline(base, PipelineSpec(LadderRung.VEC_MT, CFG))
     text = print_module(m)
     first_exec = text.index("async.execute")
-    first_add = text.index("add_to_group")
     first_await = text.index("await_all")
-    assert first_exec < first_add < first_await
+    assert first_exec < first_await
 
 
 def test_guards_printed():
@@ -75,3 +96,57 @@ def test_readme_ir_example_is_printed_as_shown():
     for line in shown:
         if line.strip() != "...":
             assert line in printed, line
+
+
+def _variants(value, optional=False):
+    """Values that differ from `value` in exactly one leaf field: a string
+    or number changed, an enum member swapped, a tuple's last element dropped
+    or one element varied, and an optional field set to None."""
+    if optional and value is not None:
+        yield None
+    if isinstance(value, Enum):
+        yield next(member for member in type(value) if member is not value)
+    elif isinstance(value, str):
+        yield value + "x"
+    elif isinstance(value, (int, float)):
+        yield value + 1
+    elif isinstance(value, tuple):
+        yield value[:-1]
+        for k, item in enumerate(value):
+            for other in _variants(item):
+                yield value[:k] + (other,) + value[k + 1 :]
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            for other in _variants(getattr(value, field.name), "None" in str(field.type)):
+                yield replace(value, **{field.name: other})
+
+
+_ROW = ViewRef("X", 1, 2, 1, 8)
+# One op of every class, each optional field set so that unsetting it shows.
+_SAMPLES = (
+    ForTiles("i", 4, (DmaWait(0),), (DmaWait(1),)),
+    Forall("i", 4, (2, 1), (DmaWait(0),)),
+    AsyncExecute("g", (DmaWait(0),)),
+    AwaitAll("g"),
+    AllocTcm(BufferDecl("t", MemSpace.TCM, 2, 8)),
+    DeallocTcm("t"),
+    Copy(_ROW, ViewRef("t", 0, 0, 1, 8), only_if_iv_lt=3, only_if_iv_ge=1),
+    DmaStart(_ROW, ViewRef("t", 0, 1, 1, 8), 5, only_if_iv_lt=3, only_if_iv_ge=1),
+    DmaWait(5, only_if_iv_lt=3, only_if_iv_ge=1),
+    Compute(
+        (_ROW, ViewRef("Y", 0, 0, 1, 8)),
+        ViewRef("t", 0, 0, 1, 8),
+        Binary("add", Unary("tanh", Input(0)), Binary("mul", Input(1), Const(0.5))),
+        vector_factor=4,
+    ),
+)
+
+
+def test_every_field_of_every_op_shows_in_the_text():
+    assert {type(op) for op in _SAMPLES} == OP_TYPES
+    for op in _SAMPLES:
+        text = print_module(TileModule("one-op", (), (op,)))
+        variants = list(_variants(op))
+        assert len(variants) >= len(dataclasses.fields(op)), op
+        for other in variants:
+            assert print_module(TileModule("one-op", (), (other,))) != text, other

@@ -6,14 +6,15 @@ import pytest
 from tilelab.bench import run_rung
 from tilelab.interp import interpret_functional
 from tilelab.ir import (
-    AddToGroup,
     AllocTcm,
     AsyncExecute,
     AwaitAll,
+    Binary,
     BufferDecl,
     Compute,
     Copy,
     DeallocTcm,
+    ForTiles,
     Input,
     MemSpace,
     TileModule,
@@ -35,8 +36,8 @@ from tilelab.passes import (
     run_pipeline,
     vectorize,
 )
-from tilelab.sim import DeadlockError, SimulationError, simulate_timed
-from tilelab.timing import ADD, AWAIT, BUSY, FORK, Core
+from tilelab.sim import DeadlockError, simulate_timed
+from tilelab.timing import AWAIT, BUSY, FORK, Core
 from tilelab.verifier import verify_module
 
 CFG = MachineConfig()
@@ -183,19 +184,11 @@ def test_schedule_independence_of_outputs():
         PipelineSpec(LadderRung.VEC_MT, CFG),
     )
     # Reverse the creation order of the async regions within the group.
-    pairs, tail = [], []
-    for op in m.body:
-        if isinstance(op, AsyncExecute):
-            pairs.append([op])
-        elif isinstance(op, AddToGroup):
-            pairs[-1].append(op)
-        else:
-            tail.append(op)
+    regions = [op for op in m.body if isinstance(op, AsyncExecute)]
+    tail = [op for op in m.body if not isinstance(op, AsyncExecute)]
     from dataclasses import replace
 
-    permuted = replace(
-        m, body=tuple(op for pair in reversed(pairs) for op in pair) + tuple(tail)
-    )
+    permuted = replace(m, body=tuple(reversed(regions)) + tuple(tail))
     inputs = make_inputs(spec)
     out_a, _ = simulate_timed(m, inputs, CFG)
     out_b, _ = simulate_timed(permuted, inputs, CFG)
@@ -203,15 +196,9 @@ def test_schedule_independence_of_outputs():
 
 
 def test_self_awaiting_region_deadlocks():
-    region = AsyncExecute("t0", (AwaitAll("g"),))
-    m = TileModule("deadlock", (), (region, AddToGroup("t0", "g"), AwaitAll("g")))
+    region = AsyncExecute("g", (AwaitAll("g"),))
+    m = TileModule("deadlock", (), (region, AwaitAll("g")))
     with pytest.raises(DeadlockError):
-        simulate_timed(m, {}, CFG)
-
-
-def test_adding_a_token_not_forked_yet_is_an_error():
-    m = TileModule("early-add", (), (AddToGroup("t0", "g"), AsyncExecute("t0", ()), AwaitAll("g")))
-    with pytest.raises(SimulationError, match="add_to_group of unknown token %t0"):
         simulate_timed(m, {}, CFG)
 
 
@@ -222,29 +209,49 @@ def _region(cycles):
 @pytest.mark.parametrize(
     "steps, cycles",
     [
-        # Added after it ended (at 110): the await joins at once, 150 + join.
-        (lambda: [(FORK, 100, ("t0", _region(10))), (BUSY, 50, None), (ADD, 0, ("t0", "g"))], 350),
-        # Added twice: the group waits for its one region (ends at 600) once.
-        (
-            lambda: [
-                (FORK, 100, ("t0", _region(500))), (ADD, 0, ("t0", "g")), (ADD, 0, ("t0", "g")),
-            ],
-            800,
-        ),
         # Forked again after its group was joined (at 310): live again, so
         # the second await waits for the second run (ends at 420).
         (
             lambda: [
-                (FORK, 100, ("t0", _region(10))), (ADD, 0, ("t0", "g")), (AWAIT, 0, "g"),
-                (FORK, 100, ("t0", _region(10))), (ADD, 0, ("t0", "g")),
+                (FORK, 100, ("g", _region(10))), (AWAIT, 0, "g"),
+                (FORK, 100, ("g", _region(10))),
             ],
             620,
         ),
     ],
-    ids=["added-after-it-ended", "added-twice", "forked-again"],
+    ids=["forked-again"],
 )
 def test_a_group_waits_for_each_live_region_once(steps, cycles):
     assert Core(CFG).run(iter([*steps(), (AWAIT, 0, "g")])) == cycles  # fork 100, join 200
+
+
+def test_a_fork_join_inside_a_loop_forks_each_iteration_anew():
+    # Each iteration forks one region that doubles row i of X into Y, and
+    # joins it before the next iteration forks again.
+    cols = 64
+    x, y = BufferDecl("X", MemSpace.DDR, 3, cols), BufferDecl("Y", MemSpace.DDR, 3, cols)
+    t = BufferDecl("t", MemSpace.TCM, 1, cols)
+    tile = full_view(t)
+    region = AsyncExecute(
+        "g",
+        (
+            AllocTcm(t),
+            Copy(src=ViewRef("X", 1, 0, 1, cols), dst=tile),
+            Compute((tile, tile), tile, Binary("add", Input(0), Input(1))),
+            Copy(src=tile, dst=ViewRef("Y", 1, 0, 1, cols)),
+            DeallocTcm("t"),
+        ),
+    )
+    m = TileModule("loop-fork", (x, y), (ForTiles("i", 3, (region, AwaitAll("g"))),))
+    assert verify_module(m, CFG) == []
+    inputs = {"X": np.arange(3 * cols, dtype=np.float32).reshape(3, cols)}
+    out, report = simulate_timed(m, inputs, CFG)
+    assert np.array_equal(out["Y"], interpret_functional(m, inputs)["Y"])
+    assert np.array_equal(out["Y"], 2 * inputs["X"])
+    assert report.overhead_cycles == 3 * (CFG.fork_cost + CFG.join_cost)
+    # Per iteration: fork 100, a 65-cycle copy each way, 64 elements of a
+    # 4-op compute (256), join 200.
+    assert report.total_cycles == 3 * (100 + 65 + 256 + 65 + 200) == 2058
 
 
 def test_timing_report_invariants():
@@ -298,8 +305,7 @@ def test_a_group_already_done_at_the_await_joins_at_once():
         "early-region",
         (BufferDecl("X", MemSpace.DDR, 1, elems),),
         (
-            AsyncExecute("t0", ()),
-            AddToGroup("t0", "g"),
+            AsyncExecute("g", ()),
             AllocTcm(t),
             Copy(src=ViewRef("X", 0, 0, 1, elems), dst=full_view(t)),
             DeallocTcm("t"),

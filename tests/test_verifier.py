@@ -6,6 +6,8 @@ import pytest
 from tilelab.interp import InterpError, interpret_functional
 from tilelab.ir import (
     AllocTcm,
+    AsyncExecute,
+    AwaitAll,
     Binary,
     BufferDecl,
     Compute,
@@ -227,6 +229,41 @@ def test_concurrent_async_regions_share_capacity(verify):
     diags = verify(m, small)
     assert any("concurrent async regions" in d for d in diags)
     assert verify_module(m, MachineConfig(tcm_capacity=8_388_608)) == []
+
+
+def _fill(t: BufferDecl) -> tuple:
+    """Allocates `t`, fills it from row 0 of @X and frees it."""
+    return (AllocTcm(t), Copy(src=ViewRef("X", 0, 0, 1, t.cols), dst=full_view(t)), DeallocTcm(t.id))
+
+
+def test_a_forked_region_holds_its_scratchpad_until_its_await(verify):
+    """A region fills and frees 3,072 bytes; while it runs, the parent
+    fills 3,072 bytes of its own, which a 4,096-byte scratchpad cannot hold
+    at once.  Once the group's await has joined the region, it can, and a
+    fork and its await inside one loop arm free the region's bytes before
+    the next iteration forks again."""
+    small = MachineConfig(tcm_capacity=4096)
+    region = AsyncExecute("g", _fill(TCM("t", 1, 768)))
+    parent = _fill(TCM("u", 1, 768))
+    ddr = (DDR("X", 1, 768),)
+    overlapping = TileModule("overlap", ddr, (region, *parent, AwaitAll("g")))
+    assert verify(overlapping, small) == [
+        "body[1]: tcm capacity exceeded: 6144 bytes live > capacity 4096"
+    ]
+    joined = TileModule("joined", ddr, (region, AwaitAll("g"), *parent))
+    assert verify(joined, small) == []
+    in_arm = TileModule("in-arm", ddr, (ForTiles("i", 2, (region, AwaitAll("g"), *parent)),))
+    assert verify(in_arm, small) == []
+
+
+def test_a_forked_group_is_awaited(verify):
+    m = TileModule("unjoined", (), (AsyncExecute("g", ()),))
+    assert verify(m, CFG) == ["body: async group @g is never awaited"]
+
+
+def test_an_async_region_frees_what_it_allocates(verify):
+    m = TileModule("leaky", (), (AsyncExecute("g", (AllocTcm(TCM("t", 1, 8)),)), AwaitAll("g")))
+    assert verify(m, CFG) == ["body[0].body: async region leaks tcm allocations past its end"]
 
 
 def test_a_forall_does_not_run(verify):
